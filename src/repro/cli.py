@@ -619,7 +619,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         from repro.deployment.fleet import build_full_deployment
         from repro.experiments.context import _WINDOWS
         from repro.scanners.population import PopulationConfig, build_population
-        from repro.serve.backends import build_live_pipeline
+        from repro.serve.backends import build_live_pipeline, end_live_stream
         from repro.sim.engine import SimulationConfig, run_simulation
         from repro.sim.rng import RngHub
 
@@ -645,7 +645,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 SimulationConfig(seed=config.seed, window=window),
                 tap=bus.table_tap(),
             )
-            bus.close()
+            end_live_stream(bus, backend)
 
         ingest = threading.Thread(target=_ingest, daemon=True)
         label = (f"live simulation ({len(population)} campaigns, "

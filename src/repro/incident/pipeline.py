@@ -4,57 +4,53 @@ Two ways to run detection:
 
 * **live** — :class:`IncidentPipeline` subscribes to the same
   :class:`~repro.stream.bus.StreamBus` as the analyzer (always *after*
-  it, so each chunk is sketched before rules see the hour advance) and
+  it, so each frame is sketched before rules see the hour advance) and
   evaluates rules as tumbling hours seal;
 * **post-hoc** — :func:`detect_incidents` replays a merged
   :class:`~repro.analysis.dataset.AnalysisDataset` through a fresh
   analyzer + pipeline in **canonical order**: hour-major, vantage-minor
   (sorted ids), original row order within each (vantage, hour) cell.
 
+Both run one code path: frames cut right after every chunk at which an
+hour seals (:meth:`IncidentPipeline.cuts`), so rules evaluate exactly
+the state they would see were the chunks fed one at a time.
+
 The canonical order is the determinism keystone: the orchestrator's
 merged datasets are bit-identical across shard counts, and the replay
 order is a pure function of the merged tables — so the audit log of a
 1-shard, 2-shard and 4-shard run of the same seed is byte-identical.
 
-The replay is cheap: per vantage one stable argsort by hour bin and one
-fancy-index per column, then every (vantage, hour) cell publishes as a
-zero-copy ``[lo, hi)`` slice of the pre-sorted columns.
+The replay is cheap: per vantage one stable argsort by hour bin, one
+gather per column into canonical order, and every (vantage, hour) cell
+is a chunk of the replay frame — a row range, never an object.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.incident.incidents import AuditLog, IncidentStore
 from repro.incident.rules import IncidentRule, default_rules
 from repro.incident.runbooks import RunbookExecutor
-from repro.stream.bus import StreamChunk
+from repro.stream.bus import StreamChunk, StreamFrame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataset import AnalysisDataset
     from repro.stream.analyzer import StreamAnalyzer
 
-__all__ = ["IncidentPipeline", "canonical_chunks", "detect_incidents"]
+__all__ = ["IncidentPipeline", "canonical_chunks", "canonical_frame", "detect_incidents"]
 
-#: Chunk column name -> EventTable accessor attribute.
-_COLUMN_ACCESSORS = (
-    ("timestamps", "timestamps"),
-    ("src_ip", "src_ip"),
-    ("src_asn", "src_asn"),
-    ("dst_ip", "dst_ip"),
-    ("dst_port", "dst_port"),
-    ("transport_code", "transport_code"),
-    ("handshake", "handshake"),
-    ("payload", "payloads"),
-    ("credentials", "credentials"),
-    ("commands", "commands"),
-)
+#: Chunk column name -> EventTable accessor attribute, where they differ.
+_ACCESSORS = {"payload": "payloads"}
 
 
 class IncidentPipeline:
-    """Rules + store + executor behind one ``consume(chunk)`` face."""
+    """Rules + store + executor behind one ``consume(frame)`` face."""
+
+    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
+    accepts_frames = True
 
     def __init__(
         self,
@@ -75,12 +71,24 @@ class IncidentPipeline:
 
     # -- ingest ---------------------------------------------------------
 
-    def consume(self, chunk: StreamChunk) -> None:
-        """Bus-subscriber hook; must run after the analyzer's consume."""
-        self.regions.setdefault(chunk.vantage_id, chunk.region)
+    def consume(self, frame: Union[StreamFrame, StreamChunk]) -> None:
+        """Bus-subscriber hook; must run after the analyzer's consume.
+
+        ``frame`` must not run past one of :meth:`cuts`' chunks (the bus
+        and :func:`detect_incidents` cut there); a bare chunk is a
+        one-chunk frame.
+        """
+        frame = StreamFrame.of(frame)
+        for source in frame.sources:
+            self.regions.setdefault(source.vantage_id, source.region)
         for rule in self.rules:
-            rule.observe(chunk)
+            rule.observe(frame)
         self._advance(self.analyzer.windows.sealed_hours())
+
+    def cuts(self, frame: StreamFrame) -> np.ndarray:
+        """Chunks of ``frame`` after which an hour seals and rules read
+        the analyzer: a frame must end there."""
+        return self.analyzer.windows.seal_points(frame.column("timestamps"), frame.offsets)
 
     def finalize(self) -> None:
         """End of stream: evaluate through the final (never-sealing) hour.
@@ -149,35 +157,60 @@ class IncidentPipeline:
         }
 
 
-def canonical_chunks(tables: dict, hours: int) -> Iterator[StreamChunk]:
-    """Replay merged per-vantage tables in the canonical stream order.
+def canonical_frame(tables: dict, hours: int) -> StreamFrame:
+    """Merged per-vantage tables as one frame in the canonical stream order.
 
     Hour-major, then vantage id (sorted), then original table row order
     — the stable argsort by hour bin preserves intra-hour row order, so
-    the yielded row sequence is a pure function of the merged tables.
+    the row sequence is a pure function of the merged tables.  Each
+    non-empty (vantage, hour) cell is one chunk of the frame.
     """
     hours = int(hours)
-    prepared = []
-    for vantage_id in sorted(tables):
-        table = tables[vantage_id]
-        if len(table) == 0:
-            continue
+    sources = [tables[vantage_id] for vantage_id in sorted(tables) if len(tables[vantage_id])]
+    if not sources:
+        return StreamFrame.from_chunks([])
+    base = 0
+    sorted_rows, starts, lengths = [], [], []
+    for table in sources:
         stamps = np.asarray(table.timestamps, dtype=np.float64)
         # hourly_volumes binning: final bin right-closed, so ts == hours
         # lands in the last hour.
         bins = np.minimum(stamps.astype(np.int64), hours - 1)
         order = np.argsort(bins, kind="stable")
-        columns = {
-            name: np.asarray(getattr(table, accessor))[order]
-            for name, accessor in _COLUMN_ACCESSORS
-        }
         bounds = np.searchsorted(bins[order], np.arange(hours + 1))
-        prepared.append((table, columns, bounds))
-    for hour in range(hours):
-        for table, columns, bounds in prepared:
-            lo, hi = int(bounds[hour]), int(bounds[hour + 1])
-            if hi > lo:
-                yield StreamChunk.from_table_chunk(table, columns, lo, hi)
+        sorted_rows.append(base + order)
+        starts.append(base + bounds[:-1])
+        lengths.append(np.diff(bounds))
+        base += len(table)
+    # (vantage, hour) -> hour-major cell order, empty cells dropped.
+    cell_starts = np.stack(starts).T.ravel()
+    cell_lengths = np.stack(lengths).T.ravel()
+    cell_tables = np.tile(np.arange(len(sources)), hours)
+    occupied = cell_lengths > 0
+    cell_starts, cell_lengths = cell_starts[occupied], cell_lengths[occupied]
+    offsets = np.zeros(len(cell_lengths) + 1, dtype=np.int64)
+    np.cumsum(cell_lengths, out=offsets[1:])
+    positions = np.repeat(cell_starts - offsets[:-1], cell_lengths) + np.arange(offsets[-1])
+    replay = np.concatenate(sorted_rows)[positions]
+
+    gathered: dict[str, np.ndarray] = {}
+
+    def _resolve(name: str, first: int, stop: int) -> np.ndarray:
+        column = gathered.get(name)
+        if column is None:
+            accessor = _ACCESSORS.get(name, name)
+            column = gathered[name] = np.concatenate(
+                [np.asarray(getattr(table, accessor)) for table in sources]
+            )[replay]
+        return column[offsets[first]:offsets[stop]]
+
+    return StreamFrame([sources[index] for index in cell_tables[occupied].tolist()],
+                       offsets, _resolve)
+
+
+def canonical_chunks(tables: dict, hours: int) -> Iterator[StreamChunk]:
+    """The canonical replay cell by cell, one chunk per (vantage, hour)."""
+    return canonical_frame(tables, hours).chunks()
 
 
 def detect_incidents(
@@ -209,8 +242,9 @@ def detect_incidents(
         leak_experiment=dataset.leak_experiment,
     )
     pipeline = IncidentPipeline(analyzer, rules=rules, quiet_hours=quiet_hours)
-    for chunk in canonical_chunks(tables, hours):
-        analyzer.consume(chunk)
-        pipeline.consume(chunk)
+    replay = canonical_frame(tables, hours)
+    for frame in replay.split(pipeline.cuts(replay)):
+        analyzer.consume(frame)
+        pipeline.consume(frame)
     pipeline.finalize()
     return pipeline

@@ -2,7 +2,7 @@
 
 Each rule is a small object with three obligations:
 
-* ``observe(chunk)`` — an optional per-chunk hook for rules that need
+* ``observe(frame)`` — an optional per-frame hook for rules that need
   state the :class:`~repro.stream.analyzer.StreamAnalyzer` does not
   already keep (only the campaign rule uses it today);
 * ``evaluate(analyzer, hour)`` — called once per sealed hour (subject
@@ -25,9 +25,11 @@ import numpy as np
 
 from repro.scanners.payloads import strip_ephemeral_headers
 
+from repro.stream.bus import StreamFrame
+from repro.stream.sketches import category_codes
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.stream.analyzer import StreamAnalyzer
-    from repro.stream.bus import StreamChunk
 
 __all__ = [
     "Signal",
@@ -73,8 +75,8 @@ class IncidentRule:
     #: Evaluate every ``cadence`` sealed hours (always at the final one).
     cadence = 1
 
-    def observe(self, chunk: "StreamChunk") -> None:
-        """Per-chunk hook; default rules need no extra state."""
+    def observe(self, frame: StreamFrame) -> None:
+        """Per-frame hook; default rules need no extra state."""
 
     def evaluate(self, analyzer: "StreamAnalyzer", hour: int) -> list[Signal]:
         raise NotImplementedError
@@ -243,44 +245,49 @@ class CampaignOnsetRule(IncidentRule):
         self._digests: dict[bytes, str] = {}
         self._signaled: set[str] = set()
 
-    def observe(self, chunk: "StreamChunk") -> None:
-        payloads = chunk.raw("payload")
-        if isinstance(payloads, np.ndarray):
-            rows = payloads[chunk.start:chunk.stop]
-            hits = [position for position, payload in enumerate(rows) if payload]
-            if not hits:
-                return
-            asns = np.asarray(chunk.resolved("src_asn"), dtype=np.int64)
-            stamps = np.asarray(chunk.resolved("timestamps"), dtype=np.float64)
-            for position in hits:
-                self._note(
-                    chunk.vantage_id, rows[position],
-                    int(asns[position]), float(stamps[position]), 1,
-                )
-        elif payloads:
-            asns = np.asarray(chunk.resolved("src_asn"), dtype=np.int64)
-            stamps = np.asarray(chunk.resolved("timestamps"), dtype=np.float64)
-            self._note(
-                chunk.vantage_id, payloads,
-                int(asns[0]), float(stamps.min()), len(chunk),
-            )
-            footprint = self._campaigns[self._digests[bytes(payloads)]]
-            footprint[2].update(int(asn) for asn in np.unique(asns))
+    def observe(self, frame: StreamFrame) -> None:
+        frame = StreamFrame.of(frame)
+        payloads = frame.column("payload")
+        hits = np.flatnonzero(payloads.astype(bool))
+        if not hits.size:
+            return
+        # Distinct raw payloads in first-seen order, so each footprint
+        # is created (and previewed) by its first occurrence.
+        raw_codes, raw = category_codes(payloads[hits].tolist())
+        digest_codes, digests = category_codes([self._digest(payload) for payload in raw])
+        codes = digest_codes[raw_codes]
+        stamps = np.asarray(frame.column("timestamps"), dtype=np.float64)[hits]
+        first_seen = np.full(len(digests), np.inf)
+        np.minimum.at(first_seen, codes, stamps)
+        events = np.bincount(codes, minlength=len(digests))
+        vantage_codes, vantage_ids = category_codes(frame.vantage_ids)
+        vantages = vantage_codes[frame.chunk_index()[hits]]
+        asn_values, asns = np.unique(
+            np.asarray(frame.column("src_asn"), dtype=np.int64)[hits], return_inverse=True
+        )
+        footprints = [self._campaigns[digest] for digest in digests]
+        for footprint, count, stamp in zip(footprints, events.tolist(), first_seen.tolist()):
+            footprint[3] += count
+            footprint[4] = min(footprint[4], stamp)
+        # Distinct (digest, vantage) and (digest, AS) pairs, packed.
+        for pair in np.unique(codes * len(vantage_ids) + vantages).tolist():
+            code, vantage = divmod(pair, len(vantage_ids))
+            footprints[code][1].add(str(vantage_ids[vantage]))
+        for pair in np.unique(codes * len(asn_values) + asns.reshape(-1)).tolist():
+            code, asn = divmod(pair, len(asn_values))
+            footprints[code][2].add(int(asn_values[asn]))
 
-    def _note(self, vantage_id, payload, asn: int, stamp: float, count: int) -> None:
+    def _digest(self, payload) -> str:
+        """The payload's fingerprint, creating its footprint on first sight."""
         digest = self._digests.get(bytes(payload))
         if digest is None:
             stripped = strip_ephemeral_headers(payload)
             digest = hashlib.sha256(bytes(stripped)).hexdigest()[:12]
             self._digests[bytes(payload)] = digest
-        footprint = self._campaigns.get(digest)
-        if footprint is None:
+        if digest not in self._campaigns:
             preview = bytes(payload).split(b"\r\n", 1)[0][:48]
-            footprint = self._campaigns[digest] = [preview, set(), set(), 0, stamp]
-        footprint[1].add(str(vantage_id))
-        footprint[2].add(asn)
-        footprint[3] += count
-        footprint[4] = min(footprint[4], stamp)
+            self._campaigns[digest] = [preview, set(), set(), 0, np.inf]
+        return digest
 
     def evaluate(self, analyzer: "StreamAnalyzer", hour: int) -> list[Signal]:
         signals: list[Signal] = []

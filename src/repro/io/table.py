@@ -39,7 +39,7 @@ import numpy as np
 from repro.net.packets import Transport
 from repro.sim.events import CapturedEvent, NetworkKind
 
-__all__ = ["EventTable", "TRANSPORT_CODES", "TRANSPORT_OF_CODE"]
+__all__ = ["EventTable", "TRANSPORT_CODES", "TRANSPORT_OF_CODE", "concat_runs"]
 
 #: Compact integer encoding of :class:`~repro.net.packets.Transport`.
 TRANSPORT_CODES: dict[Transport, int] = {Transport.TCP: 0, Transport.UDP: 1}
@@ -74,6 +74,56 @@ def _object_column(length: int, values) -> np.ndarray:
     else:
         column[:] = list(values)
     return column
+
+
+def concat_runs(runs: Iterable[tuple[dict, int, int]], name: str) -> np.ndarray:
+    """One column over ``(columns, start, stop)`` runs, in order.
+
+    Each run contributes rows ``[start, stop)`` of ``columns[name]``: an
+    array range, or a scalar broadcast over the run.  A single array run
+    at the target dtype comes back as a view.
+    """
+    dtype = _DTYPES.get(name, object)
+    parts = []
+    if name in _OBJECT_COLUMNS:
+        for columns, start, stop in runs:
+            value = columns[name]
+            if isinstance(value, np.ndarray) and value.dtype == object:
+                parts.append(value[start:stop])
+            else:
+                parts.append(_object_column(stop - start, value))
+    else:
+        # Scalar broadcast runs are the common case for per-batch
+        # constants (dst_port, src_asn): coalesce consecutive scalar
+        # chunks into one np.repeat instead of one np.full each.
+        run_values: list = []
+        run_counts: list = []
+
+        def _flush_runs() -> None:
+            if run_counts:
+                parts.append(
+                    np.repeat(
+                        np.array(run_values, dtype=dtype),
+                        run_counts,
+                    )
+                )
+                run_values.clear()
+                run_counts.clear()
+
+        for columns, start, stop in runs:
+            value = columns[name]
+            if isinstance(value, np.ndarray):
+                _flush_runs()
+                parts.append(value[start:stop].astype(dtype, copy=False))
+            else:
+                run_values.append(value)
+                run_counts.append(stop - start)
+        _flush_runs()
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts)
 
 
 class EventTable:
@@ -282,52 +332,8 @@ class EventTable:
         if columns is None:
             columns = self._columns = {}
         array = columns.get(name)
-        if array is not None:
-            return array
-        dtype = _DTYPES.get(name, object)
-        if name in _OBJECT_COLUMNS:
-            parts = []
-            for chunk, start, stop in self._chunks:
-                value = chunk[name]
-                if isinstance(value, np.ndarray) and value.dtype == object:
-                    parts.append(value[start:stop])
-                else:
-                    parts.append(_object_column(stop - start, value))
-        else:
-            # Scalar broadcast runs are the common case for per-batch
-            # constants (dst_port, src_asn): coalesce consecutive scalar
-            # chunks into one np.repeat instead of one np.full each.
-            parts = []
-            run_values: list = []
-            run_counts: list = []
-
-            def _flush_runs() -> None:
-                if run_counts:
-                    parts.append(
-                        np.repeat(
-                            np.array(run_values, dtype=dtype),
-                            run_counts,
-                        )
-                    )
-                    run_values.clear()
-                    run_counts.clear()
-
-            for chunk, start, stop in self._chunks:
-                value = chunk[name]
-                if isinstance(value, np.ndarray):
-                    _flush_runs()
-                    parts.append(value[start:stop].astype(dtype, copy=False))
-                else:
-                    run_values.append(value)
-                    run_counts.append(stop - start)
-            _flush_runs()
-        if not parts:
-            array = np.empty(0, dtype=dtype)
-        elif len(parts) == 1:
-            array = parts[0]
-        else:
-            array = np.concatenate(parts)
-        columns[name] = array
+        if array is None:
+            array = columns[name] = concat_runs(self._chunks, name)
         return array
 
     def _consolidate(self) -> dict[str, np.ndarray]:

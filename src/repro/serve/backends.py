@@ -56,6 +56,7 @@ from repro.serve.schema import (
     TopQuery,
     VolumesQuery,
 )
+from repro.stream.bus import StreamFrame, deliver, frame_cuts
 
 __all__ = [
     "ROUTES",
@@ -66,6 +67,7 @@ __all__ = [
     "LockedConsumer",
     "build_live_pipeline",
     "encode_category",
+    "end_live_stream",
     "load_run_dir",
 ]
 
@@ -213,6 +215,9 @@ class ReputationTracker:
     bounded no matter how many sources scan.
     """
 
+    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
+    accepts_frames = True
+
     def __init__(self, capacity: int = 65536, rule_engine=None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -227,51 +232,28 @@ class ReputationTracker:
     def __len__(self) -> int:
         return len(self._records)
 
-    def consume(self, chunk) -> None:
-        src_ips = chunk.resolved("src_ip")
-        src_asns = chunk.resolved("src_asn")
-        length = len(chunk)
-
-        credentials = chunk.raw("credentials")
-        if isinstance(credentials, np.ndarray):
-            attempted = [bool(pairs) for pairs in credentials[chunk.start:chunk.stop]]
-        else:
-            attempted = [bool(credentials)] * length
-
-        payload = chunk.raw("payload")
-        port = chunk.raw("dst_port")
-        if isinstance(payload, np.ndarray):
-            payloads = payload[chunk.start:chunk.stop]
-            ports = chunk.resolved("dst_port")
-            verdicts = [
-                bool(value)
-                and self.rule_engine.is_malicious(value, int(ports[index]))
-                for index, value in enumerate(payloads)
-            ]
-        elif isinstance(port, np.ndarray):
-            ports = chunk.resolved("dst_port")
-            verdicts = [
-                bool(payload)
-                and self.rule_engine.is_malicious(payload, int(ports[index]))
-                for index in range(length)
-            ]
-        else:
-            # Scalar broadcast run: one ruleset evaluation for the lot.
-            verdict = bool(payload) and self.rule_engine.is_malicious(
-                payload, int(port)
-            )
-            verdicts = [verdict] * length
-
+    def consume(self, frame) -> None:
+        """Fold one frame's rows in, in stream order (a bare chunk is a
+        one-chunk frame)."""
+        frame = StreamFrame.of(frame)
+        rule_engine = self.rule_engine
         records = self._records
-        for index in range(length):
-            ip = int(src_ips[index])
-            malicious = attempted[index] or verdicts[index]
+        for ip, asn, pairs, payload, port in zip(
+            frame.column("src_ip").tolist(),
+            frame.column("src_asn").tolist(),
+            frame.column("credentials").tolist(),
+            frame.column("payload").tolist(),
+            frame.column("dst_port").tolist(),
+        ):
+            malicious = bool(pairs) or (
+                bool(payload) and rule_engine.is_malicious(payload, port)
+            )
             record = records.get(ip)
             if record is None:
-                records[ip] = [int(src_asns[index]), 1, malicious]
+                records[ip] = [asn, 1, malicious]
                 self._evict_if_needed()
             else:
-                record[0] = int(src_asns[index])
+                record[0] = asn
                 record[1] += 1
                 record[2] = record[2] or malicious
                 records.move_to_end(ip)
@@ -488,22 +470,32 @@ class LiveBackend(ServeBackend):
 
 
 class LockedConsumer:
-    """Deliver one chunk to several consumers under a shared lock.
+    """Deliver each frame to several consumers under a shared lock.
 
     The ingest thread publishes through this; the query side reads the
     same sketch state under the same lock.  One acquisition covers the
-    whole fan-out, so every consumer sees each chunk atomically with
-    respect to queries.
+    whole fan-out, so every consumer sees each frame atomically with
+    respect to queries, and a frame's size bound
+    (:data:`~repro.stream.bus.MAX_FRAME_EVENTS`) bounds the hold.
     """
+
+    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
+    accepts_frames = True
 
     def __init__(self, lock: threading.Lock, *consumers) -> None:
         self.lock = lock
         self.consumers = consumers
 
-    def consume(self, chunk) -> None:
+    def consume(self, frame) -> None:
+        frame = StreamFrame.of(frame)
         with self.lock:
             for consumer in self.consumers:
-                consumer.consume(chunk)
+                deliver(consumer, frame)
+
+    def cuts(self, frame) -> list[int]:
+        """Where the wrapped consumers read state mid-stream."""
+        with self.lock:
+            return frame_cuts(self.consumers, frame)
 
 
 def build_live_pipeline(
@@ -551,6 +543,17 @@ def build_live_pipeline(
         analyzer, bus=bus, tracker=tracker, lock=lock, pipeline=pipeline
     )
     return bus, analyzer, tracker, backend
+
+
+def end_live_stream(bus, backend: LiveBackend) -> None:
+    """End of ingest: deliver what ``bus`` still buffers, then finalize
+    live incident detection under the ingest lock — the window's last
+    hour never seals on its own, so without this ``/incidents`` misses
+    the tail."""
+    bus.close()
+    if backend.pipeline is not None:
+        with backend.lock:
+            backend.pipeline.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +718,8 @@ class RunDirBackend(ServeBackend):
     # -- endpoints ------------------------------------------------------
 
     def cache_key(self, path: str, params: Mapping[str, str]) -> Optional[str]:
-        if path not in ROUTES:
+        # /stats reports counters that move between calls: never cached.
+        if path not in ROUTES or path == "/stats":
             return None
         canonical = "&".join(f"{k}={params[k]}" for k in sorted(params))
         content = f"{self.dataset_digest}|{path}|{canonical}"

@@ -324,6 +324,8 @@ class QueryServer:
             return 500, {"error": "internal", "detail": str(error)[:200]}, None, True
         if body is None:
             return 404, {"error": "not found", "path": path}, None, wants_close
+        if path == "/stats":
+            body = {**body, "server": self.stats.as_dict()}
         if cache_key is not None:
             self.stats.cache_misses += 1
             encoded = _encode_json(body)

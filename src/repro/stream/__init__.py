@@ -8,7 +8,7 @@ leak tests on demand.
 """
 
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer, StreamSnapshot
-from repro.stream.bus import BusStats, StreamBus, StreamChunk
+from repro.stream.bus import BusStats, StreamBus, StreamChunk, StreamFrame
 from repro.stream.sketches import HyperLogLog, SpaceSavingSketch, StreamingContingency
 from repro.stream.watch import (
     WatchOptions,
@@ -25,6 +25,7 @@ __all__ = [
     "BusStats",
     "StreamBus",
     "StreamChunk",
+    "StreamFrame",
     "HyperLogLog",
     "SpaceSavingSketch",
     "StreamingContingency",

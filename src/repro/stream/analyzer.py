@@ -1,7 +1,8 @@
 """The standard bus subscriber: online sketches + windows + alarms.
 
-:class:`StreamAnalyzer` consumes :class:`~repro.stream.bus.StreamChunk`
-objects and maintains, in bounded memory:
+:class:`StreamAnalyzer` consumes :class:`~repro.stream.bus.StreamFrame`
+objects (ordered runs of chunks; a bare chunk is a one-chunk frame) and
+maintains, in bounded memory:
 
 * per-vantage Space-Saving sketches for each §3.3 characteristic
   (source AS, username, password, payload — payloads with ephemeral
@@ -29,8 +30,8 @@ from repro.deployment.fleet import LeakExperiment
 from repro.reporting.tables import render_table
 from repro.scanners.payloads import strip_ephemeral_headers
 from repro.stats.contingency import ChiSquareResult
-from repro.stream.bus import BusStats, StreamChunk
-from repro.stream.sketches import HyperLogLog, StreamingContingency
+from repro.stream.bus import BusStats, StreamChunk, StreamFrame
+from repro.stream.sketches import HyperLogLogBank, StreamingContingency, category_codes
 from repro.stream.windows import LeakAlarm, StreamingLeakAlarm, TumblingWindows
 
 __all__ = ["CHARACTERISTICS", "StreamAnalyzer", "StreamSnapshot"]
@@ -201,8 +202,40 @@ def _category_json(category) -> Union[int, str, dict]:
     return str(category)
 
 
+def _sketch_frame(
+    contingency: StreamingContingency,
+    vantage_ids: list,
+    chunks: np.ndarray,
+    codes: np.ndarray,
+    categories: list,
+) -> None:
+    """Space-Saving updates for one frame's ``(chunk, category)`` rows.
+
+    Applied exactly as feeding the chunks one at a time would: chunk by
+    chunk, each chunk's rows pre-aggregated and its categories applied
+    in ``repr`` order (:meth:`SpaceSavingSketch.update_counts`) — once a
+    sketch evicts, its contents depend on that order.
+    """
+    if not len(codes):
+        return
+    width = len(categories)
+    by_repr = sorted(range(width), key=lambda code: repr(categories[code]))
+    rank = np.empty(width, dtype=np.int64)
+    rank[by_repr] = np.arange(width)
+    packed, counts = np.unique(chunks * width + rank[codes], return_counts=True)
+    current, sketch = -1, None
+    for cell, count in zip(packed.tolist(), counts.tolist()):
+        chunk, position = divmod(cell, width)
+        if chunk != current:
+            current, sketch = chunk, contingency.sketch(vantage_ids[chunk])
+        sketch.update(categories[by_repr[position]], count)
+
+
 class StreamAnalyzer:
     """Bounded-memory online view of a captured-event stream."""
+
+    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
+    accepts_frames = True
 
     def __init__(
         self,
@@ -220,7 +253,7 @@ class StreamAnalyzer:
             name: StreamingContingency(sketch_k) for name in self.characteristics
         }
         self.windows = TumblingWindows(self.hours)
-        self.distinct_sources: dict[str, HyperLogLog] = {}
+        self.distinct_sources = HyperLogLogBank(self.hll_p)
         self.events_per_vantage: Counter = Counter()
         self.leak: Optional[StreamingLeakAlarm] = (
             StreamingLeakAlarm(leak_experiment, self.hours)
@@ -232,67 +265,40 @@ class StreamAnalyzer:
 
     # -- ingest --------------------------------------------------------
 
-    def consume(self, chunk: StreamChunk) -> None:
-        length = len(chunk)
-        if length == 0:
+    def consume(self, frame: Union[StreamFrame, StreamChunk]) -> None:
+        """Ingest one frame; a bare chunk is a one-chunk frame."""
+        frame = StreamFrame.of(frame)
+        if not len(frame):
             return
-        vantage_id = chunk.vantage_id
-        self.chunks_consumed += 1
-        self.events_consumed += length
-        self.events_per_vantage[vantage_id] += length
+        vantage_ids = frame.vantage_ids
+        self.chunks_consumed += frame.num_chunks
+        self.events_consumed += len(frame)
+        for vantage_id, length in zip(vantage_ids, frame.lengths.tolist()):
+            self.events_per_vantage[vantage_id] += length
 
-        timestamps = chunk.resolved("timestamps")
-        self.windows.add(vantage_id, timestamps)
+        # Per-vantage windows and distinct-source registers: one block
+        # update each for the whole frame.
+        chunks = frame.chunk_index()
+        chunk_vantage, keys = category_codes(vantage_ids)
+        rows = chunk_vantage[chunks]
+        timestamps = frame.column("timestamps")
+        self.windows.add_keyed(keys, rows, timestamps)
+        self.distinct_sources.add_keyed(keys, rows, frame.column("src_ip"))
 
-        # source AS counts (pre-aggregated per chunk, then sketched);
-        # 1-row chunks (live honeypots, per-hour replay cells) skip the
-        # np.unique machinery — its fixed cost dwarfs the scalar update.
         if "as" in self.contingency:
-            asns = chunk.raw("src_asn")
-            if not isinstance(asns, np.ndarray):
-                self.contingency["as"].update(vantage_id, int(asns), float(length))
-            elif length == 1:
-                self.contingency["as"].update(
-                    vantage_id, int(asns[chunk.start]), 1.0
-                )
-            else:
-                values, counts = np.unique(
-                    asns[chunk.start:chunk.stop], return_counts=True
-                )
-                self.contingency["as"].update_counts(
-                    vantage_id,
-                    dict(zip((int(v) for v in values), counts.tolist())),
-                )
-
-        # distinct scanning sources
-        hll = self.distinct_sources.get(vantage_id)
-        if hll is None:
-            hll = self.distinct_sources[vantage_id] = HyperLogLog(self.hll_p)
-        src = chunk.raw("src_ip")
-        if not isinstance(src, np.ndarray):
-            hll.add(int(src))
-        elif length == 1:
-            hll.add(int(src[chunk.start]))
-        else:
-            hll.add_ints(src[chunk.start:chunk.stop])
-
-        # payload / credential characteristics (object columns)
+            asns, codes = np.unique(frame.column("src_asn"), return_inverse=True)
+            _sketch_frame(self.contingency["as"], vantage_ids, chunks,
+                          codes.reshape(-1), [int(asn) for asn in asns.tolist()])
         if "payload" in self.contingency:
-            counts = self._payload_counts(chunk)
-            if counts:
-                self.contingency["payload"].update_counts(vantage_id, counts)
+            self._sketch_payloads(frame, vantage_ids, chunks)
         if "username" in self.contingency or "password" in self.contingency:
-            usernames, passwords = self._credential_counts(chunk)
-            if usernames and "username" in self.contingency:
-                self.contingency["username"].update_counts(vantage_id, usernames)
-            if passwords and "password" in self.contingency:
-                self.contingency["password"].update_counts(vantage_id, passwords)
+            self._sketch_credentials(frame, vantage_ids, chunks)
 
         if self.leak is not None:
             self.leak.observe(
-                chunk.resolved("dst_ip"),
-                chunk.resolved("dst_port"),
-                chunk.resolved("src_asn"),
+                frame.column("dst_ip"),
+                frame.column("dst_port"),
+                frame.column("src_asn"),
                 timestamps,
             )
             # Event time advances even when no experiment traffic arrives.
@@ -300,33 +306,41 @@ class StreamAnalyzer:
                 self.leak.windows.watermark, self.windows.watermark
             )
 
-    @staticmethod
-    def _payload_counts(chunk: StreamChunk) -> Counter:
-        counts: Counter = Counter()
-        value = chunk.raw("payload")
-        if isinstance(value, np.ndarray):
-            for payload in value[chunk.start:chunk.stop]:
-                if payload:
-                    counts[strip_ephemeral_headers(payload)] += 1
-        elif value:
-            counts[strip_ephemeral_headers(value)] += len(chunk)
-        return counts
+    def _sketch_payloads(self, frame: StreamFrame, vantage_ids: list,
+                         chunks: np.ndarray) -> None:
+        """Payload counts, ephemeral headers stripped (as ``payload_counter``)."""
+        payloads = frame.column("payload")
+        hits = np.flatnonzero(payloads.astype(bool))
+        if not hits.size:
+            return
+        raw_codes, raw = category_codes(payloads[hits].tolist())
+        stripped_codes, categories = category_codes(
+            [strip_ephemeral_headers(payload) for payload in raw]
+        )
+        _sketch_frame(self.contingency["payload"], vantage_ids, chunks[hits],
+                      stripped_codes[raw_codes], categories)
 
-    @staticmethod
-    def _credential_counts(chunk: StreamChunk) -> tuple[Counter, Counter]:
-        usernames: Counter = Counter()
-        passwords: Counter = Counter()
-        value = chunk.raw("credentials")
-        if isinstance(value, np.ndarray):
-            for pairs in value[chunk.start:chunk.stop]:
-                for username, password in pairs:
-                    usernames[username] += 1
-                    passwords[password] += 1
-        elif value:
-            for username, password in value:
-                usernames[username] += len(chunk)
-                passwords[password] += len(chunk)
-        return usernames, passwords
+    def _sketch_credentials(self, frame: StreamFrame, vantage_ids: list,
+                            chunks: np.ndarray) -> None:
+        """Username and password counts, one per attempted pair."""
+        credentials = frame.column("credentials")
+        hits = np.flatnonzero(credentials.astype(bool))
+        if not hits.size:
+            return
+        pair_chunks: list = []
+        usernames: list = []
+        passwords: list = []
+        for chunk, pairs in zip(chunks[hits].tolist(), credentials[hits].tolist()):
+            for username, password in pairs:
+                pair_chunks.append(chunk)
+                usernames.append(username)
+                passwords.append(password)
+        pair_chunks = np.asarray(pair_chunks, dtype=np.int64)
+        for name, values in (("username", usernames), ("password", passwords)):
+            if name in self.contingency:
+                codes, categories = category_codes(values)
+                _sketch_frame(self.contingency[name], vantage_ids, pair_chunks,
+                              codes, categories)
 
     # -- on-demand analysis --------------------------------------------
 

@@ -22,20 +22,34 @@ The buffer is bounded in *events*, not chunks.  Two overflow policies:
   criterion for default queue sizes).  Forced flushes are counted.
 * ``"drop"`` — the chunk is discarded and counted, the shape a
   saturated remote collector degrades in.
+
+A flush hands subscribers :class:`StreamFrame` objects: ordered runs of
+the buffered chunks, each consumed in one pass, so per-event work is
+paid per event rather than per (often tiny) chunk.  A frame ends right
+after any chunk at which some subscriber reads state mid-stream (its
+``cuts``: an hour sealing for incident rules, a snapshot coming due for
+``watch``), and never grows past :data:`MAX_FRAME_EVENTS` events.  Every
+subscriber therefore sees exactly the state it would have seen had the
+chunks arrived one at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
 
 import numpy as np
 
 from repro.sim.events import CapturedEvent, NetworkKind
-from repro.io.table import TRANSPORT_CODES
+from repro.io.table import TRANSPORT_CODES, concat_runs
 
-__all__ = ["StreamChunk", "BusStats", "StreamBus"]
+__all__ = ["StreamChunk", "StreamFrame", "BusStats", "StreamBus", "MAX_FRAME_EVENTS"]
+
+#: Most events one frame carries (a single larger chunk is a frame of
+#: its own).  A live server consumes each frame under its ingest lock,
+#: so this bounds how long one delivery holds the lock.
+MAX_FRAME_EVENTS = 4096
 
 #: Column names every chunk carries (the EventTable chunk schema).
 CHUNK_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
@@ -116,8 +130,143 @@ class StreamChunk:
         return np.full(length, value)
 
 
+class StreamFrame:
+    """An ordered run of chunks, consumed in one pass.
+
+    Subscribers do their per-event work (binning, hashing, counting)
+    once over the frame's columns, each a ``len(frame)``-row array
+    resolved on first use; ``offsets`` keeps the chunk boundaries, so
+    the order-dependent updates (Space-Saving) still apply chunk by
+    chunk.  ``sources[i]`` is chunk ``i``'s origin, anything carrying
+    ``vantage_id`` and ``region``: the :class:`StreamChunk` itself, or
+    the table a replayed cell came from.
+
+    ``resolve(name, first, stop)`` builds one column over chunks
+    ``[first, stop)`` of the frame a frame was split from, so a
+    sub-frame materializes only its own rows.
+    """
+
+    __slots__ = ("sources", "offsets", "_resolve", "_first", "_columns", "_chunk_index")
+
+    def __init__(self, sources: list, offsets: np.ndarray,
+                 resolve: Callable[[str, int, int], np.ndarray], first: int = 0) -> None:
+        self.sources = sources
+        #: ``len(sources) + 1`` row offsets, from 0 to ``len(self)``.
+        self.offsets = offsets
+        self._resolve = resolve
+        self._first = first
+        self._columns: dict[str, np.ndarray] = {}
+        self._chunk_index: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_chunks(cls, chunks: Iterable[StreamChunk]) -> "StreamFrame":
+        chunks = [chunk for chunk in chunks if len(chunk)]
+        offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+        np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
+        return cls(chunks, offsets, lambda name, first, stop: concat_runs(
+            ((chunk.columns, chunk.start, chunk.stop) for chunk in chunks[first:stop]), name
+        ))
+
+    @classmethod
+    def of(cls, item: Union["StreamFrame", StreamChunk]) -> "StreamFrame":
+        """``item`` as a frame: a bare chunk is a one-chunk frame."""
+        return item if isinstance(item, StreamFrame) else cls.from_chunks([item])
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    @property
+    def num_chunks(self) -> int:
+        return len(self.sources)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def vantage_ids(self) -> list:
+        return [source.vantage_id for source in self.sources]
+
+    def column(self, name: str) -> np.ndarray:
+        """One column over every row of the frame (scalars broadcast)."""
+        array = self._columns.get(name)
+        if array is None:
+            array = self._columns[name] = self._resolve(
+                name, self._first, self._first + self.num_chunks
+            )
+        return array
+
+    def chunk_index(self) -> np.ndarray:
+        """Per row, the index of the chunk it belongs to."""
+        if self._chunk_index is None:
+            self._chunk_index = np.repeat(
+                np.arange(self.num_chunks, dtype=np.int64), self.lengths
+            )
+        return self._chunk_index
+
+    def split(self, cuts: Iterable[int] = (),
+              max_events: int = MAX_FRAME_EVENTS) -> Iterator["StreamFrame"]:
+        """Consecutive sub-frames, each ending after a chunk index in
+        ``cuts`` or before it would exceed ``max_events``.  Yielded one
+        at a time, so only the frame in hand holds its columns."""
+        cut_at = np.unique(np.asarray(list(cuts), dtype=np.int64))
+        offsets = self.offsets
+        start = 0
+        while start < self.num_chunks:
+            end = max(start, int(np.searchsorted(
+                offsets, offsets[start] + max_events, side="right")) - 2)
+            position = int(np.searchsorted(cut_at, start))
+            if position < len(cut_at):
+                end = min(end, int(cut_at[position]))
+            lo, hi = int(offsets[start]), int(offsets[end + 1])
+            frame = StreamFrame(self.sources[start:end + 1], offsets[start:end + 2] - lo,
+                                self._resolve, self._first + start)
+            # Columns already resolved here are shared as views.
+            frame._columns = {name: array[lo:hi] for name, array in self._columns.items()}
+            start = end + 1
+            yield frame
+
+    def chunks(self) -> Iterator[StreamChunk]:
+        """The frame's chunks, one :class:`StreamChunk` each."""
+        columns = None
+        for index, source in enumerate(self.sources):
+            if isinstance(source, StreamChunk):
+                yield source
+                continue
+            if columns is None:
+                columns = {name: self.column(name) for name in CHUNK_COLUMNS}
+            yield StreamChunk.from_table_chunk(
+                source, columns, int(self.offsets[index]), int(self.offsets[index + 1])
+            )
+
+
+def frame_cuts(consumers: Iterable, frame: StreamFrame) -> list[int]:
+    """The union of the consumers' ``cuts(frame)``: chunk indices after
+    which one of them reads state mid-stream."""
+    cuts: set[int] = set()
+    for consumer in consumers:
+        cut_points = getattr(consumer, "cuts", None)
+        if cut_points is not None:
+            cuts.update(int(index) for index in cut_points(frame))
+    return sorted(cuts)
+
+
+def deliver(consumer, frame: StreamFrame) -> None:
+    """Hand ``frame`` to ``consumer``: whole when it ``accepts_frames``,
+    otherwise chunk by chunk (the plain ``consume(chunk)`` protocol)."""
+    if getattr(consumer, "accepts_frames", False):
+        consumer.consume(frame)
+    else:
+        for chunk in frame.chunks():
+            consumer.consume(chunk)
+
+
 class Consumer(Protocol):  # pragma: no cover - typing aid
-    def consume(self, chunk: StreamChunk) -> None: ...
+    """A subscriber: ``consume`` takes a :class:`StreamFrame` when the
+    class sets ``accepts_frames = True``, else one chunk per call; an
+    optional ``cuts(frame)`` names the chunks after which it reads state."""
+
+    def consume(self, frame: Union[StreamFrame, StreamChunk]) -> None: ...
 
 
 @dataclass
@@ -219,18 +368,26 @@ class StreamBus:
 
     def flush(self) -> int:
         """Deliver every buffered chunk to every subscriber, in order."""
-        delivered = 0
-        while self._queue:
-            chunk = self._queue.popleft()
-            self._buffered_events -= len(chunk)
+        if not self._queue:
+            return 0
+        batch = StreamFrame.from_chunks(self._queue)
+        self._queue.clear()
+        self._buffered_events = 0
+        stats = self.stats
+        for frame in batch.split(frame_cuts(self._subscribers, batch)):
+            # Counters advance as chunk-by-chunk delivery would show them
+            # to a subscriber reading at the frame's last chunk (a watch
+            # snapshot): every earlier chunk delivered, that one not yet.
+            last = int(frame.offsets[-1] - frame.offsets[-2])
+            stats.delivered_chunks += frame.num_chunks - 1
+            stats.delivered_events += len(frame) - last
             for subscriber in self._subscribers:
-                subscriber.consume(chunk)
-            self.stats.delivered_chunks += 1
-            self.stats.delivered_events += len(chunk)
-            delivered += len(chunk)
-        if delivered and self.on_flush is not None:
-            self.on_flush(delivered)
-        return delivered
+                deliver(subscriber, frame)
+            stats.delivered_chunks += 1
+            stats.delivered_events += last
+        if self.on_flush is not None:
+            self.on_flush(len(batch))
+        return len(batch)
 
     def close(self) -> int:
         """Flush whatever remains (end of stream)."""

@@ -12,7 +12,8 @@ Three primitives back the `cloudwatching watch` service:
   streaming §3.3 comparison converge to the batch answer.
 * :class:`HyperLogLog` — distinct-element counting in ``2^p`` one-byte
   registers (distinct scanning sources per vantage point, the paper's
-  "who is scanning" denominator).
+  "who is scanning" denominator); :class:`HyperLogLogBank` keeps one
+  per key in shared register blocks, updated once per frame.
 * :class:`StreamingContingency` — one Space-Saving sketch per group
   (vantage point) for one characteristic, plus the on-demand top-k-union
   chi-squared/Cramér's V evaluation of Section 3.3, reusing the exact
@@ -25,14 +26,24 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from typing import Hashable, Iterable, Mapping, Optional
+from collections.abc import Mapping as MappingABC
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.stats.contingency import ChiSquareResult, chi_square_test
 from repro.stats.topk import top_k, union_table
 
-__all__ = ["SpaceSavingSketch", "HyperLogLog", "StreamingContingency"]
+__all__ = ["SpaceSavingSketch", "HyperLogLog", "HyperLogLogBank", "KeyedRows",
+           "StreamingContingency", "category_codes"]
+
+
+def category_codes(values: list) -> tuple[np.ndarray, list]:
+    """Per-value codes into the distinct values, numbered in first-seen order."""
+    ids: dict = {}
+    codes = np.fromiter((ids.setdefault(value, len(ids)) for value in values),
+                        dtype=np.int64, count=len(values))
+    return codes, list(ids)
 
 
 class SpaceSavingSketch:
@@ -145,12 +156,21 @@ def _hash_object(value) -> int:
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64_int(value: int) -> int:
-    """Scalar splitmix64, bit-identical to the vectorized version."""
-    z = (value + 0x9E3779B97F4A7C15) & _U64_MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
-    return z ^ (z >> 31)
+def _index_rank(hashed: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Register index (top ``p`` bits) and rank of each 64-bit hash."""
+    p64 = np.uint64(p)
+    indices = (hashed >> (np.uint64(64) - p64)).astype(np.int64)
+    # Rank = 1 + trailing zeros of the 64-p low (non-index) bits.
+    low = hashed & np.uint64((1 << (64 - p)) - 1)
+    with np.errstate(over="ignore"):
+        lsb = low & (np.uint64(0) - low)
+    rank = np.where(
+        low == 0,
+        np.uint8(64 - p + 1),
+        # log2 of an isolated set bit is exact in float64.
+        (np.log2(np.maximum(lsb, np.uint64(1)).astype(np.float64)) + 1).astype(np.uint8),
+    )
+    return indices, rank
 
 
 class HyperLogLog:
@@ -172,46 +192,31 @@ class HyperLogLog:
         self.m = 1 << p
         self._registers = np.zeros(self.m, dtype=np.uint8)
 
-    def _ingest_hashes(self, hashed: np.ndarray) -> None:
-        p64 = np.uint64(self.p)
-        indices = (hashed >> (np.uint64(64) - p64)).astype(np.int64)
-        # Rank = 1 + trailing zeros of the 64-p low (non-index) bits.
-        low = hashed & np.uint64((1 << (64 - self.p)) - 1)
-        with np.errstate(over="ignore"):
-            lsb = low & (np.uint64(0) - low)
-        rank = np.where(
-            low == 0,
-            np.uint8(64 - self.p + 1),
-            # log2 of an isolated set bit is exact in float64.
-            (np.log2(np.maximum(lsb, np.uint64(1)).astype(np.float64)) + 1).astype(np.uint8),
-        )
-        np.maximum.at(self._registers, indices, rank)
+    @classmethod
+    def _view(cls, p: int, registers: np.ndarray) -> "HyperLogLog":
+        """An estimator over registers owned elsewhere (a bank row)."""
+        hll = cls.__new__(cls)
+        hll.p, hll.m, hll._registers = p, 1 << p, registers
+        return hll
 
     def add_ints(self, values: np.ndarray) -> None:
         """Vectorized ingest of an integer array (e.g. source IPs)."""
         if len(values) == 0:
             return
-        self._ingest_hashes(_splitmix64(np.asarray(values).astype(np.uint64)))
+        self._ingest(_splitmix64(np.asarray(values).astype(np.uint64)))
 
     def add(self, value) -> None:
-        """Ingest one value of any hashable type (scalar fast path).
-
-        Produces the exact register updates :meth:`add_ints` would — the
-        scalar splitmix64 matches the vectorized one bit for bit — but
-        without per-call ufunc overhead, which dominates on the 1-row
-        chunks live honeypots and per-hour replays publish.
-        """
+        """Ingest one value of any hashable type: integers hash exactly
+        as :meth:`add_ints` hashes them, anything else through BLAKE2b."""
         if isinstance(value, (int, np.integer)):
-            hashed = _splitmix64_int(int(value) & _U64_MASK)
+            hashed = _splitmix64(np.asarray([int(value) & _U64_MASK], dtype=np.uint64))
         else:
-            hashed = _hash_object(value)
-        index = hashed >> (64 - self.p)
-        low = hashed & ((1 << (64 - self.p)) - 1)
-        # Rank = 1 + trailing zeros of the low bits; the isolated LSB's
-        # bit_length is exactly that (matches the log2 path).
-        rank = (64 - self.p + 1) if low == 0 else (low & -low).bit_length()
-        if rank > self._registers[index]:
-            self._registers[index] = np.uint8(rank)
+            hashed = np.asarray([_hash_object(value)], dtype=np.uint64)
+        self._ingest(hashed)
+
+    def _ingest(self, hashed: np.ndarray) -> None:
+        indices, rank = _index_rank(hashed, self.p)
+        np.maximum.at(self._registers, indices, rank)
 
     def estimate(self) -> float:
         """Bias-corrected distinct-count estimate."""
@@ -226,6 +231,97 @@ class HyperLogLog:
 
     def state_bytes(self) -> int:
         return int(self._registers.nbytes)
+
+
+class KeyedRows:
+    """One row per key, in fixed-size blocks (per-vantage state banks).
+
+    Rows are numbered in order of first use.  :meth:`rows` maps a
+    frame's keys to row numbers (adding rows for new keys) and
+    :meth:`scatter` applies one ufunc ``.at`` per block the frame
+    touches — a single call while the keys fit one block.  Blocks never
+    move, so adding keys copies nothing and row views stay valid.
+    """
+
+    __slots__ = ("index", "blocks", "width", "dtype")
+
+    #: Rows per block.
+    BLOCK = 256
+
+    def __init__(self, width: int, dtype) -> None:
+        self.index: dict[Hashable, int] = {}
+        self.blocks: list[np.ndarray] = []
+        self.width = width
+        self.dtype = dtype
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def rows(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """Row number of each key in ``keys``, adding rows for new keys."""
+        index = self.index
+        rows = np.fromiter((index.setdefault(key, len(index)) for key in keys),
+                           dtype=np.int64, count=len(keys))
+        while len(self.blocks) * self.BLOCK < len(index):
+            self.blocks.append(np.zeros((self.BLOCK, self.width), dtype=self.dtype))
+        return rows
+
+    def row(self, key: Hashable):
+        """The key's row (a view into its block), or None if unseen."""
+        position = self.index.get(key)
+        if position is None:
+            return None
+        block, offset = divmod(position, self.BLOCK)
+        return self.blocks[block][offset]
+
+    def scatter(self, ufunc: np.ufunc, rows: np.ndarray, columns: np.ndarray,
+                values) -> None:
+        """``ufunc.at(row_matrix, (rows, columns), values)`` across blocks."""
+        if len(self.blocks) == 1:
+            ufunc.at(self.blocks[0], (rows, columns), values)
+            return
+        block, offset = np.divmod(rows, self.BLOCK)
+        values = np.broadcast_to(values, rows.shape)
+        for number in np.unique(block).tolist():
+            mask = block == number
+            ufunc.at(self.blocks[number], (offset[mask], columns[mask]), values[mask])
+
+
+class HyperLogLogBank(MappingABC):
+    """Per-key :class:`HyperLogLog` estimators over shared register blocks.
+
+    A read-only mapping from key to estimator; :meth:`add_keyed` updates
+    every key of a frame with one ``np.maximum.at`` per block.  Register
+    updates are order-independent maxima, so a bank fed frame by frame
+    holds the same registers as one estimator per key fed chunk by chunk.
+    """
+
+    def __init__(self, p: int = 12) -> None:
+        if not 4 <= p <= 18:
+            raise ValueError("p must be in [4, 18]")
+        self.p = p
+        self._rows = KeyedRows(1 << p, np.uint8)
+
+    def __getitem__(self, key: Hashable) -> HyperLogLog:
+        registers = self._rows.row(key)
+        if registers is None:
+            raise KeyError(key)
+        return HyperLogLog._view(self.p, registers)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._rows.index)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add_keyed(self, keys: Sequence[Hashable], codes: np.ndarray, values: np.ndarray) -> None:
+        """Ingest integer ``values[i]`` under ``keys[codes[i]]``; every
+        key in ``keys`` gets an estimator."""
+        rows = self._rows.rows(keys)
+        if len(values) == 0:
+            return
+        indices, rank = _index_rank(_splitmix64(np.asarray(values).astype(np.uint64)), self.p)
+        self._rows.scatter(np.maximum, rows[codes], indices, rank)
 
 
 # -- streaming §3.3 ---------------------------------------------------------

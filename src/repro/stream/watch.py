@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.stream.analyzer import StreamAnalyzer
-from repro.stream.bus import StreamBus, StreamChunk
+from repro.stream.bus import StreamBus, StreamChunk, StreamFrame
 
 __all__ = ["WatchOptions", "SnapshotPrinter", "watch_simulation",
            "watch_run_dir", "watch_live", "stream_table"]
@@ -73,6 +73,9 @@ class WatchOptions:
 class SnapshotPrinter:
     """Bus subscriber that renders snapshots on an event cadence."""
 
+    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
+    accepts_frames = True
+
     def __init__(
         self,
         analyzer: StreamAnalyzer,
@@ -90,7 +93,31 @@ class SnapshotPrinter:
         self.snapshots_rendered = 0
         self._next_at = options.snapshot_events or 0
 
-    def consume(self, chunk: StreamChunk) -> None:
+    def _due_after(self, next_at: int, events: int) -> int:
+        """The first cadence point past ``events``, stepping from ``next_at``."""
+        every = self.options.snapshot_events
+        return next_at + every * ((events - next_at) // every + 1)
+
+    def cuts(self, frame: StreamFrame) -> list[int]:
+        """Chunks of ``frame`` after which a snapshot comes due."""
+        options = self.options
+        if not options.snapshot_events:
+            return []
+        left = (options.max_snapshots - self.snapshots_rendered
+                if options.max_snapshots else frame.num_chunks)
+        ends = self.analyzer.events_consumed + np.cumsum(frame.lengths)
+        cuts = []
+        next_at = self._next_at
+        while left > 0:
+            index = int(np.searchsorted(ends, next_at))
+            if index == len(ends):
+                break
+            cuts.append(index)
+            left -= 1
+            next_at = self._due_after(next_at, int(ends[index]))
+        return cuts
+
+    def consume(self, frame: StreamFrame) -> None:
         options = self.options
         if not options.snapshot_events:
             return
@@ -98,8 +125,7 @@ class SnapshotPrinter:
             return
         if self.analyzer.events_consumed >= self._next_at:
             self.emit()
-            while self._next_at <= self.analyzer.events_consumed:
-                self._next_at += options.snapshot_events
+            self._next_at = self._due_after(self._next_at, self.analyzer.events_consumed)
 
     def emit(self, final: bool = False) -> None:
         if final and self.incidents is not None:

@@ -25,35 +25,49 @@ import numpy as np
 
 from repro.deployment.fleet import LeakExperiment
 from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
+from repro.stream.sketches import KeyedRows
 
 __all__ = ["TumblingWindows", "LeakAlarm", "StreamingLeakAlarm"]
 
 
 class TumblingWindows:
-    """Bounded per-key tumbling hourly counts with a shared watermark."""
+    """Bounded per-key tumbling hourly counts with a shared watermark.
+
+    Series are rows of shared ``hours``-wide blocks, so a frame touching
+    many keys bins with one ``np.add.at`` per block.
+    """
 
     def __init__(self, hours: int) -> None:
         if hours < 1:
             raise ValueError("hours must be >= 1")
         self.hours = int(hours)
-        self._series: dict[Hashable, np.ndarray] = {}
+        self._rows = KeyedRows(self.hours, np.float64)
         #: Largest timestamp observed (event time, fractional hours).
         self.watermark = 0.0
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._series
+        return key in self._rows.index
 
     def keys(self) -> list[Hashable]:
-        return sorted(self._series, key=repr)
+        return sorted(self._rows.index, key=repr)
 
     def add(self, key: Hashable, timestamps: np.ndarray) -> int:
         """Bin ``timestamps`` into ``key``'s hourly series; returns kept."""
         array = np.asarray(timestamps, dtype=np.float64)
+        return self.add_keyed([key], np.zeros(array.size, dtype=np.int64), array)
+
+    def add_keyed(self, keys: list, codes: np.ndarray, timestamps: np.ndarray) -> int:
+        """Bin ``timestamps[i]`` into ``keys[codes[i]]``'s series; returns kept.
+
+        A key gets a series once any row names it, even if every one of
+        its timestamps falls outside the window.
+        """
+        array = np.asarray(timestamps, dtype=np.float64)
         if array.size == 0:
             return 0
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = np.zeros(self.hours, dtype=np.float64)
+        present = np.unique(codes)
+        rows = np.zeros(len(keys), dtype=np.int64)
+        rows[present] = self._rows.rows([keys[code] for code in present.tolist()])
         # np.histogram semantics over range (0, hours): the final bin is
         # closed on the right, everything outside the range is dropped.
         keep = (array >= 0.0) & (array <= self.hours)
@@ -61,13 +75,31 @@ class TumblingWindows:
         if kept.size == 0:
             return 0
         indices = np.minimum(kept.astype(np.int64), self.hours - 1)
-        np.add.at(series, indices, 1.0)
+        self._rows.scatter(np.add, rows[np.asarray(codes)[keep]], indices, 1.0)
         self.watermark = max(self.watermark, float(kept.max()))
         return int(kept.size)
 
+    def seal_points(self, timestamps: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Runs after which :meth:`sealed_hours` would rise.
+
+        ``offsets`` bounds consecutive non-empty runs of ``timestamps``
+        (a frame's chunks); the answer is the indices of the runs whose
+        addition, in order from the current state, seals a new hour.
+        """
+        if len(offsets) < 2:
+            return np.empty(0, dtype=np.int64)
+        stamps = np.asarray(timestamps, dtype=np.float64)
+        kept = np.where((stamps >= 0.0) & (stamps <= self.hours), stamps, -np.inf)
+        marks = np.maximum.accumulate(
+            np.maximum(np.maximum.reduceat(kept, offsets[:-1]), self.watermark)
+        )
+        sealed = np.minimum(np.floor(marks), self.hours)
+        before = np.concatenate(([self.sealed_hours()], sealed[:-1]))
+        return np.flatnonzero(sealed > before)
+
     def series(self, key: Hashable) -> np.ndarray:
         """The key's full hourly series (zeros if never seen)."""
-        series = self._series.get(key)
+        series = self._rows.row(key)
         if series is None:
             return np.zeros(self.hours, dtype=np.float64)
         return series
@@ -90,7 +122,7 @@ class TumblingWindows:
         return float(sealed.mean()) if sealed.size else 0.0
 
     def state_bytes(self) -> int:
-        return sum(series.nbytes for series in self._series.values())
+        return len(self._rows) * self.hours * 8
 
 
 # -- streaming Table 3 ------------------------------------------------------
@@ -121,7 +153,7 @@ class LeakAlarm:
 class StreamingLeakAlarm:
     """Streaming leak detection over the Section 4.3 experiment layout.
 
-    ``observe`` filters each chunk down to experiment traffic (crawler
+    ``observe`` filters each frame down to experiment traffic (crawler
     ASes excluded) and updates per-(port, group) hourly histograms;
     ``evaluate`` compares each leaked group's trailing per-IP series
     against the control group's with the same tests Table 3 uses.
@@ -134,27 +166,42 @@ class StreamingLeakAlarm:
         # Group membership: control/previously IPs count on every leak
         # service port; each leaked group's IPs only on its own port.
         self._group_sizes: dict[tuple[int, str], int] = {}
-        self._ip_groups: dict[int, str] = {}
+        ip_groups: dict[int, str] = {}
         for ip in experiment.control_ips:
-            self._ip_groups[int(ip)] = "control"
+            ip_groups[int(ip)] = "control"
         for ip in experiment.previously_leaked_ips:
-            self._ip_groups[int(ip)] = "previously"
+            ip_groups[int(ip)] = "previously"
         for _protocol, port in _LEAK_SERVICES:
             self._group_sizes[(port, "control")] = len(experiment.control_ips)
             self._group_sizes[(port, "previously")] = len(experiment.previously_leaked_ips)
-        self._leaked_port: dict[int, tuple[int, str]] = {}
+        leaked_port: dict[int, tuple[int, str]] = {}
         for group in experiment.leak_groups:
             self._group_sizes[(group.port, group.engine)] = len(group.ips)
             for ip in group.ips:
-                self._leaked_port[int(ip)] = (group.port, group.engine)
+                leaked_port[int(ip)] = (group.port, group.engine)
         self._watch_ips = np.unique(np.fromiter(
             (int(ip) for ip in experiment.all_ips), dtype=np.int64
         ))
-        #: Same membership as ``_watch_ips``, for the small-chunk path —
-        #: ``np.isin``'s fixed cost dwarfs a few set probes on the
-        #: 1-row chunks live honeypots and per-hour replays publish.
-        self._watch_set = {int(ip) for ip in self._watch_ips}
         self._ports = np.asarray([port for _p, port in _LEAK_SERVICES], dtype=np.int64)
+        # The same membership as lookup arrays over ``_watch_ips``, so a
+        # frame resolves every row's (port, group) key without a loop.
+        self._keys = list(self._group_sizes)
+        code = {key: index for index, key in enumerate(self._keys)}
+        names = ("control", "previously")
+        self._group_key = np.asarray(
+            [[code[(int(port), name)] for name in names] for port in self._ports],
+            dtype=np.int64,
+        )
+        watched = self._watch_ips.tolist()
+        self._ip_group = np.asarray(
+            [names.index(ip_groups[ip]) if ip in ip_groups else -1
+             for ip in watched], dtype=np.int64)
+        self._leak_port = np.asarray(
+            [leaked_port[ip][0] if ip in leaked_port else -1
+             for ip in watched], dtype=np.int64)
+        self._leak_key = np.asarray(
+            [code[leaked_port[ip]] if ip in leaked_port else -1
+             for ip in watched], dtype=np.int64)
 
     def observe(
         self,
@@ -163,39 +210,29 @@ class StreamingLeakAlarm:
         src_asns: np.ndarray,
         timestamps: np.ndarray,
     ) -> int:
-        """Ingest one chunk's columns; returns experiment rows counted."""
+        """Ingest rows (a frame, or a whole table); returns rows counted."""
         dst_ips = np.asarray(dst_ips, dtype=np.int64)
-        if dst_ips.size <= 32:
-            mask = np.fromiter(
-                (ip in self._watch_set for ip in dst_ips.tolist()),
-                dtype=bool, count=dst_ips.size,
-            )
-        else:
-            mask = np.isin(dst_ips, self._watch_ips)
+        mask = np.isin(dst_ips, self._watch_ips)
         if not mask.any():
             return 0
-        dst_ports = np.asarray(dst_ports, dtype=np.int64)[mask]
-        src_asns = np.asarray(src_asns, dtype=np.int64)[mask]
-        stamps = np.asarray(timestamps, dtype=np.float64)[mask]
-        dst_ips = dst_ips[mask]
-        counted = 0
-        for ip, port, asn, stamp in zip(
-            dst_ips.tolist(), dst_ports.tolist(), src_asns.tolist(), stamps.tolist()
-        ):
-            if asn in _CRAWLER_ASES:
-                continue
-            name = self._ip_groups.get(ip)
-            if name is None:
-                leaked = self._leaked_port.get(ip)
-                if leaked is None or leaked[0] != port:
-                    continue
-                key = leaked
-            else:
-                if port not in self._ports:
-                    continue
-                key = (port, name)
-            counted += self.windows.add(key, np.asarray([stamp]))
-        return counted
+        slot = np.searchsorted(self._watch_ips, dst_ips[mask])
+        ports = np.asarray(dst_ports, dtype=np.int64)[mask]
+        port_pos = np.full(ports.size, -1, dtype=np.int64)
+        for position, port in enumerate(self._ports.tolist()):
+            port_pos[ports == port] = position
+        group = self._ip_group[slot]
+        # Control/previously IPs count on every leak service port; a
+        # leaked group's IPs only on their own port.
+        key = np.where(
+            group >= 0,
+            np.where(port_pos >= 0,
+                     self._group_key[np.maximum(port_pos, 0), np.maximum(group, 0)], -1),
+            np.where(self._leak_port[slot] == ports, self._leak_key[slot], -1),
+        )
+        key[np.isin(np.asarray(src_asns, dtype=np.int64)[mask], _CRAWLER_ASES)] = -1
+        counted = key >= 0
+        stamps = np.asarray(timestamps, dtype=np.float64)[mask][counted]
+        return self.windows.add_keyed(self._keys, key[counted], stamps)
 
     def per_ip_series(self, port: int, group: str) -> np.ndarray:
         """Average per-IP hourly series for one (port, group)."""

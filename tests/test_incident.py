@@ -240,23 +240,18 @@ class _StubAnalyzer:
         return []
 
 
-class _StubChunk:
-    """Whole-table chunk shape (bytes payload, the non-ndarray path)."""
+def _payload_chunk(vantage_id, payload, asns, stamps):
+    """A campaign-batch chunk: one bytes payload broadcast over its rows."""
+    from repro.sim.events import NetworkKind
+    from repro.stream.bus import StreamChunk
 
-    def __init__(self, vantage_id, payload, asns, stamps):
-        self.vantage_id = vantage_id
-        self._payload = payload
-        self._asns = np.asarray(asns, dtype=np.int64)
-        self._stamps = np.asarray(stamps, dtype=np.float64)
-
-    def raw(self, name):
-        return self._payload
-
-    def resolved(self, name):
-        return self._asns if name == "src_asn" else self._stamps
-
-    def __len__(self):
-        return len(self._asns)
+    columns = {
+        "timestamps": np.asarray(stamps, dtype=np.float64),
+        "src_asn": np.asarray(asns, dtype=np.int64),
+        "payload": payload,
+    }
+    return StreamChunk(vantage_id, "aws", NetworkKind.CLOUD, "US-EAST",
+                       columns, 0, len(stamps))
 
 
 class TestVolumeSpikeRule:
@@ -310,7 +305,7 @@ class TestCampaignOnsetRule:
     PAYLOAD = b"GET /shell?cd+/tmp HTTP/1.1\r\nHost: x\r\n\r\n"
 
     def _observe(self, rule, vantage_id, stamp, count=10):
-        rule.observe(_StubChunk(
+        rule.observe(_payload_chunk(
             vantage_id, self.PAYLOAD,
             asns=[64500] * count,
             stamps=[stamp] * count,
@@ -483,6 +478,81 @@ class TestServeEndpoints:
         assert a["audit_digest"] == b["audit_digest"]
         blocked = live.actions(ActionsQuery(action="block"))
         assert {r["action"] for r in blocked["actions"]} <= {"block"}
+
+    def test_live_serve_finalizes_detection_after_ingest(self):
+        """`serve --simulate --incidents` finalizes detection once ingest
+        ends: its /incidents and /actions equal an in-process tapped run
+        of the same seed plus finalize()."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+        import urllib.request
+        from pathlib import Path
+
+        import repro
+        from repro.deployment.fleet import build_full_deployment
+        from repro.experiments.context import _WINDOWS
+        from repro.scanners.population import PopulationConfig, build_population
+        from repro.sim.engine import SimulationConfig, run_simulation
+        from repro.sim.rng import RngHub
+
+        window = _WINDOWS[TINY.year]
+        deployment = build_full_deployment(
+            RngHub(TINY.seed), num_telescope_slash24s=TINY.telescope_slash24s)
+        bus, _analyzer, _tracker, live = build_live_pipeline(
+            window.hours, leak_experiment=deployment.leak_experiment,
+            incidents=True,
+        )
+        run_simulation(
+            deployment,
+            build_population(PopulationConfig(year=TINY.year, scale=TINY.scale)),
+            SimulationConfig(seed=TINY.seed, window=window),
+            tap=bus.table_tap(),
+        )
+        bus.close()
+        with live.lock:
+            live.pipeline.finalize()
+        expected = {
+            "/incidents": live.incidents(IncidentsQuery()),
+            "/actions": live.actions(ActionsQuery()),
+        }
+        expected = json.loads(json.dumps(expected))
+        assert expected["/incidents"]["incidents"]
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--simulate", "--incidents",
+             "--scale", str(TINY.scale), "--telescope", str(TINY.telescope_slash24s),
+             "--seed", str(TINY.seed), "--port", "0", "--duration", "300"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+
+        def get(path):
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}",
+                                        timeout=30) as response:
+                return json.loads(response.read())
+
+        try:
+            port = int(re.search(r"on http://[0-9.]+:(\d+)",
+                                 process.stdout.readline()).group(1))
+            deadline = time.monotonic() + 120
+            while (get("/actions")["audit_digest"] != expected["/actions"]["audit_digest"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.2)
+            assert get("/actions") == expected["/actions"]
+            assert get("/incidents") == expected["/incidents"]
+        finally:
+            process.send_signal(signal.SIGINT)
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
     def test_disabled_live_backend_reports_enabled_false(self, tiny):
         _bus, _analyzer, _tracker, live = build_live_pipeline(

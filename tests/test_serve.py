@@ -388,6 +388,21 @@ class TestWire:
         assert status == 400
         assert body["errors"][0]["message"] == "duplicate parameter"
 
+    def test_stats_is_recomputed_on_every_read(self, server_port, batch):
+        """/stats reports moving counters: never an ETag, never a cache
+        hit, and the wire's ServerStats ride along."""
+        port, _server = server_port
+        status, headers, first = self._get(port, "/stats")
+        assert status == 200 and "etag" not in headers
+        vantage = sorted(batch.dataset.tables)[0]
+        for characteristic in ("as", "username"):
+            self._get(port, f"/top?vantage={vantage}&characteristic={characteristic}")
+        _status, _headers, second = self._get(port, "/stats")
+        assert second["memoized_counters"] >= first["memoized_counters"] + 1
+        assert (second["server"]["requests_served"]
+                >= first["server"]["requests_served"] + 3)
+        assert second["server"]["cache_misses"] > first["server"]["cache_misses"]
+
 
 # ---------------------------------------------------------------------------
 # live backend: queries during ingest, zero drops
