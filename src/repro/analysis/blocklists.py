@@ -14,12 +14,17 @@ simulated dataset:
   malicious traffic those IPs would have blocked;
 * :func:`regional_blocklist_matrix` — the full source-region × target-
   region coverage matrix (the deliverable the paper asks for).
+
+All three need a table-backed dataset: they read the source columns and
+the dataset coder's memoized per-event maliciousness column, never rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
 from repro.honeypots.base import VantagePoint
@@ -39,6 +44,19 @@ __all__ = [
 CONTINENT_GROUPS: tuple[str, ...] = ("NA", "EU", "AP")
 
 
+def _group_tables(dataset: AnalysisDataset, vantages: Sequence[VantagePoint]):
+    """The dataset coder and the non-empty tables of ``vantages``
+    (table-backed datasets only)."""
+    from repro.analysis.contingency_engine import dataset_coder
+
+    if dataset.tables is None:
+        raise ValueError("blocklist analyses require a table-backed dataset")
+    tables = (dataset.tables.get(vantage.vantage_id) for vantage in vantages)
+    return dataset_coder(dataset), [
+        table for table in tables if table is not None and len(table)
+    ]
+
+
 def build_blocklist(
     dataset: AnalysisDataset,
     vantages: Sequence[VantagePoint],
@@ -51,14 +69,14 @@ def build_blocklist(
     window (an oracle blocklist; pass half the window for a realistic
     train/apply split).
     """
-    blocklist: set[int] = set()
-    for vantage in vantages:
-        for event in dataset.events_for(vantage.vantage_id):
-            if until_hour is not None and event.timestamp >= until_hour:
-                continue
-            if dataset.is_malicious(event):
-                blocklist.add(event.src_ip)
-    return blocklist
+    coder, tables = _group_tables(dataset, vantages)
+    parts = []
+    for table in tables:
+        mask = coder.malicious(table)
+        if until_hour is not None:
+            mask = mask & (table.timestamps < until_hour)
+        parts.append(table.src_ip[mask])
+    return set(np.unique(np.concatenate(parts)).tolist()) if parts else set()
 
 
 def load_blocklist_file(path) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -114,6 +132,38 @@ class BlocklistCoverage:
         return 100.0 * self.blocked_ips / self.malicious_ips
 
 
+def _malicious_sources(
+    dataset: AnalysisDataset, vantages: Sequence[VantagePoint], from_hour: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src_ip, src_asn)`` of every malicious event at ``vantages`` from
+    ``from_hour`` onward, concatenated over the group's tables."""
+    coder, tables = _group_tables(dataset, vantages)
+    ips, asns = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for table in tables:
+        mask = coder.malicious(table) & (table.timestamps >= from_hour)
+        ips.append(table.src_ip[mask])
+        asns.append(table.src_asn[mask])
+    return np.concatenate(ips), np.concatenate(asns)
+
+
+def _coverage(
+    blocklist: Iterable[int], asns: Iterable[int], sources: tuple[np.ndarray, np.ndarray]
+) -> BlocklistCoverage:
+    """Score IP and AS entries against ``_malicious_sources`` output."""
+    blocked_set = set(blocklist)
+    blocked_asns = set(asns)
+    src_ips, src_asns = sources
+    blocked = np.isin(src_ips, np.array(list(blocked_set), dtype=np.int64))
+    blocked |= np.isin(src_asns, np.array(list(blocked_asns), dtype=np.int64))
+    return BlocklistCoverage(
+        blocklist_size=len(blocked_set) + len(blocked_asns),
+        malicious_events=int(src_ips.size),
+        blocked_events=int(np.count_nonzero(blocked)),
+        malicious_ips=int(np.unique(src_ips).size),
+        blocked_ips=int(np.unique(src_ips[blocked]).size),
+    )
+
+
 def blocklist_coverage(
     dataset: AnalysisDataset,
     blocklist: Iterable[int],
@@ -127,29 +177,7 @@ def blocklist_coverage(
     ``asns`` extends the match beyond source IPs: an event is blocked if
     its source IP *or* its source AS is listed (external blocklist files
     and incident-response runbooks both emit AS entries)."""
-    blocked_set = set(blocklist)
-    blocked_asns = set(asns)
-    malicious_events = blocked_events = 0
-    malicious_ips: set[int] = set()
-    blocked_ips: set[int] = set()
-    for vantage in vantages:
-        for event in dataset.events_for(vantage.vantage_id):
-            if event.timestamp < from_hour:
-                continue
-            if not dataset.is_malicious(event):
-                continue
-            malicious_events += 1
-            malicious_ips.add(event.src_ip)
-            if event.src_ip in blocked_set or event.src_asn in blocked_asns:
-                blocked_events += 1
-                blocked_ips.add(event.src_ip)
-    return BlocklistCoverage(
-        blocklist_size=len(blocked_set) + len(blocked_asns),
-        malicious_events=malicious_events,
-        blocked_events=blocked_events,
-        malicious_ips=len(malicious_ips),
-        blocked_ips=len(blocked_ips),
-    )
+    return _coverage(blocklist, asns, _malicious_sources(dataset, vantages, from_hour))
 
 
 @dataclass(frozen=True)
@@ -184,18 +212,15 @@ def regional_blocklist_matrix(
     """
     if train_hours is None:
         train_hours = dataset.window.hours / 2.0
-    cells: list[RegionalCell] = []
+    vantages = {group: _continent_vantages(dataset, group) for group in groups}
     blocklists = {
-        group: build_blocklist(dataset, _continent_vantages(dataset, group), train_hours)
-        for group in groups
+        group: build_blocklist(dataset, vantages[group], train_hours) for group in groups
     }
-    for source in groups:
-        for target in groups:
-            coverage = blocklist_coverage(
-                dataset,
-                blocklists[source],
-                _continent_vantages(dataset, target),
-                from_hour=train_hours,
-            )
-            cells.append(RegionalCell(source, target, coverage))
-    return cells
+    targets = {
+        group: _malicious_sources(dataset, vantages[group], train_hours) for group in groups
+    }
+    return [
+        RegionalCell(source, target, _coverage(blocklists[source], (), targets[target]))
+        for source in groups
+        for target in groups
+    ]

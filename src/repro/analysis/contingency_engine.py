@@ -13,9 +13,11 @@ This module makes one pass over the :class:`~repro.io.table.EventTable`
 columns instead:
 
 * each characteristic is **integer-coded** (``np.unique`` for numeric
-  columns, dictionary interning for the object columns, exploiting the
-  chunked tables' scalar broadcast runs so a campaign batch with one
-  payload is coded once, not once per row);
+  columns, dictionary interning over the consolidated object columns,
+  so each distinct payload is fingerprinted and stripped once, not once
+  per row), and the Section 3.2 maliciousness label becomes one memoized
+  per-event column per table, classified once per distinct
+  (payload, port, attempted_login) triple;
 * per-(vantage × characteristic) **count matrices** are materialized
   with ``np.bincount`` for every standard slice;
 * the matrices are **additively mergeable across shards**: the build
@@ -108,10 +110,11 @@ class _ShardCoder:
     """Interns one shard's object-column values as integer codes.
 
     Payloads are coded once per *distinct* value; fingerprint, stripped
-    form, and Snort alerts are derived per code, never per event.  The
-    same coder serves the matrix build, the per-source aggregation, and
-    the leak histograms, so each shard pays for coding exactly once per
-    build.
+    form, Snort alerts and the maliciousness verdict are derived per
+    code, never per event.  The same coder serves the matrix build, the
+    per-source aggregation, the leak histograms and every consumer of
+    the §3.2 label (:meth:`malicious`), so each table is coded and
+    classified exactly once per dataset.
     """
 
     def __init__(self, classifier) -> None:
@@ -141,6 +144,7 @@ class _ShardCoder:
         # build and the source build walk the same tables; sharing one
         # coder per dataset means the second build recodes nothing.
         self._table_memo: dict[int, tuple] = {}
+        self._flags_memo: dict[int, tuple] = {}
 
     def coded(self, table) -> tuple:
         """Memoized ``(payload_codes, (has_cred, pair_rows, pair_users,
@@ -217,25 +221,16 @@ class _ShardCoder:
     # -- column coding --------------------------------------------------
 
     def code_payloads(self, table) -> np.ndarray:
-        """Per-event payload codes, exploiting scalar broadcast runs."""
-        codes = np.empty(len(table), dtype=np.int64)
-        offset = 0
+        """Per-event payload codes; only unseen payloads are interned."""
         get = self.payload_codes.get
         intern = self.payload_code
-        for value, start, stop in table.iter_column_runs("payload"):
-            count = stop - start
-            if isinstance(value, np.ndarray) and value.dtype == object:
-                # One bulk slice assignment instead of per-element numpy
-                # stores; the comprehension only falls back to interning
-                # for payloads never seen before.
-                codes[offset:offset + count] = [
-                    intern(payload) if (code := get(payload)) is None else code
-                    for payload in value[start:stop].tolist()
-                ]
-            else:
-                codes[offset:offset + count] = intern(value)
-            offset += count
-        return codes
+        return np.array(
+            [
+                intern(payload) if (code := get(payload)) is None else code
+                for payload in table.payloads.tolist()
+            ],
+            dtype=np.int64,
+        )
 
     def code_credentials(self, table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Expand the credentials column into pair arrays.
@@ -244,40 +239,21 @@ class _ShardCoder:
         a per-event login flag plus one entry per (event, credential
         pair), coded through the shard's user/password tables.
         """
-        length = len(table)
-        has = np.zeros(length, dtype=bool)
-        rows_parts: list[np.ndarray] = []
-        user_parts: list[np.ndarray] = []
-        pass_parts: list[np.ndarray] = []
-        offset = 0
-        for value, start, stop in table.iter_column_runs("credentials"):
-            count = stop - start
-            if isinstance(value, np.ndarray) and value.dtype == object:
-                for index, creds in enumerate(value[start:stop].tolist()):
-                    if creds:
-                        row = offset + index
-                        has[row] = True
-                        for username, password in creds:
-                            rows_parts.append(row)  # type: ignore[arg-type]
-                            user_parts.append(self.user_code(username))  # type: ignore[arg-type]
-                            pass_parts.append(self.pass_code(password))  # type: ignore[arg-type]
-            elif value:
-                # One credential tuple broadcast across the whole run.
-                has[offset:offset + count] = True
-                run_rows = np.arange(offset, offset + count, dtype=np.int64)
-                for username, password in value:
-                    rows_parts.append(run_rows)
-                    user_parts.append(np.full(count, self.user_code(username), dtype=np.int64))
-                    pass_parts.append(np.full(count, self.pass_code(password), dtype=np.int64))
-            offset += count
-        if not rows_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return has, empty, empty.copy(), empty.copy()
+        column = table.credentials.tolist()
+        has = np.fromiter(map(bool, column), dtype=bool, count=len(column))
+        rows: list[int] = []
+        users: list[int] = []
+        passwords: list[int] = []
+        for row in np.flatnonzero(has).tolist():
+            for username, password in column[row]:
+                rows.append(row)
+                users.append(self.user_code(username))
+                passwords.append(self.pass_code(password))
         return (
             has,
-            _concat_int(rows_parts),
-            _concat_int(user_parts),
-            _concat_int(pass_parts),
+            np.array(rows, dtype=np.int64),
+            np.array(users, dtype=np.int64),
+            np.array(passwords, dtype=np.int64),
         )
 
     def code_asns(self, table) -> np.ndarray:
@@ -298,14 +274,21 @@ class _ShardCoder:
 
     # -- derived per-event flags ----------------------------------------
 
-    def malicious_flags(
-        self, ports: np.ndarray, payload_codes: np.ndarray, has_cred: np.ndarray
-    ) -> np.ndarray:
-        """Section 3.2 maliciousness per event, classified once per
-        distinct (payload, port, attempted_login) triple."""
+    def malicious(self, table) -> np.ndarray:
+        """Memoized Section 3.2 maliciousness of every event of one table,
+        classified once per distinct (payload, port, attempted_login)
+        triple.
+
+        Payload codes plus the login flag are exactly the triple the
+        label depends on, so one column serves every consumer of it.
+        """
+        hit = self._flags_memo.get(id(table))
+        if hit is not None and hit[0] is table:
+            return hit[1]
+        payload_codes, (has_cred, *_pairs) = self.coded(table)
         keys = (
             (payload_codes << (_PORT_BITS + 1))
-            | (ports << 1)
+            | (np.asarray(table.dst_port, dtype=np.int64) << 1)
             | has_cred.astype(np.int64)
         )
         uniq, inverse = np.unique(keys, return_inverse=True)
@@ -321,7 +304,9 @@ class _ShardCoder:
                 verdict = bool(classify(payload, port, bool(key & 1)))
                 memo[key] = verdict
             verdicts[index] = verdict
-        return verdicts[inverse]
+        flags = verdicts[inverse]
+        self._flags_memo[id(table)] = (table, flags)
+        return flags
 
     def families_of(self, payload_code: int, port: int) -> tuple[str, ...]:
         """Snort alert classtypes of one distinct (payload, port) pair."""
@@ -334,12 +319,6 @@ class _ShardCoder:
             families = tuple(alert.classtype for alert in alerts)
             self._family_memo[key] = families
         return families
-
-
-def _concat_int(parts: list) -> np.ndarray:
-    if parts and not isinstance(parts[0], np.ndarray):
-        return np.array(parts, dtype=np.int64)
-    return np.concatenate(parts) if len(parts) > 1 else np.asarray(parts[0], dtype=np.int64)
 
 
 def _slice_masks(
@@ -427,7 +406,7 @@ def _matrix_map(view: ShardView, coder: "_ShardCoder") -> _MatrixPartial:
         as_codes = coder.code_asns(table)
         event_fp = coder.fp_lookup()[payload_codes]
         stripped = coder.stripped_lookup()[payload_codes]
-        mal = coder.malicious_flags(ports, payload_codes, has_cred)
+        mal = coder.malicious(table)
         cred_events[row] = int(has_cred.sum())
         nonempty_payload = stripped >= 0
         http_code = coder.fp_codes.get("http", -1)
@@ -749,8 +728,9 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
         length = len(table)
         ports = np.asarray(table.dst_port, dtype=np.int64)
         src = np.asarray(table.src_ip, dtype=np.int64)
-        payload_codes, creds = coder.coded(table)
-        has_cred, pair_rows, pair_users, pair_passwords = creds
+        payload_codes, (_has_cred, pair_rows, pair_users, pair_passwords) = (
+            coder.coded(table)
+        )
         src_parts.append(src)
         vpos_parts.append(np.full(length, vpos, dtype=np.int64))
         row_parts.append(np.arange(length, dtype=np.int64))
@@ -759,7 +739,7 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
         fp_parts.append(coder.fp_lookup()[payload_codes])
         pcode_parts.append(payload_codes)
         stripped_parts.append(coder.stripped_lookup()[payload_codes])
-        mal_parts.append(coder.malicious_flags(ports, payload_codes, has_cred))
+        mal_parts.append(coder.malicious(table))
         if pair_rows.size:
             cred_src_parts.append(src[pair_rows])
             cred_user_parts.append(pair_users)

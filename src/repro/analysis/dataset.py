@@ -244,34 +244,28 @@ class AnalysisDataset:
         return self._oracle
 
     def _observe_columns(self, oracle: ReputationOracle) -> None:
-        """Feed the oracle straight from columns — same observation order
-        as ``observe_all(self.events)`` (vantage-major, row order), without
-        materializing row objects."""
-        seen = oracle._seen_ips
-        malicious = oracle._malicious_ips
-        cache = self._malicious_cache
-        classify = self.classifier.is_malicious_parts
-        for table in self.tables.values():
-            if len(table) == 0:
-                continue
-            src_ips = table.src_ip.tolist()
-            src_asns = table.src_asn.tolist()
-            dst_ports = table.dst_port.tolist()
-            payloads = table.payloads
-            credentials = table.credentials
-            for index, src_ip in enumerate(src_ips):
-                seen[src_ip] = src_asns[index]
-                if src_ip in malicious:
-                    continue
-                payload = payloads[index]
-                attempted = bool(credentials[index])
-                key = (payload, dst_ports[index], attempted)
-                verdict = cache.get(key)
-                if verdict is None:
-                    verdict = classify(payload, dst_ports[index], attempted)
-                    cache[key] = verdict
-                if verdict:
-                    malicious.add(src_ip)
+        """Feed the oracle straight from columns, with the state
+        ``observe_all(self.events)`` leaves: ``_seen_ips`` in
+        first-sighting order (vantage-major, then row order) holding each
+        source's last-sighted AS, and every source with a malicious
+        event, read off the coder's memoized maliciousness columns."""
+        from repro.analysis.contingency_engine import dataset_coder
+
+        tables = [table for table in self.tables.values() if len(table)]
+        if not tables:
+            return
+        coder = dataset_coder(self)
+        src_ips = np.concatenate([table.src_ip for table in tables])
+        src_asns = np.concatenate([table.src_asn for table in tables])
+        flags = np.concatenate([coder.malicious(table) for table in tables])
+        sources, first = np.unique(src_ips, return_index=True)
+        _sources, from_end = np.unique(src_ips[::-1], return_index=True)
+        last = len(src_ips) - 1 - from_end
+        order = np.argsort(first)
+        oracle._seen_ips.update(
+            zip(sources[order].tolist(), src_asns[last[order]].tolist())
+        )
+        oracle._malicious_ips.update(np.unique(src_ips[flags]).tolist())
 
     # ------------------------------------------------------------------
     # grouping
@@ -430,32 +424,15 @@ class AnalysisDataset:
     def malicious_sources_on_port(self, port: int, kind: NetworkKind) -> set[int]:
         """Source IPs that sent *malicious* traffic on ``port``/``kind``."""
         if self.tables is not None:
-            sources: set[int] = set()
-            cache = self._malicious_cache
-            classify = self.classifier.is_malicious_parts
-            for table in self.tables.values():
-                if table.network_kind != kind or len(table) == 0:
-                    continue
-                matching = np.flatnonzero(table.dst_port == port)
-                if len(matching) == 0:
-                    continue
-                src_ips = table.src_ip
-                payloads = table.payloads
-                credentials = table.credentials
-                for index in matching.tolist():
-                    src_ip = int(src_ips[index])
-                    if src_ip in sources:
-                        continue
-                    payload = payloads[index]
-                    attempted = bool(credentials[index])
-                    key = (payload, port, attempted)
-                    verdict = cache.get(key)
-                    if verdict is None:
-                        verdict = classify(payload, port, attempted)
-                        cache[key] = verdict
-                    if verdict:
-                        sources.add(src_ip)
-            return sources
+            from repro.analysis.contingency_engine import dataset_coder
+
+            coder = dataset_coder(self)
+            parts = [
+                table.src_ip[(table.dst_port == port) & coder.malicious(table)]
+                for table in self.tables.values()
+                if table.network_kind == kind and len(table)
+            ]
+            return set(np.unique(np.concatenate(parts)).tolist()) if parts else set()
         sources = set()
         for event in self.events:
             if (

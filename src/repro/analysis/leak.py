@@ -120,7 +120,9 @@ def _engine_leak_series(
             timestamps = table.timestamps
             keep = ~np.isin(table.src_asn, _CRAWLER_ARRAY)
             base_masks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-            needed = None
+            # Only tables where a malicious spec selects rows need the
+            # (memoized) maliciousness column.
+            malicious = None
             for _key, port, ips, malicious_only in specs:
                 base_key = (port, ips)
                 base = base_masks.get(base_key)
@@ -131,27 +133,8 @@ def _engine_leak_series(
                         & keep
                     )
                     base_masks[base_key] = base
-                if malicious_only:
-                    needed = base.copy() if needed is None else needed | base
-            # Classify only the rows the malicious specs select — the leak
-            # groups cover a handful of honeypot IPs, so the classifier
-            # sees a sliver of the shard instead of every event.
-            malicious = None
-            if needed is not None and needed.any():
-                rows = np.flatnonzero(needed)
-                payload_codes = np.fromiter(
-                    (coder.payload_code(p) for p in table.payloads[rows].tolist()),
-                    dtype=np.int64,
-                    count=rows.size,
-                )
-                has_cred = np.fromiter(
-                    (bool(c) for c in table.credentials[rows].tolist()),
-                    dtype=bool,
-                    count=rows.size,
-                )
-                flags = coder.malicious_flags(ports[rows], payload_codes, has_cred)
-                malicious = np.zeros(len(table), dtype=bool)
-                malicious[rows] = flags
+                if malicious_only and malicious is None and base.any():
+                    malicious = coder.malicious(table)
             for key, port, ips, malicious_only in specs:
                 if malicious_only and malicious is None:
                     continue  # no candidate rows, nothing malicious to bin

@@ -241,17 +241,15 @@ def _methodology_counts(dataset: AnalysisDataset):
     maliciousness), so partials carry ``(vantage position, shard
     position, row)`` sort keys and the reduce keeps the minimum,
     reproducing the merged row order's ``setdefault`` exactly.
+    Fingerprints, stripped forms and maliciousness come from the
+    dataset coder's per-payload tables and memoized per-event columns.
     """
     import numpy as np
 
+    from repro.analysis.contingency_engine import dataset_coder
     from repro.experiments.base import run_shard_wise
-    from repro.scanners.payloads import strip_ephemeral_headers
 
-    fingerprint_cache = dataset._fingerprint_cache
-    malicious_cache = dataset._malicious_cache
-    classify = dataset.classifier.is_malicious_parts
-
-    from repro.detection.fingerprint import fingerprint as _fingerprint
+    coder = dataset_coder(dataset)
 
     def map_shard(view):
         counts = [0, 0, 0, 0, 0, 0]
@@ -259,49 +257,36 @@ def _methodology_counts(dataset: AnalysisDataset):
         for vantage_id, table in view.tables.items():
             if len(table) == 0:
                 continue
-            vantage_pos = view.order[vantage_id]
             dst_port = table.dst_port
+            payload_codes, (has_cred, *_pairs) = coder.coded(table)
             if vantage_id.startswith("gn-"):
                 handshake = table.handshake
                 for port, slot in ((23, 0), (22, 2)):
-                    matching = np.flatnonzero((dst_port == port) & handshake)
-                    if len(matching) == 0:
-                        continue
-                    counts[slot] += len(matching)
-                    credentials = table.credentials
-                    counts[slot + 1] += sum(
-                        1 for row in matching.tolist() if credentials[row]
-                    )
-            matching = np.flatnonzero(dst_port == 80)
-            if len(matching) == 0:
+                    matching = (dst_port == port) & handshake
+                    counts[slot] += int(np.count_nonzero(matching))
+                    counts[slot + 1] += int(np.count_nonzero(matching & has_cred))
+            stripped = coder.stripped_lookup()[payload_codes]
+            http = (
+                (dst_port == 80)
+                & (stripped >= 0)  # non-empty payloads only
+                & (coder.fp_lookup()[payload_codes] == coder.fp_codes.get("http", -1))
+            )
+            rows = np.flatnonzero(http)
+            if rows.size == 0:
                 continue
-            payloads = table.payloads
-            credentials = table.credentials
-            for row in matching.tolist():
-                payload = payloads[row]
-                if not payload:
-                    continue
-                if payload in fingerprint_cache:
-                    identified = fingerprint_cache[payload]
-                else:
-                    identified = _fingerprint(payload)
-                    fingerprint_cache[payload] = identified
-                if identified != "http":
-                    continue
-                counts[4] += 1
-                attempted = bool(credentials[row])
-                key = (payload, 80, attempted)
-                malicious = malicious_cache.get(key)
-                if malicious is None:
-                    malicious = classify(payload, 80, attempted)
-                    malicious_cache[key] = malicious
-                if malicious:
-                    counts[5] += 1
-                stripped = strip_ephemeral_headers(payload)
-                if stripped not in distinct:
-                    # Ascending rows: first hit in this shard wins here;
-                    # cross-shard order is settled in the reduce.
-                    distinct[stripped] = ((vantage_pos, view.index, row), malicious)
+            malicious = coder.malicious(table)[rows]
+            counts[4] += int(rows.size)
+            counts[5] += int(np.count_nonzero(malicious))
+            # Ascending rows: np.unique's first index is each stripped
+            # payload's first hit in this table.
+            codes, first = np.unique(stripped[rows], return_index=True)
+            vantage_pos = view.order[vantage_id]
+            for code, index in zip(codes.tolist(), first.tolist()):
+                key = (vantage_pos, view.index, int(rows[index]))
+                value = coder.stripped_values[code]
+                held = distinct.get(value)
+                if held is None or key < held[0]:
+                    distinct[value] = (key, bool(malicious[index]))
         return counts, distinct
 
     def reduce(partials):

@@ -28,10 +28,17 @@ Design points:
   mapping (``chunk[name]``), which is how memory-mapped shard banks
   (:mod:`repro.io.lazy`) plug lazily-loaded columns into the same
   machinery.
+* **Group consolidation** — the tables one capture run fills share
+  column sets run by run (a campaign batch is cut into per-vantage
+  ranges of a few events each).  A :class:`ConsolidationGroup` builds a
+  column for all of its tables at once: one :func:`concat_runs` over the
+  distinct column sets, then one index gather, instead of every table
+  walking its own runs.  Tables outside a group keep the per-table path.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +46,13 @@ import numpy as np
 from repro.net.packets import Transport
 from repro.sim.events import CapturedEvent, NetworkKind
 
-__all__ = ["EventTable", "TRANSPORT_CODES", "TRANSPORT_OF_CODE", "concat_runs"]
+__all__ = [
+    "ConsolidationGroup",
+    "EventTable",
+    "TRANSPORT_CODES",
+    "TRANSPORT_OF_CODE",
+    "concat_runs",
+]
 
 #: Compact integer encoding of :class:`~repro.net.packets.Transport`.
 TRANSPORT_CODES: dict[Transport, int] = {Transport.TCP: 0, Transport.UDP: 1}
@@ -126,6 +139,95 @@ def concat_runs(runs: Iterable[tuple[dict, int, int]], name: str) -> np.ndarray:
     return np.concatenate(parts)
 
 
+class ConsolidationGroup:
+    """Tables that consolidate together: the capture tables of one run.
+
+    The first read of a column on any member builds that column for
+    every member lacking it: one :func:`concat_runs` over the distinct
+    column sets the members' runs reference, then one gather that
+    cuts each member's rows out of it.  Values and dtypes equal each
+    table's own ``concat_runs(table._chunks, name)``; the arrays are
+    copies, never views of the run's column sets.
+
+    The gather plan (row indexes over the distinct column sets) depends
+    only on the members' runs, so it is built once and shared by every
+    column until a member appends again.  Members are held weakly (each
+    table holds its group), so dropping a run's tables frees them
+    without waiting for the cycle collector.
+    """
+
+    def __init__(self, tables: Iterable["EventTable"]) -> None:
+        self._members: list[weakref.ref] = []
+        for table in tables:
+            table._group = self
+            self._members.append(weakref.ref(table))
+        self._plan: Optional[tuple[list, np.ndarray, np.ndarray]] = None
+
+    def _build_plan(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """``(sources, index, bounds)``: the distinct column sets as
+        ``[columns, lo, hi, base]`` spans, the gather index into their
+        concatenation, and each member's row bounds in the gather."""
+        spans: dict[int, list] = {}
+        run_spans: list[list] = []
+        run_starts: list[int] = []
+        run_lengths: list[int] = []
+        table_rows: list[int] = []
+        for member in self._members:
+            table = member()
+            if table is None:
+                table_rows.append(0)
+                continue
+            for columns, start, stop in table._chunks:
+                span = spans.get(id(columns))
+                if span is None:
+                    span = spans[id(columns)] = [columns, start, stop, 0]
+                else:
+                    if start < span[1]:
+                        span[1] = start
+                    if stop > span[2]:
+                        span[2] = stop
+                run_spans.append(span)
+                run_starts.append(start)
+                run_lengths.append(stop - start)
+            table_rows.append(table._length)
+        sources = list(spans.values())
+        offset = 0
+        for span in sources:
+            span[3] = offset - span[1]
+            offset += span[2] - span[1]
+        lengths = np.asarray(run_lengths, dtype=np.int64)
+        firsts = np.fromiter(
+            (span[3] for span in run_spans), dtype=np.int64, count=len(run_spans)
+        ) + np.asarray(run_starts, dtype=np.int64)
+        # Row r of run k gathers source row firsts[k] + r: one repeat of
+        # each run's shift plus a global arange.
+        ends = np.cumsum(lengths)
+        index = np.repeat(firsts - (ends - lengths), lengths) + np.arange(
+            int(ends[-1]) if len(ends) else 0, dtype=np.int64
+        )
+        bounds = np.zeros(len(table_rows) + 1, dtype=np.int64)
+        np.cumsum(table_rows, out=bounds[1:])
+        return sources, index, bounds
+
+    def consolidate(self, name: str) -> None:
+        """Build column ``name`` for every member that lacks it."""
+        if self._plan is None:
+            self._plan = self._build_plan()
+        sources, index, bounds = self._plan
+        gathered = concat_runs(
+            ((columns, lo, hi) for columns, lo, hi, _base in sources), name
+        )[index]
+        for member, lo, hi in zip(self._members, bounds[:-1].tolist(), bounds[1:].tolist()):
+            table = member()
+            if table is None:
+                continue
+            columns = table._columns
+            if columns is None:
+                columns = table._columns = {}
+            if name not in columns:
+                columns[name] = gathered[lo:hi]
+
+
 class EventTable:
     """Struct-of-arrays storage for one vantage point's captured events.
 
@@ -155,6 +257,7 @@ class EventTable:
         self._columns: Optional[dict[str, np.ndarray]] = None
         self._rows: Optional[list[CapturedEvent]] = None
         self._hook: Optional[Callable[["EventTable", dict, int, int], None]] = None
+        self._group: Optional[ConsolidationGroup] = None
 
     def set_append_hook(
         self, hook: Optional[Callable[["EventTable", dict, int, int], None]]
@@ -238,6 +341,8 @@ class EventTable:
     def _invalidate(self) -> None:
         self._columns = None
         self._rows = None
+        if self._group is not None:
+            self._group._plan = None
 
     def append_event(self, event: CapturedEvent) -> None:
         """Append one row (scalar capture path and live replay)."""
@@ -323,18 +428,21 @@ class EventTable:
         """Consolidate one column, independently of the others.
 
         Per-column laziness matters for memory-mapped shards: reading
-        ``src_ip`` must not force the object pools to decode.  A single
-        chunk covering its whole array at the target dtype is returned
-        as-is (zero-copy — possibly a read-only memmap view), so column
-        accessors must be treated as read-only.
+        ``src_ip`` must not force the object pools to decode.  A group
+        member builds the column for its whole group.  Outside a group,
+        a single chunk covering its whole array at the target dtype is
+        returned as-is (zero-copy — possibly a read-only memmap view),
+        so column accessors must be treated as read-only.
         """
         columns = self._columns
-        if columns is None:
-            columns = self._columns = {}
-        array = columns.get(name)
-        if array is None:
-            array = columns[name] = concat_runs(self._chunks, name)
-        return array
+        if columns is None or name not in columns:
+            if self._group is not None:
+                self._group.consolidate(name)
+            else:
+                if columns is None:
+                    columns = self._columns = {}
+                columns[name] = concat_runs(self._chunks, name)
+        return self._columns[name]
 
     def _consolidate(self) -> dict[str, np.ndarray]:
         for name in _NUMERIC_COLUMNS + _OBJECT_COLUMNS:

@@ -5,7 +5,8 @@ contingency aggregation) hold only while hot aggregation paths stay on
 the struct-of-arrays representation.  A single ``.materialize()`` or
 ``.iter_events()`` inside a ``map_shard`` mapper quietly turns an O(1)
 mmap view into a per-event Python object walk — correctness survives,
-the budget does not.
+the budget does not.  ``dataset.events_for(...)`` is the same walk one
+call removed: it materializes the vantage's table.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from typing import Iterator
 
 from repro.lint.findings import Finding, Rule, register
 
-#: EventTable APIs that materialize per-event Python row objects.
-_ROW_APIS = frozenset({"materialize", "iter_events"})
+#: APIs that materialize per-event Python row objects: the EventTable
+#: ones and the AnalysisDataset grouping helpers built on them.
+_ROW_APIS = frozenset({"materialize", "iter_events", "events_for", "events_for_group"})
 
 #: Every function in these files is a hot columnar path.
-_COLUMNAR_FILES = ("repro/analysis/contingency_engine.py",)
+_COLUMNAR_FILES = (
+    "repro/analysis/contingency_engine.py",
+    "repro/analysis/blocklists.py",
+)
 
 
 def _is_map_shard(name: str) -> bool:
@@ -31,9 +36,10 @@ class ColumnarDisciplineRule(Rule):
     code = "COL001"
     name = "map_shard stays columnar"
     invariant = (
-        "map_shard mappers and contingency-engine callees aggregate over "
-        "numpy columns; row-materializing APIs (.materialize(), "
-        ".iter_events()) rebuild per-event objects and forfeit the "
+        "map_shard mappers, contingency-engine callees and the blocklist "
+        "analyses aggregate over numpy columns; row-materializing APIs "
+        "(.materialize(), .iter_events(), .events_for(), "
+        ".events_for_group()) rebuild per-event objects and forfeit the "
         "columnar speedups the experiment budgets assume."
     )
     dynamic_check = (

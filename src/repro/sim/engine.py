@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.honeypots.base import VantageCapture, VantagePoint
-from repro.io.table import EventTable
+from repro.io.table import ConsolidationGroup, EventTable
 
 if TYPE_CHECKING:  # imported lazily to avoid a deployment<->sim cycle
     from repro.deployment.fleet import Deployment
@@ -340,6 +340,9 @@ class Simulator:
             vantage.vantage_id: VantageCapture(vantage)
             for vantage in self.deployment.honeypots
         }
+        # The run's tables share column sets run by run; consolidating
+        # them as one group gathers each column once for all of them.
+        ConsolidationGroup(capture.table for capture in captures.values())
         telescope_capture = (
             TelescopeCapture(self.deployment.telescope)
             if self.deployment.telescope is not None

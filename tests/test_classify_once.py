@@ -1,0 +1,212 @@
+"""The §3.2 maliciousness label is classified once per event, as a column.
+
+Every table-backed consumer of the label — X1's blocklists, the Table 8/9
+malicious source sets, the reputation oracle, and the M1 methodology
+counters — reads the dataset coder's memoized per-event maliciousness
+column instead of classifying rows.  Each test below pins one consumer
+to a reference loop over materialized rows and
+``AnalysisDataset.is_malicious``, the label's row definition.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.blocklists import (
+    CONTINENT_GROUPS,
+    _continent_vantages,
+    blocklist_coverage,
+    build_blocklist,
+    regional_blocklist_matrix,
+    write_blocklist_file,
+)
+from repro.analysis.dataset import AnalysisDataset
+from repro.analysis.ports import methodology_numbers
+from repro.detection.classify import ReputationOracle
+from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.context import ExperimentContext
+from repro.experiments.ext_blocklists import run as run_x1
+from repro.io.table import EventTable
+from repro.scanners.payloads import strip_ephemeral_headers
+from repro.sim.events import CapturedEvent, NetworkKind
+
+
+def _rows(dataset, vantages):
+    for vantage in vantages:
+        table = dataset.tables.get(vantage.vantage_id)
+        if table is not None:
+            yield from table.materialize()
+
+
+def _reference_blocklist(dataset, vantages, until_hour=None):
+    return {
+        event.src_ip
+        for event in _rows(dataset, vantages)
+        if (until_hour is None or event.timestamp < until_hour)
+        and dataset.is_malicious(event)
+    }
+
+
+def _reference_coverage(dataset, ips, vantages, from_hour, asns=()):
+    ips, asns = set(ips), set(asns)
+    malicious = [
+        event for event in _rows(dataset, vantages)
+        if event.timestamp >= from_hour and dataset.is_malicious(event)
+    ]
+    blocked = [
+        event for event in malicious if event.src_ip in ips or event.src_asn in asns
+    ]
+    return (
+        len(ips) + len(asns),
+        len(malicious),
+        len(blocked),
+        len({event.src_ip for event in malicious}),
+        len({event.src_ip for event in blocked}),
+    )
+
+
+def _fields(coverage):
+    return (coverage.blocklist_size, coverage.malicious_events,
+            coverage.blocked_events, coverage.malicious_ips, coverage.blocked_ips)
+
+
+class TestBlocklists:
+    @pytest.mark.parametrize("until_hour", [None, 24.0, 84.0])
+    def test_build_blocklist(self, dataset, until_hour):
+        vantages = dataset.vantages_in(network="aws")[:40]
+        assert build_blocklist(dataset, vantages, until_hour) == _reference_blocklist(
+            dataset, vantages, until_hour
+        )
+
+    def test_coverage_with_asns(self, dataset):
+        """The ``run X1 --blocklist`` call: IPs and AS entries together."""
+        train = dataset.window.hours / 2.0
+        ips = sorted(build_blocklist(dataset, _continent_vantages(dataset, "EU"), train))
+        asns = sorted({event.src_asn for event in _rows(dataset, dataset.vantages[:5])})[:3]
+        assert asns
+        for group in CONTINENT_GROUPS:
+            vantages = _continent_vantages(dataset, group)
+            coverage = blocklist_coverage(
+                dataset, ips[::3], vantages, from_hour=train, asns=asns
+            )
+            assert _fields(coverage) == _reference_coverage(
+                dataset, ips[::3], vantages, train, asns
+            )
+
+    def test_regional_matrix(self, dataset):
+        train = dataset.window.hours / 2.0
+        cells = regional_blocklist_matrix(dataset)
+        lists = {
+            group: _reference_blocklist(dataset, _continent_vantages(dataset, group), train)
+            for group in CONTINENT_GROUPS
+        }
+        assert [(cell.source_group, cell.target_group) for cell in cells] == [
+            (source, target) for source in CONTINENT_GROUPS for target in CONTINENT_GROUPS
+        ]
+        for cell in cells:
+            assert _fields(cell.coverage) == _reference_coverage(
+                dataset, lists[cell.source_group],
+                _continent_vantages(dataset, cell.target_group), train,
+            )
+
+    def test_row_backed_dataset_is_rejected(self, dataset):
+        rows = AnalysisDataset(events=[], vantages=dataset.vantages, window=dataset.window)
+        with pytest.raises(ValueError, match="table-backed"):
+            build_blocklist(rows, dataset.vantages[:3])
+
+
+@pytest.mark.parametrize("port", [22, 23, 80])
+@pytest.mark.parametrize("kind", [NetworkKind.CLOUD, NetworkKind.EDU])
+def test_malicious_sources_on_port(dataset, port, kind):
+    expected = {
+        event.src_ip
+        for table in dataset.tables.values() if table.network_kind == kind
+        for event in table.materialize()
+        if event.dst_port == port and dataset.is_malicious(event)
+    }
+    assert dataset.malicious_sources_on_port(port, kind) == expected
+
+
+def test_reputation_oracle_matches_row_observation(dataset):
+    reference = ReputationOracle(classifier=dataset.classifier).observe_all(
+        event for table in dataset.tables.values() for event in table.materialize()
+    )
+    oracle = dataset.reputation_oracle()
+    assert list(oracle._seen_ips.items()) == list(reference._seen_ips.items())
+    assert oracle.malicious_ips() == reference.malicious_ips()
+    assert list(oracle.counts().items()) == list(reference.counts().items())
+
+
+def test_reputation_oracle_first_sighting_order_and_last_asn():
+    """Sources re-seen under another AS, across and within vantages."""
+    def event(vantage_id, src_ip, src_asn, **fields):
+        return CapturedEvent(vantage_id, "aws", NetworkKind.CLOUD, "US-East", 1.0,
+                             src_ip, src_asn, 99, fields.pop("dst_port", 80), **fields)
+
+    tables = {
+        "a": [event("a", 5, 50), event("a", 3, 30), event("a", 5, 51),
+              event("a", 7, 70, dst_port=22, credentials=(("root", "root"),))],
+        "b": [event("b", 9, 90), event("b", 3, 31), event("b", 5, 52)],
+    }
+    dataset = AnalysisDataset(
+        tables={vid: EventTable.from_events(rows) for vid, rows in tables.items()}
+    )
+    reference = ReputationOracle(classifier=dataset.classifier).observe_all(
+        row for rows in tables.values() for row in rows
+    )
+    oracle = dataset.reputation_oracle()
+    assert list(oracle._seen_ips.items()) == [(5, 52), (3, 31), (7, 70), (9, 90)]
+    assert list(oracle._seen_ips.items()) == list(reference._seen_ips.items())
+    assert oracle.malicious_ips() == reference.malicious_ips() == {7}
+
+
+def test_methodology_numbers_match_row_counts(dataset):
+    telnet, ssh, http = [0, 0], [0, 0], [0, 0]
+    distinct: dict[bytes, bool] = {}
+    for table in dataset.tables.values():
+        for event in table.materialize():
+            interactive = event.vantage_id.startswith("gn-") and event.handshake
+            for port, counter in ((23, telnet), (22, ssh)):
+                if interactive and event.dst_port == port:
+                    counter[0] += 1
+                    counter[1] += event.attempted_login
+            if event.dst_port == 80 and event.payload and (
+                dataset.fingerprint_of(event) == "http"
+            ):
+                malicious = dataset.is_malicious(event)
+                http[0] += 1
+                http[1] += malicious
+                distinct.setdefault(strip_ephemeral_headers(event.payload), malicious)
+
+    def pct(part, whole):
+        return 100.0 * part / whole if whole else 0.0
+
+    numbers = methodology_numbers(dataset)
+    assert numbers.telnet_non_auth_pct == pct(telnet[0] - telnet[1], telnet[0])
+    assert numbers.ssh_non_auth_pct == pct(ssh[0] - ssh[1], ssh[0])
+    assert numbers.http80_non_exploit_pct == pct(http[0] - http[1], http[0])
+    assert numbers.distinct_http_payloads_malicious_pct == pct(
+        sum(distinct.values()), len(distinct)
+    )
+
+
+def test_consumers_never_materialize_rows(small_context, monkeypatch, tmp_path):
+    """X1 (both modes), T8, T9 and M1 run on a fresh dataset whose tables
+    refuse to build row objects."""
+    def refuse(self):
+        raise AssertionError("row materialization on a columnar path")
+
+    monkeypatch.setattr(EventTable, "materialize", refuse)
+    monkeypatch.setattr(EventTable, "iter_events", refuse)
+    context = ExperimentContext(
+        config=small_context.config,
+        deployment=small_context.deployment,
+        result=small_context.result,
+        dataset=AnalysisDataset.from_simulation(small_context.result),
+    )
+    blocklist = tmp_path / "blocklist.txt"
+    write_blocklist_file(blocklist, ips=[167772161, 167772162], asns=[4134])
+    assert run_x1(context).text
+    assert run_x1(context, blocklist_path=str(blocklist)).text
+    for experiment_id in ("T8", "T9", "M1"):
+        assert ALL_EXPERIMENTS[experiment_id](context).text

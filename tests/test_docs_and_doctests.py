@@ -60,6 +60,30 @@ class TestDocumentationConsistency:
         assert "test_bench_ablations" in benches
         assert "test_bench_simulation" in benches
 
+    def test_readme_cli_lines_parse(self):
+        """Every README command line (``python -m repro.cli …`` or
+        ``cloudwatching …``, backslash continuations joined) is accepted
+        by the CLI's argument parser."""
+        import shlex
+
+        from repro.cli import _build_parser
+
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        text = text.replace("\\\n", " ")
+        commands = []
+        for line in text.splitlines():
+            line = line.strip()
+            for prefix in ("python -m repro.cli ", "cloudwatching "):
+                if line.startswith(prefix):
+                    commands.append(shlex.split(line[len(prefix):], comments=True))
+        assert len(commands) >= 23
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exit_:
+                pytest.fail(f"README command does not parse: {' '.join(argv)} ({exit_})")
+
     def test_design_md_confirms_paper_identity(self):
         text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
         assert "Paper identity confirmed" in text

@@ -6,7 +6,8 @@ Two invariants the capture pipeline leans on:
   through the NDJSON release format, reading them back, and re-building
   a table reproduces every column exactly;
 * the three append paths (scalar rows, column batches, shared-column
-  views) consolidate into identical storage.
+  views) consolidate into identical storage, whether a table
+  consolidates alone or as a member of a consolidation group.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.io.records import read_events, write_events
-from repro.io.table import TRANSPORT_CODES, EventTable
+from repro.io.table import TRANSPORT_CODES, ConsolidationGroup, EventTable, concat_runs
 from repro.net.packets import Transport
 from repro.sim.events import CapturedEvent, NetworkKind
 
@@ -169,3 +170,83 @@ def test_append_view_shares_columns_zero_copy():
     assert [event.vantage_id for event in rows] == ["hp-2", "hp-2"]
     assert rows[0].credentials == (("root", "admin"),)
     assert rows[0].transport is Transport.TCP
+
+
+#: Column name -> public accessor.
+_ACCESSORS = {
+    "timestamps": "timestamps", "src_ip": "src_ip", "src_asn": "src_asn",
+    "dst_ip": "dst_ip", "dst_port": "dst_port", "transport_code": "transport_code",
+    "handshake": "handshake", "payload": "payloads", "credentials": "credentials",
+    "commands": "commands",
+}
+
+
+@st.composite
+def _column_sets(draw):
+    """One shared column dict: each column an array (possibly at a
+    narrower dtype than the schema's) or a scalar broadcast."""
+    length = draw(st.integers(min_value=1, max_value=8))
+
+    def column(elements, dtypes, scalar_ok=True):
+        if scalar_ok and draw(st.booleans()):
+            return draw(elements)
+        values = draw(st.lists(elements, min_size=length, max_size=length))
+        dtype = draw(st.sampled_from(dtypes))
+        return _object_array(values) if dtype is object else np.array(values, dtype=dtype)
+
+    columns = {
+        "timestamps": column(st.floats(0, 168, allow_nan=False), (np.float64, np.float32)),
+        "src_ip": column(st.integers(0, 2**32 - 1), (np.int64, np.uint32)),
+        "src_asn": column(st.integers(0, 2**31 - 1), (np.int64,)),
+        "dst_ip": column(st.integers(0, 2**32 - 1), (np.int64, np.uint32)),
+        "dst_port": column(st.integers(0, 65535), (np.int64, np.int32)),
+        "transport_code": column(st.integers(0, 1), (np.int8, np.int64)),
+        "handshake": column(st.booleans(), (np.bool_,)),
+        "payload": column(st.binary(max_size=6), (object,)),
+        "credentials": column(st.tuples(_credentials).map(tuple) | st.just(()), (object,)),
+        "commands": column(st.lists(_text, max_size=2).map(tuple), (object,)),
+    }
+    return length, columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_group_consolidation_equals_per_table_consolidation(data):
+    column_sets = data.draw(st.lists(_column_sets(), min_size=1, max_size=4))
+    tables = [
+        EventTable(f"hp-{index}", "aws", NetworkKind.CLOUD, "US-East")
+        for index in range(data.draw(st.integers(min_value=1, max_value=5)))
+    ]
+    ConsolidationGroup(tables)
+    pick_table = st.sampled_from(tables)
+
+    def append(count: int) -> None:
+        # Interleaved [start, stop) runs of the shared sets and one-row
+        # append_event chunks; tables never drawn stay empty.
+        for _ in range(count):
+            table = data.draw(pick_table)
+            if data.draw(st.booleans()):
+                table.append_event(data.draw(_events))
+                continue
+            length, columns = data.draw(st.sampled_from(column_sets))
+            start = data.draw(st.integers(min_value=0, max_value=length))
+            table.append_view(columns, start, data.draw(st.integers(start, length)))
+
+    append(data.draw(st.integers(min_value=0, max_value=12)))
+    for name in data.draw(st.lists(st.sampled_from(sorted(_ACCESSORS)), max_size=4)):
+        getattr(data.draw(pick_table), _ACCESSORS[name])
+    append(data.draw(st.integers(min_value=0, max_value=4)))
+
+    for table in tables:
+        for name, accessor in _ACCESSORS.items():
+            got = getattr(table, accessor)
+            want = concat_runs(table._chunks, name)
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+
+
+def test_ungrouped_whole_array_run_stays_a_view():
+    src_ip = np.arange(5, dtype=np.int64)
+    table = EventTable("hp-1", "aws", NetworkKind.CLOUD, "US-East")
+    table.append_view({"src_ip": src_ip}, 0, 5)
+    assert np.shares_memory(table.src_ip, src_ip)

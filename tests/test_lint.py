@@ -64,6 +64,13 @@ FIXTURES = [
      "def map_shard(view):\n    rows = []\n"
      "    for table in view.tables.values():\n"
      "        rows.extend(table.iter_events())\n    return rows\n"),
+    # The X1 pattern: rows reached through the dataset's grouping helper,
+    # in a whole-file columnar module, outside any map_shard.
+    ("COL001", "repro/analysis/blocklists.py",
+     "def build_blocklist(dataset, vantages):\n    found = set()\n"
+     "    for vantage in vantages:\n"
+     "        for event in dataset.events_for(vantage.vantage_id):\n"
+     "            found.add(event.src_ip)\n    return found\n"),
     ("EXC001", "repro/analysis/f_exc001.py",
      "def load(path):\n    try:\n        return open(path)\n"
      "    except:\n        return None\n"),
@@ -73,9 +80,20 @@ FIXTURES = [
 ]
 
 
+def _fixture_id(index: int) -> str:
+    """The rule code; a repeated code adds its fixture's file stem."""
+    code, rel_path, _source = FIXTURES[index]
+    if any(fixture[0] == code for fixture in FIXTURES[:index]):
+        return f"{code}-{Path(rel_path).stem}"
+    return code
+
+
+FIXTURE_IDS = [_fixture_id(index) for index in range(len(FIXTURES))]
+
+
 class TestRuleFixtures:
     @pytest.mark.parametrize("code,rel_path,source",
-                             FIXTURES, ids=[f[0] for f in FIXTURES])
+                             FIXTURES, ids=FIXTURE_IDS)
     def test_positive(self, tmp_path, code, rel_path, source):
         build_tree(tmp_path, {rel_path: source})
         report = run_lint(tmp_path)
@@ -86,7 +104,7 @@ class TestRuleFixtures:
         assert finding.snippet  # the baseline key is never empty
 
     @pytest.mark.parametrize("code,rel_path,source",
-                             FIXTURES, ids=[f[0] for f in FIXTURES])
+                             FIXTURES, ids=FIXTURE_IDS)
     def test_suppressed(self, tmp_path, code, rel_path, source):
         build_tree(tmp_path, {rel_path: source})
         line = run_lint(tmp_path).findings[0].line
@@ -98,7 +116,7 @@ class TestRuleFixtures:
         assert report.suppressed == 1
 
     @pytest.mark.parametrize("code,rel_path,source",
-                             FIXTURES, ids=[f[0] for f in FIXTURES])
+                             FIXTURES, ids=FIXTURE_IDS)
     def test_baselined(self, tmp_path, code, rel_path, source):
         build_tree(tmp_path, {rel_path: source})
         first = run_lint(tmp_path)
