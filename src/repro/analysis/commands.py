@@ -58,7 +58,11 @@ class CommandSummary:
 def _commands_map_shard(view) -> dict:
     """One shard's mergeable command aggregate: per-command counts plus
     the global first-sighting key ``(vantage position, shard, row, tuple
-    position)`` that reproduces the row path's Counter insertion order."""
+    position)`` that reproduces the row path's Counter insertion order.
+
+    Sessions are counted column-wise; commands are tallied once per
+    distinct command tuple, keyed at the tuple's first logged-in row.
+    """
     from repro.analysis.contingency_engine import _sorted_view_tables
 
     attempts = 0
@@ -66,43 +70,22 @@ def _commands_map_shard(view) -> dict:
     counts: dict[str, int] = {}
     first: dict[str, tuple[int, int, int, int]] = {}
     for vpos, table in _sorted_view_tables(view):
-        has_cred = np.zeros(len(table), dtype=bool)
-        offset = 0
-        for value, start, stop in table.iter_column_runs("credentials"):
-            count = stop - start
-            if isinstance(value, np.ndarray) and value.dtype == object:
-                for index, creds in enumerate(value[start:stop].tolist()):
-                    if creds:
-                        has_cred[offset + index] = True
-            elif value:
-                has_cred[offset:offset + count] = True
-            offset += count
+        has_cred = table.credentials.astype(bool)
         attempts += int(has_cred.sum())
-
-        offset = 0
-        for value, start, stop in table.iter_column_runs("commands"):
-            count = stop - start
-            if isinstance(value, np.ndarray) and value.dtype == object:
-                for index, commands in enumerate(value[start:stop].tolist()):
-                    row = offset + index
-                    if commands and has_cred[row]:
-                        logged_in += 1
-                        for position, command in enumerate(commands):
-                            counts[command] = counts.get(command, 0) + 1
-                            if command not in first:
-                                first[command] = (vpos, view.index, row, position)
-            elif value:
-                # One command tuple broadcast across the run: every
-                # login-attempting event in it replays the same commands.
-                selected = np.flatnonzero(has_cred[offset:offset + count])
-                if selected.size:
-                    logged_in += int(selected.size)
-                    first_row = offset + int(selected[0])
-                    for position, command in enumerate(value):
-                        counts[command] = counts.get(command, 0) + int(selected.size)
-                        if command not in first:
-                            first[command] = (vpos, view.index, first_row, position)
-            offset += count
+        commands = table.commands
+        rows = np.flatnonzero(has_cred & commands.astype(bool))
+        if not rows.size:
+            continue
+        logged_in += int(rows.size)
+        selected = commands[rows].tolist()
+        # Reversed pairs: each tuple keeps the row of its first sighting.
+        first_row = dict(zip(reversed(selected), reversed(rows.tolist())))
+        for sequence, times in Counter(selected).items():
+            for position, command in enumerate(sequence):
+                counts[command] = counts.get(command, 0) + times
+                key = (vpos, view.index, first_row[sequence], position)
+                if command not in first or key < first[command]:
+                    first[command] = key
     return {"attempts": attempts, "logged_in": logged_in, "counts": counts, "first": first}
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,6 +84,17 @@ _POPULAR_ARRAY = np.array(POPULAR_PORTS, dtype=np.int64)
 #: Bits reserved for (port, attempted_login) in the packed triple key
 #: used to memoize maliciousness per distinct (payload, port, login).
 _PORT_BITS = 17
+_PORT_MASK = (1 << _PORT_BITS) - 1
+
+
+def _unique_ints(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d integer array by one sort and a mask: the
+    same sorted distinct values, several times faster than numpy's
+    hash-based unique on the large, duplicate-heavy key arrays here."""
+    values = np.sort(values)
+    if len(values) > 1:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
 
 
 def _grow_lookup(
@@ -142,23 +154,55 @@ class _ShardCoder:
         # Per-table coded columns, keyed by table identity (the table is
         # pinned in the value so ids cannot be recycled).  The matrix
         # build and the source build walk the same tables; sharing one
-        # coder per dataset means the second build recodes nothing.
+        # coder per dataset means the second build recodes nothing.  The
+        # payload codes and the login flag are memoized apart from the
+        # credential pairs, so the §3.2 label never interns pairs.
+        self._payload_memo: dict[int, tuple] = {}
+        self._login_memo: dict[int, tuple] = {}
         self._table_memo: dict[int, tuple] = {}
         self._flags_memo: dict[int, tuple] = {}
+
+    @staticmethod
+    def _memoized(memo: dict, table, build):
+        hit = memo.get(id(table))
+        if hit is not None and hit[0] is table:
+            return hit[1]
+        value = build(table)
+        memo[id(table)] = (table, value)
+        return value
+
+    def payload_column(self, table) -> np.ndarray:
+        """Memoized per-event payload codes of one table."""
+        return self._memoized(self._payload_memo, table, self.code_payloads)
+
+    def login_flags(self, table) -> np.ndarray:
+        """Memoized per-event attempted-login flags (non-empty credentials)."""
+        return self._memoized(
+            self._login_memo, table, lambda table: table.credentials.astype(bool)
+        )
 
     def coded(self, table) -> tuple:
         """Memoized ``(payload_codes, (has_cred, pair_rows, pair_users,
         pair_passwords))`` for one table."""
-        key = id(table)
-        hit = self._table_memo.get(key)
-        if hit is not None and hit[0] is table:
-            return hit[1]
-        value = (self.code_payloads(table), self.code_credentials(table))
-        self._table_memo[key] = (table, value)
-        return value
+        return self._memoized(
+            self._table_memo,
+            table,
+            lambda table: (self.payload_column(table), self.code_credentials(table)),
+        )
+
+    def _derive(self) -> None:
+        """Fingerprint and strip the payloads interned since the last call,
+        in code order.  Deferred from interning because the §3.2 label
+        needs payload identity only."""
+        for payload in self.payload_values[len(self.fp_of_payload):]:
+            self.fp_of_payload.append(self._fp_code(fingerprint(payload)))
+            self.stripped_of_payload.append(
+                self._stripped_code(strip_ephemeral_headers(payload)) if payload else -1
+            )
 
     def fp_lookup(self) -> np.ndarray:
         """``fp_of_payload`` as an array, amortized against list growth."""
+        self._derive()
         self._fp_array, self._fp_filled = _grow_lookup(
             self.fp_of_payload, self._fp_array, self._fp_filled
         )
@@ -166,6 +210,7 @@ class _ShardCoder:
 
     def stripped_lookup(self) -> np.ndarray:
         """``stripped_of_payload`` as an array, amortized against list growth."""
+        self._derive()
         self._stripped_array, self._stripped_filled = _grow_lookup(
             self.stripped_of_payload, self._stripped_array, self._stripped_filled
         )
@@ -195,11 +240,6 @@ class _ShardCoder:
             code = len(self.payload_values)
             self.payload_codes[payload] = code
             self.payload_values.append(payload)
-            self.fp_of_payload.append(self._fp_code(fingerprint(payload)))
-            self.stripped_of_payload.append(
-                self._stripped_code(strip_ephemeral_headers(payload))
-                if payload else -1
-            )
         return code
 
     def user_code(self, username: str) -> int:
@@ -237,24 +277,25 @@ class _ShardCoder:
 
         Returns ``(has_cred, pair_rows, pair_users, pair_passwords)`` —
         a per-event login flag plus one entry per (event, credential
-        pair), coded through the shard's user/password tables.
+        pair), coded through the shard's user/password tables.  Each
+        distinct pair is interned once, in first-occurrence order, which
+        gives usernames and passwords the codes a pair-by-pair walk
+        would.
         """
-        column = table.credentials.tolist()
-        has = np.fromiter(map(bool, column), dtype=bool, count=len(column))
-        rows: list[int] = []
-        users: list[int] = []
-        passwords: list[int] = []
-        for row in np.flatnonzero(has).tolist():
-            for username, password in column[row]:
-                rows.append(row)
-                users.append(self.user_code(username))
-                passwords.append(self.pass_code(password))
-        return (
-            has,
-            np.array(rows, dtype=np.int64),
-            np.array(users, dtype=np.int64),
-            np.array(passwords, dtype=np.int64),
+        has = self.login_flags(table)
+        rows = np.flatnonzero(has)
+        sequences = table.credentials[rows].tolist()
+        pairs = list(chain.from_iterable(sequences))
+        distinct = dict.fromkeys(pairs)
+        for code, pair in enumerate(distinct):
+            distinct[pair] = code
+        users = np.array([self.user_code(user) for user, _ in distinct], dtype=np.int64)
+        passwords = np.array(
+            [self.pass_code(password) for _, password in distinct], dtype=np.int64
         )
+        codes = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.int64, count=len(pairs))
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        return has, np.repeat(rows, lengths), users[codes], passwords[codes]
 
     def code_asns(self, table) -> np.ndarray:
         """Per-event source-AS codes (vectorized per vantage)."""
@@ -285,11 +326,10 @@ class _ShardCoder:
         hit = self._flags_memo.get(id(table))
         if hit is not None and hit[0] is table:
             return hit[1]
-        payload_codes, (has_cred, *_pairs) = self.coded(table)
         keys = (
-            (payload_codes << (_PORT_BITS + 1))
+            (self.payload_column(table) << (_PORT_BITS + 1))
             | (np.asarray(table.dst_port, dtype=np.int64) << 1)
-            | has_cred.astype(np.int64)
+            | self.login_flags(table).astype(np.int64)
         )
         uniq, inverse = np.unique(keys, return_inverse=True)
         verdicts = np.empty(len(uniq), dtype=bool)
@@ -300,7 +340,7 @@ class _ShardCoder:
             verdict = memo.get(key)
             if verdict is None:
                 payload = values[key >> (_PORT_BITS + 1)]
-                port = (key >> 1) & ((1 << _PORT_BITS) - 1)
+                port = (key >> 1) & _PORT_MASK
                 verdict = bool(classify(payload, port, bool(key & 1)))
                 memo[key] = verdict
             verdicts[index] = verdict
@@ -680,7 +720,7 @@ def _unique_rows(*columns: np.ndarray) -> np.ndarray:
 
     When every column is non-negative and the combined bit widths fit an
     int64, the rows are packed into scalar keys so the dedup is one 1-D
-    ``np.unique`` — several times faster than the row-wise (void-view)
+    sort (:func:`_unique_ints`) — far faster than the row-wise (void-view)
     sort of ``np.unique(axis=0)``, with the identical lexicographic
     result.  Oversized or negative values fall back to the row-wise path.
     """
@@ -699,7 +739,7 @@ def _unique_rows(*columns: np.ndarray) -> np.ndarray:
         for array, width in zip(arrays[1:], bits[1:]):
             keys <<= width
             keys |= array
-        keys = np.unique(keys)
+        keys = _unique_ints(keys)
         out = np.empty((keys.shape[0], len(arrays)), dtype=np.int64)
         for index in range(len(arrays) - 1, 0, -1):
             width = bits[index]
@@ -783,7 +823,7 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
         ],
         axis=1,
     )
-    malicious = np.isin(sources, np.unique(src_all[mal_all]), assume_unique=True)
+    malicious = np.isin(sources, _unique_ints(src_all[mal_all]), assume_unique=True)
 
     port_fp = _unique_rows(src_all, port_all, fp_all)
     asn_pairs = _unique_rows(src_all, asn_all)
@@ -798,30 +838,43 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
     else:
         cred = np.empty((0, 3), dtype=np.int64)
 
-    # Alert families per distinct (payload, port), expanded to distinct
-    # (src, family) pairs.
+    # Alert families resolved once per distinct (payload, port) pair,
+    # then expanded to distinct (src, family) pairs.  Family codes are
+    # shard-local (the reduce re-codes them through sorted values).
     family_codes: dict[str, int] = {}
     family_values: list[str] = []
-    fam_src_parts: list[np.ndarray] = []
-    fam_code_parts: list[np.ndarray] = []
+    families = np.empty((0, 2), dtype=np.int64)
     triples = _unique_rows(src_all[truthy], pcode_all[truthy], port_all[truthy])
     if triples.shape[0]:
-        for src_ip, payload_code, port in triples.tolist():
-            for family in coder.families_of(payload_code, port):
+        pair_keys, pair_of_triple = np.unique(
+            (triples[:, 1] << (_PORT_BITS + 1)) | (triples[:, 2] << 1),
+            return_inverse=True,
+        )
+        pair_sizes: list[int] = []
+        pair_families: list[int] = []
+        for key in pair_keys.tolist():
+            found = coder.families_of(key >> (_PORT_BITS + 1), (key >> 1) & _PORT_MASK)
+            pair_sizes.append(len(found))
+            for family in found:
                 code = family_codes.get(family)
                 if code is None:
-                    code = len(family_values)
-                    family_codes[family] = code
+                    code = family_codes[family] = len(family_values)
                     family_values.append(family)
-                fam_src_parts.append(src_ip)  # type: ignore[arg-type]
-                fam_code_parts.append(code)  # type: ignore[arg-type]
-    if fam_src_parts:
-        families = _unique_rows(
-            np.array(fam_src_parts, dtype=np.int64),
-            np.array(fam_code_parts, dtype=np.int64),
+                pair_families.append(code)
+        sizes = np.asarray(pair_sizes, dtype=np.int64)
+        firsts = np.cumsum(sizes) - sizes
+        # Triple t repeats its pair's family list; row r of that run
+        # reads pair_families[firsts[pair] + r].
+        per_triple = sizes[pair_of_triple]
+        ends = np.cumsum(per_triple)
+        rows = np.repeat(firsts[pair_of_triple] - (ends - per_triple), per_triple) + np.arange(
+            int(ends[-1]), dtype=np.int64
         )
-    else:
-        families = np.empty((0, 2), dtype=np.int64)
+        if rows.size:
+            families = _unique_rows(
+                np.repeat(triples[:, 0], per_triple),
+                np.asarray(pair_families, dtype=np.int64)[rows],
+            )
 
     return _SourcePartial(
         sources=sources,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -118,6 +118,7 @@ class AnalysisDataset:
         self._source_aggregates = None
         self._shard_coder = None
         self._shard_coder_digest = None
+        self._reports: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -167,6 +168,7 @@ class AnalysisDataset:
         self._source_aggregates = None
         self._shard_coder = None
         self._shard_coder_digest = None
+        self._reports = {}
 
     def _by_vantage(self) -> dict[str, list[CapturedEvent]]:
         if self._by_vantage_cache is None:
@@ -196,6 +198,23 @@ class AnalysisDataset:
         if self._contingency is None or self._contingency.digest != digest:
             self._contingency = build_engine(self)
         return self._contingency
+
+    def memoized(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """``build()``, cached on a table-backed dataset keyed by ``key``
+        (the report and its arguments) plus the table digest, like
+        :meth:`contingency`.  Row-backed datasets always build.  The cached
+        value is shared by every caller, so ``build`` must return an
+        immutable value (tuples of frozen rows) and callers thaw copies.
+        """
+        if self.tables is None:
+            return build()
+        from repro.analysis.contingency_engine import dataset_digest
+
+        digest = dataset_digest(self.tables)
+        hit = self._reports.get(key)
+        if hit is None or hit[0] != digest:
+            hit = self._reports[key] = (digest, build())
+        return hit[1]
 
     def source_aggregates(self):
         """Per-source behavioral aggregates (table-backed only), built

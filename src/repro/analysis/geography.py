@@ -303,7 +303,26 @@ def geo_similarity(
     alpha: float = 0.05,
     profiles: Optional[list[RegionProfile]] = None,
 ) -> list[GeoPairSummary]:
-    """Compute Table 5: % of similar region pairs per grouping."""
+    """Compute Table 5: % of similar region pairs per grouping.
+
+    Memoized on table-backed datasets when no ``profiles`` are given
+    (Table 5 and X4 share one computation).
+    """
+    if profiles is None:
+        networks = tuple(networks)
+        return list(dataset.memoized(
+            ("geo_similarity", networks, alpha),
+            lambda: tuple(_geo_similarity(dataset, networks, alpha, None)),
+        ))
+    return _geo_similarity(dataset, networks, alpha, profiles)
+
+
+def _geo_similarity(
+    dataset: AnalysisDataset,
+    networks: Sequence[str],
+    alpha: float,
+    profiles: Optional[list[RegionProfile]],
+) -> list[GeoPairSummary]:
     engine = dataset.contingency() if profiles is None else None
     if engine is not None:
         profiles = _vector_profiles(dataset, engine, networks, list(GEO_CHARACTERISTICS))

@@ -164,7 +164,10 @@ def leak_report(dataset: AnalysisDataset, alpha: float = 0.05) -> list[LeakRow]:
         raise ValueError("dataset has no leak experiment")
 
     if dataset.tables is not None:
-        return _engine_leak_report(dataset, alpha)
+        # Memoized: Table 3 and X4 share one computation.
+        return list(dataset.memoized(
+            ("leak_report", alpha), lambda: tuple(_engine_leak_report(dataset, alpha))
+        ))
 
     rows: list[LeakRow] = []
     for protocol, port in LEAK_SERVICES:

@@ -123,8 +123,27 @@ def neighborhood_report(
     (the Hurricane Electric /24) with a deterministic prefix; None keeps
     all honeypots.  ``k`` and ``bonferroni`` exist for the methodology
     ablations: the paper's Section 3.3 fixes k=3 (footnote 2 explains
-    why) and always corrects for multiple comparisons.
+    why) and always corrects for multiple comparisons.  Memoized on
+    table-backed datasets (Table 2 and X4 share one computation).
     """
+    networks = tuple(networks)
+    cells = dataset.memoized(
+        ("neighborhood_report", networks, alpha, max_honeypots_per_neighborhood, k, bonferroni),
+        lambda: _neighborhood_cells(
+            dataset, networks, alpha, max_honeypots_per_neighborhood, k, bonferroni
+        ),
+    )
+    return NeighborhoodReport(list(cells))
+
+
+def _neighborhood_cells(
+    dataset: AnalysisDataset,
+    networks: tuple[str, ...],
+    alpha: float,
+    max_honeypots_per_neighborhood: Optional[int],
+    k: int,
+    bonferroni: bool,
+) -> tuple[NeighborhoodCell, ...]:
     engine = dataset.contingency()
     neighborhoods = dataset.neighborhoods(networks=list(networks), vantage_prefix="gn-")
     cells: list[NeighborhoodCell] = []
@@ -186,4 +205,4 @@ def neighborhood_report(
                     avg_phi=avg_phi,
                 )
             )
-    return NeighborhoodReport(cells)
+    return tuple(cells)

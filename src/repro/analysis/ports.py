@@ -11,7 +11,7 @@ fingerprinting of the first payload.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.analysis.dataset import AnalysisDataset
@@ -117,7 +117,23 @@ def _first_protocol_by_source(
 def protocol_breakdown(
     dataset: AnalysisDataset, ports: Sequence[int] = (80, 8080)
 ) -> list[ProtocolBreakdownRow]:
-    """Compute Table 11 over the Honeytrap networks."""
+    """Compute Table 11 over the Honeytrap networks.
+
+    Memoized on table-backed datasets (Table 11 and X4 share one
+    computation); each call gets its own rows' protocol mixes.
+    """
+    ports = tuple(ports)
+    rows = dataset.memoized(
+        ("protocol_breakdown", ports), lambda: tuple(_protocol_breakdown(dataset, ports))
+    )
+    return [
+        replace(row, unexpected_protocols=dict(row.unexpected_protocols)) for row in rows
+    ]
+
+
+def _protocol_breakdown(
+    dataset: AnalysisDataset, ports: Sequence[int]
+) -> list[ProtocolBreakdownRow]:
     oracle = dataset.reputation_oracle()
     if dataset.tables is not None:
         first_protocols = _first_protocol_by_source(dataset, ports)
@@ -258,7 +274,8 @@ def _methodology_counts(dataset: AnalysisDataset):
             if len(table) == 0:
                 continue
             dst_port = table.dst_port
-            payload_codes, (has_cred, *_pairs) = coder.coded(table)
+            payload_codes = coder.payload_column(table)
+            has_cred = coder.login_flags(table)
             if vantage_id.startswith("gn-"):
                 handshake = table.handshake
                 for port, slot in ((23, 0), (22, 2)):

@@ -64,6 +64,11 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _events_per_s(events: int, seconds: float) -> float:
+    """Events per second, rounded to 0.1 (0.0 for a zero-length stage)."""
+    return round(events / seconds, 1) if seconds > 0 else 0.0
+
+
 def run_bench(
     scale: float = 1.0,
     telescope_slash24s: int = 16,
@@ -174,7 +179,11 @@ def run_bench(
         SimulationConfig(seed=seed, window=_WINDOWS[year], emission=emission),
     )
     stages["simulation"] = time.perf_counter() - started
-    _say(f"simulation ran in {stages['simulation']:.2f}s ({result.total_events():,} events)")
+    events_per_s = _events_per_s(result.total_events(), round(stages["simulation"], 4))
+    _say(
+        f"simulation ran in {stages['simulation']:.2f}s ({result.total_events():,} events, "
+        f"{events_per_s:,.0f} events/s)"
+    )
 
     started = time.perf_counter()
     dataset = AnalysisDataset.from_simulation(result)
@@ -226,6 +235,8 @@ def run_bench(
         "emission": emission,
         "events": result.total_events(),
         "stages": {name: round(value, 4) for name, value in stages.items()},
+        # The simulation stage's throughput, read off the recorded stage.
+        "simulation_events_per_s": events_per_s,
         "stages_total": round(sum(stages.values()), 4),
         "experiments": {
             name: round(value, 4) for name, value in experiment_timings.items()

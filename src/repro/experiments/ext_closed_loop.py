@@ -57,10 +57,11 @@ def closed_loop_metrics(
     entries = tuple(pipeline.executor.blocklist)
     auto = ActiveBlocklist.from_entries(entries)
     auto_asns = tuple(sorted({entry.asn for entry in entries}))
-    classify = dataset.classifier.is_malicious_parts
+    from repro.analysis.contingency_engine import dataset_coder
+
+    coder = dataset_coder(dataset)
 
     def map_shard(view):
-        cache: dict = {}
         total = auto_blocked = 0
         train_ips: set[int] = set()
         first_seen: dict[int, float] = {}
@@ -80,22 +81,9 @@ def closed_loop_metrics(
                     if asn not in first_seen or seen < first_seen[asn]:
                         first_seen[asn] = seen
             # Static-arm training: malicious sources in the first half.
-            in_train = np.flatnonzero(stamps < train_hours)
-            if in_train.size:
-                payloads = table.payloads
-                dst_ports = table.dst_port
-                credentials = table.credentials
-                for row in in_train.tolist():
-                    ip = int(ips[row])
-                    if ip in train_ips:
-                        continue
-                    key = (payloads[row], int(dst_ports[row]), bool(credentials[row]))
-                    verdict = cache.get(key)
-                    if verdict is None:
-                        verdict = classify(*key)
-                        cache[key] = verdict
-                    if verdict:
-                        train_ips.add(ip)
+            trained = (stamps < train_hours) & coder.malicious(table)
+            if trained.any():
+                train_ips.update(np.unique(ips[trained]).tolist())
         return {
             "total": total,
             "auto_blocked": auto_blocked,

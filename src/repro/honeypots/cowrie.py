@@ -10,6 +10,7 @@ recorded alongside the client's first protocol message.
 from __future__ import annotations
 
 from dataclasses import replace
+from hashlib import blake2b
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,23 @@ __all__ = ["CowrieStack", "COWRIE_PORTS"]
 
 #: Ports on which GreyNoise runs Cowrie.
 COWRIE_PORTS: frozenset[int] = frozenset({22, 2222, 23, 2323})
+
+
+def _rounded_str(value: float) -> str:
+    """``str(round(value, 6))`` for a non-negative float, from one
+    fixed-point format.
+
+    From 1e-4 up to 1e15 the shortest repr of the float nearest a
+    six-place decimal is that decimal without trailing zeros (distinct
+    six-place decimals are 1e-6 apart, far wider than a double's
+    spacing), so one ``.6f`` format gives the same text.  Outside that
+    range repr switches to exponent notation; those values take the
+    direct path.
+    """
+    if not 1e-4 <= value < 1e15:
+        return str(round(value, 6))
+    text = format(value, ".6f").rstrip("0")
+    return text + "0" if text[-1] == "." else text
 
 
 class CowrieStack(CaptureStack):
@@ -97,30 +115,30 @@ class CowrieStack(CaptureStack):
 
         Only sessions that both tried credentials and carry a command
         sequence run the deterministic accept-login hash — the scalar
-        path's exact gate — so the per-row Python work is limited to the
-        small logged-in candidate subset.
+        path's exact gate.  The candidates are selected column-wise, and
+        one tight loop hashes exactly the bytes :func:`stable_hash64`
+        hashes for ``(seed, "cowrie-login", src, dst, round(t, 6))``.
         """
         count = len(batch)
         credentials = batch.credentials
         batch_commands = batch.commands
         commands: object = ()
-        if self._accept_probability > 0.0:
-            candidates = [
-                index
-                for index in range(count)
-                if credentials[index] and batch_commands[index]
-            ]
-            if candidates:
+        if self._accept_probability > 0.0 and count:
+            candidates = np.flatnonzero(
+                credentials.astype(bool) & batch_commands.astype(bool)
+            )
+            if len(candidates):
+                if self._accept_probability >= 1.0:
+                    accepted = candidates
+                else:
+                    accepted = candidates[self._accepts_logins(
+                        batch.src_ips[candidates].tolist(),
+                        batch.dst_ips[candidates].tolist(),
+                        batch.timestamps[candidates].tolist(),
+                    )]
                 column = np.empty(count, dtype=object)
-                column[:] = [()] * count
-                src_ips = batch.src_ips
-                dst_ips = batch.dst_ips
-                timestamps = batch.timestamps
-                for index in candidates:
-                    if self._accepts_login_at(
-                        int(src_ips[index]), int(dst_ips[index]), float(timestamps[index])
-                    ):
-                        column[index] = batch_commands[index]
+                column.fill(())
+                column[accepted] = batch_commands[accepted]
                 commands = column
         return {
             "timestamps": batch.timestamps,
@@ -134,6 +152,20 @@ class CowrieStack(CaptureStack):
             "credentials": credentials,
             "commands": commands,
         }
+
+    def _accepts_logins(self, src_ips: list, dst_ips: list, timestamps: list) -> np.ndarray:
+        """:meth:`_accepts_login_at` over parallel lists, as a bool array."""
+        prefix = f"{self._seed}\x1fcowrie-login\x1f"
+        digests = b"".join([
+            blake2b(f"{prefix}{src}\x1f{dst}\x1f{stamp}".encode("utf-8"), digest_size=8).digest()
+            for src, dst, stamp in zip(src_ips, dst_ips, map(_rounded_str, timestamps))
+        ])
+        scale = float(1 << 64)
+        threshold = self._accept_probability
+        return np.array(
+            [value / scale < threshold for value in np.frombuffer(digests, ">u8").tolist()],
+            dtype=bool,
+        )
 
     def batch_policy_key(self, port: int) -> tuple:
         return ("cowrie", self._accept_probability, self._seed)

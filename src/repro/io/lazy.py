@@ -248,6 +248,6 @@ class ShardedEventTable(EventTable):
     def add_part(self, shard_pos: int, part: EventTable) -> None:
         """Append one shard's rows for this vantage (in shard order)."""
         self.parts.append((shard_pos, part))
-        self._chunks.extend(part._chunks)
-        self._length += len(part)
+        self._own_chunks.extend(part._chunks)
+        self._own_length += len(part)
         self._invalidate()

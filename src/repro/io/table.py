@@ -140,73 +140,189 @@ def concat_runs(runs: Iterable[tuple[dict, int, int]], name: str) -> np.ndarray:
 
 
 class ConsolidationGroup:
-    """Tables that consolidate together: the capture tables of one run.
+    """Tables that append and consolidate together: the capture tables of
+    one run.
+
+    Members' runs live in the group's *run log*, one block per append
+    call: arrays of member ordinals, column sets and ``[start, stop)``
+    bounds.  A simulated campaign batch is cut into per-vantage runs of
+    a few events each; :meth:`append_runs` logs all of them as one block,
+    so appending costs no Python per run (single appends through
+    :meth:`EventTable.append_view` / :meth:`EventTable.append_event` log
+    one-run blocks).  A member's ``_chunks`` are read back from the log.
 
     The first read of a column on any member builds that column for
     every member lacking it: one :func:`concat_runs` over the distinct
-    column sets the members' runs reference, then one gather that
-    cuts each member's rows out of it.  Values and dtypes equal each
-    table's own ``concat_runs(table._chunks, name)``; the arrays are
-    copies, never views of the run's column sets.
+    column sets the log references, then one gather that cuts each
+    member's rows out of it.  Values and dtypes equal each table's own
+    ``concat_runs(table._chunks, name)``; the arrays are copies, never
+    views of the run's column sets.
 
     The gather plan (row indexes over the distinct column sets) depends
-    only on the members' runs, so it is built once and shared by every
-    column until a member appends again.  Members are held weakly (each
-    table holds its group), so dropping a run's tables frees them
+    only on the log, so it is built once, vectorized, and shared by
+    every column until a member appends again.  Members are held weakly
+    (each table holds its group), so dropping a run's tables frees them
     without waiting for the cycle collector.
     """
 
     def __init__(self, tables: Iterable["EventTable"]) -> None:
         self._members: list[weakref.ref] = []
-        for table in tables:
-            table._group = self
-            self._members.append(weakref.ref(table))
+        # One [members, column sets, starts, stops] block per append
+        # call: int64/object arrays for bulk calls, growing lists for a
+        # run of single appends.
+        self._blocks: list[list] = []
+        self._runs: Optional[list[list]] = None
         self._plan: Optional[tuple[list, np.ndarray, np.ndarray]] = None
+        #: Whether any member holds consolidated columns (or rows) that
+        #: an append must invalidate.
+        self._cached = False
+        self._hooked = 0
+        existing = []
+        for ordinal, table in enumerate(tables):
+            existing.append((ordinal, table._chunks))
+            table._group = self
+            table._ordinal = ordinal
+            table._own_chunks = []
+            table._own_length = 0
+            table._invalidate()
+            self._hooked += table._hook is not None
+            self._members.append(weakref.ref(table))
+        self._lengths = np.zeros(len(self._members), dtype=np.int64)
+        for ordinal, chunks in existing:
+            for columns, start, stop in chunks:
+                self.log_run(ordinal, columns, start, stop)
+
+    def _appended(self) -> None:
+        self._runs = None
+        self._plan = None
+        if self._cached:
+            self._cached = False
+            for member in self._members:
+                table = member()
+                if table is not None:
+                    table._columns = None
+                    table._rows = None
+
+    def log_run(self, ordinal: int, columns: dict, start: int, stop: int) -> None:
+        """Log one run for member ``ordinal`` (no hook; the table fires it)."""
+        if not self._blocks or not isinstance(self._blocks[-1][0], list):
+            self._blocks.append([[], [], [], []])
+        block = self._blocks[-1]
+        block[0].append(ordinal)
+        block[1].append(columns)
+        block[2].append(start)
+        block[3].append(stop)
+        self._lengths[ordinal] += stop - start
+        self._appended()
+
+    def append_runs(
+        self,
+        members: np.ndarray,
+        column_sets: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+    ) -> None:
+        """Append run *k* — rows ``[starts[k], stops[k])`` of
+        ``column_sets[k]`` — to member ``members[k]`` (an ordinal), for
+        every *k* in order, as one log block.
+
+        The bulk form of :meth:`EventTable.append_view`, which a capture
+        run would otherwise call once per (campaign batch, vantage) run:
+        every member ends up with the same runs in the same order.  When
+        members carry append hooks, the runs go through ``append_view``
+        one by one, so each hook fires once per run, in run order.
+        """
+        members = np.asarray(members, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
+        stops = np.asarray(stops, dtype=np.int64)
+        if self._hooked:
+            # A tapped run observes every run as it lands: append each
+            # one through its table, which fires the hook.
+            for ordinal, columns, start, stop in zip(
+                members.tolist(), column_sets.tolist(), starts.tolist(), stops.tolist()
+            ):
+                table = self._members[ordinal]()
+                if table is not None:
+                    table.append_view(columns, start, stop)
+            return
+        nonempty = stops > starts
+        if not nonempty.all():
+            members, column_sets = members[nonempty], column_sets[nonempty]
+            starts, stops = starts[nonempty], stops[nonempty]
+        if not len(members):
+            return
+        self._blocks.append([members, column_sets, starts, stops])
+        np.add.at(self._lengths, members, stops - starts)
+        self._appended()
+
+    def _log(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The whole run log as four flat arrays, in append order."""
+        if len(self._blocks) > 1 or (self._blocks and isinstance(self._blocks[0][0], list)):
+            members, sets, starts, stops = [], [], [], []
+            for block in self._blocks:
+                if isinstance(block[0], list):
+                    column_sets = np.empty(len(block[1]), dtype=object)
+                    column_sets[:] = block[1]
+                    block = [block[0], column_sets, block[2], block[3]]
+                members.append(np.asarray(block[0], dtype=np.int64))
+                sets.append(block[1])
+                starts.append(np.asarray(block[2], dtype=np.int64))
+                stops.append(np.asarray(block[3], dtype=np.int64))
+            self._blocks = [[np.concatenate(members), np.concatenate(sets),
+                             np.concatenate(starts), np.concatenate(stops)]]
+        if not self._blocks:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, np.empty(0, dtype=object), empty, empty
+        return tuple(self._blocks[0])
+
+    def runs_of(self, ordinal: int) -> list[tuple[dict, int, int]]:
+        """Member ``ordinal``'s ``(columns, start, stop)`` runs, in order
+        (built for every member at once and kept until the next append;
+        callers must not modify the list)."""
+        if self._runs is None:
+            runs: list[list] = [[] for _ in self._members]
+            members, sets, starts, stops = self._log()
+            for member, columns, start, stop in zip(
+                members.tolist(), sets.tolist(), starts.tolist(), stops.tolist()
+            ):
+                runs[member].append((columns, start, stop))
+            self._runs = runs
+        return self._runs[ordinal]
 
     def _build_plan(self) -> tuple[list, np.ndarray, np.ndarray]:
         """``(sources, index, bounds)``: the distinct column sets as
-        ``[columns, lo, hi, base]`` spans, the gather index into their
+        ``(columns, lo, hi)`` spans, the gather index into their
         concatenation, and each member's row bounds in the gather."""
-        spans: dict[int, list] = {}
-        run_spans: list[list] = []
-        run_starts: list[int] = []
-        run_lengths: list[int] = []
-        table_rows: list[int] = []
-        for member in self._members:
-            table = member()
-            if table is None:
-                table_rows.append(0)
-                continue
-            for columns, start, stop in table._chunks:
-                span = spans.get(id(columns))
-                if span is None:
-                    span = spans[id(columns)] = [columns, start, stop, 0]
-                else:
-                    if start < span[1]:
-                        span[1] = start
-                    if stop > span[2]:
-                        span[2] = stop
-                run_spans.append(span)
-                run_starts.append(start)
-                run_lengths.append(stop - start)
-            table_rows.append(table._length)
-        sources = list(spans.values())
-        offset = 0
-        for span in sources:
-            span[3] = offset - span[1]
-            offset += span[2] - span[1]
-        lengths = np.asarray(run_lengths, dtype=np.int64)
-        firsts = np.fromiter(
-            (span[3] for span in run_spans), dtype=np.int64, count=len(run_spans)
-        ) + np.asarray(run_starts, dtype=np.int64)
-        # Row r of run k gathers source row firsts[k] + r: one repeat of
-        # each run's shift plus a global arange.
+        members, sets, starts, stops = self._log()
+        ids = np.fromiter(map(id, sets.tolist()), dtype=np.uint64, count=len(sets))
+        _ids, first, set_of_run = np.unique(ids, return_index=True, return_inverse=True)
+        # Each distinct set contributes the [min start, max stop) span
+        # its runs use, in first-use order.
+        lo = np.full(len(first), np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(lo, set_of_run, starts)
+        hi = np.zeros(len(first), dtype=np.int64)
+        np.maximum.at(hi, set_of_run, stops)
+        order = np.argsort(first, kind="stable")
+        sizes = (hi - lo)[order]
+        base = np.empty(len(first), dtype=np.int64)
+        base[order] = np.cumsum(sizes) - sizes - lo[order]
+        sources = [
+            (columns, start, stop)
+            for columns, start, stop in zip(
+                sets[first[order]].tolist(), lo[order].tolist(), hi[order].tolist()
+            )
+        ]
+        # Member-major, append order within a member: row r of run k
+        # gathers source row base[set] + start + r.
+        by_member = np.argsort(members, kind="stable")
+        firsts = (base[set_of_run] + starts)[by_member]
+        lengths = (stops - starts)[by_member]
         ends = np.cumsum(lengths)
         index = np.repeat(firsts - (ends - lengths), lengths) + np.arange(
             int(ends[-1]) if len(ends) else 0, dtype=np.int64
         )
-        bounds = np.zeros(len(table_rows) + 1, dtype=np.int64)
-        np.cumsum(table_rows, out=bounds[1:])
+        bounds = np.zeros(len(self._members) + 1, dtype=np.int64)
+        np.cumsum(self._lengths, out=bounds[1:])
         return sources, index, bounds
 
     def consolidate(self, name: str) -> None:
@@ -214,9 +330,8 @@ class ConsolidationGroup:
         if self._plan is None:
             self._plan = self._build_plan()
         sources, index, bounds = self._plan
-        gathered = concat_runs(
-            ((columns, lo, hi) for columns, lo, hi, _base in sources), name
-        )[index]
+        gathered = concat_runs(sources, name)[index]
+        self._cached = True
         for member, lo, hi in zip(self._members, bounds[:-1].tolist(), bounds[1:].tolist()):
             table = member()
             if table is None:
@@ -251,13 +366,28 @@ class EventTable:
         # (array | scalar) plus the half-open row range of it this table
         # owns.  Appending therefore never copies — many tables can share
         # one column set, each holding a different range — and scalars
-        # broadcast at consolidation time.
-        self._chunks: list[tuple[dict, int, int]] = []
-        self._length = 0
+        # broadcast at consolidation time.  A group member's chunks live
+        # in its group's run log instead (see ``_chunks``).
+        self._own_chunks: list[tuple[dict, int, int]] = []
+        self._own_length = 0
         self._columns: Optional[dict[str, np.ndarray]] = None
         self._rows: Optional[list[CapturedEvent]] = None
         self._hook: Optional[Callable[["EventTable", dict, int, int], None]] = None
         self._group: Optional[ConsolidationGroup] = None
+        self._ordinal = -1
+
+    @property
+    def _chunks(self) -> list[tuple[dict, int, int]]:
+        """The table's ``(columns, start, stop)`` runs in append order."""
+        if self._group is not None:
+            return self._group.runs_of(self._ordinal)
+        return self._own_chunks
+
+    @property
+    def _length(self) -> int:
+        if self._group is not None:
+            return int(self._group._lengths[self._ordinal])
+        return self._own_length
 
     def set_append_hook(
         self, hook: Optional[Callable[["EventTable", dict, int, int], None]]
@@ -269,6 +399,8 @@ class EventTable:
         (:meth:`append_event`), after the rows are owned by the table.
         At most one hook; ``None`` detaches.
         """
+        if self._group is not None:
+            self._group._hooked += (hook is not None) - (self._hook is not None)
         self._hook = hook
 
     # ------------------------------------------------------------------
@@ -330,8 +462,8 @@ class EventTable:
                     f"vantage identity mismatch in concat: {identity!r} != "
                     f"{reference!r}"
                 )
-            merged._chunks.extend(table._chunks)
-            merged._length += table._length
+            merged._own_chunks.extend(table._chunks)
+            merged._own_length += table._length
         return merged
 
     # ------------------------------------------------------------------
@@ -341,8 +473,15 @@ class EventTable:
     def _invalidate(self) -> None:
         self._columns = None
         self._rows = None
+
+    def _own_append(self, columns: dict, start: int, stop: int) -> None:
+        """Record one run, in the group's log for a member."""
         if self._group is not None:
-            self._group._plan = None
+            self._group.log_run(self._ordinal, columns, start, stop)
+        else:
+            self._own_chunks.append((columns, start, stop))
+            self._own_length += stop - start
+            self._invalidate()
 
     def append_event(self, event: CapturedEvent) -> None:
         """Append one row (scalar capture path and live replay)."""
@@ -358,9 +497,7 @@ class EventTable:
             "credentials": event.credentials,
             "commands": event.commands,
         }
-        self._chunks.append((columns, 0, 1))
-        self._length += 1
-        self._invalidate()
+        self._own_append(columns, 0, 1)
         if self._hook is not None:
             self._hook(self, columns, 0, 1)
 
@@ -409,9 +546,7 @@ class EventTable:
         """
         if stop <= start:
             return 0
-        self._chunks.append((columns, start, stop))
-        self._length += stop - start
-        self._invalidate()
+        self._own_append(columns, start, stop)
         if self._hook is not None:
             self._hook(self, columns, start, stop)
         return stop - start

@@ -24,25 +24,113 @@ from repro.scanners.credentials import sample_credentials, sample_credentials_ba
 from repro.scanners.payloads import (
     http_payload,
     protocol_first_payload,
-    protocol_first_payload_cached,
-    render_http_cached,
+    render_http,
 )
 from repro.scanners.strategies import TargetStrategy
 from repro.sim.events import Credential, IntentBatch, ScanIntent
 
-__all__ = ["TemporalProfile", "PortPlan", "SearchEngineUse", "ScannerSpec"]
+__all__ = ["TemporalProfile", "PortPlan", "PayloadGrid", "SearchEngineUse", "ScannerSpec"]
 
-#: Destination-host dotted-quad cache.  Batch intent synthesis converts
-#: the same few hundred honeypot addresses on every campaign; memoizing
-#: keeps the conversion off the hot path.
-_HOST_STRINGS: dict[int, str] = {}
+def _host_parts(key: tuple[str, str]) -> Optional[list[bytes]]:
+    """A payload key's rendering split around its host fields.
+
+    ``key`` is ``("http", corpus name)`` or ``("first", protocol)``.
+    Rendering with the placeholder itself as the host leaves every
+    ``{host}`` field in place, so the payload for host ``h`` is
+    ``h.encode().join(parts)``, byte-identical to :func:`render_http` /
+    :func:`protocol_first_payload` because a dotted quad holds no newline
+    or brace.  None when the host's length would change the rendering
+    elsewhere (an HTTP body that embeds the host under a computed
+    Content-Length); such keys render per host.
+    """
+    kind, name = key
+    if kind == "first":
+        return protocol_first_payload(name, "{host}").split(b"{host}")
+    template = http_payload(name).template
+    normalized = template.replace("\r\n", "\n")
+    if "\n\n" in normalized:
+        head, body = normalized.split("\n\n", 1)
+        if "{content_length}" in head and "{host}" in body:
+            return None
+    return render_http(template, "{host}").split(b"{host}")
 
 
-def _host_string(address: int) -> str:
-    host = _HOST_STRINGS.get(address)
-    if host is None:
-        host = _HOST_STRINGS[address] = int_to_ip(address)
-    return host
+class PayloadGrid:
+    """Rendered first payloads per (payload key, destination), filled lazily.
+
+    Payloads are pure functions of a key — ``("http", corpus name)`` or
+    ``("first", protocol)`` — and the destination's dotted quad.  A grid
+    holds one object cell per (key, destination) pair, rendered on first
+    use, so a batch's payload column is one gather instead of one render
+    call per session.  The simulator owns one grid over every honeypot
+    address for a whole run; :meth:`PortPlan.build_intent_batch` builds a
+    throwaway grid over the batch's own destinations when given none.
+    """
+
+    def __init__(self, ips: np.ndarray) -> None:
+        self.ips = np.unique(np.asarray(ips, dtype=np.int64))
+        width = len(self.ips)
+        self._hosts: list[Optional[bytes]] = [None] * width
+        self._rows: dict[tuple[str, str], int] = {}
+        self._parts: list[Optional[list[bytes]]] = []
+        self._keys: list[tuple[str, str]] = []
+        self._cells = np.empty((0, width), dtype=object)
+        self._filled = np.zeros((0, width), dtype=bool)
+
+    def columns(self, dst_ips: np.ndarray) -> np.ndarray:
+        """Grid column of every destination address (all must be in the grid)."""
+        dst_ips = np.asarray(dst_ips, dtype=np.int64)
+        columns = np.searchsorted(self.ips, dst_ips)
+        if len(dst_ips) and not (
+            columns.max() < len(self.ips) and (self.ips[columns] == dst_ips).all()
+        ):
+            raise KeyError("destination address outside the payload grid")
+        return columns
+
+    def row(self, key: tuple[str, str]) -> int:
+        """The grid row of one payload key, added on first use."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = len(self._keys)
+            self._keys.append(key)
+            self._parts.append(_host_parts(key))
+            if row == len(self._cells):
+                capacity = max(8, 2 * row)
+                cells = np.empty((capacity, len(self.ips)), dtype=object)
+                cells[:row] = self._cells
+                filled = np.zeros((capacity, len(self.ips)), dtype=bool)
+                filled[:row] = self._filled
+                self._cells, self._filled = cells, filled
+        return row
+
+    def http_rows(self, names: tuple[str, ...]) -> np.ndarray:
+        """Grid rows of an HTTP corpus list, in list order."""
+        return np.array([self.row(("http", name)) for name in names], dtype=np.int64)
+
+    def gather(self, rows, columns: np.ndarray) -> np.ndarray:
+        """Payload objects at ``(rows, columns)`` (``rows`` may be a scalar),
+        rendering the cells no earlier gather filled."""
+        flat = np.asarray(rows, dtype=np.int64) * len(self.ips) + columns
+        filled = self._filled.reshape(-1)
+        missing = flat[~filled[flat]]
+        if len(missing):
+            cells = self._cells.reshape(-1)
+            width = len(self.ips)
+            for cell in np.unique(missing).tolist():
+                row, column = divmod(cell, width)
+                cells[cell] = self._render(row, column)
+            filled[missing] = True
+        return self._cells.reshape(-1)[flat]
+
+    def _render(self, row: int, column: int) -> bytes:
+        host = self._hosts[column]
+        if host is None:
+            host = self._hosts[column] = int_to_ip(int(self.ips[column])).encode("ascii")
+        parts = self._parts[row]
+        if parts is not None:
+            return host.join(parts)
+        kind, name = self._keys[row]
+        return http_payload(name).render(host.decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -225,6 +313,14 @@ class PortPlan:
             commands=commands,
         )
 
+    def _command_array(self) -> np.ndarray:
+        cached = self.__dict__.get("_command_array_cache")
+        if cached is None:
+            cached = np.empty(len(self.shell_commands), dtype=object)
+            cached[:] = list(self.shell_commands)
+            object.__setattr__(self, "_command_array_cache", cached)
+        return cached
+
     def build_intent_batch(
         self,
         rng: np.random.Generator,
@@ -232,6 +328,7 @@ class PortPlan:
         src_ips: np.ndarray,
         dst_ips: np.ndarray,
         dst_regions: Optional[np.ndarray] = None,
+        payload_grid: Optional[PayloadGrid] = None,
     ) -> IntentBatch:
         """Synthesize a whole batch of session intents in columnar form.
 
@@ -247,82 +344,68 @@ class PortPlan:
            one ``integers`` batch for shell-command choices over sessions
            that drew at least one credential.
 
-        Payload rendering is memoized per (payload, host) so repeated
-        destinations cost nothing.
+        Payloads are gathered from ``payload_grid`` (a grid over the
+        batch's own destinations when None), so each distinct (payload,
+        destination) pair renders once per grid; credentials, commands
+        and per-region dialects are assigned by object-array indexing.
         """
         count = len(timestamps)
         timestamps = np.asarray(timestamps, dtype=np.float64)
         src_ips = np.asarray(src_ips, dtype=np.int64)
         dst_ips = np.asarray(dst_ips, dtype=np.int64)
-        payloads = np.empty(count, dtype=object)
         credentials = np.empty(count, dtype=object)
-        credentials[:] = [()] * count if count else []
+        credentials.fill(())
         commands = np.empty(count, dtype=object)
-        commands[:] = [()] * count if count else []
+        commands.fill(())
 
-        unique_dsts, dst_inverse = np.unique(dst_ips, return_inverse=True)
-        hosts = [_host_string(int(address)) for address in unique_dsts]
-
+        grid = payload_grid if payload_grid is not None else PayloadGrid(dst_ips)
         if self.protocol == "http" and self.http_payloads:
-            names = self.http_payloads
-            indices = rng.choice(len(names), size=count, p=self._http_probabilities())
-            combos = indices.astype(np.int64) * len(hosts) + dst_inverse
-            unique_combos, combo_inverse = np.unique(combos, return_inverse=True)
-            rendered = np.empty(len(unique_combos), dtype=object)
-            rendered[:] = [
-                render_http_cached(names[int(combo) // len(hosts)], hosts[int(combo) % len(hosts)])
-                for combo in unique_combos
-            ]
-            payloads[:] = rendered[combo_inverse]
-        elif self.interactive:
-            first = np.empty(len(hosts), dtype=object)
-            first[:] = [protocol_first_payload_cached(self.protocol, host) for host in hosts]
-            payloads[:] = first[dst_inverse]
+            indices = rng.choice(len(self.http_payloads), size=count, p=self._http_probabilities())
+            rows = grid.http_rows(self.http_payloads)[indices]
+            payloads = grid.gather(rows, grid.columns(dst_ips))
+        elif self.protocol:
+            payloads = grid.gather(grid.row(("first", self.protocol)), grid.columns(dst_ips))
+        else:
+            payloads = np.empty(count, dtype=object)
+            payloads.fill(b"")
+
+        if self.interactive:
             login_positions = np.flatnonzero(rng.random(count) >= self.banner_only_fraction)
             if len(login_positions):
                 low, high = self.credential_attempts
                 attempts = rng.integers(low, high + 1, size=len(login_positions))
                 if self.region_dialects and dst_regions is not None:
-                    regions = np.asarray(dst_regions, dtype=object)[login_positions]
-                    dialect_names = np.empty(len(regions), dtype=object)
-                    dialect_names[:] = [
+                    regions, inverse = np.unique(
+                        np.asarray(dst_regions, dtype=object)[login_positions],
+                        return_inverse=True,
+                    )
+                    dialects = [
                         self.region_dialects.get(region, self.credential_dialect)
-                        for region in regions
+                        for region in regions.tolist()
                     ]
-                    for name in sorted(set(dialect_names.tolist())):
-                        group = np.flatnonzero(dialect_names == name)
-                        sequences = sample_credentials_batch(
+                    ordered = sorted(set(dialects))
+                    codes = np.array([ordered.index(name) for name in dialects])[inverse]
+                    for code, name in enumerate(ordered):
+                        group = np.flatnonzero(codes == code)
+                        credentials[login_positions[group]] = sample_credentials_batch(
                             rng, name, attempts[group], distinct=self.distinct_credentials
                         )
-                        for position, sequence in zip(login_positions[group].tolist(), sequences):
-                            credentials[position] = sequence
                 else:
-                    sequences = sample_credentials_batch(
+                    credentials[login_positions] = sample_credentials_batch(
                         rng,
                         self.credential_dialect,
                         attempts,
                         distinct=self.distinct_credentials,
                     )
-                    for position, sequence in zip(login_positions.tolist(), sequences):
-                        credentials[position] = sequence
                 if self.shell_commands:
-                    with_credentials = [
-                        position
-                        for position in login_positions.tolist()
-                        if credentials[position]
-                    ]
-                    if with_credentials:
+                    # A login session drew credentials iff its attempt
+                    # count is positive.
+                    with_credentials = login_positions[attempts > 0]
+                    if len(with_credentials):
                         choices = rng.integers(
                             len(self.shell_commands), size=len(with_credentials)
                         )
-                        for position, choice in zip(with_credentials, choices.tolist()):
-                            commands[position] = self.shell_commands[choice]
-        elif self.protocol:
-            first = np.empty(len(hosts), dtype=object)
-            first[:] = [protocol_first_payload_cached(self.protocol, host) for host in hosts]
-            payloads[:] = first[dst_inverse]
-        else:
-            payloads[:] = [b""] * count if count else []
+                        commands[with_credentials] = self._command_array()[choices]
 
         return IntentBatch(
             dst_port=self.port,

@@ -10,7 +10,10 @@ dialect (optionally per target region).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,6 +25,7 @@ __all__ = [
     "dialect",
     "sample_credentials",
     "sample_credentials_batch",
+    "sample_distinct",
 ]
 
 
@@ -49,6 +53,16 @@ class CredentialDialect:
     def probabilities(self) -> np.ndarray:
         weights = np.asarray(self.weights, dtype=np.float64)
         return weights / weights.sum()
+
+    def pair_array(self) -> np.ndarray:
+        """``pairs`` as a 1-d object array (one tuple per element), for
+        gathering sampled pairs by index."""
+        cached = self.__dict__.get("_pair_array")
+        if cached is None:
+            cached = np.empty(len(self.pairs), dtype=object)
+            cached[:] = list(self.pairs)
+            object.__setattr__(self, "_pair_array", cached)
+        return cached
 
 
 def _geometric_weights(count: int, ratio: float = 0.62) -> tuple[float, ...]:
@@ -184,6 +198,38 @@ def dialect(name: str) -> CredentialDialect:
         raise KeyError(f"unknown credential dialect {name!r}") from None
 
 
+def sample_distinct(
+    rng: np.random.Generator, probabilities: list[float], size: int
+) -> list[int]:
+    """``rng.choice(len(probabilities), size, replace=False, p=probabilities)``
+    as a list, computed in plain Python with numpy's exact draws.
+
+    numpy's weighted no-replacement choice is a rejection loop: draw
+    ``size - found`` uniforms with ``rng.random``, zero the weights of
+    the indices found so far, take the sequential cumulative sum
+    normalized by its last element, map each uniform to
+    ``searchsorted(cdf, u, side="right")``, and keep each new index at
+    its first occurrence.  Over a credential vocabulary (at most a few
+    dozen pairs) the same arithmetic on Python floats is several times
+    cheaper than the numpy call, and it consumes the generator
+    identically, so the stream after the call is unchanged too.
+    ``size`` must not exceed the number of positive weights.
+    """
+    weights = list(probabilities)
+    found: list[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        cdf = list(accumulate(weights))
+        cdf = list(map(cdf[-1].__rtruediv__, cdf))  # each value / the total
+        fresh = list(dict.fromkeys(map(partial(bisect_right, cdf), draws)))
+        # A zero weight can never be drawn again, so zeroing only the
+        # fresh indices keeps every found index at zero.
+        for index in fresh:
+            weights[index] = 0.0
+        found.extend(fresh)
+    return found
+
+
 def sample_credentials(
     rng: np.random.Generator,
     dialect_name: str,
@@ -204,7 +250,7 @@ def sample_credentials(
     probabilities = vocabulary.probabilities()
     if distinct:
         attempts = min(attempts, len(vocabulary.pairs))
-        indices = rng.choice(len(vocabulary.pairs), size=attempts, replace=False, p=probabilities)
+        indices = sample_distinct(rng, probabilities.tolist(), attempts)
     else:
         indices = rng.choice(len(vocabulary.pairs), size=attempts, p=probabilities)
     return tuple(Credential(*vocabulary.pairs[index]) for index in indices)
@@ -215,37 +261,47 @@ def sample_credentials_batch(
     dialect_name: str,
     attempts: np.ndarray,
     distinct: bool = False,
-) -> list[tuple[tuple[str, str], ...]]:
+) -> np.ndarray:
     """Vectorized :func:`sample_credentials` for a batch of sessions.
 
     ``attempts[i]`` is session *i*'s login-attempt count; the return value
-    is one tuple of ``(username, password)`` pairs per session (plain
-    string pairs, the representation capture stacks record).  Without
-    ``distinct``, all sessions' draws collapse into a single weighted
-    ``choice`` call; distinct sampling (rare — only boosted search-engine
-    spikes use it) falls back to per-session no-replacement draws.
+    is a 1-d object array holding one tuple of ``(username, password)``
+    pairs per session (plain string pairs, the representation capture
+    stacks record).  Without ``distinct``, all sessions' draws collapse
+    into a single weighted ``choice`` call; distinct sampling (only
+    boosted search-engine spikes use it) draws session by session through
+    :func:`sample_distinct`.
     """
     vocabulary = dialect(dialect_name)
     pairs = vocabulary.pairs
     probabilities = vocabulary.probabilities()
     attempts = np.asarray(attempts, dtype=np.int64)
-    sequences: list[tuple[tuple[str, str], ...]] = [()] * len(attempts)
     if distinct:
-        for position, count in enumerate(attempts):
-            count = min(int(count), len(pairs))
-            if count <= 0:
-                continue
-            indices = rng.choice(len(pairs), size=count, replace=False, p=probabilities)
-            sequences[position] = tuple(pairs[index] for index in indices)
-        return sequences
+        attempts = np.minimum(attempts, len(pairs))
+    sequences = np.empty(len(attempts), dtype=object)
+    sequences.fill(())
     positive = np.flatnonzero(attempts > 0)
     if len(positive) == 0:
         return sequences
     counts = attempts[positive]
-    draws = rng.choice(len(pairs), size=int(counts.sum()), p=probabilities).tolist()
-    cursor = 0
-    for position, count in zip(positive.tolist(), counts.tolist()):
-        end = cursor + count
-        sequences[position] = tuple(pairs[index] for index in draws[cursor:end])
-        cursor = end
+    if distinct:
+        weights = probabilities.tolist()
+        sequences[positive] = np.fromiter(
+            (
+                tuple([pairs[index] for index in sample_distinct(rng, weights, count)])
+                for count in counts.tolist()
+            ),
+            dtype=object,
+            count=len(counts),
+        )
+        return sequences
+    drawn = vocabulary.pair_array()[
+        rng.choice(len(pairs), size=int(counts.sum()), p=probabilities)
+    ].tolist()
+    sizes = counts.tolist()
+    sequences[positive] = np.fromiter(
+        (tuple(drawn[end - size:end]) for size, end in zip(sizes, accumulate(sizes))),
+        dtype=object,
+        count=len(sizes),
+    )
     return sequences

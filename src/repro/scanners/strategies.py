@@ -64,6 +64,25 @@ class TargetSet:
     def __len__(self) -> int:
         return len(self.ips)
 
+    def matches(self, name: str, values) -> np.ndarray:
+        """Mask of destinations whose ``name`` field (``"regions"``,
+        ``"continents"`` or ``"networks"``) is one of ``values``.
+
+        Each field is integer-coded once per target set, so the many
+        strategies evaluated against one port's targets compare codes
+        instead of strings.
+        """
+        coding = self.__dict__.get("_codings", {}).get(name)
+        if coding is None:
+            labels, inverse = np.unique(getattr(self, name), return_inverse=True)
+            coding = ({label: code for code, label in enumerate(labels.tolist())}, inverse)
+            self.__dict__.setdefault("_codings", {})[name] = coding
+        codes, inverse = coding
+        wanted = [codes[value] for value in values if value in codes]
+        if len(wanted) == 1:
+            return inverse == wanted[0]
+        return np.isin(inverse, wanted)
+
 
 KIND_ORDER: tuple[NetworkKind, ...] = (
     NetworkKind.CLOUD,
@@ -172,19 +191,17 @@ class TargetStrategy:
 
         if self.continent_weights:
             for continent_code, weight in self.continent_weights.items():
-                result[targets.continents == continent_code] *= weight
+                result[targets.matches("continents", (continent_code,))] *= weight
 
         if self.region_weights:
             for region_code, weight in self.region_weights.items():
-                result[targets.regions == region_code] *= weight
+                result[targets.matches("regions", (region_code,))] *= weight
 
         if self.exclusive_regions:
-            allowed = np.isin(targets.regions, np.asarray(self.exclusive_regions, dtype=object))
-            result[~allowed] = 0.0
+            result[~targets.matches("regions", self.exclusive_regions)] = 0.0
 
         if self.exclusive_networks:
-            allowed = np.isin(targets.networks, np.asarray(self.exclusive_networks, dtype=object))
-            result[~allowed] = 0.0
+            result[~targets.matches("networks", self.exclusive_networks)] = 0.0
 
         if not self.structure.is_identity:
             result *= self.structure.weights(targets.ips)

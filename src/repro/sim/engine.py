@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a deployment<->sim cycle
 from repro.honeypots.telescope import TelescopeCapture
 from repro.net.asn import ASRegistry, default_registry
 from repro.net.ports import IANA_ASSIGNMENTS
-from repro.scanners.base import PortPlan, ScannerSpec
+from repro.scanners.base import PayloadGrid, PortPlan, ScannerSpec
 from repro.scanners.strategies import KIND_INDEX, TargetSet
 from repro.searchengines.index import SearchEngine
 from repro.sim.clock import ObservationWindow, WEEK_2021
@@ -155,7 +155,6 @@ class Simulator:
         self.spec_slice = spec_slice
         self.hub = RngHub(self.config.seed)
         self._target_sets: dict[int, TargetSet] = {}
-        self._vantage_of_index: dict[int, list[Optional[VantagePoint]]] = {}
         self._honeypot_counts: dict[int, int] = {}
         # Per port: honeypot vantages in index order + an int32 array
         # mapping each honeypot target index to its vantage's ordinal
@@ -167,6 +166,12 @@ class Simulator:
         self._listed_ip_cache: dict[tuple[str, int], np.ndarray] = {}
         # Columnar (ips, ports, first_indexed) view of an engine's index.
         self._engine_entry_cache: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Rendered payloads per (payload key, honeypot address), filled
+        # lazily by every campaign's intent batches.
+        self._payload_grid: Optional[PayloadGrid] = None
+        # Per port, for the current run: each port vantage's capture, its
+        # table's group ordinal, and its capture-policy id (see :meth:`_route`).
+        self._routes: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # phase 1: sources
@@ -251,58 +256,33 @@ class Simulator:
         if cached is not None:
             return cached
 
-        ips: list[np.ndarray] = []
-        kinds: list[np.ndarray] = []
-        regions: list[np.ndarray] = []
-        continents: list[np.ndarray] = []
-        networks: list[np.ndarray] = []
-        vantage_of_index: list[Optional[VantagePoint]] = []
-        port_vantages: list[VantagePoint] = []
-        position_runs: list[np.ndarray] = []
-
-        for vantage in self.deployment.honeypots:
-            if not vantage.stack.observes(port):
-                continue
-            count = vantage.num_ips
-            ips.append(vantage.ips)
-            kinds.append(np.full(count, KIND_INDEX[vantage.kind], dtype=np.int8))
-            regions.append(np.full(count, vantage.region_code, dtype=object))
-            continents.append(np.full(count, vantage.continent, dtype=object))
-            networks.append(np.full(count, vantage.network, dtype=object))
-            vantage_of_index.extend([vantage] * count)
-            position_runs.append(np.full(count, len(port_vantages), dtype=np.int32))
-            port_vantages.append(vantage)
-
-        telescope = self.deployment.telescope
-        if telescope is not None:
-            count = telescope.num_ips
-            ips.append(telescope.ips)
-            kinds.append(np.full(count, KIND_INDEX[telescope.kind], dtype=np.int8))
-            regions.append(np.full(count, telescope.region_code, dtype=object))
-            continents.append(np.full(count, telescope.continent, dtype=object))
-            networks.append(np.full(count, telescope.network, dtype=object))
-            vantage_of_index.extend([None] * count)  # None marks telescope bulk path
-
-        if not ips:
+        port_vantages = [
+            vantage for vantage in self.deployment.honeypots if vantage.stack.observes(port)
+        ]
+        # Honeypot indices first, in deployment order; the telescope (the
+        # aggregated bulk path) occupies the tail.
+        members = list(port_vantages)
+        if self.deployment.telescope is not None:
+            members.append(self.deployment.telescope)
+        if not members:
             raise RuntimeError(f"no vantage observes port {port}")
+        counts = [vantage.num_ips for vantage in members]
+
+        def _per_index(values: list, dtype) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=dtype), counts)
 
         targets = TargetSet(
-            ips=np.concatenate(ips),
-            kind_codes=np.concatenate(kinds),
-            regions=np.concatenate(regions),
-            continents=np.concatenate(continents),
-            networks=np.concatenate(networks),
+            ips=np.concatenate([vantage.ips for vantage in members]),
+            kind_codes=_per_index([KIND_INDEX[vantage.kind] for vantage in members], np.int8),
+            regions=_per_index([vantage.region_code for vantage in members], object),
+            continents=_per_index([vantage.continent for vantage in members], object),
+            networks=_per_index([vantage.network for vantage in members], object),
         )
         self._target_sets[port] = targets
-        self._vantage_of_index[port] = vantage_of_index
-        self._honeypot_counts[port] = sum(
-            1 for vantage in vantage_of_index if vantage is not None
-        )
+        self._honeypot_counts[port] = sum(counts[: len(port_vantages)])
         self._port_vantages[port] = port_vantages
-        self._vantage_positions[port] = (
-            np.concatenate(position_runs)
-            if position_runs
-            else np.empty(0, dtype=np.int32)
+        self._vantage_positions[port] = np.repeat(
+            np.arange(len(port_vantages), dtype=np.int32), counts[: len(port_vantages)]
         )
         return targets
 
@@ -341,8 +321,10 @@ class Simulator:
             for vantage in self.deployment.honeypots
         }
         # The run's tables share column sets run by run; consolidating
-        # them as one group gathers each column once for all of them.
-        ConsolidationGroup(capture.table for capture in captures.values())
+        # them as one group gathers each column once for all of them, and
+        # a batch's per-vantage runs append through it in one call.
+        group = ConsolidationGroup(capture.table for capture in captures.values())
+        self._routes = {}
         telescope_capture = (
             TelescopeCapture(self.deployment.telescope)
             if self.deployment.telescope is not None
@@ -355,7 +337,9 @@ class Simulator:
         try:
             lo, hi = self.spec_slice if self.spec_slice is not None else (0, len(self.population))
             for spec in self.population[lo:hi]:
-                self._run_spec(spec, source_ips[spec.scanner_id], engines, captures, telescope_capture)
+                self._run_spec(
+                    spec, source_ips[spec.scanner_id], engines, captures, telescope_capture, group
+                )
         finally:
             if tap is not None:
                 for capture in captures.values():
@@ -379,6 +363,7 @@ class Simulator:
         engines: dict[str, SearchEngine],
         captures: dict[str, VantageCapture],
         telescope_capture: Optional[TelescopeCapture],
+        group: ConsolidationGroup,
     ) -> None:
         for plan in spec.plans:
             rng = self.hub.fork("scan", spec.scanner_id, plan.port)
@@ -392,13 +377,12 @@ class Simulator:
             if sessions.sum() == 0 and spec.search_engine is None:
                 continue
 
-            vantage_of_index = self._vantage_of_index[plan.port]
             self._emit_honeypot_sessions(
-                spec, plan, rng, sources, sessions, targets, vantage_of_index, captures
+                spec, plan, rng, sources, sessions, targets, captures, group
             )
             if telescope_capture is not None:
                 self._emit_telescope_sessions(
-                    spec, plan, rng, sources, sessions, vantage_of_index, telescope_capture
+                    spec, plan, rng, sources, sessions, telescope_capture
                 )
             if spec.search_engine is not None and spec.search_engine.mode == "target":
                 self._emit_search_spikes(spec, plan, rng, sources, engines, captures)
@@ -466,8 +450,8 @@ class Simulator:
         sources: np.ndarray,
         sessions: np.ndarray,
         targets: TargetSet,
-        vantage_of_index: list[Optional[VantagePoint]],
         captures: dict[str, VantageCapture],
+        group: ConsolidationGroup,
     ) -> None:
         # Telescope destinations occupy the tail of the index space and are
         # handled by the aggregated bulk path; only walk honeypot indices.
@@ -494,6 +478,7 @@ class Simulator:
             src_ips=np.asarray(sources, dtype=np.int64)[source_indices],
             dst_ips=targets.ips[dst_index].astype(np.int64),
             dst_regions=targets.regions[dst_index],
+            payload_grid=self._payloads(),
         )
         batch_asns = source_asns[source_indices]
 
@@ -510,33 +495,94 @@ class Simulator:
 
         # Dispatch contiguous per-vantage runs (vantages occupy contiguous
         # index ranges, so sorting is unnecessary; enforcement filtering
-        # preserves order, so runs stay contiguous).  Capture columns are
-        # computed once per distinct stack *policy* — every GreyNoise
-        # sensor on a non-Cowrie port shares one column set, etc. — and
-        # each vantage's table appends a zero-copy [start, stop) view.
+        # preserves order, so runs stay contiguous).
         positions = self._vantage_positions[plan.port][dst_index]
         boundaries = np.flatnonzero(np.diff(positions)) + 1
         starts = np.concatenate(([0], boundaries))
         stops = np.concatenate((boundaries, [total]))
-        vantages = self._port_vantages[plan.port]
-        scalar = self.config.emission == "scalar"
-        port = plan.port
-        shared_columns: dict[tuple, dict] = {}
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            vantage = vantages[int(positions[start])]
-            capture = captures[vantage.vantage_id]
-            if scalar:
+        run_vantages = positions[starts]
+        if self.config.emission == "scalar":
+            vantages = self._port_vantages[plan.port]
+            for ordinal, start, stop in zip(run_vantages.tolist(), starts.tolist(), stops.tolist()):
+                capture = captures[vantages[ordinal].vantage_id]
                 self._dispatch(capture, batch.slice(start, stop), batch_asns[start:stop], True)
-                continue
-            key = vantage.stack.batch_policy_key(port)
-            if key is None:
-                capture.record_batch(batch.slice(start, stop), batch_asns[start:stop])
-                continue
-            columns = shared_columns.get(key)
-            if columns is None:
-                columns = vantage.stack.capture_batch_columns(batch, batch_asns)
-                shared_columns[key] = columns
-            capture.table.append_view(columns, start, stop)
+            return
+        self._append_runs(
+            plan.port, batch, batch_asns, run_vantages, starts, stops, captures, group
+        )
+
+    def _route(self, port: int, captures: dict[str, VantageCapture]) -> tuple:
+        """``(captures, members, policies, stacks)`` for one port, built
+        once per run: each port vantage's capture and its table's ordinal
+        in the run's consolidation group, its capture-policy id (-1 for
+        stacks without a shareable batch policy), and one representative
+        stack per policy id."""
+        route = self._routes.get(port)
+        if route is None:
+            port_captures = [
+                captures[vantage.vantage_id] for vantage in self._port_vantages[port]
+            ]
+            members = np.array(
+                [capture.table._ordinal for capture in port_captures], dtype=np.int64
+            )
+            policy_ids: dict[tuple, int] = {}
+            stacks: list = []
+            policies = np.empty(len(port_captures), dtype=np.int64)
+            for ordinal, capture in enumerate(port_captures):
+                stack = capture.vantage.stack
+                key = stack.batch_policy_key(port)
+                if key is None:
+                    policies[ordinal] = -1
+                    continue
+                if key not in policy_ids:
+                    policy_ids[key] = len(stacks)
+                    stacks.append(stack)
+                policies[ordinal] = policy_ids[key]
+            route = self._routes[port] = (port_captures, members, policies, stacks)
+        return route
+
+    def _append_runs(
+        self,
+        port: int,
+        batch,
+        batch_asns: np.ndarray,
+        run_vantages: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        captures: dict[str, VantageCapture],
+        group: ConsolidationGroup,
+    ) -> None:
+        """Capture a batch's per-vantage runs into their tables, in run order.
+
+        Capture columns are computed once per distinct stack *policy* in
+        the batch — every GreyNoise sensor on a non-Cowrie port shares one
+        column set, etc. — and every run appends a zero-copy
+        ``[start, stop)`` view of its policy's columns through one bulk
+        :meth:`ConsolidationGroup.append_runs` call.  Runs on stacks
+        without a shareable policy go through ``record_batch`` in place,
+        between bulk calls, so rows and tap notifications keep run order.
+        """
+        port_captures, members, policies, stacks = self._route(port, captures)
+        run_policies = policies[run_vantages]
+        # One slot per policy plus a trailing empty one that policy -1
+        # (a per-run stack) indexes.
+        column_sets = np.empty(len(stacks) + 1, dtype=object)
+        for policy in np.unique(run_policies).tolist():
+            if policy >= 0:
+                column_sets[policy] = stacks[policy].capture_batch_columns(batch, batch_asns)
+        run_members = members[run_vantages]
+        run_columns = column_sets[run_policies]
+        lo = 0
+        for run in np.flatnonzero(run_policies < 0).tolist():
+            group.append_runs(
+                run_members[lo:run], run_columns[lo:run], starts[lo:run], stops[lo:run]
+            )
+            start, stop = int(starts[run]), int(stops[run])
+            port_captures[int(run_vantages[run])].record_batch(
+                batch.slice(start, stop), batch_asns[start:stop]
+            )
+            lo = run + 1
+        group.append_runs(run_members[lo:], run_columns[lo:], starts[lo:], stops[lo:])
 
     @staticmethod
     def _dispatch(
@@ -559,13 +605,10 @@ class Simulator:
         rng: np.random.Generator,
         sources: np.ndarray,
         sessions: np.ndarray,
-        vantage_of_index: list[Optional[VantagePoint]],
         telescope_capture: TelescopeCapture,
     ) -> None:
         telescope = telescope_capture.vantage
-        total = len(vantage_of_index)
-        start = total - telescope.num_ips
-        telescope_sessions = sessions[start:]
+        telescope_sessions = sessions[len(sessions) - telescope.num_ips:]
         total_hits = int(telescope_sessions.sum())
         if total_hits == 0:
             return
@@ -663,6 +706,7 @@ class Simulator:
                 ),
                 counts,
             ),
+            payload_grid=self._payloads(),
         )
         batch_asns = source_asns[source_indices]
         # Candidate (vantage) index per row; ``selected`` ascends, so the
@@ -710,6 +754,15 @@ class Simulator:
     def _source_asns(self, spec: ScannerSpec, sources: np.ndarray) -> np.ndarray:
         # All of a campaign's sources live in its origin AS by construction.
         return np.full(len(sources), spec.asn, dtype=np.int64)
+
+    def _payloads(self) -> PayloadGrid:
+        if self._payload_grid is None:
+            self._payload_grid = PayloadGrid(
+                np.concatenate([vantage.ips for vantage in self.deployment.honeypots])
+                if self.deployment.honeypots
+                else np.empty(0, dtype=np.int64)
+            )
+        return self._payload_grid
 
     def _honeypot_by_ip(self) -> dict[int, VantagePoint]:
         if self._honeypot_ip_cache is None:

@@ -44,6 +44,11 @@ def test_run_bench_smoke(tmp_path):
     assert record["events"] > 0
     assert set(record["stages"]) == {"deployment", "population", "simulation", "dataset"}
     assert all(value >= 0 for value in record["stages"].values())
+    # Simulation throughput is events over the recorded simulation stage.
+    assert record["simulation_events_per_s"] == round(
+        record["events"] / record["stages"]["simulation"], 1
+    )
+    assert record["simulation_events_per_s"] > 0
     assert "T1" in record["experiments"]
     records = json.loads(path.read_text())
     assert records[-1] == record

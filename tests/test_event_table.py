@@ -245,6 +245,76 @@ def test_group_consolidation_equals_per_table_consolidation(data):
             assert got.tolist() == want.tolist(), name
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bulk_run_appends_equal_per_run_appends(data):
+    """``ConsolidationGroup.append_runs`` leaves every member with the
+    runs, rows and tap notifications of one ``append_view`` per run,
+    interleaved with single appends and with reads between appends."""
+    column_sets = data.draw(st.lists(_column_sets(), min_size=1, max_size=4))
+    count = data.draw(st.integers(min_value=1, max_value=4))
+    hooked = data.draw(st.booleans())
+    set_index = {id(columns): index for index, (_length, columns) in enumerate(column_sets)}
+
+    def build(grouped: bool):
+        tables = [
+            EventTable(f"hp-{index}", "aws", NetworkKind.CLOUD, "US-East")
+            for index in range(count)
+        ]
+        group = ConsolidationGroup(tables) if grouped else None
+        seen: list = []
+        if hooked:
+            def tap(table, columns, start, stop):
+                seen.append((table.vantage_id, set_index.get(id(columns), "row"), start, stop))
+
+            for table in tables:
+                table.set_append_hook(tap)
+        return tables, group, seen
+
+    bulk, group, bulk_seen = build(grouped=True)
+    # The reference: ungrouped tables, one append_view per run.
+    reference, _none, reference_seen = build(grouped=False)
+
+    @st.composite
+    def runs(draw):
+        length, columns = draw(st.sampled_from(column_sets))
+        start = draw(st.integers(min_value=0, max_value=length))
+        return draw(st.integers(0, count - 1)), columns, start, draw(st.integers(start, length))
+
+    for _step in range(data.draw(st.integers(min_value=1, max_value=6))):
+        action = data.draw(st.sampled_from(("bulk", "event", "read")))
+        if action == "bulk":
+            batch = data.draw(st.lists(runs(), max_size=6))
+            column_array = np.empty(len(batch), dtype=object)
+            column_array[:] = [columns for _member, columns, _start, _stop in batch]
+            group.append_runs(
+                np.array([run[0] for run in batch], dtype=np.int64), column_array,
+                np.array([run[2] for run in batch], dtype=np.int64),
+                np.array([run[3] for run in batch], dtype=np.int64),
+            )
+            for member, columns, start, stop in batch:
+                reference[member].append_view(columns, start, stop)
+        elif action == "event":
+            member, event = data.draw(st.integers(0, count - 1)), data.draw(_events)
+            bulk[member].append_event(event)
+            reference[member].append_event(event)
+        else:
+            member, name = data.draw(st.integers(0, count - 1)), data.draw(st.sampled_from(sorted(_ACCESSORS)))
+            getattr(bulk[member], _ACCESSORS[name])
+
+    assert bulk_seen == reference_seen
+    for got, want in zip(bulk, reference):
+        assert len(got) == len(want)
+        assert [(set_index.get(id(c), "row"), a, b) for c, a, b in got._chunks] == [
+            (set_index.get(id(c), "row"), a, b) for c, a, b in want._chunks
+        ]
+        for name, accessor in _ACCESSORS.items():
+            expected = concat_runs(want._chunks, name)
+            column = getattr(got, accessor)
+            assert column.dtype == expected.dtype, name
+            assert column.tolist() == expected.tolist(), name
+
+
 def test_ungrouped_whole_array_run_stays_a_view():
     src_ip = np.arange(5, dtype=np.int64)
     table = EventTable("hp-1", "aws", NetworkKind.CLOUD, "US-East")
