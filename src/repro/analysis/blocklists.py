@@ -16,7 +16,7 @@ simulated dataset:
   region coverage matrix (the deliverable the paper asks for).
 
 All three need a table-backed dataset: they read the source columns and
-the dataset coder's memoized per-event maliciousness column, never rows.
+the dataset coder's per-event maliciousness label, never rows.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ def _group_tables(dataset: AnalysisDataset, vantages: Sequence[VantagePoint]):
     if dataset.tables is None:
         raise ValueError("blocklist analyses require a table-backed dataset")
     tables = (dataset.tables.get(vantage.vantage_id) for vantage in vantages)
-    return dataset_coder(dataset), [
-        table for table in tables if table is not None and len(table)
-    ]
+    tables = [table for table in tables if table is not None and len(table)]
+    coder = dataset_coder(dataset)
+    coder.intern(tables)
+    return coder, tables
 
 
 def build_blocklist(
@@ -69,6 +70,8 @@ def build_blocklist(
     window (an oracle blocklist; pass half the window for a realistic
     train/apply split).
     """
+    from repro.analysis.contingency_engine import _unique_ints
+
     coder, tables = _group_tables(dataset, vantages)
     parts = []
     for table in tables:
@@ -76,7 +79,7 @@ def build_blocklist(
         if until_hour is not None:
             mask = mask & (table.timestamps < until_hour)
         parts.append(table.src_ip[mask])
-    return set(np.unique(np.concatenate(parts)).tolist()) if parts else set()
+    return set(_unique_ints(np.concatenate(parts)).tolist()) if parts else set()
 
 
 def load_blocklist_file(path) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -150,6 +153,8 @@ def _coverage(
     blocklist: Iterable[int], asns: Iterable[int], sources: tuple[np.ndarray, np.ndarray]
 ) -> BlocklistCoverage:
     """Score IP and AS entries against ``_malicious_sources`` output."""
+    from repro.analysis.contingency_engine import _unique_ints
+
     blocked_set = set(blocklist)
     blocked_asns = set(asns)
     src_ips, src_asns = sources
@@ -159,8 +164,8 @@ def _coverage(
         blocklist_size=len(blocked_set) + len(blocked_asns),
         malicious_events=int(src_ips.size),
         blocked_events=int(np.count_nonzero(blocked)),
-        malicious_ips=int(np.unique(src_ips).size),
-        blocked_ips=int(np.unique(src_ips[blocked]).size),
+        malicious_ips=int(_unique_ints(src_ips).size),
+        blocked_ips=int(_unique_ints(src_ips[blocked]).size),
     )
 
 

@@ -14,12 +14,14 @@ columns instead:
 
 * each characteristic is **integer-coded** (``np.unique`` for numeric
   columns, dictionary interning over the consolidated object columns,
-  so each distinct payload is fingerprinted and stripped once, not once
-  per row), and the Section 3.2 maliciousness label becomes one memoized
-  per-event column per table, classified once per distinct
-  (payload, port, attempted_login) triple;
+  so each distinct payload is fingerprinted, stripped and matched
+  against the ruleset once, not once per row — the rule engine takes
+  every new distinct payload as one batch), and the Section 3.2
+  maliciousness label becomes one gather per table over a per-payload
+  alert flag;
 * per-(vantage × characteristic) **count matrices** are materialized
-  with ``np.bincount`` for every standard slice;
+  with one ``np.bincount`` per (slice, characteristic) over the view's
+  concatenated columns, keyed by vantage position × category code;
 * the matrices are **additively mergeable across shards**: the build
   runs through the PR 6 ``map_shard``/``reduce`` protocol
   (:func:`~repro.experiments.base.run_shard_wise`), so sharded datasets
@@ -42,13 +44,14 @@ same float64 values in the same row/column order and fed to the same
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.detection.engine import Alert
 from repro.detection.fingerprint import fingerprint
 from repro.experiments.base import ShardView, run_shard_wise
 from repro.scanners.payloads import strip_ephemeral_headers
@@ -81,11 +84,6 @@ ENGINE_SLICES: tuple[str, ...] = (
 
 _POPULAR_ARRAY = np.array(POPULAR_PORTS, dtype=np.int64)
 
-#: Bits reserved for (port, attempted_login) in the packed triple key
-#: used to memoize maliciousness per distinct (payload, port, login).
-_PORT_BITS = 17
-_PORT_MASK = (1 << _PORT_BITS) - 1
-
 
 def _unique_ints(values: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-d integer array by one sort and a mask: the
@@ -97,36 +95,39 @@ def _unique_ints(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _grow_lookup(
-    source: list, buffer: Optional[np.ndarray], filled: int
-) -> tuple[np.ndarray, int]:
-    """Mirror a growing int list into a capacity-doubling int64 buffer.
+class _Growing:
+    """A per-payload derived column in a capacity-doubling array: the
+    coder extends it once per batch of new payloads, and every lookup
+    reads it without copying."""
 
-    The coder's per-payload derived tables grow while the build walks
-    the tables; copying only the unseen tail keeps the per-table lookup
-    amortized O(new) instead of O(total).
-    """
-    length = len(source)
-    if buffer is None or buffer.shape[0] < length:
-        grown = np.empty(max(1024, 2 * length), dtype=np.int64)
-        if filled:
-            grown[:filled] = buffer[:filled]
-        buffer = grown
-    if length > filled:
-        buffer[filled:length] = source[filled:]
-        filled = length
-    return buffer, filled
+    def __init__(self, dtype) -> None:
+        self._buffer = np.empty(1024, dtype=dtype)
+        self.size = 0
+
+    def extend(self, values: Sequence) -> None:
+        size = self.size + len(values)
+        if size > self._buffer.shape[0]:
+            grown = np.empty(2 * size, dtype=self._buffer.dtype)
+            grown[: self.size] = self._buffer[: self.size]
+            self._buffer = grown
+        self._buffer[self.size : size] = values
+        self.size = size
+
+    def view(self) -> np.ndarray:
+        return self._buffer[: self.size]
 
 
 class _ShardCoder:
     """Interns one shard's object-column values as integer codes.
 
-    Payloads are coded once per *distinct* value; fingerprint, stripped
-    form, Snort alerts and the maliciousness verdict are derived per
-    code, never per event.  The same coder serves the matrix build, the
-    per-source aggregation, the leak histograms and every consumer of
-    the §3.2 label (:meth:`malicious`), so each table is coded and
-    classified exactly once per dataset.
+    Payloads are coded once per *distinct* value.  Their fingerprint,
+    stripped form and Snort alerts are derived per code, never per
+    event, in one pass over every payload interned since the last one:
+    the rule engine matches them as one batch.  The same coder serves
+    the matrix build, the per-source aggregation, the leak histograms
+    and every consumer of the §3.2 label (:meth:`malicious`, one gather
+    per table), so each distinct payload is classified exactly once per
+    dataset.
     """
 
     def __init__(self, classifier) -> None:
@@ -135,22 +136,43 @@ class _ShardCoder:
         self.payload_values: list[Any] = []
         self.fp_codes: dict[Optional[str], int] = {}
         self.fp_values: list[Optional[str]] = []
-        self.fp_of_payload: list[int] = []
         self.stripped_codes: dict[bytes, int] = {}
         self.stripped_values: list[bytes] = []
-        self.stripped_of_payload: list[int] = []  # -1 for empty payloads
         self.user_codes: dict[str, int] = {}
         self.user_values: list[str] = []
         self.pass_codes: dict[str, int] = {}
         self.pass_values: list[str] = []
         self.as_codes: dict[int, int] = {}
         self.as_values: list[int] = []
-        self._malicious_memo: dict[int, bool] = {}
-        self._family_memo: dict[int, tuple[str, ...]] = {}
-        self._fp_array: Optional[np.ndarray] = None
-        self._fp_filled = 0
-        self._stripped_array: Optional[np.ndarray] = None
-        self._stripped_filled = 0
+        # One code per rule of the engine.  Port-scoped rules keep their
+        # sorted destination ports: ``alerts(payload, port)`` is
+        # ``alerts(payload)`` minus the scoped alerts whose ports miss.
+        rules = classifier.rule_engine.rules
+        self._alert_code = {
+            Alert(rule.sid, rule.msg, rule.classtype): code
+            for code, rule in enumerate(rules)
+        }
+        self.family_values: list[str] = sorted({rule.classtype for rule in rules})
+        family_code = {family: code for code, family in enumerate(self.family_values)}
+        self._family_of_alert = np.array(
+            [family_code[rule.classtype] for rule in rules], dtype=np.int64
+        )
+        self._scopes: list[tuple[int, np.ndarray]] = [
+            (code, np.array(sorted(rule.dst_ports), dtype=np.int64))
+            for code, rule in enumerate(rules)
+            if rule.dst_ports is not None
+        ]
+        # Per-payload derived columns (payload code -> value).  A
+        # payload's alert codes are the next ``_alert_count`` entries of
+        # ``_alert_flat``; ``_alerting`` flags payloads that fire a rule
+        # with no port scope, ``_scope_fired[k]`` those that fire scoped
+        # rule k.
+        self._fp = _Growing(np.int64)
+        self._stripped = _Growing(np.int64)  # -1 for empty payloads
+        self._alert_count = _Growing(np.int64)
+        self._alert_flat = _Growing(np.int64)
+        self._alerting = _Growing(bool)
+        self._scope_fired = [_Growing(bool) for _scope in self._scopes]
         # Per-table coded columns, keyed by table identity (the table is
         # pinned in the value so ids cannot be recycled).  The matrix
         # build and the source build walk the same tables; sharing one
@@ -160,7 +182,6 @@ class _ShardCoder:
         self._payload_memo: dict[int, tuple] = {}
         self._login_memo: dict[int, tuple] = {}
         self._table_memo: dict[int, tuple] = {}
-        self._flags_memo: dict[int, tuple] = {}
 
     @staticmethod
     def _memoized(memo: dict, table, build):
@@ -190,31 +211,47 @@ class _ShardCoder:
             lambda table: (self.payload_column(table), self.code_credentials(table)),
         )
 
+    def intern(self, tables: Iterable) -> None:
+        """Code every table's payloads, then derive the new ones in one
+        pass — for callers that go on to read the label table by table."""
+        for table in tables:
+            self.payload_column(table)
+        self._derive()
+
     def _derive(self) -> None:
-        """Fingerprint and strip the payloads interned since the last call,
-        in code order.  Deferred from interning because the §3.2 label
-        needs payload identity only."""
-        for payload in self.payload_values[len(self.fp_of_payload):]:
-            self.fp_of_payload.append(self._fp_code(fingerprint(payload)))
-            self.stripped_of_payload.append(
-                self._stripped_code(strip_ephemeral_headers(payload)) if payload else -1
-            )
+        """Fingerprint, strip and classify the payloads interned since the
+        last call, in code order, with one batch call to the rule engine.
+        Deferred from interning so a caller can intern a whole view
+        first."""
+        new = self.payload_values[self._fp.size:]
+        if not new:
+            return
+        fp_code, stripped_code = self._fp_code, self._stripped_code
+        self._fp.extend([fp_code(fingerprint(payload)) for payload in new])
+        self._stripped.extend(
+            [stripped_code(strip_ephemeral_headers(payload)) if payload else -1
+             for payload in new]
+        )
+        fired = [
+            [self._alert_code[alert] for alert in alerts]
+            for alerts in self.classifier.rule_engine.alerts_batch(new)
+        ]
+        self._alert_count.extend([len(codes) for codes in fired])
+        self._alert_flat.extend(list(chain.from_iterable(fired)))
+        scoped = {code for code, _ports in self._scopes}
+        self._alerting.extend([not scoped.issuperset(codes) for codes in fired])
+        for (code, _ports), column in zip(self._scopes, self._scope_fired):
+            column.extend([code in codes for codes in fired])
 
     def fp_lookup(self) -> np.ndarray:
-        """``fp_of_payload`` as an array, amortized against list growth."""
+        """Fingerprint code of every payload code."""
         self._derive()
-        self._fp_array, self._fp_filled = _grow_lookup(
-            self.fp_of_payload, self._fp_array, self._fp_filled
-        )
-        return self._fp_array[: len(self.fp_of_payload)]
+        return self._fp.view()
 
     def stripped_lookup(self) -> np.ndarray:
-        """``stripped_of_payload`` as an array, amortized against list growth."""
+        """Stripped-payload code of every payload code (-1 when empty)."""
         self._derive()
-        self._stripped_array, self._stripped_filled = _grow_lookup(
-            self.stripped_of_payload, self._stripped_array, self._stripped_filled
-        )
-        return self._stripped_array[: len(self.stripped_of_payload)]
+        return self._stripped.view()
 
     # -- value interning ------------------------------------------------
 
@@ -261,15 +298,15 @@ class _ShardCoder:
     # -- column coding --------------------------------------------------
 
     def code_payloads(self, table) -> np.ndarray:
-        """Per-event payload codes; only unseen payloads are interned."""
-        get = self.payload_codes.get
-        intern = self.payload_code
-        return np.array(
-            [
-                intern(payload) if (code := get(payload)) is None else code
-                for payload in table.payloads.tolist()
-            ],
-            dtype=np.int64,
+        """Per-event payload codes; only unseen payloads are interned, in
+        first-occurrence order."""
+        payloads = table.payloads.tolist()
+        codes = self.payload_codes
+        for payload in dict.fromkeys(payloads):
+            if payload not in codes:
+                self.payload_code(payload)
+        return np.fromiter(
+            map(codes.__getitem__, payloads), dtype=np.int64, count=len(payloads)
         )
 
     def code_credentials(self, table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -297,13 +334,13 @@ class _ShardCoder:
         lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
         return has, np.repeat(rows, lengths), users[codes], passwords[codes]
 
-    def code_asns(self, table) -> np.ndarray:
-        """Per-event source-AS codes (vectorized per vantage)."""
-        uniq, inverse = np.unique(
-            np.asarray(table.src_asn, dtype=np.int64), return_inverse=True
-        )
-        remap = np.empty(len(uniq), dtype=np.int64)
+    def code_asns(self, asns: np.ndarray) -> np.ndarray:
+        """Per-event source-AS codes: one unique over the column, then
+        each distinct AS is interned."""
+        uniq = _unique_ints(asns)
+        inverse = np.searchsorted(uniq, asns)
         get = self.as_codes.get
+        remap = np.empty(len(uniq), dtype=np.int64)
         for index, value in enumerate(uniq.tolist()):
             code = get(value)
             if code is None:
@@ -315,50 +352,54 @@ class _ShardCoder:
 
     # -- derived per-event flags ----------------------------------------
 
-    def malicious(self, table) -> np.ndarray:
-        """Memoized Section 3.2 maliciousness of every event of one table,
-        classified once per distinct (payload, port, attempted_login)
-        triple.
-
-        Payload codes plus the login flag are exactly the triple the
-        label depends on, so one column serves every consumer of it.
-        """
-        hit = self._flags_memo.get(id(table))
-        if hit is not None and hit[0] is table:
-            return hit[1]
-        keys = (
-            (self.payload_column(table) << (_PORT_BITS + 1))
-            | (np.asarray(table.dst_port, dtype=np.int64) << 1)
-            | self.login_flags(table).astype(np.int64)
-        )
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        verdicts = np.empty(len(uniq), dtype=bool)
-        memo = self._malicious_memo
-        classify = self.classifier.is_malicious_parts
-        values = self.payload_values
-        for index, key in enumerate(uniq.tolist()):
-            verdict = memo.get(key)
-            if verdict is None:
-                payload = values[key >> (_PORT_BITS + 1)]
-                port = (key >> 1) & _PORT_MASK
-                verdict = bool(classify(payload, port, bool(key & 1)))
-                memo[key] = verdict
-            verdicts[index] = verdict
-        flags = verdicts[inverse]
-        self._flags_memo[id(table)] = (table, flags)
+    def label(
+        self, payload_codes: np.ndarray, ports: np.ndarray, login: np.ndarray
+    ) -> np.ndarray:
+        """Section 3.2 maliciousness of events given their payload codes,
+        destination ports and attempted-login flags: a login attempt, or
+        an alert from a rule that covers the event's port."""
+        self._derive()
+        flags = login | self._alerting.view()[payload_codes]
+        for (_code, scope_ports), fired in zip(self._scopes, self._scope_fired):
+            flags |= fired.view()[payload_codes] & np.isin(ports, scope_ports)
         return flags
 
-    def families_of(self, payload_code: int, port: int) -> tuple[str, ...]:
-        """Snort alert classtypes of one distinct (payload, port) pair."""
-        key = (payload_code << (_PORT_BITS + 1)) | (port << 1)
-        families = self._family_memo.get(key)
-        if families is None:
-            alerts = self.classifier.rule_engine.alerts(
-                self.payload_values[payload_code], port
-            )
-            families = tuple(alert.classtype for alert in alerts)
-            self._family_memo[key] = families
-        return families
+    def malicious(self, table) -> np.ndarray:
+        """Section 3.2 maliciousness of every event of one table.
+
+        Payload codes plus the login flag (and the port, for port-scoped
+        rules) are all the label depends on, so one gather per table
+        serves every consumer of it.
+        """
+        return self.label(
+            self.payload_column(table), table.dst_port, self.login_flags(table)
+        )
+
+    def alert_families(
+        self, payload_codes: np.ndarray, ports: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, family code)`` of every alert ``alerts(payload, port)``
+        raises on each (payload code, port) row.  Family codes index
+        :attr:`family_values`, the sorted Snort classtypes of the rules."""
+        self._derive()
+        counts = self._alert_count.view()
+        starts = (np.cumsum(counts) - counts)[payload_codes]
+        sizes = counts[payload_codes]
+        ends = np.cumsum(sizes)
+        rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        # Output slot j of row r reads the payload's alert
+        # starts[r] + (j - (ends[r] - sizes[r])).
+        flat = np.repeat(starts - (ends - sizes), sizes) + np.arange(
+            int(ends[-1]) if len(ends) else 0, dtype=np.int64
+        )
+        alerts = self._alert_flat.view()[flat]
+        if self._scopes:
+            keep = np.ones(len(alerts), dtype=bool)
+            alert_ports = ports[rows]
+            for code, scope_ports in self._scopes:
+                keep &= (alerts != code) | np.isin(alert_ports, scope_ports)
+            rows, alerts = rows[keep], alerts[keep]
+        return rows, self._family_of_alert[alerts]
 
 
 def _slice_masks(
@@ -429,74 +470,116 @@ def dataset_coder(dataset) -> "_ShardCoder":
     return coder
 
 
+@dataclass
+class _ViewColumns:
+    """One shard view's event columns, concatenated once in merged-dataset
+    vantage order.  Built inside a map and dropped with it."""
+
+    position: np.ndarray       # vantage position of each event
+    row: np.ndarray            # row of each event within its vantage table
+    payload: np.ndarray        # payload codes
+    port: np.ndarray
+    src: np.ndarray
+    asn: np.ndarray
+    login: np.ndarray          # attempted-login flags
+    pair_event: np.ndarray     # event of each credential pair
+    pair_user: np.ndarray
+    pair_password: np.ndarray
+
+
+def _view_columns(view: ShardView, coder: "_ShardCoder") -> _ViewColumns:
+    """Concatenate a view's columns; every payload of the view is interned
+    before anything is derived from it."""
+    items = _sorted_view_tables(view)
+    tables = [table for _position, table in items]
+    lengths = np.array([len(table) for table in tables], dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    total = int(lengths.sum())
+    coded = [coder.coded(table) for table in tables]
+    creds = [credentials for _payloads, credentials in coded]
+
+    def concat(parts, dtype=np.int64) -> np.ndarray:
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    return _ViewColumns(
+        position=np.repeat(
+            np.array([position for position, _table in items], dtype=np.int64), lengths
+        ),
+        row=np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths),
+        payload=concat([payloads for payloads, _credentials in coded]),
+        port=concat([np.asarray(table.dst_port, dtype=np.int64) for table in tables]),
+        src=concat([np.asarray(table.src_ip, dtype=np.int64) for table in tables]),
+        asn=concat([np.asarray(table.src_asn, dtype=np.int64) for table in tables]),
+        login=concat([has for has, _rows, _users, _passwords in creds], dtype=bool),
+        pair_event=concat(
+            [rows + offset
+             for (_has, rows, _users, _passwords), offset in zip(creds, offsets)]
+        ),
+        pair_user=concat([users for _has, _rows, users, _passwords in creds]),
+        pair_password=concat([passwords for _has, _rows, _users, passwords in creds]),
+    )
+
+
 def _matrix_map(view: ShardView, coder: "_ShardCoder") -> _MatrixPartial:
     n_vantages = len(view.order)
-    events = {key: np.zeros(n_vantages, dtype=np.int64) for key in ENGINE_SLICES}
-    malicious = {key: np.zeros(n_vantages, dtype=np.int64) for key in ENGINE_SLICES}
-    cred_events = np.zeros(n_vantages, dtype=np.int64)
-    # Per-vantage bincounts are parked with their then-current column
-    # width and padded to the shard's final width afterwards (the code
-    # tables only grow, so bincounts are prefixes of the final layout).
-    pending: dict[tuple[str, str], list[tuple[int, np.ndarray]]] = defaultdict(list)
-
-    for row, table in _sorted_view_tables(view):
-        ports = np.asarray(table.dst_port, dtype=np.int64)
-        payload_codes, creds = coder.coded(table)
-        has_cred, pair_rows, pair_users, pair_passwords = creds
-        as_codes = coder.code_asns(table)
-        event_fp = coder.fp_lookup()[payload_codes]
-        stripped = coder.stripped_lookup()[payload_codes]
-        mal = coder.malicious(table)
-        cred_events[row] = int(has_cred.sum())
-        nonempty_payload = stripped >= 0
-        http_code = coder.fp_codes.get("http", -1)
-
-        for slice_key, mask in _slice_masks(ports, event_fp, http_code).items():
-            if mask is None:
-                events[slice_key][row] = len(table)
-                malicious[slice_key][row] = int(mal.sum())
-                slice_as = as_codes
-                slice_payload = stripped[nonempty_payload]
-                pair_sel = slice(None)
-            else:
-                events[slice_key][row] = int(mask.sum())
-                malicious[slice_key][row] = int((mal & mask).sum())
-                slice_as = as_codes[mask]
-                slice_payload = stripped[mask & nonempty_payload]
-                pair_sel = mask[pair_rows] if pair_rows.size else slice(None)
-            if slice_as.size:
-                pending[(slice_key, "as")].append((row, np.bincount(slice_as)))
-            if slice_payload.size:
-                pending[(slice_key, "payload")].append((row, np.bincount(slice_payload)))
-            if pair_rows.size:
-                users = pair_users[pair_sel]
-                if users.size:
-                    pending[(slice_key, "username")].append((row, np.bincount(users)))
-                    pending[(slice_key, "password")].append(
-                        (row, np.bincount(pair_passwords[pair_sel]))
-                    )
-
+    columns = _view_columns(view, coder)
+    position = columns.position
+    as_codes = coder.code_asns(columns.asn)
+    event_fp = coder.fp_lookup()[columns.payload]
+    stripped = coder.stripped_lookup()[columns.payload]
+    mal = coder.label(columns.payload, columns.port, columns.login)
+    pair_position = position[columns.pair_event]
+    nonempty_payload = stripped >= 0
+    http_code = coder.fp_codes.get("http", -1)
     values = {
         "as": list(coder.as_values),
         "username": list(coder.user_values),
         "password": list(coder.pass_values),
         "payload": list(coder.stripped_values),
     }
+
+    def per_vantage(positions: np.ndarray) -> np.ndarray:
+        return np.bincount(positions, minlength=n_vantages)
+
+    def matrix(
+        characteristic: str, positions: np.ndarray, codes: np.ndarray
+    ) -> np.ndarray:
+        width = len(values[characteristic])
+        return np.bincount(
+            positions * width + codes, minlength=n_vantages * width
+        ).reshape(n_vantages, width)
+
+    events: dict[str, np.ndarray] = {}
+    malicious: dict[str, np.ndarray] = {}
     counts: dict[tuple[str, str], np.ndarray] = {}
-    for slice_key in ENGINE_SLICES:
-        for characteristic in CHARACTERISTICS:
-            matrix = np.zeros(
-                (n_vantages, len(values[characteristic])), dtype=np.int64
-            )
-            for row, bincount in pending.get((slice_key, characteristic), ()):
-                matrix[row, : len(bincount)] += bincount
-            counts[(slice_key, characteristic)] = matrix
+    for slice_key, mask in _slice_masks(columns.port, event_fp, http_code).items():
+        if mask is None:
+            events[slice_key] = per_vantage(position)
+            malicious[slice_key] = per_vantage(position[mal])
+            counts[(slice_key, "as")] = matrix("as", position, as_codes)
+            payload_rows = nonempty_payload
+            pair_rows = slice(None)
+        else:
+            events[slice_key] = per_vantage(position[mask])
+            malicious[slice_key] = per_vantage(position[mal & mask])
+            counts[(slice_key, "as")] = matrix("as", position[mask], as_codes[mask])
+            payload_rows = mask & nonempty_payload
+            pair_rows = mask[columns.pair_event]
+        counts[(slice_key, "username")] = matrix(
+            "username", pair_position[pair_rows], columns.pair_user[pair_rows]
+        )
+        counts[(slice_key, "password")] = matrix(
+            "password", pair_position[pair_rows], columns.pair_password[pair_rows]
+        )
+        counts[(slice_key, "payload")] = matrix(
+            "payload", position[payload_rows], stripped[payload_rows]
+        )
     return _MatrixPartial(
         values=values,
         counts=counts,
         events=events,
         malicious=malicious,
-        cred_events=cred_events,
+        cred_events=per_vantage(position[columns.login]),
     )
 
 
@@ -751,41 +834,8 @@ def _unique_rows(*columns: np.ndarray) -> np.ndarray:
 
 
 def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
-    src_parts: list[np.ndarray] = []
-    vpos_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    asn_parts: list[np.ndarray] = []
-    port_parts: list[np.ndarray] = []
-    fp_parts: list[np.ndarray] = []
-    pcode_parts: list[np.ndarray] = []
-    stripped_parts: list[np.ndarray] = []
-    mal_parts: list[np.ndarray] = []
-    cred_src_parts: list[np.ndarray] = []
-    cred_user_parts: list[np.ndarray] = []
-    cred_pass_parts: list[np.ndarray] = []
-
-    for vpos, table in _sorted_view_tables(view):
-        length = len(table)
-        ports = np.asarray(table.dst_port, dtype=np.int64)
-        src = np.asarray(table.src_ip, dtype=np.int64)
-        payload_codes, (_has_cred, pair_rows, pair_users, pair_passwords) = (
-            coder.coded(table)
-        )
-        src_parts.append(src)
-        vpos_parts.append(np.full(length, vpos, dtype=np.int64))
-        row_parts.append(np.arange(length, dtype=np.int64))
-        asn_parts.append(np.asarray(table.src_asn, dtype=np.int64))
-        port_parts.append(ports)
-        fp_parts.append(coder.fp_lookup()[payload_codes])
-        pcode_parts.append(payload_codes)
-        stripped_parts.append(coder.stripped_lookup()[payload_codes])
-        mal_parts.append(coder.malicious(table))
-        if pair_rows.size:
-            cred_src_parts.append(src[pair_rows])
-            cred_user_parts.append(pair_users)
-            cred_pass_parts.append(pair_passwords)
-
-    if not src_parts:
+    columns = _view_columns(view, coder)
+    if not columns.src.size:
         empty = np.empty(0, dtype=np.int64)
         empty_pairs = np.empty((0, 2), dtype=np.int64)
         return _SourcePartial(
@@ -799,17 +849,14 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
             asn_pairs=empty_pairs.copy(),
         )
 
-    src_all = np.concatenate(src_parts)
-    vpos_all = np.concatenate(vpos_parts)
-    row_all = np.concatenate(row_parts)
-    asn_all = np.concatenate(asn_parts)
-    port_all = np.concatenate(port_parts)
-    fp_all = np.concatenate(fp_parts)
-    pcode_all = np.concatenate(pcode_parts)
-    stripped_all = np.concatenate(stripped_parts)
-    mal_all = np.concatenate(mal_parts)
+    src_all = columns.src
+    port_all = columns.port
+    pcode_all = columns.payload
+    fp_all = coder.fp_lookup()[pcode_all]
+    stripped_all = coder.stripped_lookup()[pcode_all]
+    mal_all = coder.label(pcode_all, port_all, columns.login)
 
-    # The concatenation above is in (vantage position, row) order, so
+    # The view columns are in (vantage position, row) order, so
     # np.unique's first-occurrence index IS the shard-local first
     # sighting of each source.
     sources, first_index, event_count = np.unique(
@@ -817,69 +864,35 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
     )
     first_pos = np.stack(
         [
-            vpos_all[first_index],
+            columns.position[first_index],
             np.full(len(sources), view.index, dtype=np.int64),
-            row_all[first_index],
+            columns.row[first_index],
         ],
         axis=1,
     )
     malicious = np.isin(sources, _unique_ints(src_all[mal_all]), assume_unique=True)
 
     port_fp = _unique_rows(src_all, port_all, fp_all)
-    asn_pairs = _unique_rows(src_all, asn_all)
+    asn_pairs = _unique_rows(src_all, columns.asn)
     truthy = stripped_all >= 0
     payloads = _unique_rows(src_all[truthy], stripped_all[truthy])
-    if cred_src_parts:
-        cred = _unique_rows(
-            np.concatenate(cred_src_parts),
-            np.concatenate(cred_user_parts),
-            np.concatenate(cred_pass_parts),
-        )
-    else:
-        cred = np.empty((0, 3), dtype=np.int64)
+    cred = _unique_rows(
+        src_all[columns.pair_event], columns.pair_user, columns.pair_password
+    )
 
-    # Alert families resolved once per distinct (payload, port) pair,
-    # then expanded to distinct (src, family) pairs.  Family codes are
-    # shard-local (the reduce re-codes them through sorted values).
-    family_codes: dict[str, int] = {}
-    family_values: list[str] = []
-    families = np.empty((0, 2), dtype=np.int64)
+    # Alert families expanded once per distinct (src, payload, port)
+    # triple.  Only the families that occur are kept; the reduce re-codes
+    # them through sorted values.
     triples = _unique_rows(src_all[truthy], pcode_all[truthy], port_all[truthy])
-    if triples.shape[0]:
-        pair_keys, pair_of_triple = np.unique(
-            (triples[:, 1] << (_PORT_BITS + 1)) | (triples[:, 2] << 1),
-            return_inverse=True,
-        )
-        pair_sizes: list[int] = []
-        pair_families: list[int] = []
-        for key in pair_keys.tolist():
-            found = coder.families_of(key >> (_PORT_BITS + 1), (key >> 1) & _PORT_MASK)
-            pair_sizes.append(len(found))
-            for family in found:
-                code = family_codes.get(family)
-                if code is None:
-                    code = family_codes[family] = len(family_values)
-                    family_values.append(family)
-                pair_families.append(code)
-        sizes = np.asarray(pair_sizes, dtype=np.int64)
-        firsts = np.cumsum(sizes) - sizes
-        # Triple t repeats its pair's family list; row r of that run
-        # reads pair_families[firsts[pair] + r].
-        per_triple = sizes[pair_of_triple]
-        ends = np.cumsum(per_triple)
-        rows = np.repeat(firsts[pair_of_triple] - (ends - per_triple), per_triple) + np.arange(
-            int(ends[-1]), dtype=np.int64
-        )
-        if rows.size:
-            families = _unique_rows(
-                np.repeat(triples[:, 0], per_triple),
-                np.asarray(pair_families, dtype=np.int64)[rows],
-            )
+    rows, family_codes = coder.alert_families(triples[:, 1], triples[:, 2])
+    families = _unique_rows(triples[rows, 0], family_codes)
+    used = _unique_ints(families[:, 1])
+    families[:, 1] = np.searchsorted(used, families[:, 1])
 
     return _SourcePartial(
         sources=sources,
         first_pos=first_pos,
-        first_asn=asn_all[first_index],
+        first_asn=columns.asn[first_index],
         event_count=event_count,
         malicious=malicious,
         port_fp=port_fp,
@@ -890,7 +903,7 @@ def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
         payloads=payloads,
         stripped_values=list(coder.stripped_values),
         families=families,
-        family_values=list(family_values),
+        family_values=[coder.family_values[code] for code in used.tolist()],
         asn_pairs=asn_pairs,
     )
 

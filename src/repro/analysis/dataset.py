@@ -267,13 +267,14 @@ class AnalysisDataset:
         ``observe_all(self.events)`` leaves: ``_seen_ips`` in
         first-sighting order (vantage-major, then row order) holding each
         source's last-sighted AS, and every source with a malicious
-        event, read off the coder's memoized maliciousness columns."""
-        from repro.analysis.contingency_engine import dataset_coder
+        event, read off the coder's per-table maliciousness label."""
+        from repro.analysis.contingency_engine import _unique_ints, dataset_coder
 
         tables = [table for table in self.tables.values() if len(table)]
         if not tables:
             return
         coder = dataset_coder(self)
+        coder.intern(tables)
         src_ips = np.concatenate([table.src_ip for table in tables])
         src_asns = np.concatenate([table.src_asn for table in tables])
         flags = np.concatenate([coder.malicious(table) for table in tables])
@@ -284,7 +285,7 @@ class AnalysisDataset:
         oracle._seen_ips.update(
             zip(sources[order].tolist(), src_asns[last[order]].tolist())
         )
-        oracle._malicious_ips.update(np.unique(src_ips[flags]).tolist())
+        oracle._malicious_ips.update(_unique_ints(src_ips[flags]).tolist())
 
     # ------------------------------------------------------------------
     # grouping
@@ -426,14 +427,14 @@ class AnalysisDataset:
     def sources_on_port(self, port: int, kind: NetworkKind) -> set[int]:
         """Source IPs observed on ``port`` at honeypots of one network kind."""
         if self.tables is not None:
-            sources: set[int] = set()
-            for table in self.tables.values():
-                if table.network_kind != kind or len(table) == 0:
-                    continue
-                mask = table.dst_port == port
-                if mask.any():
-                    sources.update(np.unique(table.src_ip[mask]).tolist())
-            return sources
+            from repro.analysis.contingency_engine import _unique_ints
+
+            parts = [
+                table.src_ip[table.dst_port == port]
+                for table in self.tables.values()
+                if table.network_kind == kind and len(table)
+            ]
+            return set(_unique_ints(np.concatenate(parts)).tolist()) if parts else set()
         sources = set()
         for event in self.events:
             if event.dst_port == port and event.network_kind == kind:
@@ -443,15 +444,19 @@ class AnalysisDataset:
     def malicious_sources_on_port(self, port: int, kind: NetworkKind) -> set[int]:
         """Source IPs that sent *malicious* traffic on ``port``/``kind``."""
         if self.tables is not None:
-            from repro.analysis.contingency_engine import dataset_coder
+            from repro.analysis.contingency_engine import _unique_ints, dataset_coder
 
             coder = dataset_coder(self)
-            parts = [
-                table.src_ip[(table.dst_port == port) & coder.malicious(table)]
-                for table in self.tables.values()
+            tables = [
+                table for table in self.tables.values()
                 if table.network_kind == kind and len(table)
             ]
-            return set(np.unique(np.concatenate(parts)).tolist()) if parts else set()
+            coder.intern(tables)
+            parts = [
+                table.src_ip[(table.dst_port == port) & coder.malicious(table)]
+                for table in tables
+            ]
+            return set(_unique_ints(np.concatenate(parts)).tolist()) if parts else set()
         sources = set()
         for event in self.events:
             if (

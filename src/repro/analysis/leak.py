@@ -94,7 +94,7 @@ def _engine_leak_series(
     """
     from repro.experiments.base import run_shard_wise
 
-    from repro.analysis.contingency_engine import dataset_coder
+    from repro.analysis.contingency_engine import _unique_ints, dataset_coder
 
     hours = dataset.window.hours
     shared_coder = dataset_coder(dataset)
@@ -102,7 +102,7 @@ def _engine_leak_series(
         ips: np.asarray(ips, dtype=np.int64)
         for _key, _port, ips, _malicious_only in specs
     }
-    all_ips = np.unique(np.concatenate(list(ip_arrays.values())))
+    all_ips = _unique_ints(np.concatenate(list(ip_arrays.values())))
 
     def map_shard(view) -> dict[tuple, np.ndarray]:
         from repro.analysis.contingency_engine import _sorted_view_tables
@@ -266,7 +266,7 @@ def _engine_unique_credentials(
 ) -> dict[str, float]:
     """Shard-wise per-honeypot unique-password sets; set unions over
     disjoint shards are order-free, so the reduce is a plain merge."""
-    from repro.analysis.contingency_engine import dataset_coder
+    from repro.analysis.contingency_engine import _unique_ints, dataset_coder
     from repro.experiments.base import run_shard_wise
 
     shared_coder = dataset_coder(dataset)
@@ -276,7 +276,7 @@ def _engine_unique_credentials(
     group_arrays = [
         (name, np.asarray(ips, dtype=np.int64)) for name, ips in group_items
     ]
-    all_ips = np.unique(np.concatenate([array for _name, array in group_arrays]))
+    all_ips = _unique_ints(np.concatenate([array for _name, array in group_arrays]))
 
     def map_shard(view) -> dict[str, dict[int, set[str]]]:
         from repro.analysis.contingency_engine import _sorted_view_tables

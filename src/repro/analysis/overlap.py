@@ -46,9 +46,10 @@ def _port_kind_sources(
     """Source-IP sets for every (port, network kind) pair, in one pass.
 
     On table-backed datasets this is the shard-wise map-reduce path:
-    each shard computes per-pair ``np.unique`` source sets over its
-    memory-mapped columns and the reduce is a set union — exact, since
-    set membership is order-free.  Row-backed datasets fall back to
+    each shard concatenates the (port, source) columns of each network
+    kind's tables once and takes per-port sort-based unique source sets
+    over them; the reduce is a set union — exact, since set membership
+    is order-free.  Row-backed datasets fall back to
     :meth:`AnalysisDataset.sources_on_port` per pair.
     """
     pairs = [(port, kind) for port in ports for kind in kinds]
@@ -57,23 +58,22 @@ def _port_kind_sources(
 
     import numpy as np
 
+    from repro.analysis.contingency_engine import _unique_ints
     from repro.experiments.base import run_shard_wise
 
-    kind_set = frozenset(kinds)
-
     def map_shard(view):
-        partial = {pair: set() for pair in pairs}
-        for table in view.tables.values():
-            if table.network_kind not in kind_set or len(table) == 0:
+        partial = {}
+        for kind in kinds:
+            tables = [
+                table for table in view.tables.values()
+                if table.network_kind == kind and len(table)
+            ]
+            if not tables:
                 continue
-            dst_port = table.dst_port
-            src_ip = table.src_ip
+            dst_port = np.concatenate([table.dst_port for table in tables])
+            src_ip = np.concatenate([table.src_ip for table in tables])
             for port in ports:
-                mask = dst_port == port
-                if mask.any():
-                    partial[(port, table.network_kind)].update(
-                        np.unique(src_ip[mask]).tolist()
-                    )
+                partial[(port, kind)] = set(_unique_ints(src_ip[dst_port == port]).tolist())
         return partial
 
     def reduce(partials):

@@ -56,43 +56,42 @@ def _first_protocol_by_source(
     first matching event in merged row order, so the result is
     bit-identical to a single scan of ``dataset.events``.
     """
-    from repro.detection.fingerprint import fingerprint as _fingerprint
-    from repro.experiments.base import run_shard_wise
+    from repro.analysis.contingency_engine import _view_columns, dataset_coder
+    from repro.experiments.base import ShardView, run_shard_wise
 
     import numpy as np
 
-    fingerprint_cache = dataset._fingerprint_cache
+    coder = dataset_coder(dataset)
 
     def map_shard(view):
-        partial: dict[int, dict[int, tuple[tuple[int, int, int], str]]] = {
-            port: {} for port in ports
-        }
-        for vantage_id, table in view.tables.items():
-            if not vantage_id.startswith(_HONEYTRAP_PREFIX) or len(table) == 0:
-                continue
-            vantage_pos = view.order[vantage_id]
-            dst_port = table.dst_port
-            for port in ports:
-                matching = np.flatnonzero(dst_port == port)
-                if len(matching) == 0:
-                    continue
-                payloads = table.payloads
-                src_ips = table.src_ip
-                first = partial[port]
-                for row in matching.tolist():
-                    payload = payloads[row]
-                    if payload in fingerprint_cache:
-                        identified = fingerprint_cache[payload]
-                    else:
-                        identified = _fingerprint(payload)
-                        fingerprint_cache[payload] = identified
-                    if identified is None:
-                        continue
-                    src_ip = int(src_ips[row])
-                    # Rows iterate ascending, so within this shard the
-                    # first hit wins without comparing keys.
-                    if src_ip not in first:
-                        first[src_ip] = ((vantage_pos, view.index, row), identified)
+        honeytrap = ShardView(
+            view.index,
+            {
+                vantage_id: table
+                for vantage_id, table in view.tables.items()
+                if vantage_id.startswith(_HONEYTRAP_PREFIX)
+            },
+            view.order,
+        )
+        columns = _view_columns(honeytrap, coder)
+        protocols = coder.fp_lookup()[columns.payload]
+        identified = protocols != coder.fp_codes.get(None, -1)
+        partial: dict[int, dict[int, tuple[tuple[int, int, int], str]]] = {}
+        for port in ports:
+            matching = np.flatnonzero(identified & (columns.port == port))
+            # The view columns run in (vantage position, row) order, so
+            # each source's first index is its first sighting here.
+            sources, first = np.unique(columns.src[matching], return_index=True)
+            first = matching[first]
+            partial[port] = {
+                src_ip: ((position, view.index, row), coder.fp_values[code])
+                for src_ip, position, row, code in zip(
+                    sources.tolist(),
+                    columns.position[first].tolist(),
+                    columns.row[first].tolist(),
+                    protocols[first].tolist(),
+                )
+            }
         return partial
 
     def reduce(partials):

@@ -88,10 +88,11 @@ def _unique_sources_by_group(
 ) -> dict[tuple[str, str], tuple[set[int], set[int]]]:
     """Shard-wise unique (src_ip, src_asn) sets per deployment group.
 
-    The map-reduce columnar fast path: per shard, ``np.unique`` over
-    each member vantage's address columns; the reduce is a set union, so
-    shard-wise results equal the single-pass row scan exactly.
+    The map-reduce columnar fast path: per shard, one sort-based unique
+    over each group's concatenated address columns; the reduce is a set
+    union, so shard-wise results equal the single-pass row scan exactly.
     """
+    from repro.analysis.contingency_engine import _unique_ints
     from repro.experiments.base import run_shard_wise
 
     member_ids = {
@@ -101,16 +102,16 @@ def _unique_sources_by_group(
     def map_shard(view):
         partial = {}
         for key in group_keys:
-            sources: set[int] = set()
-            ases: set[int] = set()
-            for vantage_id in member_ids[key]:
-                table = view.tables.get(vantage_id)
-                if table is None or len(table) == 0:
-                    continue
-                sources.update(np.unique(table.src_ip).tolist())
-                ases.update(np.unique(table.src_asn).tolist())
-            if sources or ases:
-                partial[key] = (sources, ases)
+            tables = [
+                table
+                for table in map(view.tables.get, member_ids[key])
+                if table is not None and len(table)
+            ]
+            if tables:
+                partial[key] = (
+                    set(_unique_ints(np.concatenate([t.src_ip for t in tables])).tolist()),
+                    set(_unique_ints(np.concatenate([t.src_asn for t in tables])).tolist()),
+                )
         return partial
 
     def reduce(partials):

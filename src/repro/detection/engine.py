@@ -4,17 +4,26 @@ Loads the shipped vetted ruleset by default, pre-indexes content prefixes
 for cheap rejection, and memoizes verdicts per distinct payload — the
 datasets contain the same payload bytes many times (the paper's analyses
 repeatedly note *distinct* payload counts for this reason).
+
+:meth:`RuleEngine.alerts` classifies one payload; :meth:`RuleEngine
+.alerts_batch` classifies a whole list of them in one pass over their
+concatenation, with the same results and the same memo.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 from repro.detection.rules import Rule, parse_rules
 
 __all__ = ["Alert", "RuleEngine", "load_default_rules"]
+
+#: Distinct (payload, port) verdicts the engine memoizes at most.
+_VERDICT_CACHE_CAP = 100_000
 
 
 def load_default_rules() -> list[Rule]:
@@ -109,9 +118,87 @@ class RuleEngine:
                 fired.append(alert)
         result = tuple(fired)
         # Bound the memo: distinct payloads are few, but be safe.
-        if len(self._verdict_cache) < 100_000:
+        if len(self._verdict_cache) < _VERDICT_CACHE_CAP:
             self._verdict_cache[key] = result
         return result
+
+    def alerts_batch(self, payloads: Sequence[bytes]) -> list[tuple[Alert, ...]]:
+        """``[self.alerts(p) for p in payloads]``, matched in one pass.
+
+        Returns the same alert tuples (same objects, same rule order) and
+        leaves the same verdict-cache entries, in the same order, as that
+        loop would.  Port-scoped rules apply to every payload, as in
+        ``alerts(p)``; ``alerts(p, port)`` is this result filtered by each
+        fired rule's ``dst_ports``.
+        """
+        cache = self._verdict_cache
+        distinct = dict.fromkeys(payloads)
+        todo = [payload for payload in distinct if payload and (payload, None) not in cache]
+        matched = self._match_distinct(todo)
+        room = max(0, _VERDICT_CACHE_CAP - len(cache))
+        cache.update(zip([(payload, None) for payload in todo[:room]], matched[:room]))
+        verdicts = dict(zip(todo, matched))
+        for payload in distinct:
+            if payload not in verdicts:
+                verdicts[payload] = cache[(payload, None)] if payload else ()
+        return [verdicts[payload] for payload in payloads]
+
+    def _match_distinct(self, payloads: list[bytes]) -> list[tuple[Alert, ...]]:
+        """Alerts of distinct non-empty payloads, by content needle.
+
+        The payloads are joined once; every needle is found in the join
+        (case-folded needles in one lowered copy: ``bytes.lower`` maps
+        byte by byte, so lowering the join equals joining the lowered
+        payloads) and a hit counts only inside one payload.  A rule's
+        candidates are the payloads holding all its contents, and only
+        those run its pcres.
+        """
+        count = len(payloads)
+        if not count:
+            return []
+        starts = list(accumulate(map(len, payloads), initial=0))
+        joined = b"".join(payloads)
+        lowered = joined.lower()
+
+        def holders(needle: bytes, folded: bool) -> set[int]:
+            """Payloads holding ``needle`` (in the lowered join when
+            ``folded``); the search skips to the next payload after each
+            hit."""
+            find = (lowered if folded else joined).find
+            size = len(needle)
+            found: set[int] = set()
+            at = find(needle)
+            while 0 <= at < starts[-1]:
+                index = bisect_right(starts, at) - 1
+                end = starts[index + 1]
+                # A hit running past its payload's end straddles into the
+                # next; so would any later hit in the same payload.
+                if at + size <= end:
+                    found.add(index)
+                at = find(needle, end)
+            return found
+
+        hits: dict[tuple[bytes, bool], set[int]] = {}
+        fired: dict[int, list[Alert]] = {}
+        for alert, _ports, needles, nocase, pcres in self._matchers:
+            candidates: Optional[set[int]] = None
+            for key in [(needle, False) for needle in needles] + [
+                (needle, True) for needle in nocase
+            ]:
+                if key not in hits:
+                    hits[key] = holders(*key)
+                candidates = hits[key] if candidates is None else candidates & hits[key]
+                if not candidates:
+                    break
+            rows: Iterable[int] = range(count) if candidates is None else sorted(candidates)
+            for pattern in pcres:
+                rows = [row for row in rows if pattern.search(payloads[row]) is not None]
+            for row in rows:
+                fired.setdefault(row, []).append(alert)
+        results: list[tuple[Alert, ...]] = [()] * count
+        for row, alerts in fired.items():
+            results[row] = tuple(alerts)
+        return results
 
     def is_malicious(self, payload: bytes, dst_port: Optional[int] = None) -> bool:
         """Does any vetted rule classify this payload as state-altering or

@@ -65,6 +65,7 @@ def closed_loop_metrics(
         total = auto_blocked = 0
         train_ips: set[int] = set()
         first_seen: dict[int, float] = {}
+        coder.intern(view.tables.values())
         for vantage_id in sorted(view.tables):
             table = view.tables[vantage_id]
             if len(table) == 0:

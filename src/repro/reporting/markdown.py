@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-from repro.experiments.base import ExperimentOutput
+if TYPE_CHECKING:
+    # Annotations only: importing the experiments here would close the
+    # cycle incident -> stream -> reporting -> experiments -> incident.
+    from repro.experiments.base import ExperimentOutput
 
 __all__ = ["experiment_to_markdown", "write_markdown_report"]
 

@@ -10,6 +10,9 @@ to a reference loop over materialized rows and
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.analysis.blocklists import (
@@ -20,9 +23,11 @@ from repro.analysis.blocklists import (
     regional_blocklist_matrix,
     write_blocklist_file,
 )
+from repro.analysis.contingency_engine import dataset_coder
 from repro.analysis.dataset import AnalysisDataset
 from repro.analysis.ports import methodology_numbers
 from repro.detection.classify import ReputationOracle
+from repro.detection.engine import RuleEngine, load_default_rules
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.context import ExperimentContext
 from repro.experiments.ext_blocklists import run as run_x1
@@ -210,3 +215,64 @@ def test_consumers_never_materialize_rows(small_context, monkeypatch, tmp_path):
     assert run_x1(context, blocklist_path=str(blocklist)).text
     for experiment_id in ("T8", "T9", "M1"):
         assert ALL_EXPERIMENTS[experiment_id](context).text
+
+
+def _port_scoped_dataset(context):
+    """The context's tables under the shipped rules with every other rule
+    scoped to ports 80 and 23, so the same payload is malicious on some
+    ports and not on others."""
+    rules = [
+        dataclasses.replace(rule, dst_ports=frozenset({80, 23})) if index % 2 else rule
+        for index, rule in enumerate(load_default_rules())
+    ]
+    result = context.result
+    return AnalysisDataset(
+        tables=result.tables(),
+        vantages=result.deployment.honeypots,
+        window=result.window,
+        rule_engine=RuleEngine(rules),
+    )
+
+
+def test_label_and_families_under_port_scoped_rules(small_context):
+    """The coder's label, the engine's per-vantage malicious counts and
+    the per-source alert families equal the row definitions
+    (``is_malicious_parts`` and ``alerts(payload, port)``) when rules
+    carry ``dst_ports``."""
+    dataset = _port_scoped_dataset(small_context)
+    classifier = dataset.classifier
+    engine = dataset.contingency()
+    coder = dataset_coder(dataset)
+    families: set[tuple[int, str]] = set()
+    malicious_sources: set[int] = set()
+    scoped_out = 0
+    for vantage_id, table in dataset.tables.items():
+        if not len(table):
+            continue
+        rows = list(zip(
+            table.payloads.tolist(), table.dst_port.tolist(),
+            table.credentials.astype(bool).tolist(), table.src_ip.tolist(),
+        ))
+        expected = [
+            classifier.is_malicious_parts(payload, port, login)
+            for payload, port, login, _src in rows
+        ]
+        assert coder.malicious(table).tolist() == expected
+        assert engine.malicious["any_all"][engine.row(vantage_id)] == sum(expected)
+        for (payload, port, login, src), label in zip(rows, expected):
+            if label:
+                malicious_sources.add(src)
+            if not payload:
+                continue
+            alerts = classifier.rule_engine.alerts(payload, port)
+            families.update((src, alert.classtype) for alert in alerts)
+            scoped_out += not label and bool(classifier.rule_engine.alerts(payload))
+    assert scoped_out, "the scoped rules never changed a verdict"
+    aggregates = dataset.source_aggregates()
+    assert {
+        (int(aggregates.sources[source]), aggregates.family_values[family])
+        for source, family in aggregates.families.tolist()
+    } == families
+    assert np.array_equal(
+        aggregates.malicious, np.isin(aggregates.sources, sorted(malicious_sources))
+    )

@@ -176,3 +176,102 @@ class TestRuleEngine:
         engine = RuleEngine([parse_rule(BASIC)])
         assert engine.is_malicious(b"POST /GponForm/diag HTTP/1.1")
         assert not engine.is_malicious(b"GET / HTTP/1.1")
+
+
+#: A ruleset exercising what the shipped one lacks: port-scoped rules, a
+#: nocase content beside a case-sensitive one, pcres with and without
+#: contents (one anchored), and a binary content.
+SCOPED_RULES = r"""
+alert http any any -> any 80 (msg:"scoped content"; content:"/admin"; classtype:attempted-recon; sid:101;)
+alert tcp any any -> any [22,2222] (msg:"scoped nocase"; content:"root"; nocase; classtype:attempted-user; sid:102;)
+alert tcp any any -> any any (msg:"pcre only"; pcre:"/(wget|curl)[^\r\n]{0,20}\/tmp\//i"; classtype:bad-unknown; sid:103;)
+alert http any any -> any 8000:8100 (msg:"content and anchored pcre"; content:"GET"; pcre:"/^GET \/[a-z]+\.php/"; classtype:web-application-attack; sid:104;)
+alert tcp any any -> any 23 (msg:"mixed case contents"; content:"busybox"; content:"ECCHI"; nocase; classtype:trojan-activity; sid:105;)
+alert tcp any any -> any any (msg:"binary content"; content:"|00 ff|x"; classtype:misc-activity; sid:106;)
+alert http any any -> any any (msg:"log4j any port"; content:"${jndi:"; nocase; classtype:attempted-admin; sid:107;)
+"""
+
+RULESETS = {"shipped": load_default_rules(), "scoped": parse_rules(SCOPED_RULES)}
+
+
+def _needles(rules) -> list[bytes]:
+    needles = [content.needle for rule in rules for content in rule.contents]
+    return needles + [b"wget /tmp/", b"curl -o /tmp/x", b"GET /index.php", b"\r\n"]
+
+
+def _flip_case(needle: bytes, flips: list[bool]) -> bytes:
+    return bytes(
+        byte ^ 0x20 if flip and (65 <= byte <= 90 or 97 <= byte <= 122) else byte
+        for byte, flip in zip(needle, flips)
+    )
+
+
+@st.composite
+def payload_batches(draw, rules):
+    """Payloads cut from one stream of rule needles, their case variants
+    and binary noise, so needles straddle neighbouring payloads; repeated
+    cuts give empty payloads, and some payloads repeat."""
+    needle = st.sampled_from(_needles(rules))
+    fragment = st.one_of(
+        needle,
+        needle.flatmap(
+            lambda text: st.lists(st.booleans(), min_size=len(text), max_size=len(text))
+            .map(lambda flips: _flip_case(text, flips))
+        ),
+        st.binary(max_size=6),
+    )
+    stream = b"".join(draw(st.lists(fragment, max_size=12)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+    bounds = [0, *cuts, len(stream)]
+    payloads = [stream[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    repeats = draw(st.lists(st.sampled_from(payloads), max_size=3))
+    return payloads + repeats
+
+
+class TestBatchMatching:
+    """``alerts_batch`` is ``[alerts(p) for p in payloads]``, cache included."""
+
+    @pytest.mark.parametrize("name", sorted(RULESETS))
+    @given(data=st.data())
+    def test_equals_per_payload_alerts(self, name, data):
+        rules = RULESETS[name]
+        payloads = data.draw(payload_batches(rules))
+        warm = data.draw(st.lists(st.sampled_from(payloads), max_size=2)) if payloads else []
+        reference, batch = RuleEngine(rules), RuleEngine(rules)
+        for payload in warm:
+            reference.alerts(payload)
+            batch.alerts(payload)
+        expected = [reference.alerts(payload) for payload in payloads]
+        assert batch.alerts_batch(payloads) == expected
+        assert list(batch._verdict_cache.items()) == list(reference._verdict_cache.items())
+
+    @given(data=st.data())
+    def test_port_scope_filters_batch_alerts(self, data):
+        rules = RULESETS["scoped"]
+        scopes = {rule.sid: rule.dst_ports for rule in rules}
+        payloads = data.draw(payload_batches(rules))
+        engine = RuleEngine(rules)
+        for payload, alerts in zip(payloads, engine.alerts_batch(payloads)):
+            for port in (22, 23, 80, 8080, 443):
+                assert engine.alerts(payload, port) == tuple(
+                    alert for alert in alerts
+                    if scopes[alert.sid] is None or port in scopes[alert.sid]
+                )
+
+    def test_straddling_needle_does_not_fire(self):
+        engine = RuleEngine(RULESETS["scoped"])
+        assert engine.alerts_batch([b"xx/ad", b"min", b"/admin"]) == [
+            (), (), engine.alerts(b"/admin")
+        ]
+        assert engine.alerts(b"/admin")
+
+    def test_cache_cap_keeps_first_entries(self, monkeypatch):
+        import repro.detection.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_VERDICT_CACHE_CAP", 3)
+        payloads = [b"a", b"GET /.env", b"", b"a", b"b", b"c", b"d"]
+        reference, batch = RuleEngine(), RuleEngine()
+        expected = [reference.alerts(payload) for payload in payloads]
+        assert batch.alerts_batch(payloads) == expected
+        assert list(batch._verdict_cache) == list(reference._verdict_cache)
+        assert len(batch._verdict_cache) == 3

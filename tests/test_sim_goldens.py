@@ -28,12 +28,9 @@ import numpy as np
 import pytest
 
 from repro.deployment.fleet import Deployment, build_full_deployment
-from repro.experiments import ExperimentConfig  # noqa: F401  (see below)
 from repro.honeypots.firewall import FirewalledStack
 from repro.honeypots.greynoise import GreyNoiseStack
 from repro.honeypots.honeytrap import HoneytrapStack
-# ``repro.incident`` imported first closes an import cycle through
-# ``repro.experiments``; loading the experiments package first avoids it.
 from repro.incident import ActiveBlocklist
 from repro.scanners.credentials import dialect
 from repro.scanners.population import PopulationConfig, build_population
