@@ -8,12 +8,14 @@ the corpus that generated it.
 
 Signature order matters: text protocols that embed each other's keywords
 (HTTP/RTSP/SIP) are disambiguated by their version tokens before generic
-fallbacks run.
+fallbacks run.  :func:`fingerprint` keeps that order in one pass: a
+binary signature is tried only on payloads starting with the byte it
+requires, and the text signatures share one split of the first line.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 __all__ = ["fingerprint", "FINGERPRINT_PROTOCOLS"]
 
@@ -30,20 +32,15 @@ _HTTP_METHODS = (
 )
 
 
-def _is_http(payload: bytes) -> bool:
-    if not payload.startswith(_HTTP_METHODS):
-        return False
-    first_line = payload.split(b"\r\n", 1)[0]
-    return b"HTTP/" in first_line
+def _is_http(payload: bytes, first_line: bytes) -> bool:
+    return payload.startswith(_HTTP_METHODS) and b"HTTP/" in first_line
 
 
-def _is_rtsp(payload: bytes) -> bool:
-    first_line = payload.split(b"\r\n", 1)[0]
+def _is_rtsp(payload: bytes, first_line: bytes) -> bool:
     return b"RTSP/1.0" in first_line or payload.startswith(b"OPTIONS rtsp://")
 
 
-def _is_sip(payload: bytes) -> bool:
-    first_line = payload.split(b"\r\n", 1)[0]
+def _is_sip(payload: bytes, first_line: bytes) -> bool:
     return b"SIP/2.0" in first_line
 
 
@@ -99,11 +96,10 @@ def _is_fox(payload: bytes) -> bool:
     return payload.startswith(b"fox ")
 
 
-def _is_redis(payload: bytes) -> bool:
+def _is_redis(payload: bytes, first_line: bytes) -> bool:
     if payload.startswith((b"*", b"$")):
         return b"\r\n" in payload
-    command = payload.split(b"\r\n", 1)[0].upper()
-    return command in (b"PING", b"INFO", b"CONFIG GET *", b"QUIT")
+    return first_line.upper() in (b"PING", b"INFO", b"CONFIG GET *", b"QUIT")
 
 
 def _is_sql(payload: bytes) -> bool:
@@ -114,9 +110,7 @@ def _is_sql(payload: bytes) -> bool:
     return False
 
 
-#: Ordered (protocol, predicate) table.  Specific binary formats first,
-#: then text protocols, then permissive fallbacks.
-_SIGNATURES: tuple[tuple[str, object], ...] = (
+_BINARY_SIGNATURES: tuple[tuple[str, Callable[[bytes], bool]], ...] = (
     ("tls", _is_tls),
     ("ssh", _is_ssh),
     ("telnet", _is_telnet),
@@ -126,13 +120,51 @@ _SIGNATURES: tuple[tuple[str, object], ...] = (
     ("fox", _is_fox),
     ("sql", _is_sql),
     ("ntp", _is_ntp),
+)
+
+#: Text signatures, given the payload and its first line.
+_TEXT_SIGNATURES: tuple[tuple[str, Callable[[bytes, bytes], bool]], ...] = (
     ("rtsp", _is_rtsp),
     ("sip", _is_sip),
     ("http", _is_http),
     ("redis", _is_redis),
 )
 
+
+def _on_payload(check: Callable[[bytes, bytes], bool]) -> Callable[[bytes], bool]:
+    return lambda payload: check(payload, payload.split(b"\r\n", 1)[0])
+
+
+#: Ordered (protocol, predicate) table.  Specific binary formats first,
+#: then text protocols, then permissive fallbacks.  :func:`fingerprint`
+#: returns the first match in this order.
+_SIGNATURES: tuple[tuple[str, Callable[[bytes], bool]], ...] = _BINARY_SIGNATURES + tuple(
+    (name, _on_payload(check)) for name, check in _TEXT_SIGNATURES
+)
+
 FINGERPRINT_PROTOCOLS: tuple[str, ...] = tuple(name for name, _ in _SIGNATURES)
+
+#: The first byte each lead-byte binary signature requires; SMB and NTP
+#: can match after any first byte.
+_LEAD_BYTES = {
+    "tls": 0x16,
+    "ssh": ord("S"),
+    "telnet": 0xFF,
+    "rdp": 0x03,
+    "adb": ord("C"),
+    "fox": ord("f"),
+    "sql": 0x12,
+}
+
+#: Per first byte, the binary signatures that can match, in order.
+_BINARY_BY_LEAD = tuple(
+    tuple(
+        (name, predicate)
+        for name, predicate in _BINARY_SIGNATURES
+        if _LEAD_BYTES.get(name, lead) == lead
+    )
+    for lead in range(256)
+)
 
 
 def fingerprint(payload: bytes) -> Optional[str]:
@@ -144,7 +176,11 @@ def fingerprint(payload: bytes) -> Optional[str]:
     """
     if not payload:
         return None
-    for name, predicate in _SIGNATURES:
-        if predicate(payload):  # type: ignore[operator]
+    for name, predicate in _BINARY_BY_LEAD[payload[0]]:
+        if predicate(payload):
+            return name
+    first_line = payload.split(b"\r\n", 1)[0]
+    for name, check in _TEXT_SIGNATURES:
+        if check(payload, first_line):
             return name
     return "unknown"

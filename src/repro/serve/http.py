@@ -16,8 +16,8 @@ backend does all the thinking, this module does wire discipline:
   are cached in a bounded LRU and the name doubles as a strong ``ETag``,
   so a client replaying a query gets a ``304 Not Modified`` for free;
 * **graceful drain** — :meth:`QueryServer.stop` stops accepting, then
-  waits (bounded) for in-flight requests to finish, the same
-  active-handler/idle-event pattern the live honeypots use.
+  waits (bounded) for every connection handler to finish, rejected
+  ones included, so no handler outlives the loop that runs the server.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class QueryServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._cache: OrderedDict[str, bytes] = OrderedDict()
         self._connections: set[asyncio.StreamWriter] = set()
-        self._idle = asyncio.Event()
-        self._idle.set()
+        #: Every running connection handler, accepted or rejected.
+        self._handlers: set[asyncio.Task] = set()
         self._draining = False
 
     # -- lifecycle ------------------------------------------------------
@@ -166,20 +166,30 @@ class QueryServer:
         self._draining = True
         self._server.close()
         await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=self.options.drain_timeout)
-        except asyncio.TimeoutError:
+        if not await self._wait_for_handlers(self.options.drain_timeout):
             # Idle keep-alive connections (parked in a read) are the
             # stragglers here; requests in flight have already finished
             # or are cut off at the deadline like everything else.
             for writer in list(self._connections):
                 writer.close()
-            try:
-                await asyncio.wait_for(self._idle.wait(), timeout=1.0)
-            except asyncio.TimeoutError:  # lint: disable=EXC002 - drain is best-effort
-                pass
+            await self._wait_for_handlers(1.0)  # drain is best-effort
         self._server = None
         self._draining = False
+
+    async def _wait_for_handlers(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for every handler to finish.
+
+        Python 3.11's ``Server.wait_closed`` does not wait for them, and a
+        handler that starts during the wait is waited for too.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while self._handlers:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                return False
+            await asyncio.wait(set(self._handlers), timeout=remaining)
+        return True
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -198,6 +208,9 @@ class QueryServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         options = self.options
         if self._draining or (
             options.max_connections
@@ -215,7 +228,6 @@ class QueryServer:
         self.stats.connections_accepted += 1
         self.stats.active_connections += 1
         self._connections.add(writer)
-        self._idle.clear()
         served_here = 0
         try:
             while True:
@@ -250,8 +262,6 @@ class QueryServer:
             self._connections.discard(writer)
             await _close_quietly(writer)
             self.stats.active_connections -= 1
-            if self.stats.active_connections == 0:
-                self._idle.set()
 
     async def _read_head(self, reader: asyncio.StreamReader):
         """One request head: (method, target, headers) or None at EOF."""

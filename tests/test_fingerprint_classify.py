@@ -10,9 +10,26 @@ from repro.detection.classify import (
     VETTED_BENIGN_ASES,
     is_malicious_event,
 )
-from repro.detection.fingerprint import FINGERPRINT_PROTOCOLS, fingerprint
+from repro.detection.fingerprint import FINGERPRINT_PROTOCOLS, _SIGNATURES, fingerprint
 from repro.scanners.payloads import HTTP_CORPUS, LZR_PROTOCOLS, protocol_first_payload
 from repro.sim.events import CapturedEvent, NetworkKind
+
+
+#: Prefixes each signature keys on: every protocol's real first payload,
+#: both SMB magics, Redis' inline and RESP commands, every HTTP method and
+#: the RTSP-over-OPTIONS form.
+_PREFIXES = (
+    *(protocol_first_payload(protocol) for protocol in LZR_PROTOCOLS),
+    b"\xfeSMB", b"\x00\x00\x00\x45\xffSMB", b"*1\r\n", b"$4\r\n", b"PING", b"info",
+    b"GET ", b"POST ", b"HEAD ", b"OPTIONS ", b"PUT ", b"DELETE ", b"PATCH ", b"CONNECT ",
+    b"TRACE ", b"OPTIONS rtsp://",
+)
+_VERSION_TOKENS = (b"HTTP/1.1", b"RTSP/1.0", b"SIP/2.0")
+
+
+def _first_match(payload):
+    """The documented order: the first signature in ``_SIGNATURES`` that matches."""
+    return next((name for name, matches in _SIGNATURES if matches(payload)), "unknown")
 
 
 def make_event(payload=b"", credentials=(), port=80, src_ip=1, src_asn=999):
@@ -65,6 +82,24 @@ class TestFingerprint:
     def test_total_function(self, blob):
         result = fingerprint(blob)
         assert result == "unknown" or result in FINGERPRINT_PROTOCOLS
+
+    @given(st.one_of(st.binary(min_size=1, max_size=64), st.binary(min_size=48, max_size=48)))
+    def test_first_match_on_arbitrary_bytes(self, payload):
+        assert fingerprint(payload) == _first_match(payload)
+
+    @pytest.mark.parametrize("prefix", _PREFIXES, ids=lambda prefix: prefix[:10].hex())
+    @given(
+        cut=st.integers(1, 64),
+        noise=st.binary(max_size=8),
+        token=st.sampled_from((b"", *_VERSION_TOKENS)),
+        later_line=st.booleans(),
+        tail=st.binary(max_size=8),
+    )
+    def test_first_match_on_crafted_prefixes(self, prefix, cut, noise, token, later_line, tail):
+        """A signature's prefix cut anywhere, noise, then maybe a version
+        token on the first line or a later one."""
+        payload = prefix[:cut] + noise + (b"\r\n" if later_line else b"") + token + tail
+        assert fingerprint(payload) == _first_match(payload)
 
 
 class TestMaliciousness:

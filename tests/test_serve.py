@@ -27,6 +27,7 @@ from repro.serve import (
     ServeOptions,
     run_load,
 )
+from repro.serve import http
 from repro.serve.backends import build_live_pipeline
 from repro.serve.schema import (
     Characteristic,
@@ -42,6 +43,10 @@ from repro.stats.volume import hourly_volumes
 
 #: Same fixed-seed tiny-but-real config the watch tests pin.
 TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
+
+#: A connection handler finalized after its loop closed surfaces only as
+#: an unraisable exception; here it fails the test that collects it.
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
 
 @pytest.fixture(scope="module")
@@ -322,8 +327,10 @@ class TestWire:
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
         yield server.port, server
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(timeout=30)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=5)
+        assert not thread.is_alive()
         loop.close()
 
     def _get(self, port: int, path: str, headers: dict | None = None):
@@ -583,5 +590,45 @@ class TestDrain:
                 await first.__aexit__()
                 await second.__aexit__()
                 assert server.stats.rejected_connections == 1
+
+        asyncio.run(_scenario())
+
+    def test_stop_waits_for_rejected_handlers(self, run_dir, monkeypatch):
+        """A 503'd connection is not an active one, but its handler must
+        still finish before stop() returns."""
+        backend = RunDirBackend(run_dir)
+        close_quietly = http._close_quietly
+        release = asyncio.Event()
+        parked, finished = [], []
+
+        async def _park_first_close(writer):
+            if parked:
+                await close_quietly(writer)
+                return
+            parked.append(writer)
+            await release.wait()
+            await close_quietly(writer)
+            finished.append(writer)
+
+        monkeypatch.setattr(http, "_close_quietly", _park_first_close)
+
+        async def _until(condition):
+            while not condition():
+                await asyncio.sleep(0.01)
+
+        async def _scenario():
+            server = QueryServer(backend, ServeOptions(max_connections=1))
+            await server.start()
+            async with _Client(server.port) as first:
+                assert (await first.get("/healthz"))[0] == 200
+                status, _headers, _body = await _one_shot(server.port, "/healthz")
+                assert status == 503
+            await asyncio.wait_for(
+                _until(lambda: server.stats.active_connections == 0), timeout=5
+            )
+            assert parked and not finished  # the rejected handler is parked
+            asyncio.get_running_loop().call_later(0.2, release.set)
+            await asyncio.wait_for(server.stop(), timeout=15)
+            assert finished
 
         asyncio.run(_scenario())

@@ -1,10 +1,12 @@
 """Tests for the statistical methodology (chi-squared, top-k, volumes)."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from repro.stats.comparisons import bonferroni_alpha, compare_fractions, compare_top_k
 from repro.stats.contingency import (
@@ -13,6 +15,7 @@ from repro.stats.contingency import (
     chi_square_test,
     cramers_v_magnitude,
 )
+from repro.stats import volume
 from repro.stats.topk import median_counter, top_k, top_k_union, union_table
 from repro.stats.volume import (
     compare_volumes,
@@ -272,3 +275,96 @@ class TestVolumes:
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=100))
     def test_spike_count_bounded(self, series):
         assert 0 <= count_spikes(series) <= len(series)
+
+
+_SIZES = st.sampled_from([*range(1, 13), 24, 168])
+
+
+@st.composite
+def _hourly_series(draw, size):
+    """Counts with ties and zeros, tie-free values, constants, or a
+    constant with one spike."""
+    shape = draw(st.sampled_from(("counts", "distinct", "constant", "spike")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "counts":
+        return rng.poisson(draw(st.sampled_from((0.3, 2.0, 9.0))), size).astype(float)
+    if shape == "distinct":
+        return rng.standard_exponential(size) * 10.0
+    series = np.full(size, float(draw(st.integers(0, 3))))
+    if shape == "spike":
+        series[draw(st.integers(0, size - 1))] = float(draw(st.integers(4, 200)))
+    return series
+
+
+@st.composite
+def _volume_pairs(draw):
+    size = draw(_SIZES)
+    other = size if draw(st.booleans()) else draw(_SIZES)
+    return draw(_hourly_series(size)), draw(_hourly_series(other))
+
+
+class TestVolumeKernels:
+    """``mann_whitney_greater`` and ``kolmogorov_smirnov`` return
+    ``scipy.stats``' floats exactly, on the kernels and on the fallback."""
+
+    def test_equal_scipy_on_every_branch(self, monkeypatch):
+        fallbacks = []
+        stats_module = volume._scipy_stats
+        monkeypatch.setattr(
+            volume, "_scipy_stats", lambda: fallbacks.append(True) or stats_module()
+        )
+        seen = set()
+
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(_volume_pairs())
+        # Untied and small: MWU's exact null distribution.
+        @example((np.array([0.5, 2.5, 4.0]), np.array([1.0, 3.0])))
+        # n = 7, h = 1: scipy's exact KS value is 1.0000000000000002.
+        @example((np.arange(7.0), np.array([0.0, 1, 2, 3, 4, 5, 7])))
+        # Equal ECDFs: h = 0.
+        @example((np.array([2.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0])))
+        def check(pair):
+            leaked, control = pair
+            before = len(fallbacks)
+            mwu_p = mann_whitney_greater(leaked, control)
+            assert len(fallbacks) == before  # finite, at most 10,000: always the kernel
+            if np.all(leaked == leaked[0]) and np.all(control == leaked[0]):
+                assert mwu_p == 1.0
+            else:
+                expected = scipy_stats.mannwhitneyu(leaked, control, alternative="greater")
+                assert mwu_p == float(expected.pvalue)
+                ties = np.unique(np.r_[leaked, control]).size < leaked.size + control.size
+                exact = min(leaked.size, control.size) <= 8 and not ties
+                seen.add("mwu exact" if exact else "mwu asymptotic")
+
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                expected = scipy_stats.ks_2samp(leaked, control)
+                ks_p = kolmogorov_smirnov(leaked, control)
+            assert ks_p == float(expected.pvalue)
+            fell_back = len(fallbacks) > before
+            # scipy warns when it leaves the exact method for ``kstwo``.
+            rejected = any("Exact calculation unsuccessful" in str(w.message) for w in caught)
+            if leaked.size != control.size:
+                assert fell_back
+                seen.add("unequal sizes")
+            else:
+                assert fell_back == rejected
+                if rejected:
+                    seen.add("ks fallback")
+                else:
+                    seen.add("ks h=0" if expected.statistic == 0 else "ks exact")
+
+        check()
+        assert seen == {
+            "mwu exact", "mwu asymptotic", "ks h=0", "ks exact", "ks fallback", "unequal sizes",
+        }
+
+    def test_non_finite_input_falls_back(self):
+        leaked = np.array([1.0, np.inf, 3.0, 0.0])
+        control = np.array([0.0, 1.0, 2.0, 2.0])
+        expected = scipy_stats.mannwhitneyu(leaked, control, alternative="greater")
+        assert mann_whitney_greater(leaked, control) == float(expected.pvalue)
+        assert kolmogorov_smirnov(leaked, control) == float(
+            scipy_stats.ks_2samp(leaked, control).pvalue
+        )
