@@ -4,7 +4,7 @@ timing record to BENCH_simulation.json (see ``repro.bench``).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_bench.py [--scale 1.0] [--emission batch]
+    PYTHONPATH=src python benchmarks/run_bench.py [--scale 1.0] [--seed 777]
 """
 
 import os

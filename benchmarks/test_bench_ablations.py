@@ -20,7 +20,7 @@ fixes, and prints the quantity that motivates the choice:
 import numpy as np
 
 from benchmarks.conftest import SCALE
-from repro.analysis.geography import build_region_profiles, most_different_regions
+from repro.analysis.geography import most_different_regions
 from repro.analysis.neighborhoods import neighborhood_report
 from repro.analysis.overlap import scanner_overlap
 from repro.analysis.dataset import AnalysisDataset
@@ -44,13 +44,14 @@ def test_bench_ablation_top_k(benchmark, context_2021):
             report = neighborhood_report(dataset, k=k)
             cell = report.cell("ssh22", "as")
             # Count near-zero cells in a representative union table.
+            engine = dataset.contingency()
             neighborhoods = dataset.neighborhoods(["aws"], vantage_prefix="gn-")
             counters = {}
             for (network, region), vantages in sorted(neighborhoods.items())[:1]:
                 for vantage in vantages:
-                    events = dataset.events_for(vantage.vantage_id)
-                    counters[vantage.vantage_id] = dataset.as_counter(
-                        [e for e in events if e.dst_port == 22]
+                    row = engine.row(vantage.vantage_id)
+                    counters[vantage.vantage_id] = engine.counter(
+                        "ssh22", "as", [row] if row is not None else []
                     )
             table, _g, _c = union_table(counters, k=k)
             near_zero = float((table == 0).mean())
@@ -72,8 +73,7 @@ def test_bench_ablation_median_vs_sum(benchmark, context_2021):
     def _run():
         out = {}
         for aggregate in ("median", "sum"):
-            profiles = build_region_profiles(dataset, aggregate=aggregate)
-            cells = most_different_regions(dataset, profiles=profiles)
+            cells = most_different_regions(dataset, aggregate=aggregate)
             significant = [cell for cell in cells if cell.region is not None]
             out[aggregate] = (
                 len(significant),
@@ -163,8 +163,8 @@ def test_bench_ablation_firewall(benchmark):
                         stack=FirewalledStack(vantage.stack, drop, rules, seed=17),
                     )
             result = run_simulation(deployment, population, SimulationConfig(seed=17))
-            dataset = AnalysisDataset.from_simulation(result)
-            malicious, total = dataset.malicious_fraction(dataset.events)
+            engine = AnalysisDataset.from_simulation(result).contingency()
+            malicious, total = engine.fraction("any_all", range(len(engine.vantage_ids)))
             rows.append((f"{drop:.0%}", total, f"{100.0 * malicious / max(total, 1):.1f}%"))
         return rows
 

@@ -45,12 +45,9 @@ CONTINENT_GROUPS: tuple[str, ...] = ("NA", "EU", "AP")
 
 
 def _group_tables(dataset: AnalysisDataset, vantages: Sequence[VantagePoint]):
-    """The dataset coder and the non-empty tables of ``vantages``
-    (table-backed datasets only)."""
+    """The dataset coder and the non-empty tables of ``vantages``."""
     from repro.analysis.contingency_engine import dataset_coder
 
-    if dataset.tables is None:
-        raise ValueError("blocklist analyses require a table-backed dataset")
     tables = (dataset.tables.get(vantage.vantage_id) for vantage in vantages)
     tables = [table for table in tables if table is not None and len(table)]
     coder = dataset_coder(dataset)

@@ -11,46 +11,22 @@ behavioral signature:
 * their credential vocabulary,
 * their origin AS.
 
-Two sources sharing the same signature are merged (union-find), so a
-botnet spread over hundreds of IPs in one AS collapses into one inferred
-campaign.  A calibration utility compares inferred campaigns against
+Two sources sharing the same signature are merged, so a botnet spread
+over hundreds of IPs in one AS collapses into one inferred campaign.  A calibration utility compares inferred campaigns against
 simulator ground truth — useful for validating the inference, and only
 available when ground truth exists.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
-from repro.scanners.payloads import strip_ephemeral_headers
-from repro.sim.events import CapturedEvent
 
 __all__ = ["InferredCampaign", "infer_campaigns", "campaign_agreement"]
-
-
-class _UnionFind:
-    """Minimal union-find over arbitrary hashables."""
-
-    def __init__(self) -> None:
-        self._parent: dict[Hashable, Hashable] = {}
-
-    def find(self, item: Hashable) -> Hashable:
-        parent = self._parent.setdefault(item, item)
-        if parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
-        return root
-
-    def union(self, first: Hashable, second: Hashable) -> None:
-        root_a, root_b = self.find(first), self.find(second)
-        if root_a != root_b:
-            self._parent[root_b] = root_a
 
 
 @dataclass
@@ -70,23 +46,6 @@ class InferredCampaign:
         return len(self.source_ips)
 
 
-def _signature(
-    dataset: AnalysisDataset, events: list[CapturedEvent]
-) -> tuple:
-    """A source IP's behavioral signature."""
-    port_protocols = frozenset(
-        (event.dst_port, dataset.fingerprint_of(event) or "-") for event in events
-    )
-    payloads = frozenset(
-        strip_ephemeral_headers(event.payload) for event in events if event.payload
-    )
-    credentials = frozenset(
-        credential for event in events for credential in event.credentials
-    )
-    asn = events[0].src_asn
-    return (asn, port_protocols, payloads, credentials)
-
-
 def _per_source_slices(pairs: np.ndarray, n_sources: int) -> np.ndarray:
     """Start offsets per source index into a src-sorted pair array
     (length ``n_sources + 1``; ``pairs`` comes src-major from
@@ -94,9 +53,16 @@ def _per_source_slices(pairs: np.ndarray, n_sources: int) -> np.ndarray:
     return np.searchsorted(pairs[:, 0], np.arange(n_sources + 1, dtype=np.int64))
 
 
-def _engine_campaigns(aggregates, min_size: int) -> list[InferredCampaign]:
-    """Columnar :func:`infer_campaigns`: per-source signature frozensets
-    come from the distinct-pair arrays instead of per-event scans."""
+def infer_campaigns(
+    dataset: AnalysisDataset, min_size: int = 1
+) -> list[InferredCampaign]:
+    """Cluster source IPs by identical behavioral signature.
+
+    Returns campaigns of at least ``min_size`` member IPs, largest first.
+    Per-source signature frozensets come from the per-source aggregates'
+    distinct-pair arrays.
+    """
+    aggregates = dataset.source_aggregates()
     n = len(aggregates)
     port_fp_at = _per_source_slices(aggregates.port_fp, n)
     cred_at = _per_source_slices(aggregates.cred, n)
@@ -121,8 +87,8 @@ def _engine_campaigns(aggregates, min_size: int) -> list[InferredCampaign]:
             frozenset((user_values[u], pass_values[p]) for _s, u, p in rows.tolist())
         )
 
-    # Union-find degenerates to "first source with the signature anchors
-    # the cluster" because identical signatures are merged directly.
+    # The first source (in first-sighting order) with a signature anchors
+    # its cluster.
     sources = aggregates.sources
     first_with_signature: dict[tuple, int] = {}
     members: dict[int, set[int]] = {}
@@ -173,58 +139,6 @@ def _engine_campaigns(aggregates, min_size: int) -> list[InferredCampaign]:
                 protocols=protocols,
                 event_count=int(aggregates.event_count[indexes].sum()),
                 malicious=bool(aggregates.malicious[indexes].any()),
-            )
-        )
-    return campaigns
-
-
-def infer_campaigns(
-    dataset: AnalysisDataset, min_size: int = 1
-) -> list[InferredCampaign]:
-    """Cluster source IPs by identical behavioral signature.
-
-    Returns campaigns of at least ``min_size`` member IPs, largest first.
-    """
-    aggregates = dataset.source_aggregates()
-    if aggregates is not None:
-        return _engine_campaigns(aggregates, min_size)
-    events_by_source: dict[int, list[CapturedEvent]] = defaultdict(list)
-    for event in dataset.events:
-        events_by_source[event.src_ip].append(event)
-
-    union = _UnionFind()
-    first_with_signature: dict[tuple, int] = {}
-    signatures: dict[int, tuple] = {}
-    for src_ip, events in events_by_source.items():
-        signature = _signature(dataset, events)
-        signatures[src_ip] = signature
-        anchor = first_with_signature.setdefault(signature, src_ip)
-        union.union(anchor, src_ip)
-
-    members: dict[Hashable, set[int]] = defaultdict(set)
-    for src_ip in events_by_source:
-        members[union.find(src_ip)].add(src_ip)
-
-    campaigns: list[InferredCampaign] = []
-    for index, (root, ips) in enumerate(
-        sorted(members.items(), key=lambda item: (-len(item[1]), item[0]))
-    ):
-        if len(ips) < min_size:
-            continue
-        all_events = [event for ip in ips for event in events_by_source[ip]]
-        campaigns.append(
-            InferredCampaign(
-                campaign_id=index,
-                source_ips=set(ips),
-                asns={event.src_asn for event in all_events},
-                ports={event.dst_port for event in all_events},
-                protocols={
-                    protocol
-                    for event in all_events
-                    if (protocol := dataset.fingerprint_of(event)) is not None
-                },
-                event_count=len(all_events),
-                malicious=any(dataset.is_malicious(event) for event in all_events),
             )
         )
     return campaigns

@@ -58,7 +58,8 @@ class CommandSummary:
 def _commands_map_shard(view) -> dict:
     """One shard's mergeable command aggregate: per-command counts plus
     the global first-sighting key ``(vantage position, shard, row, tuple
-    position)`` that reproduces the row path's Counter insertion order.
+    position)``, which orders commands as a walk over the merged rows
+    would first meet them.
 
     Sessions are counted column-wise; commands are tallied once per
     distinct command tuple, keyed at the tuple's first logged-in row.
@@ -120,38 +121,13 @@ def command_summary(
     dataset_or_events: AnalysisDataset | Iterable[CapturedEvent],
     top: int = 10,
 ) -> CommandSummary:
-    """Summarize captured shell sessions."""
-    if isinstance(dataset_or_events, AnalysisDataset) and dataset_or_events.tables is not None:
-        from repro.experiments.base import run_shard_wise
+    """Summarize captured shell sessions (of a dataset, or of row events,
+    which are grouped per vantage into tables first)."""
+    from repro.experiments.base import run_shard_wise
 
-        return run_shard_wise(
-            _commands_map_shard,
-            lambda partials: _commands_reduce(partials, top),
-            dataset_or_events,
-        )
-    events = (
-        dataset_or_events.events
-        if isinstance(dataset_or_events, AnalysisDataset)
-        else list(dataset_or_events)
-    )
-    attempts = 0
-    logged_in = 0
-    commands: Counter = Counter()
-    classes: Counter = Counter()
-    for event in events:
-        if not event.attempted_login:
-            continue
-        attempts += 1
-        if not event.commands:
-            continue
-        logged_in += 1
-        for command in event.commands:
-            commands[command] += 1
-            classes[classify_command(command)] += 1
-    return CommandSummary(
-        sessions_with_login_attempts=attempts,
-        sessions_logged_in=logged_in,
-        total_commands=sum(commands.values()),
-        top_commands=tuple(commands.most_common(top)),
-        class_counts=dict(classes),
+    dataset = dataset_or_events
+    if not isinstance(dataset, AnalysisDataset):
+        dataset = AnalysisDataset(events=dataset)
+    return run_shard_wise(
+        _commands_map_shard, lambda partials: _commands_reduce(partials, top), dataset
     )

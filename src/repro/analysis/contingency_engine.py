@@ -5,12 +5,8 @@ Every pairwise-comparison experiment in the paper (Tables 2, 4, 5, 7,
 categorical traffic characteristic (source AS, username, password,
 normalized payload) per vantage point within a protocol/port slice,
 then run the Section 3.3 top-3 chi-squared test over groups of those
-counts.  The legacy implementations each re-walked row-materialized
-``CapturedEvent`` lists to rebuild Python ``Counter``s — the dominant
-cost of the analysis suite.
-
-This module makes one pass over the :class:`~repro.io.table.EventTable`
-columns instead:
+counts.  This module makes that one pass over the
+:class:`~repro.io.table.EventTable` columns:
 
 * each characteristic is **integer-coded** (``np.unique`` for numeric
   columns, dictionary interning over the consolidated object columns,
@@ -34,12 +30,13 @@ The engine is cached on the :class:`~repro.analysis.dataset
 counts), so T2/T3/T5/T7/X2/X4 and the temporal twins all draw from the
 same precomputed matrices.
 
-Bit-identity with the row-wise implementations is a hard requirement
-(tests/test_contingency_engine.py): top-k selection reproduces
-``repro.stats.topk.top_k``'s ``(-count, repr(category))`` ordering via
-precomputed repr-rank arrays, contingency tables are built with the
-same float64 values in the same row/column order and fed to the same
-``chi_square_test``, and medians run on the same float64 inputs.
+Every result equals the Counter-based definitions in
+:mod:`repro.stats` bit for bit (tests/test_analysis_goldens.py pins
+them): top-k selection reproduces ``repro.stats.topk.top_k``'s
+``(-count, repr(category))`` ordering via precomputed repr-rank arrays,
+contingency tables are built with the same float64 values in the same
+row/column order and fed to the same ``chi_square_test``, and medians
+run on the same float64 inputs.
 """
 
 from __future__ import annotations
@@ -643,7 +640,7 @@ class ContingencyEngine:
     Rows are vantage points (dataset order), columns are the
     canonically-sorted category values of one characteristic; one matrix
     exists per (slice, characteristic).  All query helpers reproduce the
-    row-wise Counter pipeline bit-for-bit.
+    Counter definitions in :mod:`repro.stats` bit-for-bit.
     """
 
     def __init__(
@@ -759,9 +756,7 @@ class ContingencyEngine:
 
 
 def build_engine(dataset) -> ContingencyEngine:
-    """Build the engine for a table-backed dataset, shard-wise."""
-    if dataset.tables is None:
-        raise ValueError("the contingency engine requires a table-backed dataset")
+    """Build the engine for a dataset, shard-wise."""
     coder = dataset_coder(dataset)
     vantage_ids = list(dataset.tables)
     engine = run_shard_wise(
@@ -1128,9 +1123,7 @@ def _remapped_pairs_multi(
 
 
 def build_source_aggregates(dataset) -> SourceAggregates:
-    """Build per-source aggregates for a table-backed dataset, shard-wise."""
-    if dataset.tables is None:
-        raise ValueError("source aggregates require a table-backed dataset")
+    """Build per-source aggregates for a dataset, shard-wise."""
     coder = dataset_coder(dataset)
     aggregates = run_shard_wise(
         lambda view: _source_map(view, coder),

@@ -17,7 +17,9 @@ observed attacker IPs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
 
@@ -45,16 +47,18 @@ class GroupCoverage:
 def _attacker_sets(
     dataset: AnalysisDataset, vantage_prefix: Optional[str]
 ) -> dict[tuple[str, str], set[int]]:
-    """Malicious source IPs per (network, region) group."""
-    groups = dataset.neighborhoods(vantage_prefix=vantage_prefix)
+    """Malicious source IPs per (network, region) group, read off the
+    dataset coder's §3.2 label."""
+    from repro.analysis.contingency_engine import _unique_ints, dataset_coder
+
+    coder = dataset_coder(dataset)
     sets: dict[tuple[str, str], set[int]] = {}
-    for key, vantages in groups.items():
-        attackers: set[int] = set()
-        for vantage in vantages:
-            for event in dataset.events_for(vantage.vantage_id):
-                if dataset.is_malicious(event):
-                    attackers.add(event.src_ip)
-        sets[key] = attackers
+    for key, vantages in dataset.neighborhoods(vantage_prefix=vantage_prefix).items():
+        tables = [dataset.tables.get(vantage.vantage_id) for vantage in vantages]
+        tables = [table for table in tables if table is not None and len(table)]
+        coder.intern(tables)
+        parts = [table.src_ip[coder.malicious(table)] for table in tables]
+        sets[key] = set(_unique_ints(np.concatenate(parts)).tolist()) if parts else set()
     return sets
 
 

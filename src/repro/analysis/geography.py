@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset, SLICES
 from repro.net.geo import region as region_info
-from repro.stats.comparisons import compare_fractions, compare_top_k
+from repro.stats.comparisons import compare_fractions
 from repro.stats.contingency import ChiSquareResult
-from repro.stats.topk import median_counter
 
 __all__ = [
     "RegionProfile",
@@ -65,81 +64,32 @@ def build_region_profiles(
     target latching); ``aggregate="sum"`` pools raw counts and exists for
     the ablation benchmark that quantifies what the median buys.
     """
-    if aggregate not in ("median", "sum"):
-        raise ValueError(f"unknown aggregate {aggregate!r}")
     slice_keys = list(slices) if slices is not None else list(GEO_CHARACTERISTICS)
     engine = dataset.contingency()
-    if engine is not None:
-        return [
-            RegionProfile(
-                network=profile.network,
-                region=profile.region,
-                continent=profile.continent,
-                counters={
-                    slice_key: {
-                        characteristic: _vector_counter(engine, characteristic, vector)
-                        for characteristic, vector in by_char.items()
-                    }
-                    for slice_key, by_char in profile.vectors.items()
-                },
-                fractions=dict(profile.fractions),
-            )
-            for profile in _vector_profiles(dataset, engine, networks, slice_keys, aggregate)
-        ]
-    profiles: list[RegionProfile] = []
-    neighborhoods = dataset.neighborhoods(list(networks), vantage_prefix="gn-")
-    for (network, region_code), vantages in sorted(neighborhoods.items()):
-        counters: dict[str, dict[str, Counter]] = {}
-        fractions: dict[str, tuple[int, int]] = {}
-        for slice_key in slice_keys:
-            traffic_slice = SLICES[slice_key]
-            per_honeypot_events = [
-                dataset.slice_events(dataset.events_for(vantage.vantage_id), traffic_slice)
-                for vantage in sorted(vantages, key=lambda v: v.vantage_id)
-                if vantage.stack.observes(traffic_slice.port or 80)
-            ]
-            per_honeypot_events = [events for events in per_honeypot_events if events]
-            slice_counters: dict[str, Counter] = {}
-            for characteristic in GEO_CHARACTERISTICS[slice_key]:
-                if characteristic == "fraction_malicious":
-                    continue
-                per_honeypot_counts = [
-                    dataset.characteristic_counter(events, characteristic)
-                    for events in per_honeypot_events
-                ]
-                if aggregate == "median":
-                    slice_counters[characteristic] = median_counter(per_honeypot_counts)
-                else:
-                    pooled: Counter = Counter()
-                    for counts in per_honeypot_counts:
-                        pooled.update(counts)
-                    slice_counters[characteristic] = pooled
-            counters[slice_key] = slice_counters
-            malicious = 0
-            total = 0
-            for events in per_honeypot_events:
-                m, t = dataset.malicious_fraction(events)
-                malicious += m
-                total += t
-            fractions[slice_key] = (malicious, total)
-        profiles.append(
-            RegionProfile(
-                network=network,
-                region=region_code,
-                continent=region_info(region_code).continent.value,
-                counters=counters,
-                fractions=fractions,
-            )
+    return [
+        RegionProfile(
+            network=profile.network,
+            region=profile.region,
+            continent=profile.continent,
+            counters={
+                slice_key: {
+                    characteristic: _vector_counter(engine, characteristic, vector)
+                    for characteristic, vector in by_char.items()
+                }
+                for slice_key, by_char in profile.vectors.items()
+            },
+            fractions=dict(profile.fractions),
         )
-    return profiles
+        for profile in _vector_profiles(dataset, engine, networks, slice_keys, aggregate)
+    ]
 
 
 @dataclass
 class _VectorProfile:
-    """Engine-path region profile: aggregated count vectors instead of
-    Counters.  Vector values are exact (integers, or halves from the
-    median), so elementwise aggregation is bit-equivalent to the legacy
-    Counter arithmetic regardless of summation order."""
+    """Region profile as aggregated count vectors over the engine's
+    category columns.  Vector values are exact (integers, or halves from
+    the median), so elementwise aggregation is bit-equivalent to Counter
+    arithmetic regardless of summation order."""
 
     network: str
     region: str
@@ -149,8 +99,8 @@ class _VectorProfile:
 
 
 def _vector_counter(engine, characteristic: str, vector: np.ndarray) -> Counter:
-    """Materialize one aggregated vector as the legacy Counter (python
-    category objects, zero entries dropped — ``median_counter``'s form)."""
+    """Materialize one aggregated vector as a Counter (python category
+    objects, zero entries dropped — ``median_counter``'s form)."""
     values = engine.values[characteristic]
     if vector.dtype == np.float64:
         return Counter(
@@ -170,10 +120,12 @@ def _vector_profiles(
 ) -> list["_VectorProfile"]:
     """Per-region aggregated vectors off the contingency engine.
 
-    Honeypot selection matches the row path exactly: sorted by vantage
-    id, observing stacks only, honeypots with zero slice events dropped
-    (they are excluded from the median, same as the empty-slice filter).
+    Honeypots are taken sorted by vantage id, observing stacks only;
+    honeypots with zero slice events are dropped (they are excluded from
+    the median).
     """
+    if aggregate not in ("median", "sum"):
+        raise ValueError(f"unknown aggregate {aggregate!r}")
     profiles: list[_VectorProfile] = []
     neighborhoods = dataset.neighborhoods(list(networks), vantage_prefix="gn-")
     for (network, region_code), vantages in sorted(neighborhoods.items()):
@@ -215,10 +167,10 @@ def _vector_profiles(
     return profiles
 
 
-def _compare_vector_profiles(
+def _compare_profiles(
     engine, first: _VectorProfile, second: _VectorProfile, slice_key: str, characteristic: str
 ) -> Optional[ChiSquareResult]:
-    """Columnar twin of :func:`_compare_profiles`."""
+    """One region pair's test for one slice/characteristic."""
     if characteristic == "fraction_malicious":
         fractions = {
             first.region + "@" + first.network: first.fractions.get(slice_key, (0, 0)),
@@ -242,28 +194,6 @@ def _compare_vector_profiles(
     return engine.compare_top_k(vectors, characteristic, k=3)
 
 
-def _compare_profiles(
-    first: RegionProfile, second: RegionProfile, slice_key: str, characteristic: str
-) -> Optional[ChiSquareResult]:
-    if characteristic == "fraction_malicious":
-        fractions = {
-            first.region + "@" + first.network: first.fractions.get(slice_key, (0, 0)),
-            second.region + "@" + second.network: second.fractions.get(slice_key, (0, 0)),
-        }
-        fractions = {key: value for key, value in fractions.items() if value[1] > 0}
-        if len(fractions) < 2:
-            return None
-        return compare_fractions(fractions)
-    counts = {
-        first.region + "@" + first.network: first.counters.get(slice_key, {}).get(characteristic, Counter()),
-        second.region + "@" + second.network: second.counters.get(slice_key, {}).get(characteristic, Counter()),
-    }
-    counts = {key: value for key, value in counts.items() if sum(value.values()) > 0}
-    if len(counts) < 2:
-        return None
-    return compare_top_k(counts, k=3)
-
-
 @dataclass(frozen=True)
 class GeoPairSummary:
     """One Table 5 cell: similarity of region pairs in one grouping."""
@@ -281,7 +211,7 @@ class GeoPairSummary:
         return 100.0 * self.num_similar / self.num_pairs
 
 
-def _grouping_of(first: RegionProfile, second: RegionProfile) -> Optional[str]:
+def _grouping_of(first: _VectorProfile, second: _VectorProfile) -> Optional[str]:
     """Assign a pair of same-network regions to a Table 5 grouping."""
     if first.continent != second.continent:
         return "intercontinental"
@@ -301,40 +231,28 @@ def geo_similarity(
     dataset: AnalysisDataset,
     networks: Sequence[str] = GEO_NETWORKS,
     alpha: float = 0.05,
-    profiles: Optional[list[RegionProfile]] = None,
 ) -> list[GeoPairSummary]:
     """Compute Table 5: % of similar region pairs per grouping.
 
-    Memoized on table-backed datasets when no ``profiles`` are given
-    (Table 5 and X4 share one computation).
+    Memoized (Table 5 and X4 share one computation).
     """
-    if profiles is None:
-        networks = tuple(networks)
-        return list(dataset.memoized(
-            ("geo_similarity", networks, alpha),
-            lambda: tuple(_geo_similarity(dataset, networks, alpha, None)),
-        ))
-    return _geo_similarity(dataset, networks, alpha, profiles)
+    networks = tuple(networks)
+    return list(dataset.memoized(
+        ("geo_similarity", networks, alpha),
+        lambda: tuple(_geo_similarity(dataset, networks, alpha)),
+    ))
 
 
 def _geo_similarity(
-    dataset: AnalysisDataset,
-    networks: Sequence[str],
-    alpha: float,
-    profiles: Optional[list[RegionProfile]],
+    dataset: AnalysisDataset, networks: Sequence[str], alpha: float
 ) -> list[GeoPairSummary]:
-    engine = dataset.contingency() if profiles is None else None
-    if engine is not None:
-        profiles = _vector_profiles(dataset, engine, networks, list(GEO_CHARACTERISTICS))
-        compare = lambda f, s, sk, ch: _compare_vector_profiles(engine, f, s, sk, ch)  # noqa: E731
-    else:
-        profiles = profiles if profiles is not None else build_region_profiles(dataset, networks)
-        compare = _compare_profiles
-    by_network: dict[str, list[RegionProfile]] = {}
+    engine = dataset.contingency()
+    profiles = _vector_profiles(dataset, engine, networks, list(GEO_CHARACTERISTICS))
+    by_network: dict[str, list[_VectorProfile]] = {}
     for profile in profiles:
         by_network.setdefault(profile.network, []).append(profile)
 
-    pairs: list[tuple[str, RegionProfile, RegionProfile]] = []
+    pairs: list[tuple[str, _VectorProfile, _VectorProfile]] = []
     for network, network_profiles in sorted(by_network.items()):
         ordered = sorted(network_profiles, key=lambda p: p.region)
         for index, first in enumerate(ordered):
@@ -349,7 +267,7 @@ def _geo_similarity(
             grouped: dict[str, list[Optional[ChiSquareResult]]] = {}
             for grouping, first, second in pairs:
                 grouped.setdefault(grouping, []).append(
-                    compare(first, second, slice_key, characteristic)
+                    _compare_profiles(engine, first, second, slice_key, characteristic)
                 )
             total_tests = sum(
                 1 for results in grouped.values() for result in results if result is not None
@@ -388,21 +306,21 @@ def most_different_regions(
     dataset: AnalysisDataset,
     networks: Sequence[str] = GEO_NETWORKS,
     alpha: float = 0.05,
-    profiles: Optional[list[RegionProfile]] = None,
+    aggregate: str = "median",
 ) -> list[MostDifferentRegion]:
     """Compute Table 4: per network/slice/characteristic, the region whose
     traffic deviates most from the network's other regions.
 
     Each region is compared against the aggregate of the network's other
     regions; Bonferroni correction runs over the family of per-network
-    region tests.
+    region tests.  ``aggregate`` builds the region profiles as in
+    :func:`build_region_profiles` (``"sum"`` is the ablation).
     """
-    engine = dataset.contingency() if profiles is None else None
-    if engine is not None:
-        profiles = _vector_profiles(dataset, engine, networks, list(GEO_CHARACTERISTICS))
-    else:
-        profiles = profiles if profiles is not None else build_region_profiles(dataset, networks)
-    by_network: dict[str, list[RegionProfile]] = {}
+    engine = dataset.contingency()
+    profiles = _vector_profiles(
+        dataset, engine, networks, list(GEO_CHARACTERISTICS), aggregate
+    )
+    by_network: dict[str, list[_VectorProfile]] = {}
     for profile in profiles:
         by_network.setdefault(profile.network, []).append(profile)
 
@@ -414,14 +332,9 @@ def most_different_regions(
                 region_results: list[tuple[str, ChiSquareResult]] = []
                 for profile in ordered:
                     others = [other for other in ordered if other is not profile]
-                    if engine is not None:
-                        result = _compare_vector_rest(
-                            engine, profile, others, slice_key, characteristic
-                        )
-                    else:
-                        rest = _aggregate_profiles(others, slice_key, characteristic)
-                        own = _profile_counts(profile, slice_key, characteristic)
-                        result = _compare_counts(own, rest, characteristic)
+                    result = _compare_rest(
+                        engine, profile, others, slice_key, characteristic
+                    )
                     if result is not None:
                         region_results.append((profile.region, result))
                 significant = [
@@ -446,16 +359,14 @@ def most_different_regions(
     return cells
 
 
-def _compare_vector_rest(
+def _compare_rest(
     engine,
     profile: _VectorProfile,
     others: Sequence[_VectorProfile],
     slice_key: str,
     characteristic: str,
 ) -> Optional[ChiSquareResult]:
-    """Columnar twin of the region-vs-rest comparison in
-    :func:`most_different_regions` (``_aggregate_profiles`` +
-    ``_compare_counts``)."""
+    """One region against the pooled rest of its network."""
     if characteristic == "fraction_malicious":
         own = profile.fractions.get(slice_key, (0, 0))
         rest = (
@@ -481,34 +392,3 @@ def _compare_vector_rest(
     if len(vectors) < 2:
         return None
     return engine.compare_top_k(vectors, characteristic, k=3)
-
-
-def _profile_counts(profile: RegionProfile, slice_key: str, characteristic: str):
-    if characteristic == "fraction_malicious":
-        return profile.fractions.get(slice_key, (0, 0))
-    return profile.counters.get(slice_key, {}).get(characteristic, Counter())
-
-
-def _aggregate_profiles(profiles: Sequence[RegionProfile], slice_key: str, characteristic: str):
-    if characteristic == "fraction_malicious":
-        malicious = sum(profile.fractions.get(slice_key, (0, 0))[0] for profile in profiles)
-        total = sum(profile.fractions.get(slice_key, (0, 0))[1] for profile in profiles)
-        return (malicious, total)
-    combined: Counter = Counter()
-    for profile in profiles:
-        combined.update(profile.counters.get(slice_key, {}).get(characteristic, Counter()))
-    return combined
-
-
-def _compare_counts(own, rest, characteristic: str) -> Optional[ChiSquareResult]:
-    if characteristic == "fraction_malicious":
-        fractions = {"region": own, "rest": rest}
-        fractions = {key: value for key, value in fractions.items() if value[1] > 0}
-        if len(fractions) < 2:
-            return None
-        return compare_fractions(fractions)
-    counts = {"region": own, "rest": rest}
-    counts = {key: value for key, value in counts.items() if sum(value.values()) > 0}
-    if len(counts) < 2:
-        return None
-    return compare_top_k(counts, k=3)

@@ -16,13 +16,10 @@ increases are attributable to attackers, not to Censys/Shodan themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
-from repro.sim.events import CapturedEvent
-from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes, hourly_volumes
+from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
 
 __all__ = ["LeakRow", "leak_report", "unique_credentials_per_group", "CRAWLER_ASES"]
 
@@ -49,38 +46,7 @@ class LeakRow:
     control_spikes: int
 
 
-def _events_toward(
-    dataset: AnalysisDataset,
-    ips: Iterable[int],
-    port: int,
-    malicious_only: bool,
-) -> list[CapturedEvent]:
-    ip_set = set(int(ip) for ip in ips)
-    selected: list[CapturedEvent] = []
-    for event in dataset.events:
-        if event.dst_ip not in ip_set or event.dst_port != port:
-            continue
-        if event.src_asn in CRAWLER_ASES:
-            continue
-        if malicious_only and not dataset.is_malicious(event):
-            continue
-        selected.append(event)
-    return selected
-
-
-def _per_ip_hourly(
-    dataset: AnalysisDataset, ips: Sequence[int], port: int, malicious_only: bool
-) -> np.ndarray:
-    """Average per-IP hourly volume series for a group of honeypots."""
-    hours = dataset.window.hours
-    if not ips:
-        return np.zeros(hours)
-    events = _events_toward(dataset, ips, port, malicious_only)
-    volumes = hourly_volumes((event.timestamp for event in events), hours)
-    return volumes / float(len(ips))
-
-
-def _engine_leak_series(
+def _leak_series(
     dataset: AnalysisDataset,
     specs: list[tuple[tuple, int, tuple[int, ...], bool]],
 ) -> dict[tuple, np.ndarray]:
@@ -89,8 +55,7 @@ def _engine_leak_series(
 
     Hourly histograms over disjoint shards are additive, so each shard
     contributes integer counts and the reduce sums them; the per-IP
-    normalization happens once at assembly, matching
-    :func:`_per_ip_hourly` bit-for-bit.
+    normalization happens once at assembly.
     """
     from repro.experiments.base import run_shard_wise
 
@@ -163,51 +128,15 @@ def leak_report(dataset: AnalysisDataset, alpha: float = 0.05) -> list[LeakRow]:
     if experiment is None:
         raise ValueError("dataset has no leak experiment")
 
-    if dataset.tables is not None:
-        # Memoized: Table 3 and X4 share one computation.
-        return list(dataset.memoized(
-            ("leak_report", alpha), lambda: tuple(_engine_leak_report(dataset, alpha))
-        ))
-
-    rows: list[LeakRow] = []
-    for protocol, port in LEAK_SERVICES:
-        control_series = {
-            malicious: _per_ip_hourly(dataset, experiment.control_ips, port, malicious)
-            for malicious in (False, True)
-        }
-        groups: dict[str, tuple[int, ...]] = {
-            "previously": experiment.previously_leaked_ips,
-        }
-        for leak_group in experiment.leak_groups:
-            if leak_group.port == port:
-                groups[leak_group.engine] = leak_group.ips
-
-        for group_name in ("censys", "shodan", "previously"):
-            ips = groups.get(group_name, ())
-            for malicious_only in (False, True):
-                leaked_series = _per_ip_hourly(dataset, ips, port, malicious_only)
-                control = control_series[malicious_only]
-                comparison: VolumeComparison = compare_volumes(leaked_series, control)
-                rows.append(
-                    LeakRow(
-                        service=f"{protocol.upper()}/{port}"
-                        if protocol != "http"
-                        else "HTTP/80",
-                        group=group_name,
-                        traffic="malicious" if malicious_only else "all",
-                        fold=comparison.fold,
-                        stochastically_greater=comparison.stochastically_greater(alpha),
-                        distribution_differs=comparison.distribution_differs(alpha),
-                        leaked_spikes=count_spikes(leaked_series),
-                        control_spikes=count_spikes(control),
-                    )
-                )
-    return rows
+    # Memoized: Table 3 and X4 share one computation.
+    return list(dataset.memoized(
+        ("leak_report", alpha), lambda: tuple(_leak_rows(dataset, alpha))
+    ))
 
 
-def _engine_leak_report(dataset: AnalysisDataset, alpha: float) -> list[LeakRow]:
-    """Columnar :func:`leak_report`: every series comes from one shard-wise
-    pass instead of a full event scan per (service, group, traffic) cell."""
+def _leak_rows(dataset: AnalysisDataset, alpha: float) -> list[LeakRow]:
+    """Table 3's rows; every hourly series comes from one shard-wise pass
+    over the event tables."""
     experiment = dataset.leak_experiment
     hours = dataset.window.hours
     groups_by_port: dict[int, dict[str, tuple[int, ...]]] = {}
@@ -228,7 +157,7 @@ def _engine_leak_report(dataset: AnalysisDataset, alpha: float) -> list[LeakRow]
             for malicious_only in (False, True):
                 specs.append(((group_name, port, malicious_only), port, ips, malicious_only))
 
-    histograms = _engine_leak_series(dataset, specs)
+    histograms = _leak_series(dataset, specs)
 
     def series(group_name: str, port: int, malicious_only: bool) -> np.ndarray:
         ips = groups_by_port[port].get(group_name, ())
@@ -261,7 +190,7 @@ def _engine_leak_report(dataset: AnalysisDataset, alpha: float) -> list[LeakRow]
     return rows
 
 
-def _engine_unique_credentials(
+def _unique_credentials(
     dataset: AnalysisDataset, groups: dict[str, tuple[int, ...]], port: int
 ) -> dict[str, float]:
     """Shard-wise per-honeypot unique-password sets; set unions over
@@ -343,16 +272,4 @@ def unique_credentials_per_group(
     for leak_group in experiment.leak_groups:
         if leak_group.port == port:
             groups[leak_group.engine] = leak_group.ips
-    if dataset.tables is not None:
-        return _engine_unique_credentials(dataset, groups, port)
-    averages: dict[str, float] = {}
-    for name, ips in groups.items():
-        per_ip_unique: list[int] = []
-        for ip in ips:
-            passwords: set[str] = set()
-            for event in _events_toward(dataset, [ip], port, malicious_only=False):
-                for _username, password in event.credentials:
-                    passwords.add(password)
-            per_ip_unique.append(len(passwords))
-        averages[name] = float(np.mean(per_ip_unique)) if per_ip_unique else 0.0
-    return averages
+    return _unique_credentials(dataset, groups, port)

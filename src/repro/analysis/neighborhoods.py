@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset, SLICES
-from repro.stats.comparisons import compare_fractions, compare_top_k
+from repro.stats.comparisons import compare_fractions
 
 __all__ = ["NeighborhoodCell", "NeighborhoodReport", "neighborhood_report", "TABLE2_LAYOUT"]
 
@@ -63,33 +63,10 @@ class NeighborhoodReport:
 
 
 def _neighborhood_comparison(
-    dataset: AnalysisDataset,
-    honeypot_events: dict[str, list],
-    characteristic: str,
-    k: int = 3,
+    engine, slice_key: str, honeypot_rows: dict[str, int], characteristic: str, k: int = 3
 ):
-    """Run one neighborhood's chi-squared test for one characteristic."""
-    if characteristic == "fraction_malicious":
-        fractions = {
-            vantage_id: dataset.malicious_fraction(events)
-            for vantage_id, events in honeypot_events.items()
-        }
-        fractions = {k: v for k, v in fractions.items() if v[1] > 0}
-        if len(fractions) < 2:
-            return None
-        return compare_fractions(fractions)
-    counters = {
-        vantage_id: dataset.characteristic_counter(events, characteristic)
-        for vantage_id, events in honeypot_events.items()
-    }
-    counters = {key: value for key, value in counters.items() if sum(value.values()) > 0}
-    if len(counters) < 2:
-        return None
-    return compare_top_k(counters, k=k)
-
-
-def _engine_comparison(engine, slice_key: str, honeypot_rows: dict[str, int], characteristic: str, k: int = 3):
-    """Columnar twin of :func:`_neighborhood_comparison` on count-matrix rows."""
+    """Run one neighborhood's chi-squared test for one characteristic, on
+    the honeypots' count-matrix rows."""
     if characteristic == "fraction_malicious":
         fractions = {
             vantage_id: engine.fraction(slice_key, [row])
@@ -150,9 +127,9 @@ def _neighborhood_cells(
 
     for slice_key, characteristics in TABLE2_LAYOUT.items():
         traffic_slice = SLICES[slice_key]
-        # Pre-slice per neighborhood honeypot: count-matrix rows on the
-        # engine fast path, event lists on the row-backed fallback.
-        sliced: dict[tuple[str, str], dict[str, list]] = {}
+        # Per neighborhood: the count-matrix row of every observing
+        # honeypot that saw traffic in the slice.
+        sliced: dict[tuple[str, str], dict[str, int]] = {}
         for key, vantages in neighborhoods.items():
             vantages = sorted(vantages, key=lambda v: v.vantage_id)
             if max_honeypots_per_neighborhood is not None:
@@ -162,31 +139,21 @@ def _neighborhood_cells(
                 for vantage in vantages
                 if vantage.stack.observes(traffic_slice.port or 80)
             ]
-            if engine is not None:
-                per_honeypot = {
-                    vantage.vantage_id: engine.row(vantage.vantage_id)
-                    for vantage in observing
-                    if engine.row(vantage.vantage_id) is not None
-                    and engine.events[slice_key][engine.row(vantage.vantage_id)] > 0
-                }
-            else:
-                per_honeypot = {
-                    vantage.vantage_id: dataset.slice_events(
-                        dataset.events_for(vantage.vantage_id), traffic_slice
-                    )
-                    for vantage in observing
-                }
-                per_honeypot = {k: v for k, v in per_honeypot.items() if v}
+            per_honeypot = {
+                vantage.vantage_id: engine.row(vantage.vantage_id)
+                for vantage in observing
+                if engine.row(vantage.vantage_id) is not None
+                and engine.events[slice_key][engine.row(vantage.vantage_id)] > 0
+            }
             if len(per_honeypot) >= 2:
                 sliced[key] = per_honeypot
 
         for characteristic in characteristics:
             results = []
             for key, per_honeypot in sorted(sliced.items()):
-                if engine is not None:
-                    result = _engine_comparison(engine, slice_key, per_honeypot, characteristic, k=k)
-                else:
-                    result = _neighborhood_comparison(dataset, per_honeypot, characteristic, k=k)
+                result = _neighborhood_comparison(
+                    engine, slice_key, per_honeypot, characteristic, k=k
+                )
                 if result is not None:
                     results.append(result)
             corrections = max(len(results), 1) if bonferroni else 1

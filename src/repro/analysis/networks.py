@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.dataset import AnalysisDataset, SLICES
+from repro.analysis.dataset import AnalysisDataset
 from repro.stats.comparisons import compare_fractions, compare_top_k
 from repro.stats.contingency import ChiSquareResult
-from repro.stats.topk import median_counter
 
 __all__ = [
     "NetworkPairCell",
@@ -87,44 +86,9 @@ class NetworkPairCell:
     measurable: bool = True  # False renders as × (capture cannot observe)
 
 
-def _group_counters(
-    dataset: AnalysisDataset,
-    vantages,
-    slice_key: str,
-    characteristic: str,
-):
-    traffic_slice = SLICES[slice_key]
-    per_honeypot = [
-        dataset.slice_events(dataset.events_for(vantage.vantage_id), traffic_slice)
-        for vantage in sorted(vantages, key=lambda v: v.vantage_id)
-    ]
-    per_honeypot = [events for events in per_honeypot if events]
-    if characteristic == "fraction_malicious":
-        malicious = sum(dataset.malicious_fraction(events)[0] for events in per_honeypot)
-        total = sum(dataset.malicious_fraction(events)[1] for events in per_honeypot)
-        return (malicious, total)
-    return median_counter(
-        [dataset.characteristic_counter(events, characteristic) for events in per_honeypot]
-    )
-
-
-def _compare_two(first, second, characteristic: str) -> Optional[ChiSquareResult]:
-    if characteristic == "fraction_malicious":
-        fractions = {"a": first, "b": second}
-        fractions = {key: value for key, value in fractions.items() if value[1] > 0}
-        if len(fractions) < 2:
-            return None
-        return compare_fractions(fractions)
-    counts = {"a": first, "b": second}
-    counts = {key: value for key, value in counts.items() if sum(value.values()) > 0}
-    if len(counts) < 2:
-        return None
-    return compare_top_k(counts, k=3)
-
-
 def _group_vectors(engine, vantages, slice_key: str, characteristic: str):
-    """Columnar twin of :func:`_group_counters`: the (network, region)
-    group's malicious fraction or per-category median vector."""
+    """A vantage group's malicious fraction or per-category median vector
+    over its honeypots with traffic in the slice."""
     rows = engine.active_rows(
         slice_key,
         (vantage.vantage_id for vantage in sorted(vantages, key=lambda v: v.vantage_id)),
@@ -134,8 +98,8 @@ def _group_vectors(engine, vantages, slice_key: str, characteristic: str):
     return engine.median_vector(slice_key, characteristic, rows)
 
 
-def _compare_two_vectors(engine, first, second, characteristic: str) -> Optional[ChiSquareResult]:
-    """Columnar twin of :func:`_compare_two`."""
+def _compare_two(engine, first, second, characteristic: str) -> Optional[ChiSquareResult]:
+    """Two groups' test for one characteristic."""
     if characteristic == "fraction_malicious":
         fractions = {"a": first, "b": second}
         fractions = {key: value for key, value in fractions.items() if value[1] > 0}
@@ -161,17 +125,11 @@ def _site_vantages(dataset: AnalysisDataset, site: str):
 def _site_measures_credentials(dataset: AnalysisDataset, site: str) -> bool:
     """Honeytrap captures no credentials, so username/password cells are ×."""
     engine = dataset.contingency()
-    if engine is not None:
-        return any(
-            engine.cred_events[engine.row(vantage.vantage_id)] > 0
-            for vantage in _site_vantages(dataset, site)
-            if engine.row(vantage.vantage_id) is not None
-        )
-    for vantage in _site_vantages(dataset, site):
-        for event in dataset.events_for(vantage.vantage_id):
-            if event.credentials:
-                return True
-    return False
+    return any(
+        engine.cred_events[engine.row(vantage.vantage_id)] > 0
+        for vantage in _site_vantages(dataset, site)
+        if engine.row(vantage.vantage_id) is not None
+    )
 
 
 def network_type_report(
@@ -182,13 +140,9 @@ def network_type_report(
     engine = dataset.contingency()
 
     def pair_result(vantages_a, vantages_b, slice_key, characteristic):
-        if engine is not None:
-            first = _group_vectors(engine, vantages_a, slice_key, characteristic)
-            second = _group_vectors(engine, vantages_b, slice_key, characteristic)
-            return _compare_two_vectors(engine, first, second, characteristic)
-        first = _group_counters(dataset, vantages_a, slice_key, characteristic)
-        second = _group_counters(dataset, vantages_b, slice_key, characteristic)
-        return _compare_two(first, second, characteristic)
+        first = _group_vectors(engine, vantages_a, slice_key, characteristic)
+        second = _group_vectors(engine, vantages_b, slice_key, characteristic)
+        return _compare_two(engine, first, second, characteristic)
 
     # ---- cloud-cloud: co-located GreyNoise honeypots ----
     cloud_pairs = colocated_cloud_pairs(dataset)
@@ -314,19 +268,12 @@ def telescope_as_report(dataset: AnalysisDataset, alpha: float = 0.05) -> list[T
                 telescope_counts.update(dataset.telescope.as_counts(port))
             results = []
             for site in sites:
-                if engine is not None:
-                    rows = [
-                        engine.row(vantage.vantage_id)
-                        for vantage in _site_vantages(dataset, site)
-                        if engine.row(vantage.vantage_id) is not None
-                    ]
-                    site_counts = engine.counter(engine_slice[slice_key], "as", rows)
-                else:
-                    site_counts = Counter()
-                    for vantage in _site_vantages(dataset, site):
-                        for event in dataset.events_for(vantage.vantage_id):
-                            if event.dst_port in ports:
-                                site_counts[event.src_asn] += 1
+                rows = [
+                    engine.row(vantage.vantage_id)
+                    for vantage in _site_vantages(dataset, site)
+                    if engine.row(vantage.vantage_id) is not None
+                ]
+                site_counts = engine.counter(engine_slice[slice_key], "as", rows)
                 if sum(site_counts.values()) == 0 or sum(telescope_counts.values()) == 0:
                     continue
                 results.append(

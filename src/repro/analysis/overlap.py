@@ -45,16 +45,12 @@ def _port_kind_sources(
 ) -> dict[tuple[int, NetworkKind], set[int]]:
     """Source-IP sets for every (port, network kind) pair, in one pass.
 
-    On table-backed datasets this is the shard-wise map-reduce path:
-    each shard concatenates the (port, source) columns of each network
-    kind's tables once and takes per-port sort-based unique source sets
-    over them; the reduce is a set union — exact, since set membership
-    is order-free.  Row-backed datasets fall back to
-    :meth:`AnalysisDataset.sources_on_port` per pair.
+    A shard-wise map-reduce: each shard concatenates the (port, source)
+    columns of each network kind's tables once and takes per-port
+    sort-based unique source sets over them; the reduce is a set union
+    — exact, since set membership is order-free.
     """
     pairs = [(port, kind) for port in ports for kind in kinds]
-    if dataset.tables is None:
-        return {pair: dataset.sources_on_port(*pair) for pair in pairs}
 
     import numpy as np
 

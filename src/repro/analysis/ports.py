@@ -54,7 +54,7 @@ def _first_protocol_by_source(
     candidate carries its global sort key ``(vantage position, shard
     position, row)`` and the reduce keeps the minimum — exactly the
     first matching event in merged row order, so the result is
-    bit-identical to a single scan of ``dataset.events``.
+    bit-identical to a single scan of the merged rows.
     """
     from repro.analysis.contingency_engine import _view_columns, dataset_coder
     from repro.experiments.base import ShardView, run_shard_wise
@@ -134,25 +134,10 @@ def _protocol_breakdown(
     dataset: AnalysisDataset, ports: Sequence[int]
 ) -> list[ProtocolBreakdownRow]:
     oracle = dataset.reputation_oracle()
-    if dataset.tables is not None:
-        first_protocols = _first_protocol_by_source(dataset, ports)
-    else:
-        first_protocols = None
+    first_protocols = _first_protocol_by_source(dataset, ports)
     rows: list[ProtocolBreakdownRow] = []
     for port in ports:
-        if first_protocols is not None:
-            protocol_of_source = first_protocols[port]
-        else:
-            protocol_of_source = {}
-            for event in dataset.events:
-                if event.dst_port != port or not event.vantage_id.startswith(_HONEYTRAP_PREFIX):
-                    continue
-                identified = dataset.fingerprint_of(event)
-                if identified is None:
-                    continue
-                # A source's protocol is whatever it spoke first at this port.
-                protocol_of_source.setdefault(event.src_ip, identified)
-
+        protocol_of_source = first_protocols[port]
         total = len(protocol_of_source)
         if total == 0:
             continue
@@ -206,34 +191,8 @@ def methodology_numbers(dataset: AnalysisDataset) -> MethodologyNumbers:
     Distinct payloads are deduplicated after ephemeral-header stripping,
     as everywhere else in the methodology.
     """
-    from repro.scanners.payloads import strip_ephemeral_headers
-
-    if dataset.tables is not None:
-        (telnet_total, telnet_auth, ssh_total, ssh_auth,
-         http_total, http_exploit, distinct_http) = _methodology_counts(dataset)
-    else:
-        telnet_total = telnet_auth = 0
-        ssh_total = ssh_auth = 0
-        http_total = http_exploit = 0
-        distinct_http = {}
-
-        for event in dataset.events:
-            interactive_capture = event.vantage_id.startswith("gn-")
-            if interactive_capture and event.dst_port == 23 and event.handshake:
-                telnet_total += 1
-                if event.attempted_login:
-                    telnet_auth += 1
-            elif interactive_capture and event.dst_port == 22 and event.handshake:
-                ssh_total += 1
-                if event.attempted_login:
-                    ssh_auth += 1
-            if event.dst_port == 80 and event.payload:
-                if dataset.fingerprint_of(event) == "http":
-                    http_total += 1
-                    malicious = dataset.is_malicious(event)
-                    if malicious:
-                        http_exploit += 1
-                    distinct_http.setdefault(strip_ephemeral_headers(event.payload), malicious)
+    (telnet_total, telnet_auth, ssh_total, ssh_auth,
+     http_total, http_exploit, distinct_http) = _methodology_counts(dataset)
 
     def _pct(part: int, whole: int) -> float:
         return 100.0 * part / whole if whole else 0.0
@@ -248,7 +207,9 @@ def methodology_numbers(dataset: AnalysisDataset) -> MethodologyNumbers:
 
 
 def _methodology_counts(dataset: AnalysisDataset):
-    """Shard-wise columnar computation of the Section 3.2 counters.
+    """Shard-wise columnar computation of the Section 3.2 counters:
+    ``(telnet, telnet with login, ssh, ssh with login, HTTP/80, malicious
+    HTTP/80, {stripped HTTP/80 payload: malicious})``.
 
     The scalar counters (auth fractions, HTTP totals) are plain sums —
     trivially mergeable.  ``distinct_http`` has first-occurrence

@@ -41,18 +41,7 @@ def vantage_summary(dataset: AnalysisDataset) -> list[VantageSummaryRow]:
         groups.setdefault((vantage.network, collection), []).append(vantage)
 
     group_keys = sorted(groups)
-    if dataset.tables is not None:
-        group_sets = _unique_sources_by_group(dataset, groups, group_keys)
-    else:
-        group_sets = {}
-        for key in group_keys:
-            sources: set[int] = set()
-            ases: set[int] = set()
-            for vantage in groups[key]:
-                for event in dataset.events_for(vantage.vantage_id):
-                    sources.add(event.src_ip)
-                    ases.add(event.src_asn)
-            group_sets[key] = (sources, ases)
+    group_sets = _unique_sources_by_group(dataset, groups, group_keys)
 
     for network, collection in group_keys:
         vantages = groups[(network, collection)]
@@ -88,9 +77,9 @@ def _unique_sources_by_group(
 ) -> dict[tuple[str, str], tuple[set[int], set[int]]]:
     """Shard-wise unique (src_ip, src_asn) sets per deployment group.
 
-    The map-reduce columnar fast path: per shard, one sort-based unique
-    over each group's concatenated address columns; the reduce is a set
-    union, so shard-wise results equal the single-pass row scan exactly.
+    Per shard, one sort-based unique over each group's concatenated
+    address columns; the reduce is a set union, so shard-wise results
+    equal a single pass over the merged rows exactly.
     """
     from repro.analysis.contingency_engine import _unique_ints
     from repro.experiments.base import run_shard_wise

@@ -12,15 +12,12 @@ Tags are *descriptive*, not authoritative: a source can carry several.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
-from repro.sim.events import CapturedEvent
 
-__all__ = ["SourceBehavior", "TAG_RULES", "tag_sources", "tag_distribution"]
+__all__ = ["TAG_RULES", "tag_sources", "tag_distribution"]
 
 #: Credentials characteristic of Mirai-family botnets.
 _MIRAI_MARKERS = frozenset({"xc3511", "vizxv", "xmhdipc", "juantech", "7ujMko0admin", "anko"})
@@ -28,97 +25,27 @@ _MIRAI_MARKERS = frozenset({"xc3511", "vizxv", "xmhdipc", "juantech", "7ujMko0ad
 _HUAWEI_MARKERS = frozenset({"e8ehome", "e8telnet", "mother", "telecomadmin"})
 
 
-@dataclass
-class SourceBehavior:
-    """Everything observed about one source IP, aggregated."""
-
-    src_ip: int
-    asn: int = 0
-    ports: set = None  # type: ignore[assignment]
-    protocols: set = None  # type: ignore[assignment]
-    usernames: set = None  # type: ignore[assignment]
-    passwords: set = None  # type: ignore[assignment]
-    payload_families: set = None  # type: ignore[assignment]
-    event_count: int = 0
-    malicious: bool = False
-
-    def __post_init__(self) -> None:
-        self.ports = self.ports or set()
-        self.protocols = self.protocols or set()
-        self.usernames = self.usernames or set()
-        self.passwords = self.passwords or set()
-        self.payload_families = self.payload_families or set()
-
-
-def _collect_behaviors(dataset: AnalysisDataset) -> dict[int, SourceBehavior]:
-    behaviors: dict[int, SourceBehavior] = {}
-    for event in dataset.events:
-        behavior = behaviors.get(event.src_ip)
-        if behavior is None:
-            behavior = SourceBehavior(src_ip=event.src_ip, asn=event.src_asn)
-            behaviors[event.src_ip] = behavior
-        behavior.event_count += 1
-        behavior.ports.add(event.dst_port)
-        protocol = dataset.fingerprint_of(event)
-        if protocol is not None:
-            behavior.protocols.add(protocol)
-        for username, password in event.credentials:
-            behavior.usernames.add(username)
-            behavior.passwords.add(password)
-        if not behavior.malicious and dataset.is_malicious(event):
-            behavior.malicious = True
-        if event.payload:
-            alerts = dataset.classifier.rule_engine.alerts(event.payload, event.dst_port)
-            for alert in alerts:
-                behavior.payload_families.add(alert.classtype)
-    return behaviors
-
-
-def _is_mirai_like(behavior: SourceBehavior) -> bool:
-    return bool(behavior.passwords & _MIRAI_MARKERS)
-
-
-def _is_huawei_variant(behavior: SourceBehavior) -> bool:
-    return bool((behavior.usernames | behavior.passwords) & _HUAWEI_MARKERS)
-
-
-def _is_ssh_bruteforcer(behavior: SourceBehavior) -> bool:
-    return bool(behavior.ports & {22, 2222}) and len(behavior.passwords) >= 2
-
-
-def _is_telnet_bruteforcer(behavior: SourceBehavior) -> bool:
-    return bool(behavior.ports & {23, 2323}) and len(behavior.passwords) >= 2
-
-
-def _is_web_crawler(behavior: SourceBehavior) -> bool:
-    return "http" in behavior.protocols and not behavior.malicious
-
-
-def _is_web_exploiter(behavior: SourceBehavior) -> bool:
-    return bool(behavior.payload_families & {
-        "web-application-attack", "attempted-admin", "trojan-activity"
-    })
-
-
-def _is_unexpected_protocol_prober(behavior: SourceBehavior) -> bool:
-    http_ports = behavior.ports & {80, 8080}
-    return bool(http_ports) and bool(behavior.protocols - {"http", "unknown"})
-
-
-def _is_wide_scanner(behavior: SourceBehavior) -> bool:
-    return len(behavior.ports) >= 5
-
-
-#: Ordered (tag, predicate) rules; a source receives every matching tag.
-TAG_RULES: tuple[tuple[str, Callable[[SourceBehavior], bool]], ...] = (
-    ("mirai-like", _is_mirai_like),
-    ("huawei-apac-variant", _is_huawei_variant),
-    ("ssh-bruteforcer", _is_ssh_bruteforcer),
-    ("telnet-bruteforcer", _is_telnet_bruteforcer),
-    ("web-exploiter", _is_web_exploiter),
-    ("web-crawler", _is_web_crawler),
-    ("unexpected-protocol-prober", _is_unexpected_protocol_prober),
-    ("wide-scanner", _is_wide_scanner),
+#: Tag names, in the order a source's tags are evaluated; a source
+#: receives every matching tag:
+#:
+#: * ``mirai-like`` — tried a Mirai-family password;
+#: * ``huawei-apac-variant`` — tried a Huawei-variant username or password;
+#: * ``ssh-bruteforcer`` / ``telnet-bruteforcer`` — touched 22/2222
+#:   (23/2323) and tried at least two distinct passwords;
+#: * ``web-exploiter`` — a payload fired a web-attack, admin or trojan rule;
+#: * ``web-crawler`` — spoke HTTP and sent nothing malicious;
+#: * ``unexpected-protocol-prober`` — touched 80/8080 and spoke a
+#:   fingerprinted protocol other than HTTP;
+#: * ``wide-scanner`` — touched at least five ports.
+TAG_RULES: tuple[str, ...] = (
+    "mirai-like",
+    "huawei-apac-variant",
+    "ssh-bruteforcer",
+    "telnet-bruteforcer",
+    "web-exploiter",
+    "web-crawler",
+    "unexpected-protocol-prober",
+    "wide-scanner",
 )
 
 
@@ -131,9 +58,9 @@ def _pair_flags(pairs: np.ndarray, selected_codes: set[int], n_sources: int) -> 
     return flags
 
 
-def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
-    """Vectorized tagging over per-source aggregates: each TAG_RULES
-    predicate becomes one boolean array over all sources."""
+def _tag_flags(aggregates) -> np.ndarray:
+    """One boolean column per :data:`TAG_RULES` tag over all sources of
+    the per-source aggregates."""
     n = len(aggregates)
     mirai_pass = {c for c, v in enumerate(aggregates.pass_values) if v in _MIRAI_MARKERS}
     huawei_user = {c for c, v in enumerate(aggregates.user_values) if v in _HUAWEI_MARKERS}
@@ -143,8 +70,7 @@ def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
         if v in {"web-application-attack", "attempted-admin", "trojan-activity"}
     }
     http_fp = {c for c, v in enumerate(aggregates.fp_values) if v == "http"}
-    #: fingerprints outside {None, "http", "unknown"} — the legacy
-    #: ``protocols - {"http", "unknown"}`` over non-None protocols.
+    # fingerprints outside {None, "http", "unknown"}
     odd_fp = {
         c for c, v in enumerate(aggregates.fp_values)
         if v is not None and v not in ("http", "unknown")
@@ -183,8 +109,14 @@ def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
         port_flags(http_ports) & _pair_flags(aggregates.fp_pairs, odd_fp, n),
         n_ports >= 5,
     ]
-    flag_matrix = np.stack(flag_columns, axis=1)
-    tag_names = [tag for tag, _predicate in TAG_RULES]
+    return np.stack(flag_columns, axis=1)
+
+
+def tag_sources(dataset: AnalysisDataset) -> dict[int, frozenset[str]]:
+    """Tag every observed source IP, in first-sighting order;
+    untaggable sources get an empty set."""
+    aggregates = dataset.source_aggregates()
+    flag_matrix = _tag_flags(aggregates)
     memo: dict[bytes, frozenset[str]] = {}
     tags: dict[int, frozenset[str]] = {}
     sources = aggregates.sources
@@ -193,23 +125,11 @@ def _engine_tag_sources(aggregates) -> dict[int, frozenset[str]]:
         tag_set = memo.get(key)
         if tag_set is None:
             tag_set = frozenset(
-                tag for tag, flagged in zip(tag_names, flag_matrix[index]) if flagged
+                tag for tag, flagged in zip(TAG_RULES, flag_matrix[index]) if flagged
             )
             memo[key] = tag_set
         tags[int(sources[index])] = tag_set
     return tags
-
-
-def tag_sources(dataset: AnalysisDataset) -> dict[int, frozenset[str]]:
-    """Tag every observed source IP; untaggable sources get an empty set."""
-    aggregates = dataset.source_aggregates()
-    if aggregates is not None:
-        return _engine_tag_sources(aggregates)
-    behaviors = _collect_behaviors(dataset)
-    return {
-        src_ip: frozenset(tag for tag, predicate in TAG_RULES if predicate(behavior))
-        for src_ip, behavior in behaviors.items()
-    }
 
 
 def tag_distribution(tags: dict[int, frozenset[str]]) -> dict[str, int]:

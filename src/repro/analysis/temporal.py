@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.dataset import AnalysisDataset, SLICES
+from repro.analysis.dataset import AnalysisDataset
 from repro.stats.comparisons import compare_top_k
 from repro.stats.contingency import ChiSquareResult
 
@@ -43,15 +43,10 @@ class YearShift:
 
 def _pooled_as_counter(dataset: AnalysisDataset, slice_key: str) -> Counter:
     """AS counts over all GreyNoise honeypots, one slice."""
-    traffic_slice = SLICES[slice_key]
-    counts: Counter = Counter()
-    for vantage in dataset.vantages:
-        if not vantage.vantage_id.startswith("gn-"):
-            continue
-        events = dataset.slice_events(dataset.events_for(vantage.vantage_id), traffic_slice)
-        for event in events:
-            counts[event.src_asn] += 1
-    return counts
+    engine = dataset.contingency()
+    rows = [engine.row(vantage.vantage_id) for vantage in dataset.vantages
+            if vantage.vantage_id.startswith("gn-")]
+    return engine.counter(slice_key, "as", [row for row in rows if row is not None])
 
 
 def year_over_year_shift(

@@ -12,14 +12,12 @@ Supports two behaviors the simulator injects and the paper discusses:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
-from repro.sim.events import CapturedEvent
 from repro.stats.volume import hourly_volumes
 
 __all__ = [
@@ -38,24 +36,20 @@ def hourly_matrix(
     hours = dataset.window.hours
     matrix = np.zeros((len(vantage_ids), hours))
     for row, vantage_id in enumerate(vantage_ids):
-        if dataset.tables is not None:
-            table = dataset.tables.get(vantage_id)
-            if table is None or not len(table):
-                continue
-            parts = getattr(table, "parts", None)
-            if parts:
-                # Sharded capture: histogram each mmap'd part and sum.
-                # Bin edges are fixed by (hours,), so per-shard counts
-                # add to exactly the merged-column histogram without
-                # ever concatenating the timestamp column.
-                for _shard_pos, part in parts:
-                    if len(part):
-                        matrix[row] += hourly_volumes(part.timestamps, hours)
-            else:
-                matrix[row] = hourly_volumes(table.timestamps, hours)
+        table = dataset.tables.get(vantage_id)
+        if table is None or not len(table):
+            continue
+        parts = getattr(table, "parts", None)
+        if parts:
+            # Sharded capture: histogram each mmap'd part and sum.  Bin
+            # edges are fixed by (hours,), so per-shard counts add to
+            # exactly the merged-column histogram without ever
+            # concatenating the timestamp column.
+            for _shard_pos, part in parts:
+                if len(part):
+                    matrix[row] += hourly_volumes(part.timestamps, hours)
         else:
-            events = dataset.events_for(vantage_id)
-            matrix[row] = hourly_volumes((event.timestamp for event in events), hours)
+            matrix[row] = hourly_volumes(table.timestamps, hours)
     return matrix
 
 
@@ -119,34 +113,23 @@ def find_diurnal_sources(
     on a handful of timestamps is noise.
     """
     hours = dataset.window.hours
+    tables = [table for table in dataset.tables.values() if len(table)]
+    if not tables:
+        return []
+    sources = np.concatenate([table.src_ip for table in tables])
+    times = np.concatenate([table.timestamps for table in tables])
+    order = np.argsort(sources, kind="stable")
+    sources = sources[order]
+    times = times[order]
+    boundaries = np.flatnonzero(np.diff(sources)) + 1
+    starts = np.concatenate(([0], boundaries))
+    stops = np.concatenate((boundaries, [len(sources)]))
     rhythmic: list[tuple[int, float]] = []
-    if dataset.tables is not None:
-        tables = [table for table in dataset.tables.values() if len(table)]
-        if not tables:
-            return []
-        sources = np.concatenate([table.src_ip for table in tables])
-        times = np.concatenate([table.timestamps for table in tables])
-        order = np.argsort(sources, kind="stable")
-        sources = sources[order]
-        times = times[order]
-        boundaries = np.flatnonzero(np.diff(sources)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(sources)]))
-        for start, stop in zip(starts, stops):
-            if stop - start < min_events:
-                continue
-            strength = diurnal_strength(hourly_volumes(times[start:stop], hours))
-            if strength >= min_strength:
-                rhythmic.append((int(sources[start]), strength))
-    else:
-        timestamps: dict[int, list[float]] = defaultdict(list)
-        for event in dataset.events:
-            timestamps[event.src_ip].append(event.timestamp)
-        for src_ip, grouped in timestamps.items():
-            if len(grouped) < min_events:
-                continue
-            strength = diurnal_strength(hourly_volumes(grouped, hours))
-            if strength >= min_strength:
-                rhythmic.append((src_ip, strength))
+    for start, stop in zip(starts, stops):
+        if stop - start < min_events:
+            continue
+        strength = diurnal_strength(hourly_volumes(times[start:stop], hours))
+        if strength >= min_strength:
+            rhythmic.append((int(sources[start]), strength))
     rhythmic.sort(key=lambda item: -item[1])
     return rhythmic

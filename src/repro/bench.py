@@ -74,7 +74,6 @@ def run_bench(
     telescope_slash24s: int = 16,
     seed: int = 777,
     year: int = 2021,
-    emission: str = "batch",
     experiments: Optional[Sequence[str]] = None,
     orchestrate_workers: Optional[Sequence[int]] = None,
     orchestrate_sweep: bool = False,
@@ -176,7 +175,7 @@ def run_bench(
     result = run_simulation(
         deployment,
         population,
-        SimulationConfig(seed=seed, window=_WINDOWS[year], emission=emission),
+        SimulationConfig(seed=seed, window=_WINDOWS[year]),
     )
     stages["simulation"] = time.perf_counter() - started
     events_per_s = _events_per_s(result.total_events(), round(stages["simulation"], 4))
@@ -232,7 +231,6 @@ def run_bench(
         "telescope_slash24s": telescope_slash24s,
         "seed": seed,
         "year": year,
-        "emission": emission,
         "events": result.total_events(),
         "stages": {name: round(value, 4) for name, value in stages.items()},
         # The simulation stage's throughput, read off the recorded stage.
@@ -639,8 +637,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="telescope size in /24s (default 16)")
     parser.add_argument("--seed", type=int, default=777)
     parser.add_argument("--year", type=int, default=2021, choices=(2020, 2021, 2022))
-    parser.add_argument("--emission", default="batch", choices=("batch", "scalar"),
-                        help="event-emission mode to benchmark (default batch)")
     parser.add_argument("--experiments", nargs="*", default=None, metavar="ID",
                         help="experiment ids to time (default: all for the year)")
     parser.add_argument("--orchestrate-workers", nargs="*", type=int, default=(),
@@ -678,7 +674,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 telescope_slash24s=args.telescope,
                 seed=args.seed,
                 year=args.year,
-                emission=args.emission,
                 experiments=args.experiments,
                 orchestrate_workers=tuple(args.orchestrate_workers),
                 orchestrate_sweep=args.orchestrate_sweep,

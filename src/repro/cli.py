@@ -91,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="telescope size in /24s (default 16)")
     bench.add_argument("--seed", type=int, default=777)
     bench.add_argument("--year", type=int, default=2021, choices=(2020, 2021, 2022))
-    bench.add_argument("--emission", default="batch", choices=("batch", "scalar"),
-                       help="event-emission mode to benchmark (default batch)")
     bench.add_argument("--experiments", nargs="*", default=None, metavar="ID",
                        help="experiment ids to time (default: all for the "
                             "year; pass no values to skip analysis timing)")
@@ -463,7 +461,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             telescope_slash24s=args.telescope,
             seed=args.seed,
             year=args.year,
-            emission=args.emission,
             experiments=args.experiments,
             orchestrate_workers=tuple(args.orchestrate_workers),
             orchestrate_sweep=args.orchestrate_sweep,
@@ -588,6 +585,7 @@ def _command_honeypots(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
     import threading
 
     from repro.serve import QueryServer, RunDirBackend, ServeOptions
@@ -651,6 +649,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         label = (f"live simulation ({len(population)} campaigns, "
                  f"scale {config.scale}, seed {config.seed})")
 
+    drained = []  # the server's stats, once in-flight requests drained
+
     async def _serve():
         server = QueryServer(backend, options)
         await server.start()
@@ -664,13 +664,20 @@ def _command_serve(args: argparse.Namespace) -> int:
                 await server.serve_forever()
         finally:
             await server.stop()  # graceful drain of in-flight requests
-        return server.stats
+            drained.append(server.stats)
 
+    # A process started in the background of a non-interactive shell
+    # inherits SIGINT ignored; restore the default so SIGINT stops the
+    # server (asyncio.run then cancels _serve, which drains).
+    if signal.getsignal(signal.SIGINT) is signal.SIG_IGN:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
-        stats = asyncio.run(_serve())
+        asyncio.run(_serve())
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 0
+        if not drained:
+            print("interrupted", file=sys.stderr)
+            return 0
+    stats = drained[0]
     print(f"served {stats.requests_served:,} request(s) over "
           f"{stats.connections_accepted:,} connection(s) "
           f"({stats.rejected_connections} rejected); drained cleanly")

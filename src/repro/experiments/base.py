@@ -89,8 +89,6 @@ class ShardView:
 def shard_views(dataset) -> list[ShardView]:
     """The dataset's shard views (a single whole-dataset view when
     unsharded, so mappers never special-case)."""
-    if dataset.tables is None:
-        raise ValueError("shard views require a columnar (table-backed) dataset")
     order = {vantage_id: position
              for position, vantage_id in enumerate(dataset.tables)}
     shard_tables = getattr(dataset, "shard_tables", None)

@@ -181,15 +181,6 @@ class VantageCapture:
         """Row-object view of the table (built lazily, cached)."""
         return self.table.materialize()
 
-    def record(self, intent: ScanIntent, src_asn: int) -> Optional[CapturedEvent]:
-        """Run one intent through the vantage's stack; keep what survives."""
-        if not self.vantage.stack.observes(intent.dst_port):
-            return None
-        event = self.vantage.stack.capture(intent, self.vantage, src_asn)
-        if event is not None:
-            self.table.append_event(event)
-        return event
-
     def record_batch(self, batch: IntentBatch, src_asns: np.ndarray) -> int:
         """Run a whole intent batch through the stack; returns rows kept."""
         if len(batch) == 0 or not self.vantage.stack.observes(batch.dst_port):

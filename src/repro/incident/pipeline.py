@@ -228,21 +228,13 @@ def detect_incidents(
     from repro.stream.analyzer import StreamAnalyzer
 
     hours = int(dataset.window.hours)
-    tables = dataset.tables
-    if tables is None:  # row-backed dataset (tests): columnarize first
-        from repro.io.table import EventTable
-
-        tables = {
-            vantage_id: EventTable.from_events(rows, vantage_id=vantage_id)
-            for vantage_id, rows in sorted(dataset._by_vantage().items())
-        }
     analyzer = StreamAnalyzer(
         hours=hours,
         sketch_k=sketch_k,
         leak_experiment=dataset.leak_experiment,
     )
     pipeline = IncidentPipeline(analyzer, rules=rules, quiet_hours=quiet_hours)
-    replay = canonical_frame(tables, hours)
+    replay = canonical_frame(dataset.tables, hours)
     for frame in replay.split(pipeline.cuts(replay)):
         analyzer.consume(frame)
         pipeline.consume(frame)

@@ -1,12 +1,13 @@
 """Columnar-discipline rule (COL001).
 
-The PR 6/7 performance wins (zero-copy shard merge, one-pass
-contingency aggregation) hold only while hot aggregation paths stay on
-the struct-of-arrays representation.  A single ``.materialize()`` or
-``.iter_events()`` inside a ``map_shard`` mapper quietly turns an O(1)
-mmap view into a per-event Python object walk — correctness survives,
-the budget does not.  ``dataset.events_for(...)`` is the same walk one
-call removed: it materializes the vantage's table.
+The zero-copy shard merge and the one-pass contingency aggregation
+hold only while aggregation paths stay on the struct-of-arrays
+representation.  A single ``.materialize()`` or ``.iter_events()``
+quietly turns an O(1) mmap view into a per-event Python object walk —
+correctness survives, the budget does not.  The analysis layer
+(``repro/analysis/``, ``repro/experiments/``) holds no row path at all,
+so the rule covers those directories whole; elsewhere it covers
+``map_shard`` mappers.
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ from typing import Iterator
 
 from repro.lint.findings import Finding, Rule, register
 
-#: APIs that materialize per-event Python row objects: the EventTable
-#: ones and the AnalysisDataset grouping helpers built on them.
-_ROW_APIS = frozenset({"materialize", "iter_events", "events_for", "events_for_group"})
+#: EventTable APIs that materialize per-event Python row objects.
+_ROW_APIS = frozenset({"materialize", "iter_events"})
 
-#: Every function in these files is a hot columnar path.
-_COLUMNAR_FILES = (
-    "repro/analysis/contingency_engine.py",
-    "repro/analysis/blocklists.py",
-)
+#: Every line under these directories is a columnar path.
+_COLUMNAR_DIRS = ("repro/analysis/", "repro/experiments/")
 
 
 def _is_map_shard(name: str) -> bool:
@@ -36,11 +33,11 @@ class ColumnarDisciplineRule(Rule):
     code = "COL001"
     name = "map_shard stays columnar"
     invariant = (
-        "map_shard mappers, contingency-engine callees and the blocklist "
-        "analyses aggregate over numpy columns; row-materializing APIs "
-        "(.materialize(), .iter_events(), .events_for(), "
-        ".events_for_group()) rebuild per-event objects and forfeit the "
-        "columnar speedups the experiment budgets assume."
+        "the analysis layer (repro/analysis/, repro/experiments/) and "
+        "every map_shard mapper aggregate over numpy columns; "
+        "row-materializing APIs (.materialize(), .iter_events()) rebuild "
+        "per-event objects and forfeit the columnar speedups the "
+        "experiment budgets assume."
     )
     dynamic_check = (
         "benchmarks/check_experiment_budget.py (experiment wall-clock "
@@ -48,12 +45,16 @@ class ColumnarDisciplineRule(Rule):
     )
 
     def check(self, module) -> Iterator[Finding]:
-        whole_file = module.matches(*_COLUMNAR_FILES)
-        for scope in ast.walk(module.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not (whole_file or _is_map_shard(scope.name)):
-                continue
+        if module.in_dir(*_COLUMNAR_DIRS):
+            scopes = [(module.tree, "this module")]
+        else:
+            scopes = [
+                (scope, f"`{scope.name}`")
+                for scope in ast.walk(module.tree)
+                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _is_map_shard(scope.name)
+            ]
+        for scope, where in scopes:
             for node in ast.walk(scope):
                 if (
                     isinstance(node, ast.Call)
@@ -63,6 +64,5 @@ class ColumnarDisciplineRule(Rule):
                     yield module.finding(
                         self.code, node,
                         f"row-materializing `.{node.func.attr}()` inside "
-                        f"`{scope.name}`: aggregate over the numpy "
-                        "columns instead",
+                        f"{where}: aggregate over the numpy columns instead",
                     )

@@ -51,7 +51,7 @@ class WallClockRule(Rule):
         "the simulation clock, durations from time.perf_counter; "
         "time.time()/datetime.now() smuggle host time into outputs."
     )
-    dynamic_check = "tests/test_seed_equivalence.py (same seed, same bytes)"
+    dynamic_check = "tests/test_sim_goldens.py (same seed, same bytes)"
 
     def check(self, module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -51,7 +51,7 @@ class StdlibRandomRule(Rule):
         "seeded stream registry; the stdlib `random` module is global, "
         "unseedable per-stream state."
     )
-    dynamic_check = "tests/test_seed_equivalence.py (bit-identical reruns)"
+    dynamic_check = "tests/test_sim_goldens.py (bit-identical reruns)"
 
     def check(self, module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -81,7 +81,7 @@ class GlobalNumpyRandomRule(Rule):
         "state shared across every component and worker; streams must "
         "be explicit Generator objects."
     )
-    dynamic_check = "tests/test_seed_equivalence.py (N-shard == 1-process)"
+    dynamic_check = "tests/test_mapreduce.py (N-shard == 1-process)"
 
     def check(self, module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -332,10 +332,8 @@ class PortPlan:
     ) -> IntentBatch:
         """Synthesize a whole batch of session intents in columnar form.
 
-        The draw order is fixed and documented so that batch and scalar
-        *emission* modes share one RNG stream (the engine always builds
-        intents through this method and materializes rows afterwards when
-        running in scalar mode):
+        The draw order is fixed and documented, so a seed always yields the
+        same batch:
 
         1. HTTP corpora: one vectorized ``choice`` over payload names.
         2. Interactive plans: one ``random`` per session (banner gate),

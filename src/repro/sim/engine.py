@@ -48,27 +48,13 @@ __all__ = ["SimulationConfig", "SimulationResult", "Simulator", "run_simulation"
 
 @dataclass
 class SimulationConfig:
-    """Tunable simulation parameters.
-
-    ``emission`` selects how intents reach capture stacks: ``"batch"``
-    (default) appends whole columnar batches per (campaign, vantage) run;
-    ``"scalar"`` materializes each row and funnels it through the
-    one-event ``capture`` API.  Both modes draw from the identical RNG
-    stream (all randomness happens while *building* batches), so a seed
-    produces the same dataset either way — the seed-equivalence tests
-    rely on this.
-    """
+    """Tunable simulation parameters."""
 
     seed: int = 20230701
     window: ObservationWindow = WEEK_2021
     crawl_time: float = -24.0  # engines crawled the fleet a day before the window
     leak_crawl_time: float = 2.0  # leaked services are crawled at experiment start
     max_sessions_per_pair: int = 512  # safety valve against runaway rates
-    emission: str = "batch"  # "batch" (columnar appends) or "scalar" (row-at-a-time)
-
-    def __post_init__(self) -> None:
-        if self.emission not in ("batch", "scalar"):
-            raise ValueError(f"unknown emission mode {self.emission!r}")
 
 
 @dataclass
@@ -309,8 +295,8 @@ class Simulator:
         see :meth:`repro.io.table.EventTable.set_append_hook`) installed
         on every honeypot capture table for the duration of the run —
         the streaming subsystem's engine ingest
-        (``run(tap=bus.table_tap())``).  It observes both emission modes
-        and is detached before the result is returned.
+        (``run(tap=bus.table_tap())``).  It is detached before the result
+        is returned.
         """
         if source_ips is None:
             source_ips = self._allocate_sources()
@@ -468,7 +454,7 @@ class Simulator:
         # then source picks for every session, then the plan's batch
         # draws (payload/credential/command choices) inside
         # ``build_intent_batch``.  Destinations are visited in target-set
-        # index order, so the stream is identical in both emission modes.
+        # index order.
         timestamps = plan.temporal.sample_times_grouped(rng, counts, hours)
         source_indices = rng.integers(len(sources), size=total)
         dst_index = np.repeat(active, counts)
@@ -501,12 +487,6 @@ class Simulator:
         starts = np.concatenate(([0], boundaries))
         stops = np.concatenate((boundaries, [total]))
         run_vantages = positions[starts]
-        if self.config.emission == "scalar":
-            vantages = self._port_vantages[plan.port]
-            for ordinal, start, stop in zip(run_vantages.tolist(), starts.tolist(), stops.tolist()):
-                capture = captures[vantages[ordinal].vantage_id]
-                self._dispatch(capture, batch.slice(start, stop), batch_asns[start:stop], True)
-            return
         self._append_runs(
             plan.port, batch, batch_asns, run_vantages, starts, stops, captures, group
         )
@@ -583,20 +563,6 @@ class Simulator:
             )
             lo = run + 1
         group.append_runs(run_members[lo:], run_columns[lo:], starts[lo:], stops[lo:])
-
-    @staticmethod
-    def _dispatch(
-        capture: VantageCapture,
-        batch,
-        src_asns: np.ndarray,
-        scalar: bool,
-    ) -> None:
-        """Feed one per-vantage batch through the configured capture path."""
-        if scalar:
-            for offset, intent in enumerate(batch.intents()):
-                capture.record(intent, int(src_asns[offset]))
-        else:
-            capture.record_batch(batch, src_asns)
 
     def _emit_telescope_sessions(
         self,
@@ -723,14 +689,14 @@ class Simulator:
                 batch_asns = batch_asns[kept]
                 row_candidates = row_candidates[kept]
 
-        scalar = self.config.emission == "scalar"
         boundaries = np.flatnonzero(np.diff(row_candidates)) + 1
         starts = np.concatenate(([0], boundaries))
         stops = np.concatenate((boundaries, [len(row_candidates)]))
         for start, stop in zip(starts.tolist(), stops.tolist()):
             vantage = candidate_vantages[int(row_candidates[start])]
-            capture = captures[vantage.vantage_id]
-            self._dispatch(capture, batch.slice(start, stop), batch_asns[start:stop], scalar)
+            captures[vantage.vantage_id].record_batch(
+                batch.slice(start, stop), batch_asns[start:stop]
+            )
 
     def _engine_entries(
         self, engine: SearchEngine

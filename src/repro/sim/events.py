@@ -91,7 +91,7 @@ class IntentBatch:
     holds tuples of plain ``(username, password)`` pairs — the wire-level
     representation capture stacks record — and :meth:`intents` wraps them
     back into :class:`Credential` objects when materializing rows for the
-    scalar capture path.
+    per-row capture fallback.
     """
 
     dst_port: int
@@ -136,7 +136,8 @@ class IntentBatch:
         )
 
     def intents(self) -> Iterator[ScanIntent]:
-        """Materialize row-level intents (the scalar emission fallback)."""
+        """Materialize row-level intents (the per-row capture fallback for
+        stacks without a batch policy)."""
         for index in range(len(self.timestamps)):
             pairs = self.credentials[index]
             yield ScanIntent(

@@ -2,22 +2,39 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.analysis.dataset import SLICES, AnalysisDataset, TrafficSlice
+from repro.detection.fingerprint import fingerprint
 from repro.sim.events import NetworkKind
+
+
+def _all_rows(engine):
+    return list(range(len(engine.vantage_ids)))
 
 
 class TestConstruction:
     def test_from_simulation(self, small_context):
         dataset = AnalysisDataset.from_simulation(small_context.result)
-        assert len(dataset.events) == small_context.result.total_events()
+        total = sum(len(table) for table in dataset.tables.values())
+        assert total == small_context.result.total_events()
         assert dataset.telescope is not None
         assert dataset.leak_experiment is not None
 
     def test_events_grouped_by_vantage(self, dataset):
-        total = sum(len(dataset.events_for(v.vantage_id)) for v in dataset.vantages)
-        assert total == len(dataset.events)
+        """Row events become one table per vantage: vantages in
+        first-sighting order, each vantage's rows in input order."""
+        populated = [vid for vid, table in dataset.tables.items() if len(table)][:3]
+        rows = {vid: dataset.tables[vid].materialize()[:20] for vid in populated}
+        interleaved = [
+            row for group in zip(*(rows[vid] for vid in reversed(populated)))
+            for row in group
+        ]
+        grouped = AnalysisDataset(events=interleaved, vantages=dataset.vantages)
+        assert list(grouped.tables) == list(reversed(populated))
+        for vid in populated:
+            assert grouped.tables[vid].materialize() == rows[vid][: len(interleaved) // 3]
 
 
 class TestSlices:
@@ -27,62 +44,72 @@ class TestSlices:
         assert SLICES["http_all"].protocol == "http"
 
     def test_ssh22_slice_is_port_based(self, dataset):
-        events = dataset.slice_events(dataset.events, SLICES["ssh22"])
-        assert events
-        assert all(event.dst_port == 22 for event in events)
+        engine = dataset.contingency()
+        port22 = sum(int((table.dst_port == 22).sum()) for table in dataset.tables.values())
+        assert port22 > 0
+        assert engine.events["ssh22"].sum() == port22
 
     def test_http80_slice_fingerprint_filtered(self, dataset):
-        events = dataset.slice_events(dataset.events, SLICES["http80"])
-        assert events
-        assert all(event.dst_port == 80 for event in events)
-        assert all(dataset.fingerprint_of(event) == "http" for event in events)
+        engine = dataset.contingency()
+        assert engine.events["http80"].sum() > 0
+        assert (engine.events["http80"] <= engine.events["port80"]).all()
+        assert (engine.events["http80"] <= engine.events["http_all"]).all()
 
     def test_http_all_spans_ports(self, dataset):
-        events = dataset.slice_events(dataset.events, SLICES["http_all"])
-        ports = {event.dst_port for event in events}
-        assert len(ports) > 1
+        engine = dataset.contingency()
+        # HTTP spoken off port 80 too.
+        assert engine.events["http_all"].sum() > engine.events["http80"].sum()
 
     def test_unexpected_protocols_excluded_from_http_slice(self, dataset):
-        port80 = [event for event in dataset.events if event.dst_port == 80]
-        http80 = dataset.slice_events(port80, SLICES["http80"])
-        assert len(http80) < len(port80)  # the ~15% non-HTTP traffic
+        engine = dataset.contingency()
+        # the ~15% non-HTTP traffic on port 80
+        assert engine.events["http80"].sum() < engine.events["port80"].sum()
 
     def test_custom_slice(self, dataset):
-        tls80 = dataset.slice_events(
-            dataset.events, TrafficSlice("TLS/80", port=80, protocol="tls")
-        )
-        assert tls80
-        assert all(dataset.fingerprint_of(event) == "tls" for event in tls80)
+        tls80 = TrafficSlice("TLS/80", port=80, protocol="tls")
+        assert tls80.label() == "TLS/80"
+        port80_payloads = {
+            payload
+            for table in dataset.tables.values()
+            for payload in set(table.payloads[table.dst_port == tls80.port].tolist())
+        }
+        assert any(fingerprint(payload) == tls80.protocol for payload in port80_payloads)
 
 
 class TestCounters:
     def test_as_counter(self, dataset):
-        counts = dataset.as_counter(dataset.events[:500])
-        assert sum(counts.values()) == 500
+        engine = dataset.contingency()
+        counts = engine.counter("any_all", "as", _all_rows(engine))
+        assert sum(counts.values()) == sum(len(table) for table in dataset.tables.values())
         assert all(isinstance(asn, int) for asn in counts)
 
     def test_username_password_counters(self, dataset):
-        ssh = dataset.slice_events(dataset.events, SLICES["ssh22"])
-        usernames = dataset.username_counter(ssh)
-        passwords = dataset.password_counter(ssh)
+        engine = dataset.contingency()
+        usernames = engine.counter("ssh22", "username", _all_rows(engine))
+        passwords = engine.counter("ssh22", "password", _all_rows(engine))
         assert usernames and passwords
         assert "root" in usernames
         assert sum(usernames.values()) == sum(passwords.values())
 
     def test_payload_counter_strips_host(self, dataset):
-        http = dataset.slice_events(dataset.events, SLICES["http80"])[:2000]
-        counts = dataset.payload_counter(http)
+        engine = dataset.contingency()
+        counts = engine.counter("http80", "payload", _all_rows(engine))
+        assert counts
         assert all(b"Host:" not in payload for payload in counts)
 
     def test_characteristic_dispatch(self, dataset):
-        events = dataset.events[:100]
-        assert dataset.characteristic_counter(events, "as") == dataset.as_counter(events)
-        with pytest.raises(ValueError):
-            dataset.characteristic_counter(events, "zodiac")
+        engine = dataset.contingency()
+        vantage_id = next(vid for vid, table in dataset.tables.items() if len(table))
+        row = engine.row(vantage_id)
+        table = dataset.tables[vantage_id]
+        assert engine.counter("any_all", "as", [row]) == Counter(table.src_asn.tolist())
+        with pytest.raises(KeyError):
+            engine.counter("any_all", "zodiac", [row])
 
     def test_malicious_fraction_bounds(self, dataset):
-        malicious, total = dataset.malicious_fraction(dataset.events[:2000])
-        assert 0 <= malicious <= total == 2000
+        engine = dataset.contingency()
+        malicious, total = engine.fraction("any_all", _all_rows(engine))
+        assert 0 < malicious <= total == sum(len(t) for t in dataset.tables.values())
 
 
 class TestGrouping:
@@ -98,9 +125,12 @@ class TestGrouping:
         assert all(v.kind is NetworkKind.EDU for v in edu)
 
     def test_events_for_group(self, dataset):
+        engine = dataset.contingency()
         group = dataset.vantages_in(network="aws", region="AP-SG")
-        events = dataset.events_for_group(group)
-        assert len(events) == sum(len(dataset.events_for(v.vantage_id)) for v in group)
+        rows = [engine.row(v.vantage_id) for v in group if engine.row(v.vantage_id) is not None]
+        expected = sum(len(dataset.tables.get(v.vantage_id, ())) for v in group)
+        assert expected > 0
+        assert engine.events["any_all"][np.asarray(rows)].sum() == expected
 
 
 class TestSourceSets:

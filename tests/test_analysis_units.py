@@ -157,10 +157,6 @@ class TestLeakUnits:
             for i in range(4):
                 events.append(event(leaked_v, src_ip=50 + i, port=80,
                                     ts=hour + 0.2 + i * 0.1, payload=benign))
-        dataset = AnalysisDataset([], [control_v, leaked_v], WEEK_2021,
-                                  leak_experiment=experiment)
-        dataset.events = events
-        # rebuild grouping after direct assignment
         return AnalysisDataset(events, [control_v, leaked_v], WEEK_2021,
                                leak_experiment=experiment), experiment
 
@@ -182,7 +178,8 @@ class TestLeakUnits:
                   payload=http_payload("shodan-get").render())
             for hour in range(168)
         ]
-        boosted = AnalysisDataset(dataset.events + extra, dataset.vantages,
+        rows = [row for table in dataset.tables.values() for row in table.materialize()]
+        boosted = AnalysisDataset(rows + extra, dataset.vantages,
                                   WEEK_2021, leak_experiment=experiment)
         rows = leak_report(boosted)
         shodan_all = next(r for r in rows

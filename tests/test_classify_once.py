@@ -28,6 +28,7 @@ from repro.analysis.dataset import AnalysisDataset
 from repro.analysis.ports import methodology_numbers
 from repro.detection.classify import ReputationOracle
 from repro.detection.engine import RuleEngine, load_default_rules
+from repro.detection.fingerprint import fingerprint
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.context import ExperimentContext
 from repro.experiments.ext_blocklists import run as run_x1
@@ -48,7 +49,7 @@ def _reference_blocklist(dataset, vantages, until_hour=None):
         event.src_ip
         for event in _rows(dataset, vantages)
         if (until_hour is None or event.timestamp < until_hour)
-        and dataset.is_malicious(event)
+        and dataset.classifier.is_malicious(event)
     }
 
 
@@ -56,7 +57,7 @@ def _reference_coverage(dataset, ips, vantages, from_hour, asns=()):
     ips, asns = set(ips), set(asns)
     malicious = [
         event for event in _rows(dataset, vantages)
-        if event.timestamp >= from_hour and dataset.is_malicious(event)
+        if event.timestamp >= from_hour and dataset.classifier.is_malicious(event)
     ]
     blocked = [
         event for event in malicious if event.src_ip in ips or event.src_asn in asns
@@ -114,11 +115,6 @@ class TestBlocklists:
                 _continent_vantages(dataset, cell.target_group), train,
             )
 
-    def test_row_backed_dataset_is_rejected(self, dataset):
-        rows = AnalysisDataset(events=[], vantages=dataset.vantages, window=dataset.window)
-        with pytest.raises(ValueError, match="table-backed"):
-            build_blocklist(rows, dataset.vantages[:3])
-
 
 @pytest.mark.parametrize("port", [22, 23, 80])
 @pytest.mark.parametrize("kind", [NetworkKind.CLOUD, NetworkKind.EDU])
@@ -127,7 +123,7 @@ def test_malicious_sources_on_port(dataset, port, kind):
         event.src_ip
         for table in dataset.tables.values() if table.network_kind == kind
         for event in table.materialize()
-        if event.dst_port == port and dataset.is_malicious(event)
+        if event.dst_port == port and dataset.classifier.is_malicious(event)
     }
     assert dataset.malicious_sources_on_port(port, kind) == expected
 
@@ -176,9 +172,9 @@ def test_methodology_numbers_match_row_counts(dataset):
                     counter[0] += 1
                     counter[1] += event.attempted_login
             if event.dst_port == 80 and event.payload and (
-                dataset.fingerprint_of(event) == "http"
+                fingerprint(event.payload) == "http"
             ):
-                malicious = dataset.is_malicious(event)
+                malicious = dataset.classifier.is_malicious(event)
                 http[0] += 1
                 http[1] += malicious
                 distinct.setdefault(strip_ephemeral_headers(event.payload), malicious)

@@ -1,26 +1,34 @@
-"""Columnar contingency engine == row-wise analyses, bit for bit.
+"""The columnar contingency engine and the analyses built on it.
 
 The engine pre-aggregates per-(vantage × characteristic) count matrices
 and per-source behavior tables in one pass over the event tables; every
-pairwise-comparison analysis then slices those matrices instead of
-re-scanning events.  These tests pin the only contract that makes that
-refactor safe: at a fixed seed, the engine-backed fast paths produce
-*exactly* the same outputs — same values, same float bits, same dict
-ordering — as the legacy row-wise paths they replace.
+pairwise-comparison analysis slices those matrices.  Their values are
+pinned in ``tests/test_analysis_goldens.py``.  Here:
 
-The row-wise paths stay reachable: a dataset constructed from bare event
-lists (no tables) has no engine, so building a "row twin" of the shared
-fixture exercises legacy code against the same events.
+* the parity classes check that a dataset rebuilt from rows — the
+  shared fixture's events written to NDJSON and read back, grouped per
+  vantage into tables — gives *exactly* the outputs of the simulator's
+  own tables: same values, same float bits, same dict ordering;
+* :class:`TestMatrixInternals` checks the count matrices against an
+  independent per-event reference computed from the materialized rows
+  with the row-level definitions (``fingerprint``,
+  ``strip_ephemeral_headers``, ``MaliciousnessClassifier.is_malicious``).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.analysis.campaigns import infer_campaigns
 from repro.analysis.commands import command_summary
-from repro.analysis.dataset import AnalysisDataset
+from repro.analysis.contingency_engine import (
+    CHARACTERISTICS,
+    ENGINE_SLICES,
+    POPULAR_PORTS,
+)
 from repro.analysis.geography import (
     build_region_profiles,
     geo_similarity,
@@ -30,22 +38,15 @@ from repro.analysis.leak import leak_report, unique_credentials_per_group
 from repro.analysis.neighborhoods import neighborhood_report
 from repro.analysis.networks import network_type_report, telescope_as_report
 from repro.analysis.tags import tag_distribution, tag_sources
-
-
-def _row_twin(dataset: AnalysisDataset) -> AnalysisDataset:
-    """The same events with no tables: forces every legacy row path."""
-    return AnalysisDataset(
-        events=dataset.events,
-        vantages=dataset.vantages,
-        window=dataset.window,
-        telescope=dataset.telescope,
-        leak_experiment=dataset.leak_experiment,
-    )
+from repro.detection.fingerprint import fingerprint
+from repro.scanners.payloads import strip_ephemeral_headers
+from tests.test_analysis_goldens import _ndjson_twin, digest
 
 
 @pytest.fixture(scope="module")
-def row_dataset(dataset):
-    return _row_twin(dataset)
+def row_dataset(small_context, tmp_path_factory):
+    """The shared fixture's rows through NDJSON, rebuilt as a dataset."""
+    return _ndjson_twin(small_context, tmp_path_factory.mktemp("twin"))
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,8 @@ def dataset_2020(small_context_2020):
 
 
 @pytest.fixture(scope="module")
-def row_dataset_2020(dataset_2020):
-    return _row_twin(dataset_2020)
+def row_dataset_2020(small_context_2020, tmp_path_factory):
+    return _ndjson_twin(small_context_2020, tmp_path_factory.mktemp("twin"))
 
 
 class TestEngineAvailability:
@@ -67,10 +68,13 @@ class TestEngineAvailability:
         assert aggregates is not None
         assert dataset.source_aggregates() is aggregates
 
-    def test_row_backed_dataset_has_no_engine(self, row_dataset):
-        assert row_dataset.tables is None
-        assert row_dataset.contingency() is None
-        assert row_dataset.source_aggregates() is None
+    def test_row_events_become_tables(self, dataset, row_dataset):
+        """Rows are grouped per vantage, in the simulator's vantage order."""
+        populated = {vid: len(table) for vid, table in dataset.tables.items() if len(table)}
+        assert {vid: len(table) for vid, table in row_dataset.tables.items()} == populated
+        assert list(row_dataset.tables) == list(populated)
+        assert row_dataset.contingency() is not None
+        assert row_dataset.source_aggregates() is not None
 
 
 class TestNeighborhoodParity:
@@ -98,9 +102,9 @@ class TestNeighborhoodParity:
 class TestGeographyParity:
     @pytest.mark.parametrize("aggregate", ["median", "sum"])
     def test_region_profiles(self, dataset, row_dataset, aggregate):
-        fast = build_region_profiles(dataset, aggregate=aggregate)
-        legacy = build_region_profiles(row_dataset, aggregate=aggregate)
-        assert fast == legacy
+        simulated = build_region_profiles(dataset, aggregate=aggregate)
+        reloaded = build_region_profiles(row_dataset, aggregate=aggregate)
+        assert simulated == reloaded
 
     def test_geo_similarity(self, dataset, row_dataset):
         assert geo_similarity(dataset) == geo_similarity(row_dataset)
@@ -108,12 +112,13 @@ class TestGeographyParity:
     def test_most_different_regions(self, dataset, row_dataset):
         assert most_different_regions(dataset) == most_different_regions(row_dataset)
 
-    def test_explicit_profiles_use_legacy_path(self, dataset, row_dataset):
-        """Pre-built profiles (the ablation entry point) still work."""
-        profiles = build_region_profiles(dataset)
-        assert most_different_regions(
-            dataset, profiles=profiles
-        ) == most_different_regions(row_dataset)
+    def test_sum_aggregate(self, dataset, row_dataset):
+        """Table 4 over pooled (summed) region profiles, the median-vs-sum
+        ablation's arm; pinned with the Counter profiles of
+        ``build_region_profiles(aggregate="sum")``."""
+        pinned = "5c505cfed4d51e416ae7f2a134929db0241bc148440e95fb87fc2b86ebf1b12a"
+        assert digest(most_different_regions(dataset, aggregate="sum")) == pinned
+        assert digest(most_different_regions(row_dataset, aggregate="sum")) == pinned
 
     def test_2020(self, dataset_2020, row_dataset_2020):
         assert geo_similarity(dataset_2020) == geo_similarity(row_dataset_2020)
@@ -140,12 +145,12 @@ class TestNetworkParity:
 
 class TestTagParity:
     def test_tag_sources_values_and_order(self, dataset, row_dataset):
-        fast = tag_sources(dataset)
-        legacy = tag_sources(row_dataset)
-        assert fast == legacy
+        simulated = tag_sources(dataset)
+        reloaded = tag_sources(row_dataset)
+        assert simulated == reloaded
         # Dict ordering is part of the contract: downstream reports
         # iterate sources in first-observation order.
-        assert list(fast) == list(legacy)
+        assert list(simulated) == list(reloaded)
 
     def test_tag_distribution(self, dataset, row_dataset):
         assert tag_distribution(tag_sources(dataset)) == tag_distribution(
@@ -153,9 +158,9 @@ class TestTagParity:
         )
 
     def test_2020(self, dataset_2020, row_dataset_2020):
-        fast = tag_sources(dataset_2020)
-        legacy = tag_sources(row_dataset_2020)
-        assert fast == legacy and list(fast) == list(legacy)
+        simulated = tag_sources(dataset_2020)
+        reloaded = tag_sources(row_dataset_2020)
+        assert simulated == reloaded and list(simulated) == list(reloaded)
 
 
 class TestCampaignParity:
@@ -174,10 +179,10 @@ class TestCampaignParity:
 class TestCommandParity:
     @pytest.mark.parametrize("top", [1, 3, 10, 25])
     def test_summary(self, dataset, row_dataset, top):
-        fast = command_summary(dataset, top=top)
-        legacy = command_summary(row_dataset, top=top)
-        assert fast == legacy
-        assert fast.top_commands == legacy.top_commands  # order included
+        simulated = command_summary(dataset, top=top)
+        reloaded = command_summary(row_dataset, top=top)
+        assert simulated == reloaded
+        assert simulated.top_commands == reloaded.top_commands  # order included
 
     def test_2020(self, dataset_2020, row_dataset_2020):
         assert command_summary(dataset_2020) == command_summary(row_dataset_2020)
@@ -192,30 +197,68 @@ class TestLeakParity:
 
     @pytest.mark.parametrize("port", [22, 23, 80])
     def test_unique_credentials(self, dataset, row_dataset, port):
-        fast = unique_credentials_per_group(dataset, port=port)
-        legacy = unique_credentials_per_group(row_dataset, port=port)
-        assert fast == legacy
-        assert list(fast) == list(legacy)
+        simulated = unique_credentials_per_group(dataset, port=port)
+        reloaded = unique_credentials_per_group(row_dataset, port=port)
+        assert simulated == reloaded
+        assert list(simulated) == list(reloaded)
+
+
+def _slice_mask(events, slice_key):
+    """Events of one engine slice, by the row-level definitions."""
+    ports = [event.dst_port for event in events]
+    http = [fingerprint(event.payload) == "http" for event in events]
+    return {
+        "ssh22": [port == 22 for port in ports],
+        "telnet23": [port == 23 for port in ports],
+        "http80": [port == 80 and is_http for port, is_http in zip(ports, http)],
+        "http_all": http,
+        "any_all": [True] * len(events),
+        "port80": [port == 80 for port in ports],
+        "popular": [port in POPULAR_PORTS for port in ports],
+    }[slice_key]
+
+
+def _reference_counter(events, characteristic):
+    if characteristic == "as":
+        return Counter(event.src_asn for event in events)
+    if characteristic == "payload":
+        return Counter(
+            strip_ephemeral_headers(event.payload) for event in events if event.payload
+        )
+    position = {"username": 0, "password": 1}[characteristic]
+    return Counter(pair[position] for event in events for pair in event.credentials)
 
 
 class TestMatrixInternals:
     """Cheap invariants on the engine itself (not just its callers)."""
 
     def test_counts_match_counters(self, dataset):
-        """Matrix rows reproduce exact per-vantage category counts."""
-        from collections import Counter
-
+        """Every slice's count matrices and event, malicious and login
+        vectors equal per-event counts over one vantage's rows, for a
+        Cowrie (GreyNoise) vantage with logins, a Honeytrap vantage and
+        a leak vantage."""
         engine = dataset.contingency()
-        vantage_id = next(
-            vid for vid, table in dataset.tables.items()
-            if len(table) and engine.row(vid) is not None
-        )
-        events = [e for e in dataset.events if e.vantage_id == vantage_id]
-        expected = Counter(e.src_asn for e in events)
-        row = engine.row(vantage_id)
-        got = engine.counter("any_all", "as", [row])
-        assert got == expected
-
+        for prefix in ("gn-", "ht-", "leak-"):
+            vantage_id = next(
+                vid for vid, table in dataset.tables.items()
+                if vid.startswith(prefix) and len(table)
+                and (prefix != "gn-" or engine.cred_events[engine.row(vid)] > 0)
+            )
+            row = engine.row(vantage_id)
+            events = dataset.tables[vantage_id].materialize()
+            assert engine.cred_events[row] == sum(bool(e.credentials) for e in events)
+            for slice_key in ENGINE_SLICES:
+                mask = _slice_mask(events, slice_key)
+                selected = [event for event, keep in zip(events, mask) if keep]
+                where = (vantage_id, slice_key)
+                assert engine.events[slice_key][row] == len(selected), where
+                assert engine.malicious[slice_key][row] == sum(
+                    dataset.classifier.is_malicious(event) for event in selected
+                ), where
+                for characteristic in CHARACTERISTICS:
+                    assert engine.counter(slice_key, characteristic, [row]) == (
+                        _reference_counter(selected, characteristic)
+                    ), (*where, characteristic)
     def test_events_row_sums(self, dataset):
         """Each event carries exactly one AS, so AS-matrix row sums are
         the per-vantage event counts of the slice."""

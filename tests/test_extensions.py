@@ -43,8 +43,9 @@ class TestUdpCapture:
         assert not event.handshake  # honeypots never respond to UDP
         assert fingerprint(event.payload) == "sip"
 
-    def test_population_emits_udp_traffic(self, dataset):
-        udp_events = [e for e in dataset.events if e.transport is Transport.UDP]
+    def test_population_emits_udp_traffic(self, small_context):
+        udp_events = [e for e in small_context.result.events()
+                      if e.transport is Transport.UDP]
         assert udp_events
         assert all(not event.handshake for event in udp_events)
         ports = {event.dst_port for event in udp_events}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.geography import RegionProfile, _grouping_of
+from repro.detection.fingerprint import fingerprint
 from repro.experiments.base import ExperimentOutput
 from repro.reporting.markdown import experiment_to_markdown, write_markdown_report
 
@@ -63,10 +64,10 @@ class TestUdpEngineEnd2End:
         # Telescope records UDP ports too (header-only, no distinction lost).
         assert 5060 in result.telescope.ports() or 123 in result.telescope.ports()
 
-    def test_udp_fingerprintable_at_honeytrap(self, dataset):
-        sip = [e for e in dataset.events if e.dst_port == 5060]
+    def test_udp_fingerprintable_at_honeytrap(self, small_context):
+        sip = [e for e in small_context.result.events() if e.dst_port == 5060]
         assert sip
-        fingerprints = {dataset.fingerprint_of(e) for e in sip if e.payload}
+        fingerprints = {fingerprint(e.payload) for e in sip if e.payload}
         assert "sip" in fingerprints
 
 
@@ -140,8 +141,8 @@ class TestFirewallInDeployment:
                     for v in deployment.honeypots
                 ]
             result = run_simulation(deployment, population, SimulationConfig(seed=23))
-            dataset = AnalysisDataset.from_simulation(result)
-            malicious, total = dataset.malicious_fraction(dataset.events)
+            engine = AnalysisDataset.from_simulation(result).contingency()
+            malicious, total = engine.fraction("any_all", range(len(engine.vantage_ids)))
             return malicious / max(total, 1)
 
         assert measure(0.9) < 0.5 * measure(0.0)

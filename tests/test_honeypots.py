@@ -8,7 +8,7 @@ from repro.honeypots.cowrie import COWRIE_PORTS, CowrieStack
 from repro.honeypots.greynoise import GREYNOISE_DEFAULT_PORTS, GreyNoiseStack
 from repro.honeypots.honeytrap import HoneytrapStack
 from repro.honeypots.telescope import TelescopeCapture, TelescopeStack
-from repro.sim.events import Credential, NetworkKind, ScanIntent
+from repro.sim.events import Credential, IntentBatch, NetworkKind, ScanIntent
 
 
 def make_vantage(stack, ips=(1000,), kind=NetworkKind.CLOUD):
@@ -35,6 +35,24 @@ def http_intent(port=80):
     return ScanIntent(
         timestamp=2.0, src_ip=7, dst_ip=1000, dst_port=port,
         protocol="http", payload=b"GET / HTTP/1.1\r\n\r\n",
+    )
+
+
+def one_row_batch(intent):
+    """A one-row :class:`IntentBatch` holding ``intent``."""
+    def cell(value):
+        column = np.empty(1, dtype=object)
+        column[0] = value
+        return column
+
+    return IntentBatch(
+        dst_port=intent.dst_port, transport=intent.transport, protocol=intent.protocol,
+        timestamps=np.array([intent.timestamp]),
+        src_ips=np.array([intent.src_ip], dtype=np.int64),
+        dst_ips=np.array([intent.dst_ip], dtype=np.int64),
+        payloads=cell(intent.payload),
+        credentials=cell(tuple(credential.as_tuple() for credential in intent.credentials)),
+        commands=cell(intent.commands),
     )
 
 
@@ -130,9 +148,11 @@ class TestVantageCapture:
     def test_records_observed_ports_only(self):
         stack = GreyNoiseStack(frozenset({22}))
         capture = VantageCapture(make_vantage(stack))
-        assert capture.record(ssh_intent(port=22), 1) is not None
-        assert capture.record(http_intent(port=80), 1) is None
+        asns = np.array([1], dtype=np.int64)
+        assert capture.record_batch(one_row_batch(ssh_intent(port=22)), asns) == 1
+        assert capture.record_batch(one_row_batch(http_intent(port=80)), asns) == 0
         assert len(capture) == 1
+        assert capture.events[0].credentials == (("root", "123456"),)
 
     def test_vantage_requires_ips(self):
         with pytest.raises(ValueError):

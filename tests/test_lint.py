@@ -64,13 +64,18 @@ FIXTURES = [
      "def map_shard(view):\n    rows = []\n"
      "    for table in view.tables.values():\n"
      "        rows.extend(table.iter_events())\n    return rows\n"),
-    # The X1 pattern: rows reached through the dataset's grouping helper,
-    # in a whole-file columnar module, outside any map_shard.
+    # The X1 pattern: rows materialized from the dataset's tables, in the
+    # analysis layer, outside any map_shard.
     ("COL001", "repro/analysis/blocklists.py",
      "def build_blocklist(dataset, vantages):\n    found = set()\n"
      "    for vantage in vantages:\n"
-     "        for event in dataset.events_for(vantage.vantage_id):\n"
+     "        for event in dataset.tables[vantage.vantage_id].materialize():\n"
      "            found.add(event.src_ip)\n    return found\n"),
+    # Any analysis module, new ones included, is covered whole-file.
+    ("COL001", "repro/analysis/f_col001_rows.py",
+     "def per_vantage_rows(dataset):\n"
+     "    return {vantage_id: table.materialize()\n"
+     "            for vantage_id, table in dataset.tables.items()}\n"),
     ("EXC001", "repro/analysis/f_exc001.py",
      "def load(path):\n    try:\n        return open(path)\n"
      "    except:\n        return None\n"),

@@ -334,8 +334,9 @@ class TestLiveAnalysisIntegration:
 
         pot = run(scenario())
         dataset = AnalysisDataset(pot.events, [live_vantage(pot)], WEEK_2021)
-        malicious, total = dataset.malicious_fraction(dataset.events)
+        engine = dataset.contingency()
+        malicious, total = engine.fraction("any_all", range(len(engine.vantage_ids)))
         assert total == 3
         assert malicious == 2  # exploit + login attempt; benign GET passes
-        protocols = {dataset.fingerprint_of(event) for event in dataset.events}
+        protocols = {fingerprint(event.payload) for event in pot.events}
         assert "http" in protocols

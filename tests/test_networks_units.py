@@ -101,8 +101,8 @@ class TestTelescopeAsReport:
             np.asarray([5] * 40),
         )
         dataset = AnalysisDataset(
-            honeytrap_world.events, honeytrap_world.vantages, WEEK_2021,
-            telescope=capture,
+            tables=honeytrap_world.tables, vantages=honeytrap_world.vantages,
+            window=WEEK_2021, telescope=capture,
         )
         cells = {(c.comparison, c.slice_name): c for c in telescope_as_report(dataset)}
         ssh = cells[("telescope-edu", "ssh22")]

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,3 +637,28 @@ class TestDrain:
             assert finished
 
         asyncio.run(_scenario())
+
+
+class TestSignalStop:
+    def test_sigint_drains_when_started_with_sigint_ignored(self, run_dir):
+        """A background job of a non-interactive shell starts with SIGINT
+        ignored; ``serve`` must still stop on SIGINT, drain and exit 0."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--run-dir", str(run_dir),
+             "--port", "0", "--duration", "120"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert server.stdout.readline().startswith("serving ")
+            server.send_signal(signal.SIGINT)
+            output, _ = server.communicate(timeout=15)
+        finally:
+            server.kill()
+            server.wait()
+        assert server.returncode == 0
+        assert "drained cleanly" in output

@@ -217,6 +217,13 @@ def streamed_sim():
     return analyzer, bus, result, dataset
 
 
+
+def _exact_counter(dataset, vantage_id, characteristic):
+    """A vantage's exact category counts, off the contingency engine."""
+    engine = dataset.contingency()
+    return engine.counter("any_all", characteristic, [engine.row(vantage_id)])
+
+
 class TestStreamingBatchConsistency:
     def test_tap_saw_every_event(self, streamed_sim):
         analyzer, bus, result, _dataset = streamed_sim
@@ -243,9 +250,7 @@ class TestStreamingBatchConsistency:
         analyzer, _bus, _result, dataset = streamed_sim
         for characteristic in CHARACTERISTICS:
             for vantage_id in analyzer.contingency[characteristic].groups():
-                exact = dataset.characteristic_counter(
-                    dataset.events_for(vantage_id), characteristic
-                )
+                exact = _exact_counter(dataset, vantage_id, characteristic)
                 assert len(exact) <= CONSISTENCY_K, (characteristic, vantage_id)
 
     def test_top3_and_counts_match_batch_everywhere(self, streamed_sim):
@@ -254,9 +259,7 @@ class TestStreamingBatchConsistency:
         for characteristic in CHARACTERISTICS:
             contingency = analyzer.contingency[characteristic]
             for vantage_id in contingency.groups():
-                exact = dataset.characteristic_counter(
-                    dataset.events_for(vantage_id), characteristic
-                )
+                exact = _exact_counter(dataset, vantage_id, characteristic)
                 sketch = contingency.sketch(vantage_id)
                 assert sketch.counts() == {c: float(n) for c, n in exact.items()}
                 assert contingency.top(vantage_id, 3) == top_k(exact, 3)
@@ -272,9 +275,7 @@ class TestStreamingBatchConsistency:
             contingency = analyzer.contingency[characteristic]
             batch_counts = {}
             for vantage_id in contingency.groups():
-                counter = dataset.characteristic_counter(
-                    dataset.events_for(vantage_id), characteristic
-                )
+                counter = _exact_counter(dataset, vantage_id, characteristic)
                 batch_counts[vantage_id] = dict(counter)
             if len(batch_counts) < 2:
                 continue

@@ -5,12 +5,7 @@ import pytest
 
 from repro.analysis.dataset import AnalysisDataset
 from repro.analysis.recommendations import operator_report
-from repro.analysis.tags import (
-    SourceBehavior,
-    TAG_RULES,
-    tag_distribution,
-    tag_sources,
-)
+from repro.analysis.tags import TAG_RULES, tag_distribution, tag_sources
 from repro.honeypots.base import VantagePoint
 from repro.honeypots.honeytrap import HoneytrapStack
 from repro.scanners.payloads import http_payload, protocol_first_payload
@@ -85,8 +80,7 @@ class TestTagRules:
         assert tags[7] == frozenset()
 
     def test_rule_names_unique(self):
-        names = [name for name, _predicate in TAG_RULES]
-        assert len(names) == len(set(names))
+        assert len(TAG_RULES) == len(set(TAG_RULES))
 
 
 class TestTagDistribution:

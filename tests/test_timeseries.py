@@ -55,7 +55,7 @@ class TestOnSimulation:
         vantage_ids = [v.vantage_id for v in dataset.vantages[:5]]
         matrix = hourly_matrix(dataset, vantage_ids)
         assert matrix.shape == (5, dataset.window.hours)
-        total = sum(len(dataset.events_for(vid)) for vid in vantage_ids)
+        total = sum(len(dataset.tables.get(vid, ())) for vid in vantage_ids)
         assert matrix.sum() == total
 
     def test_diurnal_crawlers_detected(self, dataset):
