@@ -11,7 +11,7 @@ Tags are *descriptive*, not authoritative: a source can carry several.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 
 import numpy as np
 
@@ -133,9 +133,15 @@ def tag_sources(dataset: AnalysisDataset) -> dict[int, frozenset[str]]:
 
 
 def tag_distribution(tags: dict[int, frozenset[str]]) -> dict[str, int]:
-    """Number of source IPs carrying each tag, sorted by prevalence."""
-    counts: dict[str, int] = defaultdict(int)
-    for tag_set in tags.values():
-        for tag in tag_set:
-            counts[tag] += 1
+    """Number of source IPs carrying each tag, sorted by prevalence.
+
+    Ties keep first-sighting order, a source's own tags taken in
+    :data:`TAG_RULES` order: iterating the frozenset itself would follow
+    the process's string hashing.
+    """
+    rank = {tag: index for index, tag in enumerate(TAG_RULES)}
+    counts: dict[str, int] = {}
+    for tag_set, sources in Counter(tags.values()).items():
+        for tag in sorted(tag_set, key=lambda tag: (rank.get(tag, len(rank)), tag)):
+            counts[tag] = counts.get(tag, 0) + sources
     return dict(sorted(counts.items(), key=lambda item: -item[1]))

@@ -221,7 +221,7 @@ GOLDENS: dict[str, str] = {
     "T9@2021": "01978e8556738569c81541c7a422111aa7533adabb4e254cee6a55e4f84d2a44",
     "X1@2021": "80c64eada9d2b26029599f7d9ab2f33a73d3f66076359c1a8e115f97ae18042f",
     "X2@2021": "7ce75cf076e56968afa6eee649447eedcc58a6b7564a843ec2f70b556c8546bf",
-    "X4@2021": "87d068cc74392c7c3d2844bcd7aac5737b055c1baef3b703af0cc2b7a82a397e",
+    "X4@2021": "00486eca05360a508914f45c8a0b66f2759ce403b907c90f5a347d5a2bfce827",
     "attacker_overlap@2020": "b57b23ab191b77b8f4ef14a056e0c0d9465b005722bcc3a7e3f70743e4d43099",
     "attacker_overlap@2021": "2f46b66bfb86b1fdec2f8ec0ec877a7db02868cda5f1669ea2e98cdf96a934ea",
     "build_region_profiles[median]@2020":
