@@ -412,14 +412,11 @@ class EventTable:
         return cls(vantage.vantage_id, vantage.network, vantage.kind, vantage.region_code)
 
     @classmethod
-    def from_events(cls, events: Iterable[CapturedEvent],
-                    vantage_id: Optional[str] = None) -> "EventTable":
+    def from_events(cls, events: Iterable[CapturedEvent]) -> "EventTable":
         """Build a table from row records (all of one vantage)."""
         events = list(events)
         if not events:
-            if vantage_id is None:
-                raise ValueError("cannot infer vantage identity from zero events")
-            return cls(vantage_id, "", NetworkKind.CLOUD, "")
+            raise ValueError("cannot infer vantage identity from zero events")
         first = events[0]
         table = cls(first.vantage_id, first.network, first.network_kind, first.region)
         for event in events:
