@@ -590,6 +590,28 @@ def _merge_values(partials: Sequence[_MatrixPartial]) -> dict[str, list]:
     return merged
 
 
+def _merge_matrix(
+    matrices: Sequence[np.ndarray], remaps: Sequence[np.ndarray], n_vantages: int, width: int
+) -> np.ndarray:
+    """Sum of the partials' count matrices, partial column ``j`` landing
+    on merged column ``remaps[k][j]``: the first partial's matrix
+    column-gathered into place (merged columns it lacks zeroed), then
+    every later partial added in.  No zero-filled copy is built and
+    scattered into."""
+    first, placed = matrices[0], remaps[0]
+    source = np.zeros(width, dtype=np.int64)
+    source[placed] = np.arange(len(placed))
+    merged = (np.take(first, source, axis=1) if first.shape[1]
+              else np.zeros((n_vantages, width), dtype=np.int64))
+    missing = np.ones(width, dtype=bool)
+    missing[placed] = False
+    merged[:, missing] = 0
+    for matrix, remap in zip(matrices[1:], remaps[1:]):
+        if matrix.shape[1]:
+            merged[:, remap] += matrix
+    return merged
+
+
 def _matrix_reduce(
     partials: Sequence[_MatrixPartial], vantage_ids: Sequence[str]
 ) -> "ContingencyEngine":
@@ -599,9 +621,22 @@ def _matrix_reduce(
         characteristic: {value: col for col, value in enumerate(values[characteristic])}
         for characteristic in CHARACTERISTICS
     }
+    remaps = [
+        {
+            characteristic: np.array(
+                [indexes[characteristic][value] for value in partial.values[characteristic]],
+                dtype=np.int64,
+            )
+            for characteristic in CHARACTERISTICS
+        }
+        for partial in partials
+    ]
     counts = {
-        (slice_key, characteristic): np.zeros(
-            (n_vantages, len(values[characteristic])), dtype=np.int64
+        (slice_key, characteristic): _merge_matrix(
+            [partial.counts[(slice_key, characteristic)] for partial in partials],
+            [remap[characteristic] for remap in remaps],
+            n_vantages,
+            len(values[characteristic]),
         )
         for slice_key in ENGINE_SLICES
         for characteristic in CHARACTERISTICS
@@ -610,16 +645,6 @@ def _matrix_reduce(
     malicious = {key: np.zeros(n_vantages, dtype=np.int64) for key in ENGINE_SLICES}
     cred_events = np.zeros(n_vantages, dtype=np.int64)
     for partial in partials:
-        remap = {
-            characteristic: np.array(
-                [indexes[characteristic][value] for value in partial.values[characteristic]],
-                dtype=np.int64,
-            )
-            for characteristic in CHARACTERISTICS
-        }
-        for (slice_key, characteristic), matrix in partial.counts.items():
-            if matrix.shape[1]:
-                counts[(slice_key, characteristic)][:, remap[characteristic]] += matrix
         for slice_key in ENGINE_SLICES:
             events[slice_key] += partial.events[slice_key]
             malicious[slice_key] += partial.malicious[slice_key]

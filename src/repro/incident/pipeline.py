@@ -20,9 +20,10 @@ merged datasets are bit-identical across shard counts, and the replay
 order is a pure function of the merged tables — so the audit log of a
 1-shard, 2-shard and 4-shard run of the same seed is byte-identical.
 
-The replay is cheap: per vantage one stable argsort by hour bin, one
-gather per column into canonical order, and every (vantage, hour) cell
-is a chunk of the replay frame — a row range, never an object.
+The replay is cheap: one stable argsort of every row by (hour,
+vantage) cell, one gather per column into canonical order, and every
+(vantage, hour) cell is a chunk of the replay frame — a row range,
+never an object.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from repro.incident.incidents import AuditLog, IncidentStore
 from repro.incident.rules import IncidentRule, default_rules
 from repro.incident.runbooks import RunbookExecutor
+from repro.io.table import concat_runs, gather_plan
 from repro.stream.bus import StreamChunk, StreamFrame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,10 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stream.analyzer import StreamAnalyzer
 
 __all__ = ["IncidentPipeline", "canonical_chunks", "canonical_frame", "detect_incidents"]
-
-#: Chunk column name -> EventTable accessor attribute, where they differ.
-_ACCESSORS = {"payload": "payloads"}
-
 
 class IncidentPipeline:
     """Rules + store + executor behind one ``consume(frame)`` face."""
@@ -161,50 +159,42 @@ def canonical_frame(tables: dict, hours: int) -> StreamFrame:
     """Merged per-vantage tables as one frame in the canonical stream order.
 
     Hour-major, then vantage id (sorted), then original table row order
-    — the stable argsort by hour bin preserves intra-hour row order, so
-    the row sequence is a pure function of the merged tables.  Each
-    non-empty (vantage, hour) cell is one chunk of the frame.
+    — one stable argsort by (hour bin, vantage) preserves intra-cell row
+    order, so the row sequence is a pure function of the merged tables.
+    Each non-empty (vantage, hour) cell is one chunk of the frame.  The
+    tables' rows are addressed through one
+    :func:`~repro.io.table.gather_plan` over all of their runs, so a
+    column is one :func:`~repro.io.table.concat_runs` and one gather,
+    whatever the number of tables.
     """
     hours = int(hours)
     sources = [tables[vantage_id] for vantage_id in sorted(tables) if len(tables[vantage_id])]
     if not sources:
         return StreamFrame.from_chunks([])
-    base = 0
-    sorted_rows, starts, lengths = [], [], []
-    for table in sources:
-        stamps = np.asarray(table.timestamps, dtype=np.float64)
-        # hourly_volumes binning: final bin right-closed, so ts == hours
-        # lands in the last hour.
-        bins = np.minimum(stamps.astype(np.int64), hours - 1)
-        order = np.argsort(bins, kind="stable")
-        bounds = np.searchsorted(bins[order], np.arange(hours + 1))
-        sorted_rows.append(base + order)
-        starts.append(base + bounds[:-1])
-        lengths.append(np.diff(bounds))
-        base += len(table)
-    # (vantage, hour) -> hour-major cell order, empty cells dropped.
-    cell_starts = np.stack(starts).T.ravel()
-    cell_lengths = np.stack(lengths).T.ravel()
-    cell_tables = np.tile(np.arange(len(sources)), hours)
-    occupied = cell_lengths > 0
-    cell_starts, cell_lengths = cell_starts[occupied], cell_lengths[occupied]
+    column_sets, starts, stops = zip(*(run for table in sources for run in table.runs()))
+    spans, index = gather_plan(column_sets, starts, stops)
+    stamps = concat_runs(spans, "timestamps")[index]
+    # hourly_volumes binning: final bin right-closed, so ts == hours
+    # lands in the last hour; rows binned before hour 0 are not replayed.
+    bins = np.minimum(stamps.astype(np.int64), hours - 1)
+    table_of_row = np.repeat(np.arange(len(sources)), [len(table) for table in sources])
+    rows = np.flatnonzero(bins >= 0)
+    cells = bins[rows] * len(sources) + table_of_row[rows]
+    order = np.argsort(cells, kind="stable")
+    cell_ids, cell_lengths = np.unique(cells[order], return_counts=True)
     offsets = np.zeros(len(cell_lengths) + 1, dtype=np.int64)
     np.cumsum(cell_lengths, out=offsets[1:])
-    positions = np.repeat(cell_starts - offsets[:-1], cell_lengths) + np.arange(offsets[-1])
-    replay = np.concatenate(sorted_rows)[positions]
+    replay = index[rows[order]]
 
     gathered: dict[str, np.ndarray] = {}
 
     def _resolve(name: str, first: int, stop: int) -> np.ndarray:
         column = gathered.get(name)
         if column is None:
-            accessor = _ACCESSORS.get(name, name)
-            column = gathered[name] = np.concatenate(
-                [np.asarray(getattr(table, accessor)) for table in sources]
-            )[replay]
+            column = gathered[name] = concat_runs(spans, name)[replay]
         return column[offsets[first]:offsets[stop]]
 
-    return StreamFrame([sources[index] for index in cell_tables[occupied].tolist()],
+    return StreamFrame([sources[table] for table in (cell_ids % len(sources)).tolist()],
                        offsets, _resolve)
 
 

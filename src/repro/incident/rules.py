@@ -109,13 +109,11 @@ class VolumeSpikeRule(IncidentRule):
         if hour < self.min_history:
             return []
         signals: list[Signal] = []
-        for vantage_id in analyzer.windows.keys():
+        # Only vantages with at least min_events in the sealed hour can
+        # spike; the rest are ruled out in one test over the windows.
+        for vantage_id in analyzer.windows.keys_at_least(hour, self.min_events):
             series = analyzer.windows.series(vantage_id)
-            if hour >= len(series):
-                continue
             value = float(series[hour])
-            if value < self.min_events:
-                continue
             history = series[:hour]
             mean = float(history.mean())
             std = float(history.std())
@@ -181,10 +179,10 @@ class NewHeavyHitterRule(IncidentRule):
         if contingency is None:
             return []
         signals: list[Signal] = []
-        for vantage_id in contingency.groups():
-            total = float(analyzer.events_per_vantage.get(vantage_id, 0))
-            if total < self.min_vantage_events:
-                continue  # too sparse for "heavy" to mean anything yet
+        totals = analyzer.events_per_vantage
+        # Sparser vantages are skipped: "heavy" means nothing there yet.
+        for vantage_id in contingency.groups_at_least(totals, self.min_vantage_events):
+            total = float(totals.get(vantage_id, 0))
             sketch = contingency.sketch(vantage_id)
             top = [int(asn) for asn in sketch.top(self.k)]
             known = self._seen.get(vantage_id)
@@ -247,13 +245,11 @@ class CampaignOnsetRule(IncidentRule):
 
     def observe(self, frame: StreamFrame) -> None:
         frame = StreamFrame.of(frame)
-        payloads = frame.column("payload")
-        hits = np.flatnonzero(payloads.astype(bool))
-        if not hits.size:
-            return
         # Distinct raw payloads in first-seen order, so each footprint
         # is created (and previewed) by its first occurrence.
-        raw_codes, raw = category_codes(payloads[hits].tolist())
+        hits, raw_codes, raw = frame.interned("payload")
+        if not hits.size:
+            return
         digest_codes, digests = category_codes([self._digest(payload) for payload in raw])
         codes = digest_codes[raw_codes]
         stamps = np.asarray(frame.column("timestamps"), dtype=np.float64)[hits]

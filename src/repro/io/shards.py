@@ -140,70 +140,39 @@ def write_shard(
     format version, event counts, and data-file digests, and writes the
     manifest *last* so completion is atomic.
 
-    The spill streams column *runs* (:meth:`EventTable.iter_column_runs`)
-    directly into preallocated banks — no per-vantage consolidation, no
-    broadcast temporaries — and pools scalar runs with a single lookup,
-    so a campaign batch repeated across thousands of sessions costs O(1)
-    in the pooling loop.
+    Each bank is one concatenation of the vantages' consolidated columns
+    in sorted vantage order (a simulation run's tables build a column in
+    one :class:`~repro.io.table.ConsolidationGroup` gather), and each
+    object pool is one interning pass over its bank: values numbered in
+    first-seen order over (sorted vantage, row).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     order = [vantage_id for vantage_id in sorted(tables)
              if len(tables[vantage_id])]
+    ordered = [tables[vantage_id] for vantage_id in order]
     offsets = np.zeros(len(order) + 1, dtype=np.int64)
-    for position, vantage_id in enumerate(order):
-        offsets[position + 1] = offsets[position] + len(tables[vantage_id])
+    np.cumsum([len(table) for table in ordered], out=offsets[1:])
     total_rows = int(offsets[-1])
+
+    def bank(name: str) -> np.ndarray:
+        if not ordered:
+            return np.empty(0, dtype=_DTYPES.get(name, object))
+        return np.concatenate([table.column(name) for table in ordered])
 
     arrays: dict[str, np.ndarray] = {"bank|offsets": offsets}
     for name in _NUMERIC:
-        dtype = _DTYPES[name]
-        bank = np.empty(total_rows, dtype=dtype)
-        position = 0
-        for vantage_id in order:
-            for value, start, stop in tables[vantage_id].iter_column_runs(name):
-                run = stop - start
-                if isinstance(value, np.ndarray):
-                    bank[position:position + run] = value[start:stop]
-                else:
-                    bank[position:position + run] = value
-                position += run
-        arrays[f"bank|{name}"] = bank
+        arrays[f"bank|{name}"] = bank(name)
 
     pools: dict[str, list] = {}
     for name in _OBJECT:
         pool: dict = {}
-        index_bank = np.empty(total_rows, dtype=np.int32)
-        position = 0
-        for vantage_id in order:
-            for value, start, stop in tables[vantage_id].iter_column_runs(name):
-                run = stop - start
-                if isinstance(value, np.ndarray) and value.dtype == object:
-                    for item in value[start:stop].tolist():
-                        slot = pool.get(item)
-                        if slot is None:
-                            slot = len(pool)
-                            pool[item] = slot
-                        index_bank[position] = slot
-                        position += 1
-                elif isinstance(value, (bytes, tuple)):
-                    # Scalar broadcast run: one pool lookup for the lot.
-                    slot = pool.get(value)
-                    if slot is None:
-                        slot = len(pool)
-                        pool[value] = slot
-                    index_bank[position:position + run] = slot
-                    position += run
-                else:
-                    for item in list(value):
-                        slot = pool.get(item)
-                        if slot is None:
-                            slot = len(pool)
-                            pool[item] = slot
-                        index_bank[position] = slot
-                        position += 1
-        arrays[f"bank|{name}.idx"] = index_bank
+        values = bank(name).tolist()
+        arrays[f"bank|{name}.idx"] = np.fromiter(
+            (pool.setdefault(value, len(pool)) for value in values),
+            dtype=np.int32, count=len(values),
+        )
         pools[name] = list(pool)
 
     vantage_records = []

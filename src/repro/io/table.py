@@ -52,6 +52,7 @@ __all__ = [
     "TRANSPORT_CODES",
     "TRANSPORT_OF_CODE",
     "concat_runs",
+    "gather_plan",
 ]
 
 #: Compact integer encoding of :class:`~repro.net.packets.Transport`.
@@ -137,6 +138,46 @@ def concat_runs(runs: Iterable[tuple[dict, int, int]], name: str) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts)
+
+
+def gather_plan(
+    column_sets: Sequence, starts: Sequence[int], stops: Sequence[int]
+) -> tuple[list, np.ndarray]:
+    """How to build one column over runs ``(column_sets[k], starts[k],
+    stops[k])``, in run order, with one :func:`concat_runs` and one gather.
+
+    Returns ``(sources, index)``: the distinct column sets (by identity)
+    as ``(columns, lo, hi)`` spans — each the ``[min start, max stop)``
+    range its runs use, in first-use order — and the row index into
+    their concatenation, so ``concat_runs(sources, name)[index]`` equals
+    ``concat_runs(runs, name)``.  Runs of one set may interleave with
+    other sets' runs and may overlap each other.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.asarray(stops, dtype=np.int64)
+    ids = np.fromiter(map(id, column_sets), dtype=np.uint64, count=len(starts))
+    _ids, first, set_of_run = np.unique(ids, return_index=True, return_inverse=True)
+    lo = np.full(len(first), np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(lo, set_of_run, starts)
+    hi = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(hi, set_of_run, stops)
+    order = np.argsort(first, kind="stable")
+    sizes = (hi - lo)[order]
+    base = np.empty(len(first), dtype=np.int64)
+    base[order] = np.cumsum(sizes) - sizes - lo[order]
+    sources = [
+        (column_sets[run], start, stop)
+        for run, start, stop in zip(
+            first[order].tolist(), lo[order].tolist(), hi[order].tolist()
+        )
+    ]
+    # Row r of run k gathers source row base[set of k] + starts[k] + r.
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    index = np.repeat(base[set_of_run] + starts - (ends - lengths), lengths) + np.arange(
+        int(ends[-1]) if len(ends) else 0, dtype=np.int64
+    )
+    return sources, index
 
 
 class ConsolidationGroup:
@@ -290,36 +331,13 @@ class ConsolidationGroup:
         return self._runs[ordinal]
 
     def _build_plan(self) -> tuple[list, np.ndarray, np.ndarray]:
-        """``(sources, index, bounds)``: the distinct column sets as
-        ``(columns, lo, hi)`` spans, the gather index into their
-        concatenation, and each member's row bounds in the gather."""
+        """``(sources, index, bounds)``: :func:`gather_plan` over the log's
+        runs taken member-major (append order within a member), plus
+        each member's row bounds in the gather."""
         members, sets, starts, stops = self._log()
-        ids = np.fromiter(map(id, sets.tolist()), dtype=np.uint64, count=len(sets))
-        _ids, first, set_of_run = np.unique(ids, return_index=True, return_inverse=True)
-        # Each distinct set contributes the [min start, max stop) span
-        # its runs use, in first-use order.
-        lo = np.full(len(first), np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(lo, set_of_run, starts)
-        hi = np.zeros(len(first), dtype=np.int64)
-        np.maximum.at(hi, set_of_run, stops)
-        order = np.argsort(first, kind="stable")
-        sizes = (hi - lo)[order]
-        base = np.empty(len(first), dtype=np.int64)
-        base[order] = np.cumsum(sizes) - sizes - lo[order]
-        sources = [
-            (columns, start, stop)
-            for columns, start, stop in zip(
-                sets[first[order]].tolist(), lo[order].tolist(), hi[order].tolist()
-            )
-        ]
-        # Member-major, append order within a member: row r of run k
-        # gathers source row base[set] + start + r.
         by_member = np.argsort(members, kind="stable")
-        firsts = (base[set_of_run] + starts)[by_member]
-        lengths = (stops - starts)[by_member]
-        ends = np.cumsum(lengths)
-        index = np.repeat(firsts - (ends - lengths), lengths) + np.arange(
-            int(ends[-1]) if len(ends) else 0, dtype=np.int64
+        sources, index = gather_plan(
+            sets[by_member].tolist(), starts[by_member], stops[by_member]
         )
         bounds = np.zeros(len(self._members) + 1, dtype=np.int64)
         np.cumsum(self._lengths, out=bounds[1:])
@@ -383,6 +401,13 @@ class EventTable:
             return self._group.runs_of(self._ordinal)
         return self._own_chunks
 
+    def runs(self) -> list[tuple[dict, int, int]]:
+        """The ``(columns, start, stop)`` runs the rows come from, in
+        order: ``columns[name]`` is an array whose ``[start, stop)``
+        range belongs to this table, or a scalar broadcast over the run.
+        Read-only."""
+        return self._chunks
+
     @property
     def _length(self) -> int:
         if self._group is not None:
@@ -413,14 +438,29 @@ class EventTable:
 
     @classmethod
     def from_events(cls, events: Iterable[CapturedEvent]) -> "EventTable":
-        """Build a table from row records (all of one vantage)."""
+        """Build a table from row records (all of one vantage).
+
+        Each column is built in one pass over the rows, and the table
+        holds them as one run: the columns, dtypes and (shared)
+        ``bytes``/``tuple`` objects per-row :meth:`append_event` gives.
+        """
         events = list(events)
         if not events:
             raise ValueError("cannot infer vantage identity from zero events")
         first = events[0]
         table = cls(first.vantage_id, first.network, first.network_kind, first.region)
-        for event in events:
-            table.append_event(event)
+        # One tuple per row in schema order, transposed into columns.
+        rows = [
+            (event.timestamp, event.src_ip, event.src_asn, event.dst_ip, event.dst_port,
+             TRANSPORT_CODES[event.transport], bool(event.handshake),
+             event.payload, event.credentials, event.commands)
+            for event in events
+        ]
+        columns = {
+            name: np.fromiter(values, dtype=_DTYPES.get(name, object), count=len(rows))
+            for name, values in zip(_NUMERIC_COLUMNS + _OBJECT_COLUMNS, zip(*rows))
+        }
+        table.append_view(columns, 0, len(rows))
         return table
 
     @classmethod
@@ -576,23 +616,15 @@ class EventTable:
                 columns[name] = concat_runs(self._chunks, name)
         return self._columns[name]
 
+    def column(self, name: str) -> np.ndarray:
+        """One column by its chunk-schema name (``"payload"`` for
+        :attr:`payloads`); read-only, like every column accessor."""
+        return self._consolidate_column(name)
+
     def _consolidate(self) -> dict[str, np.ndarray]:
         for name in _NUMERIC_COLUMNS + _OBJECT_COLUMNS:
             self._consolidate_column(name)
         return self._columns
-
-    def iter_column_runs(self, name: str) -> Iterator[tuple[object, int, int]]:
-        """Yield ``(value, start, stop)`` runs of one column, unconsolidated.
-
-        ``value`` is the chunk's column source: an array whose
-        ``[start, stop)`` range belongs to this table, or a scalar
-        broadcast across the run.  The shard spill writer streams runs
-        straight into its column banks, so a scalar run (one payload
-        repeated across a campaign batch) costs O(1) instead of
-        materializing ``stop - start`` object references first.
-        """
-        for chunk, start, stop in self._chunks:
-            yield chunk[name], start, stop
 
     def __len__(self) -> int:
         return self._length

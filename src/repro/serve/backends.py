@@ -221,10 +221,14 @@ class ReputationTracker:
     def __init__(self, capacity: int = 65536, rule_engine=None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        from repro.detection.engine import RuleEngine
+        from repro.detection.engine import Alert, RuleEngine
 
         self.capacity = capacity
         self.rule_engine = rule_engine or RuleEngine()
+        # Each alert's destination-port scope (None: any port), the
+        # filter ``alerts(payload, port)`` applies (a sid names one rule).
+        self._scopes = {Alert(rule.sid, rule.msg, rule.classtype): rule.dst_ports
+                        for rule in self.rule_engine.rules}
         #: ip -> [asn, events, malicious] in least-recently-seen order.
         self._records: OrderedDict[int, list] = OrderedDict()
         self.evicted = 0
@@ -236,18 +240,17 @@ class ReputationTracker:
         """Fold one frame's rows in, in stream order (a bare chunk is a
         one-chunk frame)."""
         frame = StreamFrame.of(frame)
-        rule_engine = self.rule_engine
+        flags = frame.column("credentials").astype(bool)
+        rows, codes, payloads = frame.interned("payload")
+        if rows.size:
+            flags[rows] |= self._malicious(payloads, codes,
+                                           frame.column("dst_port")[rows])
         records = self._records
-        for ip, asn, pairs, payload, port in zip(
+        for ip, asn, malicious in zip(
             frame.column("src_ip").tolist(),
             frame.column("src_asn").tolist(),
-            frame.column("credentials").tolist(),
-            frame.column("payload").tolist(),
-            frame.column("dst_port").tolist(),
+            flags.tolist(),
         ):
-            malicious = bool(pairs) or (
-                bool(payload) and rule_engine.is_malicious(payload, port)
-            )
             record = records.get(ip)
             if record is None:
                 records[ip] = [asn, 1, malicious]
@@ -257,6 +260,23 @@ class ReputationTracker:
                 record[1] += 1
                 record[2] = record[2] or malicious
                 records.move_to_end(ip)
+
+    def _malicious(self, payloads: list, codes: np.ndarray, ports: np.ndarray) -> np.ndarray:
+        """Per row, ``rule_engine.is_malicious(payloads[codes[i]],
+        ports[i])``: the distinct payloads matched in one
+        :meth:`~repro.detection.engine.RuleEngine.alerts_batch` call, then
+        each fired alert kept where its port scope admits the row."""
+        scopes = self._scopes
+        fired = self.rule_engine.alerts_batch(payloads)
+        anywhere = np.array([any(scopes[alert] is None for alert in alerts)
+                             for alerts in fired], dtype=bool)
+        verdicts = anywhere[codes]
+        for code, alerts in enumerate(fired):
+            if alerts and not anywhere[code]:
+                scoped = sorted(set().union(*(scopes[alert] for alert in alerts)))
+                rows = np.flatnonzero(codes == code)
+                verdicts[rows] = np.isin(ports[rows], scoped)
+        return verdicts
 
     def _evict_if_needed(self) -> None:
         while len(self._records) > self.capacity:

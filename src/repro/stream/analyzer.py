@@ -309,11 +309,9 @@ class StreamAnalyzer:
     def _sketch_payloads(self, frame: StreamFrame, vantage_ids: list,
                          chunks: np.ndarray) -> None:
         """Payload counts, ephemeral headers stripped (as ``payload_counter``)."""
-        payloads = frame.column("payload")
-        hits = np.flatnonzero(payloads.astype(bool))
+        hits, raw_codes, raw = frame.interned("payload")
         if not hits.size:
             return
-        raw_codes, raw = category_codes(payloads[hits].tolist())
         stripped_codes, categories = category_codes(
             [strip_ephemeral_headers(payload) for payload in raw]
         )

@@ -42,7 +42,8 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
 import numpy as np
 
 from repro.sim.events import CapturedEvent, NetworkKind
-from repro.io.table import TRANSPORT_CODES, concat_runs
+from repro.io.table import TRANSPORT_CODES, concat_runs, gather_plan
+from repro.stream.sketches import category_codes
 
 __all__ = ["StreamChunk", "StreamFrame", "BusStats", "StreamBus", "MAX_FRAME_EVENTS"]
 
@@ -130,6 +131,31 @@ class StreamChunk:
         return np.full(length, value)
 
 
+class _ChunkGather:
+    """Resolves a frame's columns over its chunk list: per chunk range,
+    one :func:`~repro.io.table.gather_plan` shared by every column, then
+    one :func:`~repro.io.table.concat_runs` over the range's distinct
+    column sets and one gather per column.  Only the latest range's plan
+    is kept (sub-frames are consumed one at a time)."""
+
+    __slots__ = ("chunks", "_range", "_plan")
+
+    def __init__(self, chunks: list) -> None:
+        self.chunks = chunks
+        self._range: Optional[tuple[int, int]] = None
+        self._plan: Optional[tuple[list, np.ndarray]] = None
+
+    def __call__(self, name: str, first: int, stop: int) -> np.ndarray:
+        if self._range != (first, stop):
+            chunks = self.chunks[first:stop]
+            self._plan = gather_plan([chunk.columns for chunk in chunks],
+                                     [chunk.start for chunk in chunks],
+                                     [chunk.stop for chunk in chunks])
+            self._range = (first, stop)
+        sources, index = self._plan
+        return concat_runs(sources, name)[index]
+
+
 class StreamFrame:
     """An ordered run of chunks, consumed in one pass.
 
@@ -146,7 +172,8 @@ class StreamFrame:
     sub-frame materializes only its own rows.
     """
 
-    __slots__ = ("sources", "offsets", "_resolve", "_first", "_columns", "_chunk_index")
+    __slots__ = ("sources", "offsets", "_resolve", "_first", "_columns", "_chunk_index",
+                 "_interned")
 
     def __init__(self, sources: list, offsets: np.ndarray,
                  resolve: Callable[[str, int, int], np.ndarray], first: int = 0) -> None:
@@ -157,15 +184,14 @@ class StreamFrame:
         self._first = first
         self._columns: dict[str, np.ndarray] = {}
         self._chunk_index: Optional[np.ndarray] = None
+        self._interned: dict[str, tuple[np.ndarray, np.ndarray, list]] = {}
 
     @classmethod
     def from_chunks(cls, chunks: Iterable[StreamChunk]) -> "StreamFrame":
         chunks = [chunk for chunk in chunks if len(chunk)]
         offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
         np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
-        return cls(chunks, offsets, lambda name, first, stop: concat_runs(
-            ((chunk.columns, chunk.start, chunk.stop) for chunk in chunks[first:stop]), name
-        ))
+        return cls(chunks, offsets, _ChunkGather(chunks))
 
     @classmethod
     def of(cls, item: Union["StreamFrame", StreamChunk]) -> "StreamFrame":
@@ -195,6 +221,19 @@ class StreamFrame:
                 name, self._first, self._first + self.num_chunks
             )
         return array
+
+    def interned(self, name: str) -> tuple[np.ndarray, np.ndarray, list]:
+        """``(rows, codes, values)`` for the column's non-empty values:
+        their row positions, and per such row a code into ``values``,
+        the distinct values in first-seen order (``category_codes``).
+        Interned once per frame for every subscriber that asks."""
+        interned = self._interned.get(name)
+        if interned is None:
+            column = self.column(name)
+            rows = np.flatnonzero(column.astype(bool))
+            codes, values = category_codes(column[rows].tolist())
+            interned = self._interned[name] = (rows, codes, values)
+        return interned
 
     def chunk_index(self) -> np.ndarray:
         """Per row, the index of the chunk it belongs to."""

@@ -40,10 +40,10 @@ __all__ = ["SpaceSavingSketch", "HyperLogLog", "HyperLogLogBank", "KeyedRows",
 
 def category_codes(values: list) -> tuple[np.ndarray, list]:
     """Per-value codes into the distinct values, numbered in first-seen order."""
-    ids: dict = {}
-    codes = np.fromiter((ids.setdefault(value, len(ids)) for value in values),
-                        dtype=np.int64, count=len(values))
-    return codes, list(ids)
+    ids = dict.fromkeys(values)
+    distinct = list(ids)
+    ids.update(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(ids.__getitem__, values), dtype=np.int64, count=len(values)), distinct
 
 
 class SpaceSavingSketch:
@@ -274,6 +274,12 @@ class KeyedRows:
         block, offset = divmod(position, self.BLOCK)
         return self.blocks[block][offset]
 
+    def column(self, position: int) -> np.ndarray:
+        """Entry ``position`` of every row, in row order."""
+        if not self.blocks:
+            return np.zeros(0, dtype=self.dtype)
+        return np.concatenate([block[:, position] for block in self.blocks])[: len(self.index)]
+
     def scatter(self, ufunc: np.ufunc, rows: np.ndarray, columns: np.ndarray,
                 values) -> None:
         """``ufunc.at(row_matrix, (rows, columns), values)`` across blocks."""
@@ -354,6 +360,12 @@ class StreamingContingency:
 
     def groups(self) -> list[Hashable]:
         return sorted(self._groups, key=repr)
+
+    def groups_at_least(self, totals: Mapping[Hashable, float], minimum: float) -> list[Hashable]:
+        """The groups whose ``totals`` entry (0 when absent) is at least
+        ``minimum``, in :meth:`groups` order; only those are sorted."""
+        return sorted((group for group in self._groups if totals.get(group, 0) >= minimum),
+                      key=repr)
 
     def update(self, group: Hashable, category: Hashable, weight: float = 1.0) -> None:
         self.sketch(group).update(category, weight)

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.stream.analyzer import StreamAnalyzer
-from repro.stream.bus import StreamBus, StreamChunk, StreamFrame
+from repro.stream.bus import CHUNK_COLUMNS, StreamBus, StreamChunk, StreamFrame
 
 __all__ = ["WatchOptions", "SnapshotPrinter", "watch_simulation",
            "watch_run_dir", "watch_live", "stream_table"]
@@ -195,24 +195,24 @@ def _summary(bus: StreamBus, analyzer: StreamAnalyzer, printer: SnapshotPrinter,
 
 
 def stream_table(bus: StreamBus, table, chunk_events: int) -> int:
-    """Publish one EventTable's rows as bounded chunks; returns events."""
+    """Publish one EventTable's rows as bounded chunks; returns events.
+
+    A single-run table (a shard table: one row range of its shard's bank
+    columns) publishes ranges of that run's column set, so nothing is
+    consolidated per table; other tables publish their consolidated
+    columns.  Either way chunk ``k`` covers the table's rows
+    ``[k * chunk_events, (k + 1) * chunk_events)``.
+    """
     length = len(table)
     if length == 0:
         return 0
-    columns = {
-        "timestamps": table.timestamps,
-        "src_ip": table.src_ip,
-        "src_asn": table.src_asn,
-        "dst_ip": table.dst_ip,
-        "dst_port": table.dst_port,
-        "transport_code": table.transport_code,
-        "handshake": table.handshake,
-        "payload": table.payloads,
-        "credentials": table.credentials,
-        "commands": table.commands,
-    }
-    for start in range(0, length, chunk_events):
-        stop = min(start + chunk_events, length)
+    runs = table.runs()
+    if len(runs) == 1:
+        columns, offset, _stop = runs[0]
+    else:
+        columns, offset = {name: table.column(name) for name in CHUNK_COLUMNS}, 0
+    for start in range(offset, offset + length, chunk_events):
+        stop = min(start + chunk_events, offset + length)
         bus.publish(StreamChunk.from_table_chunk(table, columns, start, stop))
     return length
 
@@ -307,18 +307,20 @@ def watch_run_dir(
     deadline = started + max(0.0, follow_seconds)
 
     def _resolve_shard(shard_path: Path) -> dict:
-        """Load a shard and force every streamed column to resolve.
+        """Load a shard and force every streamed bank to resolve, once.
 
         A shard copied or crashed mid-write can carry a manifest while
         its column banks are truncated; resolving everything up front
         makes such a shard fail *here*, before a single chunk has been
-        published, so a retry never double-streams rows.
+        published, so a retry never double-streams rows.  Every table
+        of a shard is a row range of the same bank columns.
         """
         tables = load_shard_tables(shard_path)
-        for table in tables.values():
-            _ = (table.timestamps, table.src_ip, table.src_asn, table.dst_ip,
-                 table.dst_port, table.transport_code, table.handshake,
-                 table.payloads, table.credentials, table.commands)
+        banks = {id(columns): columns for table in tables.values()
+                 for columns, _start, _stop in table.runs()}
+        for columns in banks.values():
+            for name in CHUNK_COLUMNS:
+                columns[name]
         return tables
 
     def _sweep() -> int:

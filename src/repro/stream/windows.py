@@ -51,6 +51,16 @@ class TumblingWindows:
     def keys(self) -> list[Hashable]:
         return sorted(self._rows.index, key=repr)
 
+    def keys_at_least(self, hour: int, minimum: float) -> list[Hashable]:
+        """Keys whose count in ``hour`` is at least ``minimum``, in
+        :meth:`keys` order: one test over every key's count, and only
+        the keys that pass are sorted."""
+        if not 0 <= hour < self.hours:
+            return []
+        keys = list(self._rows.index)
+        passed = np.flatnonzero(self._rows.column(hour) >= minimum).tolist()
+        return sorted((keys[row] for row in passed), key=repr)
+
     def add(self, key: Hashable, timestamps: np.ndarray) -> int:
         """Bin ``timestamps`` into ``key``'s hourly series; returns kept."""
         array = np.asarray(timestamps, dtype=np.float64)

@@ -12,6 +12,7 @@ Two invariants the capture pipeline leans on:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 
@@ -85,6 +86,37 @@ def test_table_roundtrips_through_ndjson(events):
 
     _columns_equal(table, recovered)
     assert recovered.materialize() == events
+
+
+_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port", "transport_code",
+            "handshake", "payload", "credentials", "commands")
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=st.lists(_events, min_size=1, max_size=20),
+       blank=st.lists(st.booleans(), min_size=20, max_size=20))
+def test_from_events_equals_per_row_appends(events, blank):
+    """One column pass per table equals one ``append_event`` per row:
+    same values, dtypes and objects, empty credentials and commands
+    (and payloads) included."""
+    events = [
+        dataclasses.replace(event, payload=b"", credentials=(), commands=())
+        if empty else event
+        for event, empty in zip(events, blank)
+    ]
+    table = EventTable.from_events(events)
+    reference = EventTable("hp-1", "aws", NetworkKind.CLOUD, "US-East")
+    for event in events:
+        reference.append_event(event)
+    assert len(table.runs()) == 1 and len(table) == len(reference)
+    for name in _COLUMNS:
+        ours, theirs = table.column(name), reference.column(name)
+        assert ours.dtype == theirs.dtype, name
+        if ours.dtype == object:
+            assert all(a is b for a, b in zip(ours.tolist(), theirs.tolist())), name
+        else:
+            np.testing.assert_array_equal(ours, theirs)
+    assert table.materialize() == events
 
 
 #: Events batchable in one append_batch call: uniform port and transport.

@@ -203,6 +203,10 @@ class _StubWindows:
     def series(self, vantage_id):
         return self._series[vantage_id]
 
+    def keys_at_least(self, hour, minimum):
+        return [k for k in self.keys()
+                if hour < len(self._series[k]) and self._series[k][hour] >= minimum]
+
 
 class _StubSketch:
     def __init__(self, counts):
@@ -225,6 +229,9 @@ class _StubContingency:
 
     def sketch(self, vantage_id):
         return _StubSketch(self._per[vantage_id])
+
+    def groups_at_least(self, totals, minimum):
+        return [g for g in self.groups() if totals.get(g, 0) >= minimum]
 
 
 class _StubAnalyzer:

@@ -159,9 +159,9 @@ class TestVerification:
 
 
 #: sha256 of (columns.npz, objects.ndjson) per shard of a 2-shard spill
-#: of the simulation below, computed with the per-run spill writer
-#: (``EventTable.iter_column_runs`` walked vantage by vantage).  Any
-#: change to bank order, dtypes, pool order or pool encoding moves them.
+#: of the simulation below, computed with an earlier writer that walked
+#: every table's runs one by one.  Any change to bank order, dtypes,
+#: pool order or pool encoding moves them.
 SPILL_DIGESTS = {
     0: ("563029d87398235c31be34ffe79718696b2ac91cd932dafa7c5b3b895133e631",
         "27c4d4d3bcdab3a3f1c096b49c95f05b89f8a47bc61c3734588e22ebe15cc77c"),

@@ -23,25 +23,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deployment.fleet import LeakExperiment, LeakGroup
+from repro.detection.engine import RuleEngine
+from repro.detection.rules import parse_rules
 from repro.experiments import ExperimentConfig, get_context
-from repro.incident.pipeline import IncidentPipeline, detect_incidents
+from repro.incident.pipeline import IncidentPipeline, canonical_frame, detect_incidents
 from repro.incident.rules import (
     CampaignOnsetRule,
     CredentialLeakRule,
     NewHeavyHitterRule,
+    Signal,
     VolumeSpikeRule,
 )
+from repro.io.table import concat_runs
 from repro.runner import orchestrate
 from repro.scanners.payloads import strip_ephemeral_headers
 from repro.serve.backends import LockedConsumer, ReputationTracker
 from repro.sim.events import NetworkKind
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
-from repro.stream.bus import StreamBus, StreamChunk, StreamFrame, frame_cuts
+from repro.stream.bus import CHUNK_COLUMNS, StreamBus, StreamChunk, StreamFrame, frame_cuts
 from repro.stream.sketches import (
     HyperLogLog,
     HyperLogLogBank,
     KeyedRows,
     StreamingContingency,
+    category_codes,
 )
 from repro.stream.watch import WatchOptions, watch_run_dir
 from repro.stream.windows import TumblingWindows
@@ -305,6 +310,242 @@ class TestFrameSplit:
             bus.publish(chunk)
         bus.close()
         assert seen == [2, 1, 3]
+
+
+# ---------------------------------------------------------------------------
+# gathered frame columns and per-frame interning
+# ---------------------------------------------------------------------------
+
+#: Rows per shared column set: chunks take (possibly overlapping)
+#: ranges of a few shared sets, interleaved, as tapped batches and shard
+#: banks do.
+SET_ROWS = 8
+
+
+@st.composite
+def shared_column_chunks(draw):
+    """Chunks over 1-3 shared column sets: arrays or scalar broadcasts
+    per column, object columns included, ranges interleaved and
+    overlapping."""
+    sets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        columns = {"transport_code": 0, "commands": ()}
+        for name, pool in (("timestamps", STAMPS), ("handshake", st.booleans()), *POOLS.items()):
+            if draw(st.booleans()):
+                columns[name] = draw(pool)
+            else:
+                dtype = object if name in ("payload", "credentials") else None
+                columns[name] = _column(
+                    draw(st.lists(pool, min_size=SET_ROWS, max_size=SET_ROWS)), 0,
+                    dtype or (np.float64 if name == "timestamps" else
+                              bool if name == "handshake" else np.int64),
+                )[:SET_ROWS]
+        sets.append(columns)
+    chunks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        columns = sets[draw(st.integers(min_value=0, max_value=len(sets) - 1))]
+        start = draw(st.integers(min_value=0, max_value=SET_ROWS - 1))
+        stop = draw(st.integers(min_value=start + 1, max_value=SET_ROWS))
+        vantage = draw(st.sampled_from(VANTAGES))
+        chunks.append(StreamChunk(vantage, "aws", NetworkKind.CLOUD, f"R-{vantage}",
+                                  columns, start, stop))
+    return chunks
+
+
+def _same_column(ours: np.ndarray, reference: np.ndarray) -> bool:
+    if ours.dtype != reference.dtype or ours.shape != reference.shape:
+        return False
+    if ours.dtype == object:
+        return all(a is b for a, b in zip(ours.tolist(), reference.tolist()))
+    return np.array_equal(ours, reference)
+
+
+class TestGatheredFrames:
+    @given(chunks=shared_column_chunks(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gathered_columns_equal_per_chunk_concatenation(self, chunks, data):
+        """Every column of a frame, and of every sub-frame ``split``
+        yields (with some columns resolved on the parent first), equals
+        concatenating the chunks' own rows: same dtype, values and
+        objects."""
+        frame = StreamFrame.from_chunks(chunks)
+        early = data.draw(st.lists(st.sampled_from(CHUNK_COLUMNS), max_size=3))
+        for name in early:
+            frame.column(name)
+        cuts = data.draw(st.sets(st.integers(min_value=0, max_value=len(chunks) - 1)))
+        max_events = data.draw(st.integers(min_value=1, max_value=3 * SET_ROWS))
+        parts = [frame, *frame.split(cuts, max_events=max_events)]
+        assert sum(part.num_chunks for part in parts[1:]) == len(chunks)
+        for part in parts:
+            runs = [(chunk.columns, chunk.start, chunk.stop) for chunk in part.sources]
+            for name in CHUNK_COLUMNS:
+                assert _same_column(part.column(name), concat_runs(runs, name)), name
+
+    @given(chunks=shared_column_chunks())
+    @settings(max_examples=100, deadline=None)
+    def test_interning_equals_category_codes_of_non_empty_values(self, chunks):
+        frame = StreamFrame.from_chunks(chunks)
+        for name in ("payload", "credentials"):
+            column = frame.column(name)
+            rows = np.flatnonzero([bool(value) for value in column.tolist()])
+            codes, values = category_codes(column[rows].tolist())
+            interned = frame.interned(name)
+            assert interned[0].tolist() == rows.tolist()
+            assert interned[1].tolist() == codes.tolist()
+            assert interned[2] == values
+            assert frame.interned(name) is interned  # once per frame
+
+
+#: Port-scoped rules over the chunk strategies' payloads (the shipped
+#: ruleset has no port scopes).
+SCOPED_RULES = r"""
+alert http any any -> any 80 (msg:"get on 80"; content:"GET"; classtype:attempted-recon; sid:201;)
+alert tcp any any -> any [22,23] (msg:"ssh banner"; content:"SSH-"; classtype:attempted-user; sid:202;)
+alert http any any -> any any (msg:"shell anywhere"; content:"/shell"; classtype:attempted-admin; sid:203;)
+alert http any any -> any 8080 (msg:"dated get"; content:"Date:"; classtype:bad-unknown; sid:204;)
+"""
+
+
+@given(chunks=chunk_sequences(), scoped=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_tracker_classifies_like_per_row_rule_calls(chunks, scoped):
+    """The tracker's one batch call per frame gives the records the
+    per-row ``is_malicious(payload, port)`` loop gives, port scopes
+    included."""
+    def engine():
+        return RuleEngine(parse_rules(SCOPED_RULES)) if scoped else RuleEngine()
+
+    tracker = ReputationTracker(capacity=1000, rule_engine=engine())
+    frame = StreamFrame.from_chunks(chunks)
+    tracker.consume(frame)
+
+    reference, expected = engine(), {}
+    for ip, asn, pairs, payload, port in zip(
+        *(frame.column(name).tolist()
+          for name in ("src_ip", "src_asn", "credentials", "payload", "dst_port"))
+    ):
+        malicious = bool(pairs) or (bool(payload) and reference.is_malicious(payload, port))
+        record = expected.pop(ip, None)
+        expected[ip] = ([asn, 1, malicious] if record is None else
+                        [asn, record[1] + 1, record[2] or malicious])
+    assert list(tracker._records.items()) == list(expected.items())
+
+
+# ---------------------------------------------------------------------------
+# prefiltered hourly rules
+# ---------------------------------------------------------------------------
+
+
+class _UnfilteredVolumeSpike(VolumeSpikeRule):
+    """The reference loop: every vantage visited, in ``repr`` order."""
+
+    def evaluate(self, analyzer, hour):
+        if hour < self.min_history:
+            return []
+        signals = []
+        for vantage_id in analyzer.windows.keys():
+            series = analyzer.windows.series(vantage_id)
+            if hour >= len(series):
+                continue
+            value = float(series[hour])
+            if value < self.min_events:
+                continue
+            history = series[:hour]
+            mean = float(history.mean())
+            std = float(history.std())
+            if value <= mean + self.threshold_sigmas * max(std, 1.0):
+                continue
+            offenders = [("vantage", str(vantage_id))]
+            top_as = analyzer.top("as", vantage_id, 1)
+            if top_as:
+                offenders.append(("asn", int(top_as[0])))
+            signals.append(Signal(
+                rule=self.name, key=f"spike:{vantage_id}", hour=hour,
+                severity=self.severity,
+                summary=(f"{vantage_id}: {value:.0f} events in hour {hour} "
+                         f"vs baseline {mean:.1f}±{std:.1f}"),
+                offenders=tuple(offenders),
+                details={"value": value, "baseline_mean": round(mean, 4),
+                         "baseline_std": round(std, 4),
+                         "threshold_sigmas": self.threshold_sigmas},
+            ))
+        return signals
+
+
+class _UnfilteredHeavyHitter(NewHeavyHitterRule):
+    """The reference loop: every sketched vantage visited, in ``repr``
+    order, its event total tested one by one."""
+
+    def evaluate(self, analyzer, hour):
+        contingency = analyzer.contingency.get("as")
+        if contingency is None:
+            return []
+        signals = []
+        for vantage_id in contingency.groups():
+            total = float(analyzer.events_per_vantage.get(vantage_id, 0))
+            if total < self.min_vantage_events:
+                continue
+            sketch = contingency.sketch(vantage_id)
+            top = [int(asn) for asn in sketch.top(self.k)]
+            known = self._seen.setdefault(vantage_id, set())
+            fresh = [asn for asn in top
+                     if asn not in known and sketch.estimate(asn) >= self.min_share * total]
+            known.update(top)
+            if hour < self.warmup_hours:
+                continue
+            for asn in fresh:
+                share = sketch.estimate(asn) / total
+                signals.append(Signal(
+                    rule=self.name, key=f"heavy:{vantage_id}:{asn}", hour=hour,
+                    severity=self.severity,
+                    summary=(f"AS{asn} entered {vantage_id}'s top-{self.k} "
+                             f"sources at hour {hour} ({share:.0%} of traffic)"),
+                    offenders=(("asn", asn), ("vantage", str(vantage_id))),
+                    details={"k": self.k, "share": round(share, 4)},
+                ))
+        return signals
+
+
+def test_prefiltered_rules_emit_the_unfiltered_loops_signals():
+    """On a real analyzer fed the canonical replay, every sealed hour:
+    the prefiltered rules emit exactly the reference loops' signals, in
+    the same order — at the stock thresholds and at loose ones that
+    pass most vantages."""
+    dataset = get_context(
+        ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
+    ).dataset
+    hours = int(dataset.window.hours)
+    analyzer = StreamAnalyzer(hours=hours, leak_experiment=dataset.leak_experiment)
+    cutter = IncidentPipeline(analyzer, rules=())
+    settings_ = [
+        {},
+        {"spike": {"threshold_sigmas": 1.0, "min_history": 2, "min_events": 2.0},
+         "heavy": {"k": 3, "warmup_hours": 2, "min_vantage_events": 8, "min_share": 0.05}},
+    ]
+    pairs = []
+    for chosen in settings_:
+        pairs.append((VolumeSpikeRule(**chosen.get("spike", {})),
+                      _UnfilteredVolumeSpike(**chosen.get("spike", {}))))
+        pairs.append((NewHeavyHitterRule(**chosen.get("heavy", {})),
+                      _UnfilteredHeavyHitter(**chosen.get("heavy", {}))))
+    fired = Counter()
+    evaluated = 0
+
+    def evaluate_through(hour_stop):
+        nonlocal evaluated
+        while evaluated < hour_stop:
+            for ours, reference in pairs:
+                signals = ours.evaluate(analyzer, evaluated)
+                assert signals == reference.evaluate(analyzer, evaluated)
+                fired[type(ours).__name__] += len(signals)
+            evaluated += 1
+
+    replay = canonical_frame(dataset.tables, hours)
+    for frame in replay.split(cutter.cuts(replay)):
+        analyzer.consume(frame)
+        evaluate_through(analyzer.windows.sealed_hours())
+    evaluate_through(hours)
+    assert fired["VolumeSpikeRule"] > 0 and fired["NewHeavyHitterRule"] > 0
 
 
 class TestKeyedRows:
