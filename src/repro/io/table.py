@@ -141,17 +141,22 @@ def concat_runs(runs: Iterable[tuple[dict, int, int]], name: str) -> np.ndarray:
 
 
 def gather_plan(
-    column_sets: Sequence, starts: Sequence[int], stops: Sequence[int]
+    column_sets: Sequence,
+    starts: Sequence[int],
+    stops: Sequence[int],
+    order: Optional[np.ndarray] = None,
 ) -> tuple[list, np.ndarray]:
     """How to build one column over runs ``(column_sets[k], starts[k],
-    stops[k])``, in run order, with one :func:`concat_runs` and one gather.
+    stops[k])`` with one :func:`concat_runs` and one gather, the runs
+    taken in ``order`` (a permutation of the run numbers; default: as
+    given).
 
     Returns ``(sources, index)``: the distinct column sets (by identity)
     as ``(columns, lo, hi)`` spans — each the ``[min start, max stop)``
     range its runs use, in first-use order — and the row index into
     their concatenation, so ``concat_runs(sources, name)[index]`` equals
-    ``concat_runs(runs, name)``.  Runs of one set may interleave with
-    other sets' runs and may overlap each other.
+    ``concat_runs(runs, name)`` with the runs in that order.  Runs of one
+    set may interleave with other sets' runs and may overlap each other.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
@@ -161,20 +166,23 @@ def gather_plan(
     np.minimum.at(lo, set_of_run, starts)
     hi = np.zeros(len(first), dtype=np.int64)
     np.maximum.at(hi, set_of_run, stops)
-    order = np.argsort(first, kind="stable")
-    sizes = (hi - lo)[order]
+    by_first_use = np.argsort(first, kind="stable")
+    sizes = (hi - lo)[by_first_use]
     base = np.empty(len(first), dtype=np.int64)
-    base[order] = np.cumsum(sizes) - sizes - lo[order]
+    base[by_first_use] = np.cumsum(sizes) - sizes - lo[by_first_use]
     sources = [
         (column_sets[run], start, stop)
         for run, start, stop in zip(
-            first[order].tolist(), lo[order].tolist(), hi[order].tolist()
+            first[by_first_use].tolist(), lo[by_first_use].tolist(), hi[by_first_use].tolist()
         )
     ]
     # Row r of run k gathers source row base[set of k] + starts[k] + r.
+    firsts = base[set_of_run] + starts
     lengths = stops - starts
+    if order is not None:
+        firsts, lengths = firsts[order], lengths[order]
     ends = np.cumsum(lengths)
-    index = np.repeat(base[set_of_run] + starts - (ends - lengths), lengths) + np.arange(
+    index = np.repeat(firsts - (ends - lengths), lengths) + np.arange(
         int(ends[-1]) if len(ends) else 0, dtype=np.int64
     )
     return sources, index
@@ -335,9 +343,8 @@ class ConsolidationGroup:
         runs taken member-major (append order within a member), plus
         each member's row bounds in the gather."""
         members, sets, starts, stops = self._log()
-        by_member = np.argsort(members, kind="stable")
         sources, index = gather_plan(
-            sets[by_member].tolist(), starts[by_member], stops[by_member]
+            sets.tolist(), starts, stops, order=np.argsort(members, kind="stable")
         )
         bounds = np.zeros(len(self._members) + 1, dtype=np.int64)
         np.cumsum(self._lengths, out=bounds[1:])

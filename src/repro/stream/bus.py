@@ -25,7 +25,10 @@ The buffer is bounded in *events*, not chunks.  Two overflow policies:
 
 A flush hands subscribers :class:`StreamFrame` objects: ordered runs of
 the buffered chunks, each consumed in one pass, so per-event work is
-paid per event rather than per (often tiny) chunk.  A frame ends right
+paid per event rather than per (often tiny) chunk.  A frame column is
+gathered from the chunks' distinct column sets, not sliced chunk by
+chunk, and a column's values are interned once per frame for every
+subscriber that codes them.  A frame ends right
 after any chunk at which some subscriber reads state mid-stream (its
 ``cuts``: an hour sealing for incident rules, a snapshot coming due for
 ``watch``), and never grows past :data:`MAX_FRAME_EVENTS` events.  Every
