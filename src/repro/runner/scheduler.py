@@ -27,6 +27,7 @@ import multiprocessing
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -195,11 +196,16 @@ def run_experiments(
     if pending:
         use_pool = workers > 1 and len(pending) > 1 and _fork_available()
         if use_pool:
+            # Set before the first submit forks the workers.  They are
+            # not daemonic, so a driver may start a pool of its own (X3
+            # orchestrates its off-year runs).
             _POOL_CONTEXT = context
             try:
-                pool_context = multiprocessing.get_context("fork")
-                with pool_context.Pool(processes=min(workers, len(pending))) as pool:
-                    outcomes = pool.map(_run_one, pending)
+                with ProcessPoolExecutor(
+                    max_workers=min(workers, len(pending)),
+                    mp_context=multiprocessing.get_context("fork"),
+                ) as pool:
+                    outcomes = list(pool.map(_run_one, pending))
             finally:
                 _POOL_CONTEXT = None
         else:

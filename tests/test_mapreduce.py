@@ -21,7 +21,12 @@ from repro.analysis.ports import methodology_numbers, protocol_breakdown
 from repro.analysis.summary import vantage_summary
 from repro.analysis.timeseries import hourly_matrix
 from repro.runner import orchestrate
-from repro.runner.scheduler import cache_key, load_cached_value, store_cached_value
+from repro.runner.scheduler import (
+    cache_key,
+    load_cached_value,
+    run_experiments,
+    store_cached_value,
+)
 
 from tests.conftest import SMALL
 
@@ -203,6 +208,26 @@ class TestX3Orchestrated:
 
         monkeypatch.setattr("repro.runner.orchestrator.orchestrate", _forbidden)
         assert x3.run(small_context).data == expected
+
+    def test_cold_x3_orchestrates_inside_a_scheduler_worker(
+        self, small_context, small_context_2020, small_context_2022,
+        tmp_path, monkeypatch,
+    ):
+        """A scheduler worker may start a process pool of its own: X3
+        with an empty run cache orchestrates its off-year runs inside
+        one and returns the in-process result."""
+        from repro.experiments import ext_temporal_stability as x3
+        from repro.experiments.context import _CACHE
+
+        expected = x3.run(small_context).data
+        monkeypatch.setenv(x3.RUN_CACHE_ENV, str(tmp_path))
+        monkeypatch.delitem(_CACHE, small_context_2020.config)
+        monkeypatch.delitem(_CACHE, small_context_2022.config)
+
+        scheduled = run_experiments(small_context, "digest", ["T8", "X3"], workers=2)
+        assert [item.experiment_id for item in scheduled] == ["T8", "X3"]
+        assert scheduled[1].output.data == expected
+        assert (x3._run_cache_dir(small_context_2020.config) / "run.json").exists()
 
 
 class TestValueCache:
