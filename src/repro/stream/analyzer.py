@@ -6,7 +6,9 @@ maintains, in bounded memory:
 
 * per-vantage Space-Saving sketches for each §3.3 characteristic
   (source AS, username, password, payload — payloads with ephemeral
-  headers stripped, exactly as the batch ``payload_counter`` does);
+  headers stripped, exactly as the batch ``payload_counter`` does); all
+  four by default, or the ``characteristics`` subset a consumer reads
+  (a characteristic left out costs nothing per frame);
 * per-vantage HyperLogLog distinct-source counters;
 * per-vantage tumbling hourly volume windows feeding the existing spike
   detector;
@@ -245,6 +247,12 @@ class StreamAnalyzer:
         leak_experiment: Optional[LeakExperiment] = None,
         characteristics: tuple[str, ...] = CHARACTERISTICS,
     ) -> None:
+        unknown = [name for name in characteristics if name not in CHARACTERISTICS]
+        if unknown:
+            raise ValueError(
+                f"unknown characteristic(s) {', '.join(map(repr, unknown))}; "
+                f"expected a subset of {CHARACTERISTICS}"
+            )
         self.hours = int(hours)
         self.sketch_k = sketch_k
         self.hll_p = hll_p

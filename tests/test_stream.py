@@ -193,6 +193,23 @@ class TestTumblingWindows:
         assert windows.rate_per_hour("missing") == 0.0
 
 
+class TestAnalyzerCharacteristics:
+    def test_unknown_characteristic_rejected(self):
+        """A misspelt name would otherwise build a sketch nothing feeds."""
+        with pytest.raises(ValueError, match="'pasword'"):
+            StreamAnalyzer(hours=4, characteristics=("as", "pasword"))
+
+    def test_no_characteristics_keeps_windows_only(self):
+        analyzer = StreamAnalyzer(hours=4, characteristics=())
+        analyzer.consume(_chunk(timestamps=[0.5, 1.5], payload=b"GET / HTTP/1.1\r\n\r\n",
+                                credentials=(("root", "admin"),)))
+        assert analyzer.contingency == {}
+        assert analyzer.events_consumed == 2
+        assert analyzer.windows.series("v0").tolist() == [1.0, 1.0, 0.0, 0.0]
+        snapshot = analyzer.snapshot()
+        assert snapshot.top_categories == {} and snapshot.comparisons == {}
+
+
 @pytest.fixture(scope="module")
 def streamed_sim():
     """One small tapped simulation + the batch view of the same events."""
