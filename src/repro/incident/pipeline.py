@@ -10,6 +10,7 @@ Two ways to run detection:
   :class:`~repro.analysis.dataset.AnalysisDataset` through a fresh
   analyzer + pipeline in **canonical order**: hour-major, vantage-minor
   (sorted ids), original row order within each (vantage, hour) cell.
+  That analyzer sketches only the characteristics its rules read.
 
 Both run one code path: frames cut right after every chunk at which an
 hour seals (:meth:`IncidentPipeline.cuts`), so rules evaluate exactly
@@ -21,9 +22,10 @@ order is a pure function of the merged tables — so the audit log of a
 1-shard, 2-shard and 4-shard run of the same seed is byte-identical.
 
 The replay is cheap: one stable argsort of every row by (hour,
-vantage) cell, one gather per column into canonical order, and every
-(vantage, hour) cell is a chunk of the replay frame — a row range,
-never an object.
+vantage) cell, one gather into canonical order per column something
+reads (the stock rules never touch credentials), and every (vantage,
+hour) cell is a chunk of the replay frame — a row range, never an
+object.
 """
 
 from __future__ import annotations
@@ -214,14 +216,24 @@ def detect_incidents(
     Returns the finalized pipeline; ``pipeline.audit`` is the complete
     (byte-stable) audit log and ``pipeline.executor.blocklist`` the
     auto-emitted entries the closed-loop experiment feeds back.
-    """
-    from repro.stream.analyzer import StreamAnalyzer
 
+    ``pipeline.analyzer`` holds only what its rules read: the sketches
+    named by the union of their ``reads`` (``as`` alone for the stock
+    catalog), besides the windows, distinct-source counters and leak
+    alarm every analyzer keeps.  Its snapshot therefore lacks the
+    other characteristics a live analyzer shows.
+    """
+    from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
+
+    rules = tuple(rules) if rules is not None else default_rules()
     hours = int(dataset.window.hours)
     analyzer = StreamAnalyzer(
         hours=hours,
         sketch_k=sketch_k,
         leak_experiment=dataset.leak_experiment,
+        characteristics=tuple(
+            name for name in CHARACTERISTICS if any(name in rule.reads for rule in rules)
+        ),
     )
     pipeline = IncidentPipeline(analyzer, rules=rules, quiet_hours=quiet_hours)
     replay = canonical_frame(dataset.tables, hours)

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.scanners.payloads import strip_ephemeral_headers
 
+from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
 from repro.stream.bus import StreamFrame
 from repro.stream.sketches import category_codes
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.stream.analyzer import StreamAnalyzer
 
 __all__ = [
     "Signal",
@@ -74,6 +72,10 @@ class IncidentRule:
     runbook: Optional[str] = None
     #: Evaluate every ``cadence`` sealed hours (always at the final one).
     cadence = 1
+    #: The §3.3 sketches (:data:`~repro.stream.analyzer.CHARACTERISTICS`)
+    #: ``evaluate`` reads from the analyzer; a post-hoc replay builds only
+    #: the union of its rules' reads.  A rule that does not say reads all.
+    reads: tuple[str, ...] = CHARACTERISTICS
 
     def observe(self, frame: StreamFrame) -> None:
         """Per-frame hook; default rules need no extra state."""
@@ -94,6 +96,7 @@ class VolumeSpikeRule(IncidentRule):
     name = "volume-spike"
     severity = "warning"
     runbook = "reweight"
+    reads = ("as",)
 
     def __init__(
         self,
@@ -160,6 +163,7 @@ class NewHeavyHitterRule(IncidentRule):
     name = "new-heavy-hitter"
     severity = "critical"
     runbook = "block"
+    reads = ("as",)
 
     def __init__(
         self,
@@ -228,6 +232,7 @@ class CampaignOnsetRule(IncidentRule):
     name = "campaign-onset"
     severity = "critical"
     runbook = "block"
+    reads = ()
 
     def __init__(
         self,
@@ -331,6 +336,7 @@ class CredentialLeakRule(IncidentRule):
     severity = "critical"
     runbook = "rotate"
     cadence = 24
+    reads = ()
 
     def __init__(self, trailing_hours: Optional[int] = None, alpha: float = 0.05) -> None:
         self.trailing_hours = trailing_hours

@@ -21,14 +21,17 @@ from repro.incident import (
     AuditLog,
     CampaignOnsetRule,
     CredentialLeakRule,
+    IncidentPipeline,
+    IncidentRule,
     IncidentStore,
     NewHeavyHitterRule,
     RunbookExecutor,
     Signal,
     VolumeSpikeRule,
+    default_rules,
     detect_incidents,
 )
-from repro.incident.pipeline import canonical_chunks
+from repro.incident.pipeline import canonical_chunks, canonical_frame
 from repro.runner import orchestrate
 from repro.serve.backends import RunDirBackend, build_live_pipeline, load_run_dir
 from repro.serve.schema import (
@@ -37,6 +40,7 @@ from repro.serve.schema import (
     SchemaError,
     validate_blocklist_file,
 )
+from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
 
 #: Same tiny-but-real fixed-seed config the serve/watch tests pin.
 TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
@@ -449,6 +453,65 @@ class TestAuditDeterminism:
             last = key
             total += len(chunk)
         assert total == sum(len(t) for t in tiny.dataset.tables.values())
+
+
+# ---------------------------------------------------------------------------
+# the post-hoc replay builds only the sketches its rules read
+# ---------------------------------------------------------------------------
+
+
+def _replay_signals(dataset, rule, characteristics) -> list:
+    """Every signal ``rule`` emits over the canonical replay, at the
+    hours and cadence the pipeline evaluates it, on an analyzer that
+    sketches ``characteristics``."""
+    hours = int(dataset.window.hours)
+    analyzer = StreamAnalyzer(hours=hours, leak_experiment=dataset.leak_experiment,
+                              characteristics=characteristics)
+    cutter = IncidentPipeline(analyzer, rules=())
+    signals: list = []
+    evaluated = 0
+
+    def evaluate_through(stop):
+        nonlocal evaluated
+        while evaluated < stop:
+            if evaluated == hours - 1 or (evaluated + 1) % rule.cadence == 0:
+                signals.extend(rule.evaluate(analyzer, evaluated))
+            evaluated += 1
+
+    replay = canonical_frame(dataset.tables, hours)
+    for frame in replay.split(cutter.cuts(replay)):
+        analyzer.consume(frame)
+        rule.observe(frame)
+        evaluate_through(analyzer.windows.sealed_hours())
+    evaluate_through(hours)
+    return signals
+
+
+class TestNarrowedReplay:
+    @pytest.mark.parametrize("rule_type", [type(rule) for rule in default_rules()],
+                             ids=lambda rule_type: rule_type.name)
+    def test_rule_reads_only_what_it_declares(self, tiny, rule_type):
+        """A rule given an analyzer that holds only its ``reads`` emits
+        what it emits over the full analyzer; reading an undeclared
+        sketch fails here."""
+        full = _replay_signals(tiny.dataset, rule_type(), CHARACTERISTICS)
+        narrowed = _replay_signals(tiny.dataset, rule_type(), rule_type.reads)
+        assert narrowed == full
+
+    def test_replay_builds_the_union_of_its_rules_reads(self, tiny, tiny_pipeline):
+        assert tiny_pipeline.analyzer.characteristics == ("as",)
+
+        class _PayloadProbe(IncidentRule):
+            name = "payload-probe"
+            reads = ("payload",)
+
+            def evaluate(self, analyzer, hour):
+                return []
+
+        pipeline = detect_incidents(tiny.dataset, rules=default_rules() + (_PayloadProbe(),))
+        assert pipeline.analyzer.characteristics == ("as", "payload")
+        assert len(pipeline.analyzer.contingency["payload"]) > 0
+        assert pipeline.audit.to_ndjson() == tiny_pipeline.audit.to_ndjson()
 
 
 # ---------------------------------------------------------------------------
