@@ -18,7 +18,7 @@ simulations, which is a build, not an analysis — its timing is covered
 by the ``x3_cache`` field of the bench record instead.  X5 is excluded
 for the same reason: its self-check re-runs the base-year simulation
 with enforcement on, so it costs ~1× simulation by construction; its
-timing lives in the bench record's ``incident`` fields.
+detection pass is timed by perfbench ``sharded`` as ``respond_s``.
 
 Usage::
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env python
-"""Run the simulation benchmark at the pinned scale and append the
-timing record to BENCH_simulation.json (see ``repro.bench``).
+"""Run ``cloudwatching bench`` from a source checkout: every argument is
+forwarded to the CLI subcommand, which times the simulate→analyze path
+at the pinned scale and appends the record to BENCH_simulation.json
+(see ``repro.bench``).
 
 Usage::
 
@@ -12,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from repro.bench import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(["bench", *sys.argv[1:]]))

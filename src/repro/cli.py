@@ -94,20 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--experiments", nargs="*", default=None, metavar="ID",
                        help="experiment ids to time (default: all for the "
                             "year; pass no values to skip analysis timing)")
-    bench.add_argument("--orchestrate-workers", nargs="*", type=int,
-                       default=(1, 2, 4), metavar="N",
-                       help="worker counts to time the orchestrator at "
-                            "(default: 1 2 4; pass no values to skip)")
-    bench.add_argument("--orchestrate-sweep", action="store_true",
-                       help="time the canonical 1/2/4-worker orchestrator sweep "
-                            "and record speedup ratios vs 1 worker")
-    bench.add_argument("--stream", action="store_true",
-                       help="benchmark sustained ingest through the streaming "
-                            "subsystem instead of the simulate→analyze path")
-    bench.add_argument("--incident", action="store_true",
-                       help="benchmark the incident closed loop: detection "
-                            "seconds, detection latency, volume reduction, "
-                            "and the enforced re-simulation self-check")
     bench.add_argument("--serve", action="store_true",
                        help="benchmark the HTTP serving layer: live queries "
                             "during ingest, then sustained concurrent load "
@@ -417,24 +403,10 @@ def _command_orchestrate(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        run_bench,
-        run_incident_bench,
-        run_serve_bench,
-        run_stream_bench,
-    )
+    from repro.bench import run_bench, run_serve_bench
 
     if _sim_config(args) is None:
         return 2
-    if args.incident:
-        run_incident_bench(
-            scale=args.scale,
-            telescope_slash24s=args.telescope,
-            seed=args.seed,
-            year=args.year,
-            artifact=args.output,
-        )
-        return 0
     if args.serve:
         run_serve_bench(
             scale=args.scale,
@@ -446,15 +418,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             artifact=args.output,
         )
         return 0
-    if args.stream:
-        run_stream_bench(
-            scale=args.scale,
-            telescope_slash24s=args.telescope,
-            seed=args.seed,
-            year=args.year,
-            artifact=args.output,
-        )
-        return 0
     try:
         run_bench(
             scale=args.scale,
@@ -462,8 +425,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             seed=args.seed,
             year=args.year,
             experiments=args.experiments,
-            orchestrate_workers=tuple(args.orchestrate_workers),
-            orchestrate_sweep=args.orchestrate_sweep,
             artifact=args.output,
         )
     except ValueError as error:

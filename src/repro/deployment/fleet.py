@@ -44,6 +44,7 @@ __all__ = [
     "Deployment",
     "build_greynoise_fleet",
     "build_honeytrap_fleet",
+    "MAX_TELESCOPE_SLASH24S",
     "build_telescope",
     "build_leak_experiment",
     "build_full_deployment",
@@ -261,6 +262,11 @@ def build_honeytrap_fleet(hub: RngHub) -> list[VantagePoint]:
     return vantages
 
 
+#: The real Orion's size in /24s, and the largest telescope the builder
+#: lays out (the simulation schema bounds ``--telescope`` by it).
+MAX_TELESCOPE_SLASH24S = 1856
+
+
 def build_telescope(num_slash24s: int = 16) -> VantagePoint:
     """The Orion telescope as one vantage spanning ``num_slash24s`` /24s.
 
@@ -274,8 +280,8 @@ def build_telescope(num_slash24s: int = 16) -> VantagePoint:
     (containing any-octet-255 addresses); the remaining budget is spread
     evenly across the range.
     """
-    if not 1 <= num_slash24s <= 1856:
-        raise ValueError("num_slash24s must be in [1, 1856]")
+    if not 1 <= num_slash24s <= MAX_TELESCOPE_SLASH24S:
+        raise ValueError(f"num_slash24s must be in [1, {MAX_TELESCOPE_SLASH24S}]")
     base = Prefix.parse(TELESCOPE_BASE_PREFIX)
     total_slash24s = base.num_addresses // 256
 

@@ -28,6 +28,8 @@ import enum
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional
 
+from repro.deployment import fleet
+
 __all__ = [
     "SchemaError",
     "Characteristic",
@@ -364,8 +366,9 @@ class SimulationPayload:
 
     #: Bounds: scale 0 would build an empty population; above 100 the
     #: columnar pipeline would need >100x the calibrated memory budget.
+    #: The telescope bound is the one ``build_telescope`` enforces.
     MAX_SCALE = 100.0
-    MAX_TELESCOPE_SLASH24S = 65536
+    MAX_TELESCOPE_SLASH24S = fleet.MAX_TELESCOPE_SLASH24S
 
     def validate(self) -> list[dict]:
         errors: list[dict] = []

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.stream.analyzer import StreamAnalyzer
-from repro.stream.bus import CHUNK_COLUMNS, StreamBus, StreamChunk, StreamFrame
+from repro.stream.bus import CHUNK_COLUMNS, BusStats, StreamBus, StreamChunk, StreamFrame
 
 __all__ = ["WatchOptions", "SnapshotPrinter", "watch_simulation",
            "watch_run_dir", "watch_live", "stream_table"]
@@ -79,13 +79,16 @@ class SnapshotPrinter:
     def __init__(
         self,
         analyzer: StreamAnalyzer,
-        bus: StreamBus,
+        bus_stats: BusStats,
         options: WatchOptions,
         say: Callable[[str], None],
         incidents=None,
     ) -> None:
         self.analyzer = analyzer
-        self.bus = bus
+        #: The bus's counters, not the bus: the bus holds this printer as
+        #: a subscriber, and a back-reference would keep every watch
+        #: session in a cycle until a full collection.
+        self.bus_stats = bus_stats
         self.options = options
         self.say = say
         #: The attached IncidentPipeline, when detection is on.
@@ -132,7 +135,7 @@ class SnapshotPrinter:
             self.incidents.finalize()
         snapshot = self.analyzer.snapshot(
             top_k=self.options.top_k,
-            bus_stats=self.bus.stats,
+            bus_stats=self.bus_stats,
             trailing_hours=self.options.trailing_hours,
         )
         if self.incidents is not None:
@@ -159,7 +162,7 @@ def _pipeline(
         from repro.incident.pipeline import IncidentPipeline
 
         incidents = IncidentPipeline(analyzer)
-    printer = SnapshotPrinter(analyzer, bus, options, say, incidents=incidents)
+    printer = SnapshotPrinter(analyzer, bus.stats, options, say, incidents=incidents)
     bus.subscribe(analyzer)
     if incidents is not None:
         # After the analyzer (rules read sketched hours), before the

@@ -1,10 +1,20 @@
-"""Smoke tests for the benchmark harness (repro.bench)."""
+"""Smoke tests for the benchmark harness (repro.bench) and its one
+command, ``cloudwatching bench``."""
 
 from __future__ import annotations
 
+import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.bench import append_record, artifact_path, run_bench
+from repro.cli import _build_parser, main
+
+RUN_BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "run_bench.py"
 
 
 def test_append_record_creates_and_appends(tmp_path):
@@ -52,3 +62,48 @@ def test_run_bench_smoke(tmp_path):
     assert "T1" in record["experiments"]
     records = json.loads(path.read_text())
     assert records[-1] == record
+
+
+def test_cli_bench_times_only_the_requested_experiments(tmp_path):
+    path = tmp_path / "bench.json"
+    code = main(["bench", "--scale", "0.02", "--telescope", "2", "--seed", "11",
+                 "--experiments", "T1", "--output", str(path)])
+    assert code == 0
+    records = json.loads(path.read_text())
+    assert len(records) == 1
+    record = records[0]
+    assert record["kind"] == "bench"
+    assert list(record["experiments"]) == ["T1"]
+    assert "orchestrate" not in record
+
+
+def test_run_bench_script_goes_through_the_cli_contract():
+    completed = subprocess.run(
+        [sys.executable, str(RUN_BENCH), "--scale", "-1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 2
+    assert "error: scale: must be in (0, 100]" in completed.stderr
+
+
+def test_bench_accepts_exactly_its_options():
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {option for action in subparsers.choices["bench"]._actions
+               for option in action.option_strings}
+    assert options == {
+        "-h", "--help", "--scale", "--telescope", "--seed", "--year",
+        "--experiments", "--serve", "--connections", "--duration", "--output",
+    }
+
+
+@pytest.mark.parametrize("flag", [
+    "--stream", "--incident", "--orchestrate-sweep", "--orchestrate-workers",
+])
+def test_bench_kinds_perfbench_measures_do_not_parse(flag, tmp_path, capsys):
+    # Small and pointed at tmp_path, should the flag ever parse again.
+    with pytest.raises(SystemExit) as info:
+        main(["bench", flag, "--scale", "0.02", "--telescope", "2",
+              "--experiments", "--output", str(tmp_path / "bench.json")])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -178,6 +178,22 @@ class TestSchema:
         err = capsys.readouterr().err
         assert "scale" in err and "must be in" in err
 
+    def test_telescope_bound_is_the_builders(self):
+        # Orion's real 1,856 /24s is the largest telescope build_telescope
+        # lays out; one more must fail at the contract, not in the builder.
+        config = validate_simulation_config(scale=0.01, telescope_slash24s=1856)
+        assert config.telescope_slash24s == 1856
+        with pytest.raises(SchemaError) as info:
+            validate_simulation_config(scale=0.01, telescope_slash24s=1857)
+        assert [item["field"] for item in info.value.errors] == ["telescope_slash24s"]
+
+    def test_cli_rejects_telescope_the_builder_cannot_lay_out(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "T1", "--scale", "0.01", "--telescope", "1857"]) == 2
+        err = capsys.readouterr().err
+        assert "error: telescope_slash24s: must be in [1, 1856]" in err
+
 
 # ---------------------------------------------------------------------------
 # run-dir backend: bit-for-bit parity with the batch analyses

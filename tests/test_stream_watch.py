@@ -5,6 +5,7 @@ the CLI surface.
 
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import threading
@@ -78,6 +79,42 @@ class TestWatchRunDir:
         (tmp_path / "shard-0000").mkdir()  # no manifest: still in flight
         with pytest.raises(FileNotFoundError):
             watch_run_dir(tmp_path)
+
+
+class TestWatchLeavesNoCycle:
+    """A finished watch session is freed by reference counting alone."""
+
+    PIPELINE = {"StreamBus", "StreamAnalyzer", "IncidentPipeline", "SnapshotPrinter"}
+
+    def _cyclic_pipeline_types(self, watch) -> set[str]:
+        """Pipeline types only the cycle collector could free after ``watch``."""
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            watch()
+            gc.collect()
+            return {type(obj).__name__ for obj in gc.garbage} & self.PIPELINE
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+
+    def test_watch_run_dir(self, tmp_path):
+        out = tmp_path / "run"
+        orchestrate(TINY, workers=1, out_dir=out, num_shards=2, quiet=True)
+        assert self._cyclic_pipeline_types(
+            lambda: watch_run_dir(out, options=WatchOptions(snapshot_events=0),
+                                  say=lambda line: None)
+        ) == set()
+
+    def test_watch_simulation(self):
+        assert self._cyclic_pipeline_types(
+            lambda: watch_simulation(TINY, options=WatchOptions(snapshot_events=0),
+                                     say=lambda line: None)
+        ) == set()
 
 
 class TestWatchFollowTolerance:
