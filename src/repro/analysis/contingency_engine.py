@@ -9,12 +9,12 @@ counts.  This module makes that one pass over the
 :class:`~repro.io.table.EventTable` columns:
 
 * each characteristic is **integer-coded** (``np.unique`` for numeric
-  columns, dictionary interning over the consolidated object columns,
-  so each distinct payload is fingerprinted, stripped and matched
-  against the ruleset once, not once per row — the rule engine takes
-  every new distinct payload as one batch), and the Section 3.2
-  maliciousness label becomes one gather per table over a per-payload
-  alert flag;
+  columns, dictionary interning over the consolidated object columns;
+  payloads through the dataset's
+  :class:`~repro.detection.coder.PayloadCoder`, so each distinct payload
+  is fingerprinted, stripped and matched against the ruleset once, not
+  once per row), and the Section 3.2 maliciousness label becomes one
+  gather per table over a per-payload alert flag;
 * per-(vantage × characteristic) **count matrices** are materialized
   with one ``np.bincount`` per (slice, characteristic) over the view's
   concatenated columns, keyed by vantage position × category code;
@@ -48,10 +48,8 @@ from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.detection.engine import Alert
-from repro.detection.fingerprint import fingerprint
+from repro.detection.coder import PayloadCoder, intern_value
 from repro.experiments.base import ShardView, run_shard_wise
-from repro.scanners.payloads import strip_ephemeral_headers
 from repro.stats.contingency import ChiSquareResult, chi_square_test
 
 __all__ = [
@@ -92,84 +90,26 @@ def _unique_ints(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class _Growing:
-    """A per-payload derived column in a capacity-doubling array: the
-    coder extends it once per batch of new payloads, and every lookup
-    reads it without copying."""
+class _ShardCoder(PayloadCoder):
+    """A dataset's coder: its payloads, credentials and source ASes.
 
-    def __init__(self, dtype) -> None:
-        self._buffer = np.empty(1024, dtype=dtype)
-        self.size = 0
-
-    def extend(self, values: Sequence) -> None:
-        size = self.size + len(values)
-        if size > self._buffer.shape[0]:
-            grown = np.empty(2 * size, dtype=self._buffer.dtype)
-            grown[: self.size] = self._buffer[: self.size]
-            self._buffer = grown
-        self._buffer[self.size : size] = values
-        self.size = size
-
-    def view(self) -> np.ndarray:
-        return self._buffer[: self.size]
-
-
-class _ShardCoder:
-    """Interns one shard's object-column values as integer codes.
-
-    Payloads are coded once per *distinct* value.  Their fingerprint,
-    stripped form and Snort alerts are derived per code, never per
-    event, in one pass over every payload interned since the last one:
-    the rule engine matches them as one batch.  The same coder serves
-    the matrix build, the per-source aggregation, the leak histograms
-    and every consumer of the §3.2 label (:meth:`malicious`, one gather
-    per table), so each distinct payload is classified exactly once per
-    dataset.
+    The payload half is the :class:`~repro.detection.coder.PayloadCoder`
+    under the dataset's ruleset, so each distinct payload is stripped,
+    fingerprinted and classified at most once per dataset, and the §3.2
+    label (:meth:`malicious`) is one gather per table.  This class adds
+    the credential and AS coding and the per-table coded columns shared
+    by the matrix build, the per-source aggregation, the leak histograms
+    and every consumer of the label.
     """
 
     def __init__(self, classifier) -> None:
-        self.classifier = classifier
-        self.payload_codes: dict[Any, int] = {}
-        self.payload_values: list[Any] = []
-        self.fp_codes: dict[Optional[str], int] = {}
-        self.fp_values: list[Optional[str]] = []
-        self.stripped_codes: dict[bytes, int] = {}
-        self.stripped_values: list[bytes] = []
+        super().__init__(classifier.rule_engine)
         self.user_codes: dict[str, int] = {}
         self.user_values: list[str] = []
         self.pass_codes: dict[str, int] = {}
         self.pass_values: list[str] = []
         self.as_codes: dict[int, int] = {}
         self.as_values: list[int] = []
-        # One code per rule of the engine.  Port-scoped rules keep their
-        # sorted destination ports: ``alerts(payload, port)`` is
-        # ``alerts(payload)`` minus the scoped alerts whose ports miss.
-        rules = classifier.rule_engine.rules
-        self._alert_code = {
-            Alert(rule.sid, rule.msg, rule.classtype): code
-            for code, rule in enumerate(rules)
-        }
-        self.family_values: list[str] = sorted({rule.classtype for rule in rules})
-        family_code = {family: code for code, family in enumerate(self.family_values)}
-        self._family_of_alert = np.array(
-            [family_code[rule.classtype] for rule in rules], dtype=np.int64
-        )
-        self._scopes: list[tuple[int, np.ndarray]] = [
-            (code, np.array(sorted(rule.dst_ports), dtype=np.int64))
-            for code, rule in enumerate(rules)
-            if rule.dst_ports is not None
-        ]
-        # Per-payload derived columns (payload code -> value).  A
-        # payload's alert codes are the next ``_alert_count`` entries of
-        # ``_alert_flat``; ``_alerting`` flags payloads that fire a rule
-        # with no port scope, ``_scope_fired[k]`` those that fire scoped
-        # rule k.
-        self._fp = _Growing(np.int64)
-        self._stripped = _Growing(np.int64)  # -1 for empty payloads
-        self._alert_count = _Growing(np.int64)
-        self._alert_flat = _Growing(np.int64)
-        self._alerting = _Growing(bool)
-        self._scope_fired = [_Growing(bool) for _scope in self._scopes]
         # Per-table coded columns, keyed by table identity (the table is
         # pinned in the value so ids cannot be recycled).  The matrix
         # build and the source build walk the same tables; sharing one
@@ -191,7 +131,9 @@ class _ShardCoder:
 
     def payload_column(self, table) -> np.ndarray:
         """Memoized per-event payload codes of one table."""
-        return self._memoized(self._payload_memo, table, self.code_payloads)
+        return self._memoized(
+            self._payload_memo, table, lambda table: self.code(table.payloads.tolist())
+        )
 
     def login_flags(self, table) -> np.ndarray:
         """Memoized per-event attempted-login flags (non-empty credentials)."""
@@ -209,102 +151,13 @@ class _ShardCoder:
         )
 
     def intern(self, tables: Iterable) -> None:
-        """Code every table's payloads, then derive the new ones in one
-        pass — for callers that go on to read the label table by table."""
+        """Code every table's payloads, so the first derived read after
+        it (a caller going on to read the label table by table) matches
+        them all in one batch."""
         for table in tables:
             self.payload_column(table)
-        self._derive()
-
-    def _derive(self) -> None:
-        """Fingerprint, strip and classify the payloads interned since the
-        last call, in code order, with one batch call to the rule engine.
-        Deferred from interning so a caller can intern a whole view
-        first."""
-        new = self.payload_values[self._fp.size:]
-        if not new:
-            return
-        fp_code, stripped_code = self._fp_code, self._stripped_code
-        self._fp.extend([fp_code(fingerprint(payload)) for payload in new])
-        self._stripped.extend(
-            [stripped_code(strip_ephemeral_headers(payload)) if payload else -1
-             for payload in new]
-        )
-        fired = [
-            [self._alert_code[alert] for alert in alerts]
-            for alerts in self.classifier.rule_engine.alerts_batch(new)
-        ]
-        self._alert_count.extend([len(codes) for codes in fired])
-        self._alert_flat.extend(list(chain.from_iterable(fired)))
-        scoped = {code for code, _ports in self._scopes}
-        self._alerting.extend([not scoped.issuperset(codes) for codes in fired])
-        for (code, _ports), column in zip(self._scopes, self._scope_fired):
-            column.extend([code in codes for codes in fired])
-
-    def fp_lookup(self) -> np.ndarray:
-        """Fingerprint code of every payload code."""
-        self._derive()
-        return self._fp.view()
-
-    def stripped_lookup(self) -> np.ndarray:
-        """Stripped-payload code of every payload code (-1 when empty)."""
-        self._derive()
-        return self._stripped.view()
-
-    # -- value interning ------------------------------------------------
-
-    def _fp_code(self, protocol: Optional[str]) -> int:
-        code = self.fp_codes.get(protocol)
-        if code is None:
-            code = len(self.fp_values)
-            self.fp_codes[protocol] = code
-            self.fp_values.append(protocol)
-        return code
-
-    def _stripped_code(self, stripped: bytes) -> int:
-        code = self.stripped_codes.get(stripped)
-        if code is None:
-            code = len(self.stripped_values)
-            self.stripped_codes[stripped] = code
-            self.stripped_values.append(stripped)
-        return code
-
-    def payload_code(self, payload) -> int:
-        code = self.payload_codes.get(payload)
-        if code is None:
-            code = len(self.payload_values)
-            self.payload_codes[payload] = code
-            self.payload_values.append(payload)
-        return code
-
-    def user_code(self, username: str) -> int:
-        code = self.user_codes.get(username)
-        if code is None:
-            code = len(self.user_values)
-            self.user_codes[username] = code
-            self.user_values.append(username)
-        return code
-
-    def pass_code(self, password: str) -> int:
-        code = self.pass_codes.get(password)
-        if code is None:
-            code = len(self.pass_values)
-            self.pass_codes[password] = code
-            self.pass_values.append(password)
-        return code
 
     # -- column coding --------------------------------------------------
-
-    def code_payloads(self, table) -> np.ndarray:
-        """Per-event payload codes; only unseen payloads are interned, in
-        first-occurrence order."""
-        payloads = table.payloads.tolist()
-        codes = self.payload_codes
-        for payload in dict.fromkeys(payloads):
-            if payload not in codes:
-                self.payload_code(payload)
-        return np.fromiter(
-            map(codes.__getitem__, payloads), dtype=np.int64, count=len(payloads)
-        )
 
     def code_credentials(self, table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Expand the credentials column into pair arrays.
@@ -323,10 +176,10 @@ class _ShardCoder:
         distinct = dict.fromkeys(pairs)
         for code, pair in enumerate(distinct):
             distinct[pair] = code
-        users = np.array([self.user_code(user) for user, _ in distinct], dtype=np.int64)
-        passwords = np.array(
-            [self.pass_code(password) for _, password in distinct], dtype=np.int64
-        )
+        users = np.array([intern_value(self.user_codes, self.user_values, user)
+                          for user, _ in distinct], dtype=np.int64)
+        passwords = np.array([intern_value(self.pass_codes, self.pass_values, password)
+                              for _, password in distinct], dtype=np.int64)
         codes = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.int64, count=len(pairs))
         lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
         return has, np.repeat(rows, lengths), users[codes], passwords[codes]
@@ -336,30 +189,11 @@ class _ShardCoder:
         each distinct AS is interned."""
         uniq = _unique_ints(asns)
         inverse = np.searchsorted(uniq, asns)
-        get = self.as_codes.get
-        remap = np.empty(len(uniq), dtype=np.int64)
-        for index, value in enumerate(uniq.tolist()):
-            code = get(value)
-            if code is None:
-                code = len(self.as_values)
-                self.as_codes[value] = code
-                self.as_values.append(value)
-            remap[index] = code
+        remap = np.array(
+            [intern_value(self.as_codes, self.as_values, value) for value in uniq.tolist()],
+            dtype=np.int64,
+        )
         return remap[inverse]
-
-    # -- derived per-event flags ----------------------------------------
-
-    def label(
-        self, payload_codes: np.ndarray, ports: np.ndarray, login: np.ndarray
-    ) -> np.ndarray:
-        """Section 3.2 maliciousness of events given their payload codes,
-        destination ports and attempted-login flags: a login attempt, or
-        an alert from a rule that covers the event's port."""
-        self._derive()
-        flags = login | self._alerting.view()[payload_codes]
-        for (_code, scope_ports), fired in zip(self._scopes, self._scope_fired):
-            flags |= fired.view()[payload_codes] & np.isin(ports, scope_ports)
-        return flags
 
     def malicious(self, table) -> np.ndarray:
         """Section 3.2 maliciousness of every event of one table.
@@ -371,32 +205,6 @@ class _ShardCoder:
         return self.label(
             self.payload_column(table), table.dst_port, self.login_flags(table)
         )
-
-    def alert_families(
-        self, payload_codes: np.ndarray, ports: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(row, family code)`` of every alert ``alerts(payload, port)``
-        raises on each (payload code, port) row.  Family codes index
-        :attr:`family_values`, the sorted Snort classtypes of the rules."""
-        self._derive()
-        counts = self._alert_count.view()
-        starts = (np.cumsum(counts) - counts)[payload_codes]
-        sizes = counts[payload_codes]
-        ends = np.cumsum(sizes)
-        rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        # Output slot j of row r reads the payload's alert
-        # starts[r] + (j - (ends[r] - sizes[r])).
-        flat = np.repeat(starts - (ends - sizes), sizes) + np.arange(
-            int(ends[-1]) if len(ends) else 0, dtype=np.int64
-        )
-        alerts = self._alert_flat.view()[flat]
-        if self._scopes:
-            keep = np.ones(len(alerts), dtype=bool)
-            alert_ports = ports[rows]
-            for code, scope_ports in self._scopes:
-                keep &= (alerts != code) | np.isin(alert_ports, scope_ports)
-            rows, alerts = rows[keep], alerts[keep]
-        return rows, self._family_of_alert[alerts]
 
 
 def _slice_masks(
@@ -451,9 +259,10 @@ def dataset_coder(dataset) -> "_ShardCoder":
     """One shared interning coder per table-backed dataset.
 
     Cached keyed by the dataset digest so the matrix build, the source
-    build, and the leak histograms all reuse the same payload/credential
-    code tables (and their per-table coded columns) instead of
-    re-interning every distinct value per build.  Fork-pool shard maps
+    build, the leak histograms and the run-dir server's exact counts
+    (:class:`~repro.serve.backends.RunDirBackend`) all reuse the same
+    payload/credential code tables (and their per-table coded columns)
+    instead of re-interning every distinct value per build.  Fork-pool shard maps
     inherit the coder copy-on-write; their partials carry value lists
     that may be supersets of what one shard saw, which the reduces
     already handle by remapping codes through values.
@@ -580,16 +389,6 @@ def _matrix_map(view: ShardView, coder: "_ShardCoder") -> _MatrixPartial:
     )
 
 
-def _merge_values(partials: Sequence[_MatrixPartial]) -> dict[str, list]:
-    merged: dict[str, list] = {}
-    for characteristic in CHARACTERISTICS:
-        union: set = set()
-        for partial in partials:
-            union.update(partial.values[characteristic])
-        merged[characteristic] = sorted(union)
-    return merged
-
-
 def _merge_matrix(
     matrices: Sequence[np.ndarray], remaps: Sequence[np.ndarray], n_vantages: int, width: int
 ) -> np.ndarray:
@@ -616,25 +415,16 @@ def _matrix_reduce(
     partials: Sequence[_MatrixPartial], vantage_ids: Sequence[str]
 ) -> "ContingencyEngine":
     n_vantages = len(vantage_ids)
-    values = _merge_values(partials)
-    indexes = {
-        characteristic: {value: col for col, value in enumerate(values[characteristic])}
-        for characteristic in CHARACTERISTICS
-    }
-    remaps = [
-        {
-            characteristic: np.array(
-                [indexes[characteristic][value] for value in partial.values[characteristic]],
-                dtype=np.int64,
-            )
-            for characteristic in CHARACTERISTICS
-        }
-        for partial in partials
-    ]
+    values: dict[str, list] = {}
+    remaps: dict[str, list[np.ndarray]] = {}
+    for characteristic in CHARACTERISTICS:
+        values[characteristic], remaps[characteristic] = _merge_value_lists(
+            [partial.values[characteristic] for partial in partials]
+        )
     counts = {
         (slice_key, characteristic): _merge_matrix(
             [partial.counts[(slice_key, characteristic)] for partial in partials],
-            [remap[characteristic] for remap in remaps],
+            remaps[characteristic],
             n_vantages,
             len(values[characteristic]),
         )
@@ -947,25 +737,22 @@ def _merge_value_lists(lists: Sequence[list], none_first: bool = False) -> tuple
 
 def _remapped_pairs(
     partial_arrays: Sequence[np.ndarray],
-    remaps: Optional[Sequence[np.ndarray]],
-    code_columns: Sequence[int],
+    column_remaps: Mapping[int, Sequence[np.ndarray]],
 ) -> np.ndarray:
-    """Concatenate per-shard distinct-row arrays, remapping the coded
-    columns into merged value tables, and re-deduplicate."""
+    """Concatenate per-shard distinct-row arrays, remapping each coded
+    column through its per-shard remaps into the merged value tables,
+    and re-deduplicate."""
     remapped: list[np.ndarray] = []
     for index, rows in enumerate(partial_arrays):
         if rows.shape[0] == 0:
             continue
         rows = rows.copy()
-        if remaps is not None:
-            for column in code_columns:
-                rows[:, column] = remaps[index][rows[:, column]]
+        for column, remaps in column_remaps.items():
+            rows[:, column] = remaps[index][rows[:, column]]
         remapped.append(rows)
     if not remapped:
-        width = partial_arrays[0].shape[1] if partial_arrays else 2
-        return np.empty((0, width), dtype=np.int64)
-    stacked = np.concatenate(remapped)
-    return np.unique(stacked, axis=0)
+        return np.empty((0, partial_arrays[0].shape[1]), dtype=np.int64)
+    return np.unique(np.concatenate(remapped), axis=0)
 
 
 class SourceAggregates:
@@ -1032,11 +819,6 @@ class SourceAggregates:
     def __len__(self) -> int:
         return len(self.sources)
 
-    def flag_for_sources(self, source_indices: np.ndarray) -> np.ndarray:
-        flags = np.zeros(len(self.sources), dtype=bool)
-        flags[source_indices] = True
-        return flags
-
 
 def _source_reduce(partials: Sequence[_SourcePartial]) -> SourceAggregates:
     fp_values, fp_remaps = _merge_value_lists(
@@ -1093,23 +875,15 @@ def _source_reduce(partials: Sequence[_SourcePartial]) -> SourceAggregates:
             rows[:, 0] = np.searchsorted(sources, rows[:, 0])
         return rows
 
-    port_fp = _src_to_index(
-        _remapped_pairs([p.port_fp for p in partials], fp_remaps, (2,))
-    )
+    port_fp = _src_to_index(_remapped_pairs([p.port_fp for p in partials], {2: fp_remaps}))
     cred = _src_to_index(
-        _remapped_pairs_multi(
-            [p.cred for p in partials], {1: user_remaps, 2: pass_remaps}
-        )
+        _remapped_pairs([p.cred for p in partials], {1: user_remaps, 2: pass_remaps})
     )
     payloads = _src_to_index(
-        _remapped_pairs([p.payloads for p in partials], stripped_remaps, (1,))
+        _remapped_pairs([p.payloads for p in partials], {1: stripped_remaps})
     )
-    families = _src_to_index(
-        _remapped_pairs([p.families for p in partials], family_remaps, (1,))
-    )
-    asn_pairs = _src_to_index(
-        _remapped_pairs([p.asn_pairs for p in partials], None, ())
-    )
+    families = _src_to_index(_remapped_pairs([p.families for p in partials], {1: family_remaps}))
+    asn_pairs = _src_to_index(_remapped_pairs([p.asn_pairs for p in partials], {}))
     return SourceAggregates(
         sources=sources,
         first_pos=first_pos,
@@ -1127,24 +901,6 @@ def _source_reduce(partials: Sequence[_SourcePartial]) -> SourceAggregates:
         family_values=family_values,
         asn_pairs=asn_pairs,
     )
-
-
-def _remapped_pairs_multi(
-    partial_arrays: Sequence[np.ndarray],
-    column_remaps: Mapping[int, Sequence[np.ndarray]],
-) -> np.ndarray:
-    remapped: list[np.ndarray] = []
-    for index, rows in enumerate(partial_arrays):
-        if rows.shape[0] == 0:
-            continue
-        rows = rows.copy()
-        for column, remaps in column_remaps.items():
-            rows[:, column] = remaps[index][rows[:, column]]
-        remapped.append(rows)
-    if not remapped:
-        width = partial_arrays[0].shape[1] if partial_arrays else 3
-        return np.empty((0, width), dtype=np.int64)
-    return np.unique(np.concatenate(remapped), axis=0)
 
 
 def build_source_aggregates(dataset) -> SourceAggregates:

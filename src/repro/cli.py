@@ -24,6 +24,7 @@ import sys
 import time
 
 from repro.experiments import ALL_EXPERIMENTS, get_context
+from repro.stream.windows import MAX_TRAILING_HOURS
 
 #: Temporal experiments run on their own year's population.
 EXPERIMENT_YEARS: dict[str, int] = {
@@ -120,22 +121,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="serve live honeypots on loopback and stream them")
     watch.add_argument("--year", type=int, default=2021, choices=(2020, 2021, 2022))
     _add_sim_args(watch)
-    watch.add_argument("--sketch-k", type=int, default=64,
+    watch.add_argument("--sketch-k", type=_int_arg(1), default=64,
                        help="Space-Saving capacity per characteristic (default 64)")
-    watch.add_argument("--top-k", type=int, default=3,
+    watch.add_argument("--top-k", type=_int_arg(1), default=3,
                        help="categories per snapshot table (default 3, the §3.3 k)")
-    watch.add_argument("--snapshot-events", type=int, default=25000,
+    watch.add_argument("--snapshot-events", type=_int_arg(0), default=25000,
                        help="snapshot every N events (0 = final only; default 25000)")
-    watch.add_argument("--max-snapshots", type=int, default=0,
+    watch.add_argument("--max-snapshots", type=_int_arg(0), default=0,
                        help="stop periodic snapshots after N (0 = unlimited)")
-    watch.add_argument("--chunk-events", type=int, default=4096,
+    watch.add_argument("--chunk-events", type=_int_arg(1), default=4096,
                        help="rows per chunk when streaming stored tables (default 4096)")
-    watch.add_argument("--queue-events", type=int, default=65536,
+    watch.add_argument("--queue-events", type=_int_arg(1), default=65536,
                        help="bus buffer bound in events (default 65536)")
     watch.add_argument("--policy", default="backpressure",
                        choices=("backpressure", "drop"),
                        help="bus overflow policy (default backpressure)")
-    watch.add_argument("--trailing-hours", type=int, default=None,
+    watch.add_argument("--trailing-hours", type=_int_arg(1, MAX_TRAILING_HOURS), default=None,
                        help="leak-alarm trailing window in sealed hours "
                             "(default: the full observation window)")
     watch.add_argument("--follow", type=float, default=0.0, metavar="SECONDS",
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="live source: e.g. 8080=http, 2323=telnet (repeatable)")
     watch.add_argument("--duration", type=float, default=30.0,
                        help="live source: seconds to serve (default 30)")
-    watch.add_argument("--interval", type=float, default=5.0,
+    watch.add_argument("--interval", type=_positive_arg, default=5.0,
                        help="live source: seconds between snapshots (default 5)")
     watch.add_argument("--host", default="127.0.0.1")
     watch.add_argument("--max-connections", type=int, default=0,
@@ -198,9 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="requests per connection before close (0 = unlimited)")
     serve.add_argument("--duration", type=float, default=0.0,
                        help="seconds to serve before draining (0 = until interrupted)")
-    serve.add_argument("--sketch-k", type=int, default=64,
+    serve.add_argument("--sketch-k", type=_int_arg(1), default=64,
                        help="simulate source: Space-Saving capacity (default 64)")
-    serve.add_argument("--queue-events", type=int, default=65536,
+    serve.add_argument("--queue-events", type=_int_arg(1), default=65536,
                        help="simulate source: bus buffer bound in events (default 65536)")
     serve.add_argument("--incidents", action="store_true",
                        help="simulate source: run live incident detection and "
@@ -240,13 +241,33 @@ def _workers_arg(text: str):
     if text == "auto":
         return "auto"
     try:
-        value = int(text)
+        return _int_arg(1)(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer or 'auto', got {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1 (or 'auto')")
+
+
+def _int_arg(low: int, high: int | None = None):
+    """An argparse type: an integer in ``[low, high]`` (unbounded above
+    when ``high`` is None); any other value exits 2 naming the flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return integer
+
+
+def _positive_arg(text: str) -> float:
+    """An argparse type: a number greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
     return value
 
 

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 import numpy as np
 
+from repro.detection.coder import PayloadCoder
 from repro.incident.incidents import AuditLog, IncidentStore
 from repro.incident.rules import IncidentRule, default_rules
 from repro.incident.runbooks import RunbookExecutor
@@ -164,6 +165,8 @@ def canonical_frame(tables: dict, hours: int) -> StreamFrame:
     — one stable argsort by (hour bin, vantage) preserves intra-cell row
     order, so the row sequence is a pure function of the merged tables.
     Each non-empty (vantage, hour) cell is one chunk of the frame.  The
+    replay owns a fresh :class:`~repro.detection.coder.PayloadCoder`: it
+    interns in canonical order, so it must not share the dataset's.  The
     tables' rows are addressed through one
     :func:`~repro.io.table.gather_plan` over all of their runs, so a
     column is one :func:`~repro.io.table.concat_runs` and one gather,
@@ -197,7 +200,7 @@ def canonical_frame(tables: dict, hours: int) -> StreamFrame:
         return column[offsets[first]:offsets[stop]]
 
     return StreamFrame([sources[table] for table in (cell_ids % len(sources)).tolist()],
-                       offsets, _resolve)
+                       offsets, _resolve, coder=PayloadCoder())
 
 
 def canonical_chunks(tables: dict, hours: int) -> Iterator[StreamChunk]:

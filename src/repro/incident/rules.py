@@ -23,8 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.scanners.payloads import strip_ephemeral_headers
-
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
 from repro.stream.bus import StreamFrame
 from repro.stream.sketches import category_codes
@@ -221,8 +219,9 @@ class CampaignOnsetRule(IncidentRule):
 
     ``observe`` accumulates per-fingerprint footprints (vantage set,
     source-AS set, event count, first-seen hour) over the stripped
-    payload — the same normalization §3.3's batch ``payload_counter``
-    applies — and the rule fires once per fingerprint when its footprint
+    payload — the §3.3 normalization, read from the frame's
+    :class:`~repro.detection.coder.PayloadCoder` — keyed by a digest of
+    it, and the rule fires once per fingerprint when its footprint
     first spans ``min_vantages`` vantages with ``min_events`` events.
     "Onset" is literal: fingerprints already circulating during the
     first ``warmup_hours`` (the fleet's background scanning noise) are
@@ -245,18 +244,27 @@ class CampaignOnsetRule(IncidentRule):
         self.warmup_hours = int(warmup_hours)
         # fingerprint digest -> [preview, vantage set, asn set, events, first hour]
         self._campaigns: dict[str, list] = {}
-        self._digests: dict[bytes, str] = {}
         self._signaled: set[str] = set()
 
     def observe(self, frame: StreamFrame) -> None:
         frame = StreamFrame.of(frame)
-        # Distinct raw payloads in first-seen order, so each footprint
-        # is created (and previewed) by its first occurrence.
-        hits, raw_codes, raw = frame.interned("payload")
+        hits, payload_codes = frame.payload_codes()
         if not hits.size:
             return
-        digest_codes, digests = category_codes([self._digest(payload) for payload in raw])
-        codes = digest_codes[raw_codes]
+        coder = frame.coder
+        # Distinct stripped payloads in first-seen order, so each
+        # footprint is created (and previewed) by its first occurrence.
+        local, stripped = category_codes(coder.stripped_lookup()[payload_codes].tolist())
+        _stripped, first = np.unique(local, return_index=True)
+        digests = []
+        for code, row in zip(stripped, first.tolist()):
+            digest = hashlib.sha256(coder.stripped_values[code]).hexdigest()[:12]
+            if digest not in self._campaigns:
+                preview = coder.payload_values[payload_codes[row]].split(b"\r\n", 1)[0][:48]
+                self._campaigns[digest] = [preview, set(), set(), 0, np.inf]
+            digests.append(digest)
+        digest_codes, digests = category_codes(digests)
+        codes = digest_codes[local]
         stamps = np.asarray(frame.column("timestamps"), dtype=np.float64)[hits]
         first_seen = np.full(len(digests), np.inf)
         np.minimum.at(first_seen, codes, stamps)
@@ -277,18 +285,6 @@ class CampaignOnsetRule(IncidentRule):
         for pair in np.unique(codes * len(asn_values) + asns.reshape(-1)).tolist():
             code, asn = divmod(pair, len(asn_values))
             footprints[code][2].add(int(asn_values[asn]))
-
-    def _digest(self, payload) -> str:
-        """The payload's fingerprint, creating its footprint on first sight."""
-        digest = self._digests.get(bytes(payload))
-        if digest is None:
-            stripped = strip_ephemeral_headers(payload)
-            digest = hashlib.sha256(bytes(stripped)).hexdigest()[:12]
-            self._digests[bytes(payload)] = digest
-        if digest not in self._campaigns:
-            preview = bytes(payload).split(b"\r\n", 1)[0][:48]
-            self._campaigns[digest] = [preview, set(), set(), 0, np.inf]
-        return digest
 
     def evaluate(self, analyzer: "StreamAnalyzer", hour: int) -> list[Signal]:
         signals: list[Signal] = []

@@ -49,6 +49,12 @@ class BlocklistEntry:
 class RunbookExecutor:
     """Run the runbook an incident's rule names, with full provenance."""
 
+    #: Runbook names; ``name`` runs :meth:`_run_<name>`.  Handlers are
+    #: looked up per call: a table of bound methods would put every
+    #: executor (its store, audit log and incidents) in a reference
+    #: cycle that only a full collection frees.
+    RUNBOOKS = ("block", "rotate", "reweight")
+
     def __init__(
         self,
         audit: AuditLog,
@@ -67,18 +73,12 @@ class RunbookExecutor:
         self.rotations: list[dict] = []
         self._fingerprint_generation: dict[str, int] = {}
         self.region_weights: dict[str, float] = {}
-        self._handlers: dict[str, Callable[[Incident, int], list[dict]]] = {
-            "block": self._run_block,
-            "rotate": self._run_rotate,
-            "reweight": self._run_reweight,
-        }
 
     def execute(self, incident: Incident, runbook: Optional[str], hour: int) -> int:
         """Run ``runbook`` for a newly opened incident; returns #actions."""
-        handler = self._handlers.get(runbook or "")
-        if handler is None:
+        if runbook not in self.RUNBOOKS:
             return 0
-        actions = handler(incident, hour)
+        actions = getattr(self, f"_run_{runbook}")(incident, hour)
         for action in actions:
             self.audit.append({
                 "record": "action",

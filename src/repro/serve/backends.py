@@ -218,17 +218,10 @@ class ReputationTracker:
     #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
     accepts_frames = True
 
-    def __init__(self, capacity: int = 65536, rule_engine=None) -> None:
+    def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        from repro.detection.engine import Alert, RuleEngine
-
         self.capacity = capacity
-        self.rule_engine = rule_engine or RuleEngine()
-        # Each alert's destination-port scope (None: any port), the
-        # filter ``alerts(payload, port)`` applies (a sid names one rule).
-        self._scopes = {Alert(rule.sid, rule.msg, rule.classtype): rule.dst_ports
-                        for rule in self.rule_engine.rules}
         #: ip -> [asn, events, malicious] in least-recently-seen order.
         self._records: OrderedDict[int, list] = OrderedDict()
         self.evicted = 0
@@ -238,13 +231,12 @@ class ReputationTracker:
 
     def consume(self, frame) -> None:
         """Fold one frame's rows in, in stream order (a bare chunk is a
-        one-chunk frame)."""
+        one-chunk frame).  Rows are labeled by the frame's coder."""
         frame = StreamFrame.of(frame)
         flags = frame.column("credentials").astype(bool)
-        rows, codes, payloads = frame.interned("payload")
+        rows, codes = frame.payload_codes()
         if rows.size:
-            flags[rows] |= self._malicious(payloads, codes,
-                                           frame.column("dst_port")[rows])
+            flags[rows] = frame.coder.label(codes, frame.column("dst_port")[rows], flags[rows])
         records = self._records
         for ip, asn, malicious in zip(
             frame.column("src_ip").tolist(),
@@ -260,23 +252,6 @@ class ReputationTracker:
                 record[1] += 1
                 record[2] = record[2] or malicious
                 records.move_to_end(ip)
-
-    def _malicious(self, payloads: list, codes: np.ndarray, ports: np.ndarray) -> np.ndarray:
-        """Per row, ``rule_engine.is_malicious(payloads[codes[i]],
-        ports[i])``: the distinct payloads matched in one
-        :meth:`~repro.detection.engine.RuleEngine.alerts_batch` call, then
-        each fired alert kept where its port scope admits the row."""
-        scopes = self._scopes
-        fired = self.rule_engine.alerts_batch(payloads)
-        anywhere = np.array([any(scopes[alert] is None for alert in alerts)
-                             for alerts in fired], dtype=bool)
-        verdicts = anywhere[codes]
-        for code, alerts in enumerate(fired):
-            if alerts and not anywhere[code]:
-                scoped = sorted(set().union(*(scopes[alert] for alert in alerts)))
-                rows = np.flatnonzero(codes == code)
-                verdicts[rows] = np.isin(ports[rows], scoped)
-        return verdicts
 
     def _evict_if_needed(self) -> None:
         while len(self._records) > self.capacity:
@@ -671,29 +646,38 @@ class RunDirBackend(ServeBackend):
 
     @requires_ingest_lock
     def _counter(self, vantage: str, characteristic: Characteristic) -> Counter:
-        """Exact per-vantage category counts off the mapped columns."""
-        from repro.scanners.payloads import strip_ephemeral_headers
+        """Exact per-vantage category counts: source ASes off the mapped
+        column, the rest as codes of the dataset's coder (payloads in
+        their stripped form), one ``np.bincount`` each."""
+        from repro.analysis.contingency_engine import dataset_coder
 
         key = (vantage, characteristic.value)
         cached = self._counters.get(key)
         if cached is not None:
             return cached
         table = self.dataset.tables[vantage]
-        counts: Counter = Counter()
         if characteristic is Characteristic.AS:
             values, occurrences = np.unique(table.src_asn, return_counts=True)
-            counts.update(dict(zip(
-                (int(v) for v in values), (int(c) for c in occurrences)
-            )))
-        elif characteristic is Characteristic.PAYLOAD:
-            for payload in table.payloads:
-                if payload:
-                    counts[strip_ephemeral_headers(payload)] += 1
+            categories = values.tolist()
         else:
-            slot = 0 if characteristic is Characteristic.USERNAME else 1
-            for pairs in table.credentials:
-                for pair in pairs:
-                    counts[pair[slot]] += 1
+            coder = dataset_coder(self.dataset)
+            if characteristic is Characteristic.PAYLOAD:
+                # Coded before the lookup is read: it covers only the
+                # payloads interned so far.
+                payloads = coder.payload_column(table)
+                codes = coder.stripped_lookup()[payloads]
+                codes, categories = codes[codes >= 0], coder.stripped_values
+            else:
+                _has, _rows, users, passwords = coder.coded(table)[1]
+                if characteristic is Characteristic.USERNAME:
+                    codes, categories = users, coder.user_values
+                else:
+                    codes, categories = passwords, coder.pass_values
+            occurrences = np.bincount(codes)
+            present = np.flatnonzero(occurrences)
+            categories = [categories[code] for code in present.tolist()]
+            occurrences = occurrences[present]
+        counts = Counter(dict(zip(categories, occurrences.tolist())))
         self._counters[key] = counts
         return counts
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional
 
 from repro.deployment import fleet
+from repro.stream.windows import MAX_TRAILING_HOURS
 
 __all__ = [
     "SchemaError",
@@ -54,9 +55,6 @@ __all__ = [
 #: Largest ``k`` a top-k / comparison query may request (the Space-Saving
 #: sketches monitor at most 64 categories, so larger asks are undefined).
 MAX_TOP_K = 64
-
-#: Largest trailing window (hours) an alarm query may request.
-MAX_TRAILING_HOURS = 24 * 365
 
 
 class Characteristic(str, enum.Enum):

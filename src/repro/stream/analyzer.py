@@ -5,10 +5,11 @@ objects (ordered runs of chunks; a bare chunk is a one-chunk frame) and
 maintains, in bounded memory:
 
 * per-vantage Space-Saving sketches for each §3.3 characteristic
-  (source AS, username, password, payload — payloads with ephemeral
-  headers stripped, exactly as the batch ``payload_counter`` does); all
-  four by default, or the ``characteristics`` subset a consumer reads
-  (a characteristic left out costs nothing per frame);
+  (source AS, username, password, payload — payloads in the stripped
+  form the frame's :class:`~repro.detection.coder.PayloadCoder` derives,
+  the one the batch analyses count); all four by default, or the
+  ``characteristics`` subset a consumer reads (a characteristic left
+  out costs nothing per frame);
 * per-vantage HyperLogLog distinct-source counters;
 * per-vantage tumbling hourly volume windows feeding the existing spike
   detector;
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.deployment.fleet import LeakExperiment
 from repro.reporting.tables import render_table
-from repro.scanners.payloads import strip_ephemeral_headers
 from repro.stats.contingency import ChiSquareResult
 from repro.stream.bus import BusStats, StreamChunk, StreamFrame
 from repro.stream.sketches import HyperLogLogBank, StreamingContingency, category_codes
@@ -316,15 +316,14 @@ class StreamAnalyzer:
 
     def _sketch_payloads(self, frame: StreamFrame, vantage_ids: list,
                          chunks: np.ndarray) -> None:
-        """Payload counts, ephemeral headers stripped (as ``payload_counter``)."""
-        hits, raw_codes, raw = frame.interned("payload")
-        if not hits.size:
-            return
-        stripped_codes, categories = category_codes(
-            [strip_ephemeral_headers(payload) for payload in raw]
-        )
+        """Payload counts over the coder's stripped forms, re-coded to
+        the frame's own categories."""
+        hits, codes = frame.payload_codes()
+        coder = frame.coder
+        stripped, local = np.unique(coder.stripped_lookup()[codes], return_inverse=True)
         _sketch_frame(self.contingency["payload"], vantage_ids, chunks[hits],
-                      stripped_codes[raw_codes], categories)
+                      local.reshape(-1),
+                      [coder.stripped_values[code] for code in stripped.tolist()])
 
     def _sketch_credentials(self, frame: StreamFrame, vantage_ids: list,
                             chunks: np.ndarray) -> None:

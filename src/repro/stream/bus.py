@@ -27,8 +27,11 @@ A flush hands subscribers :class:`StreamFrame` objects: ordered runs of
 the buffered chunks, each consumed in one pass, so per-event work is
 paid per event rather than per (often tiny) chunk.  A frame column is
 gathered from the chunks' distinct column sets, not sliced chunk by
-chunk, and a column's values are interned once per frame for every
-subscriber that codes them.  A frame ends right
+chunk.  Every frame carries the bus's
+:class:`~repro.detection.coder.PayloadCoder`, so each distinct payload
+is stripped and classified once per bus, not once per frame; between
+flushes the bus swaps in a fresh coder once the current one holds more
+than :data:`_CODER_PAYLOAD_CAP` payloads.  A frame ends right
 after any chunk at which some subscriber reads state mid-stream (its
 ``cuts``: an hour sealing for incident rules, a snapshot coming due for
 ``watch``), and never grows past :data:`MAX_FRAME_EVENTS` events.  Every
@@ -44,9 +47,9 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
 
 import numpy as np
 
+from repro.detection.coder import PayloadCoder
 from repro.sim.events import CapturedEvent, NetworkKind
 from repro.io.table import TRANSPORT_CODES, concat_runs, gather_plan
-from repro.stream.sketches import category_codes
 
 __all__ = ["StreamChunk", "StreamFrame", "BusStats", "StreamBus", "MAX_FRAME_EVENTS"]
 
@@ -54,6 +57,10 @@ __all__ = ["StreamChunk", "StreamFrame", "BusStats", "StreamBus", "MAX_FRAME_EVE
 #: its own).  A live server consumes each frame under its ingest lock,
 #: so this bounds how long one delivery holds the lock.
 MAX_FRAME_EVENTS = 4096
+
+#: Distinct payloads a bus's coder may hold before a flush replaces it
+#: (no consumer keys state by code across frames, so results keep).
+_CODER_PAYLOAD_CAP = 65_536
 
 #: Column names every chunk carries (the EventTable chunk schema).
 CHUNK_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
@@ -172,29 +179,34 @@ class StreamFrame:
 
     ``resolve(name, first, stop)`` builds one column over chunks
     ``[first, stop)`` of the frame a frame was split from, so a
-    sub-frame materializes only its own rows.
+    sub-frame materializes only its own rows.  ``coder`` is the
+    pipeline's :class:`~repro.detection.coder.PayloadCoder` (a fresh one
+    when None).
     """
 
-    __slots__ = ("sources", "offsets", "_resolve", "_first", "_columns", "_chunk_index",
-                 "_interned")
+    __slots__ = ("sources", "offsets", "coder", "_resolve", "_first", "_columns",
+                 "_chunk_index", "_payload_codes")
 
     def __init__(self, sources: list, offsets: np.ndarray,
-                 resolve: Callable[[str, int, int], np.ndarray], first: int = 0) -> None:
+                 resolve: Callable[[str, int, int], np.ndarray], first: int = 0,
+                 coder: Optional[PayloadCoder] = None) -> None:
         self.sources = sources
         #: ``len(sources) + 1`` row offsets, from 0 to ``len(self)``.
         self.offsets = offsets
+        self.coder = coder if coder is not None else PayloadCoder()
         self._resolve = resolve
         self._first = first
         self._columns: dict[str, np.ndarray] = {}
         self._chunk_index: Optional[np.ndarray] = None
-        self._interned: dict[str, tuple[np.ndarray, np.ndarray, list]] = {}
+        self._payload_codes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
-    def from_chunks(cls, chunks: Iterable[StreamChunk]) -> "StreamFrame":
+    def from_chunks(cls, chunks: Iterable[StreamChunk],
+                    coder: Optional[PayloadCoder] = None) -> "StreamFrame":
         chunks = [chunk for chunk in chunks if len(chunk)]
         offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
         np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
-        return cls(chunks, offsets, _ChunkGather(chunks))
+        return cls(chunks, offsets, _ChunkGather(chunks), coder=coder)
 
     @classmethod
     def of(cls, item: Union["StreamFrame", StreamChunk]) -> "StreamFrame":
@@ -225,18 +237,15 @@ class StreamFrame:
             )
         return array
 
-    def interned(self, name: str) -> tuple[np.ndarray, np.ndarray, list]:
-        """``(rows, codes, values)`` for the column's non-empty values:
-        their row positions, and per such row a code into ``values``,
-        the distinct values in first-seen order (``category_codes``).
-        Interned once per frame for every subscriber that asks."""
-        interned = self._interned.get(name)
-        if interned is None:
-            column = self.column(name)
+    def payload_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, codes)`` for the frame's non-empty payloads: their
+        row positions, and per such row its code in :attr:`coder`.
+        Coded once per frame for every subscriber that asks."""
+        if self._payload_codes is None:
+            column = self.column("payload")
             rows = np.flatnonzero(column.astype(bool))
-            codes, values = category_codes(column[rows].tolist())
-            interned = self._interned[name] = (rows, codes, values)
-        return interned
+            self._payload_codes = (rows, self.coder.code(column[rows].tolist()))
+        return self._payload_codes
 
     def chunk_index(self) -> np.ndarray:
         """Per row, the index of the chunk it belongs to."""
@@ -262,7 +271,7 @@ class StreamFrame:
                 end = min(end, int(cut_at[position]))
             lo, hi = int(offsets[start]), int(offsets[end + 1])
             frame = StreamFrame(self.sources[start:end + 1], offsets[start:end + 2] - lo,
-                                self._resolve, self._first + start)
+                                self._resolve, self._first + start, self.coder)
             # Columns already resolved here are shared as views.
             frame._columns = {name: array[lo:hi] for name, array in self._columns.items()}
             start = end + 1
@@ -360,6 +369,8 @@ class StreamBus:
         self._queue: deque[StreamChunk] = deque()
         self._buffered_events = 0
         self._subscribers: list[Consumer] = []
+        #: The payload coder every delivered frame carries.
+        self.coder = PayloadCoder()
         #: Called after every flush that delivered at least one chunk
         #: (the watch service hangs snapshot cadence off this).
         self.on_flush: Optional[Callable[[int], None]] = None
@@ -412,7 +423,9 @@ class StreamBus:
         """Deliver every buffered chunk to every subscriber, in order."""
         if not self._queue:
             return 0
-        batch = StreamFrame.from_chunks(self._queue)
+        if len(self.coder) > _CODER_PAYLOAD_CAP:
+            self.coder = PayloadCoder()
+        batch = StreamFrame.from_chunks(self._queue, self.coder)
         self._queue.clear()
         self._buffered_events = 0
         stats = self.stats

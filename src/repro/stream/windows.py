@@ -27,7 +27,11 @@ from repro.deployment.fleet import LeakExperiment
 from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
 from repro.stream.sketches import KeyedRows
 
-__all__ = ["TumblingWindows", "LeakAlarm", "StreamingLeakAlarm"]
+__all__ = ["MAX_TRAILING_HOURS", "TumblingWindows", "LeakAlarm", "StreamingLeakAlarm"]
+
+#: Largest trailing window (hours) a leak-alarm query may request (the
+#: ``/alarms`` endpoint and ``watch --trailing-hours`` reject more).
+MAX_TRAILING_HOURS = 24 * 365
 
 
 class TumblingWindows:

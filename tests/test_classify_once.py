@@ -1,4 +1,5 @@
-"""The §3.2 maliciousness label is classified once per event, as a column.
+"""The §3.2 maliciousness label is classified once per event, as a column,
+and each distinct payload is derived once per pipeline.
 
 Every table-backed consumer of the label — X1's blocklists, the Table 8/9
 malicious source sets, the reputation oracle, and the M1 methodology
@@ -6,11 +7,17 @@ counters — reads the dataset coder's memoized per-event maliciousness
 column instead of classifying rows.  Each test below pins one consumer
 to a reference loop over materialized rows and
 ``AnalysisDataset.is_malicious``, the label's row definition.
+
+The counting tests at the end hold every pipeline (watch, respond, the
+run-dir server, live serving and the reproduce analyses) to one
+strip, fingerprint and rule match per distinct payload.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,15 +33,25 @@ from repro.analysis.blocklists import (
 from repro.analysis.contingency_engine import dataset_coder
 from repro.analysis.dataset import AnalysisDataset
 from repro.analysis.ports import methodology_numbers
+from repro.deployment.fleet import build_full_deployment
 from repro.detection.classify import ReputationOracle
 from repro.detection.engine import RuleEngine, load_default_rules
 from repro.detection.fingerprint import fingerprint
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.context import ExperimentContext
+from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig, get_context
+from repro.experiments.context import _WINDOWS, ExperimentContext
 from repro.experiments.ext_blocklists import run as run_x1
+from repro.incident.pipeline import detect_incidents
 from repro.io.table import EventTable
+from repro.runner import orchestrate
 from repro.scanners.payloads import strip_ephemeral_headers
+from repro.scanners.population import PopulationConfig, build_population
+from repro.serve.backends import RunDirBackend, build_live_pipeline, end_live_stream, load_run_dir
+from repro.sim.engine import SimulationConfig, run_simulation
 from repro.sim.events import CapturedEvent, NetworkKind
+from repro.sim.rng import RngHub
+from repro.stream import bus as bus_module
+from repro.stream.analyzer import CHARACTERISTICS
+from repro.stream.watch import WatchOptions, watch_run_dir
 
 
 def _rows(dataset, vantages):
@@ -272,3 +289,157 @@ def test_label_and_families_under_port_scoped_rules(small_context):
     assert np.array_equal(
         aggregates.malicious, np.isin(aggregates.sources, sorted(malicious_sources))
     )
+
+
+# ---------------------------------------------------------------------------
+# one derivation per distinct payload per pipeline
+# ---------------------------------------------------------------------------
+
+#: Tiny but non-degenerate (the watch and serve tests' config).
+TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
+#: The drivers perfbench's ``reproduce`` workload runs on one dataset.
+REPRODUCE = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11",
+             "F1", "M1", "X1", "X2", "X4")
+#: A bus bound small enough that a TINY simulation flushes many times.
+QUEUE_EVENTS = 4096
+
+
+class _DerivationCounts:
+    """Counts each payload reaching ``strip_ephemeral_headers`` and
+    ``fingerprint`` (every copy of them imported under ``repro``) and
+    each element of a ``RuleEngine.alerts_batch`` list."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = {"strip": Counter(), "fingerprint": Counter(), "alerts_batch": Counter()}
+        for key, original in (("strip", strip_ephemeral_headers), ("fingerprint", fingerprint)):
+            def counted(payload, _original=original, _calls=self.calls[key]):
+                _calls[payload] += 1
+                return _original(payload)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("repro") and getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, counted)
+        batch = RuleEngine.alerts_batch
+
+        def counted_batch(engine, payloads):
+            self.calls["alerts_batch"].update(payloads)
+            return batch(engine, payloads)
+
+        monkeypatch.setattr(RuleEngine, "alerts_batch", counted_batch)
+
+    def run(self, pipeline) -> dict[str, Counter]:
+        """The calls one pipeline makes."""
+        for calls in self.calls.values():
+            calls.clear()
+        pipeline()
+        return {key: Counter(calls) for key, calls in self.calls.items()}
+
+
+def _repeats(calls: dict[str, Counter]) -> dict[str, int]:
+    """Per derivation, the payloads that reached it more than once."""
+    return {key: sum(count > 1 for count in counted.values()) for key, counted in calls.items()}
+
+
+def _tapped_live_pipeline(*subscribers):
+    """``serve --simulate --incidents`` in-process: TINY's simulation
+    tapped into the live pipeline (plus ``subscribers``), then the end
+    of the stream."""
+    window = _WINDOWS[TINY.year]
+    deployment = build_full_deployment(
+        RngHub(TINY.seed), num_telescope_slash24s=TINY.telescope_slash24s
+    )
+    bus, analyzer, tracker, backend = build_live_pipeline(
+        window.hours, leak_experiment=deployment.leak_experiment,
+        max_buffered_events=QUEUE_EVENTS, incidents=True,
+    )
+    for subscriber in subscribers:
+        bus.subscribe(subscriber)
+    run_simulation(
+        deployment,
+        build_population(PopulationConfig(year=TINY.year, scale=TINY.scale)),
+        SimulationConfig(seed=TINY.seed, window=window),
+        tap=bus.table_tap(),
+    )
+    end_live_stream(bus, backend)
+    return analyzer, tracker, backend.pipeline
+
+
+@pytest.fixture(scope="module")
+def tiny_run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("derive") / "run"
+    assert not orchestrate(TINY, workers=1, out_dir=out, num_shards=2, quiet=True).partial
+    return out
+
+
+def test_each_pipeline_derives_each_distinct_payload_once(tiny_run_dir, monkeypatch):
+    context = get_context(TINY)
+    fresh = ExperimentContext(
+        config=context.config,
+        deployment=context.deployment,
+        result=context.result,
+        dataset=AnalysisDataset.from_simulation(context.result),
+    )
+
+    def serve_run_dir():
+        backend = RunDirBackend(tiny_run_dir)
+        assert backend.handle("/ip", {"ip": "1.2.3.4"})["seen"] is False
+        for vantage in sorted(backend.dataset.tables):
+            for characteristic in CHARACTERISTICS:
+                backend.handle("/top", {"vantage": vantage, "characteristic": characteristic})
+        for characteristic in CHARACTERISTICS:
+            backend.handle("/compare", {"characteristic": characteristic})
+
+    counting = _DerivationCounts(monkeypatch)
+    calls = {
+        "watch": counting.run(lambda: watch_run_dir(
+            tiny_run_dir, WatchOptions(snapshot_events=0), say=lambda line: None)),
+        "respond": counting.run(lambda: detect_incidents(load_run_dir(tiny_run_dir)[1])),
+        "run-dir server": counting.run(serve_run_dir),
+        "live": counting.run(_tapped_live_pipeline),
+        "reproduce": counting.run(
+            lambda: [ALL_EXPERIMENTS[experiment](fresh) for experiment in REPRODUCE]),
+    }
+    for path, counted in calls.items():
+        assert _repeats(counted) == {"strip": 0, "fingerprint": 0, "alerts_batch": 0}, path
+        assert counted["strip"], path
+    for path in ("watch", "respond"):
+        assert not calls[path]["fingerprint"] and not calls[path]["alerts_batch"], path
+    for path in ("run-dir server", "live", "reproduce"):
+        assert calls[path]["alerts_batch"], path
+    assert calls["reproduce"]["fingerprint"]
+
+
+def _live_state(analyzer, tracker, pipeline) -> tuple:
+    sketches = {
+        name: [(group, sketch.counts(), dict(sketch._errors), sketch.total)
+               for group, sketch in contingency._groups.items()]
+        for name, contingency in analyzer.contingency.items()
+    }
+    return (sketches, analyzer.snapshot().as_dict(), list(tracker._records.items()),
+            tracker.evicted, pipeline.audit.to_ndjson())
+
+
+class _CoderLog:
+    """A subscriber recording each coder its frames carry, in turn."""
+
+    accepts_frames = True
+
+    def __init__(self) -> None:
+        self.coders: list = []
+
+    def consume(self, frame) -> None:
+        if not self.coders or self.coders[-1] is not frame.coder:
+            self.coders.append(frame.coder)
+
+
+def test_bounded_bus_coder_changes_no_live_state(monkeypatch):
+    """A bus whose coder is replaced every few payloads leaves the live
+    analyzer, tracker and audit log exactly as an unbounded one does."""
+    log = _CoderLog()
+    unbounded = _tapped_live_pipeline(log)
+    assert len(log.coders) == 1
+    monkeypatch.setattr(bus_module, "_CODER_PAYLOAD_CAP", 3)
+    log = _CoderLog()
+    bounded = _tapped_live_pipeline(log)
+    assert len(log.coders) > 1
+    assert _live_state(*bounded) == _live_state(*unbounded)

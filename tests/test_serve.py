@@ -11,6 +11,7 @@ without any serve code in the loop.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import signal
@@ -48,6 +49,10 @@ from repro.stats.volume import hourly_volumes
 
 #: Same fixed-seed tiny-but-real config the watch tests pin.
 TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
+
+#: sha256 over the run-dir ``/top`` and ``/compare`` bodies of TINY's
+#: 2-shard run (``test_top_and_compare_answers_are_pinned``).
+RUN_DIR_COUNT_ANSWERS = "defee5424a649fc5bfe00ea2dc7e325e1e8867d6a6a0183c47c9e012c5017499"
 
 #: A connection handler finalized after its loop closed surfaces only as
 #: an unraisable exception; here it fails the test that collects it.
@@ -331,6 +336,25 @@ class TestRunDirParity:
     def test_unknown_run_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             RunDirBackend(tmp_path / "nope")
+
+    def test_top_and_compare_answers_are_pinned(self, run_dir):
+        """Every exact count answer of the tiny run dir, byte for byte:
+        ``/top`` for each vantage × characteristic at k = 3 and 64, and
+        ``/compare`` for each characteristic at k = 3."""
+        backend = RunDirBackend(run_dir)
+        digest = hashlib.sha256()
+        characteristics = [member.value for member in Characteristic]
+        for vantage in sorted(backend.dataset.tables):
+            for characteristic in characteristics:
+                for k in ("3", "64"):
+                    body = backend.handle("/top", {
+                        "vantage": vantage, "characteristic": characteristic, "k": k,
+                    })
+                    digest.update(json.dumps(body, sort_keys=True).encode())
+        for characteristic in characteristics:
+            body = backend.handle("/compare", {"characteristic": characteristic, "k": "3"})
+            digest.update(json.dumps(body, sort_keys=True).encode())
+        assert digest.hexdigest() == RUN_DIR_COUNT_ANSWERS
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deployment.fleet import LeakExperiment, LeakGroup
+from repro.detection.coder import PayloadCoder
 from repro.detection.engine import RuleEngine
 from repro.detection.rules import parse_rules
 from repro.experiments import ExperimentConfig, get_context
@@ -384,16 +385,17 @@ class TestGatheredFrames:
     @given(chunks=shared_column_chunks())
     @settings(max_examples=100, deadline=None)
     def test_interning_equals_category_codes_of_non_empty_values(self, chunks):
+        """A frame with a fresh coder codes its non-empty payloads as
+        ``category_codes`` does: first-seen order, once per frame."""
         frame = StreamFrame.from_chunks(chunks)
-        for name in ("payload", "credentials"):
-            column = frame.column(name)
-            rows = np.flatnonzero([bool(value) for value in column.tolist()])
-            codes, values = category_codes(column[rows].tolist())
-            interned = frame.interned(name)
-            assert interned[0].tolist() == rows.tolist()
-            assert interned[1].tolist() == codes.tolist()
-            assert interned[2] == values
-            assert frame.interned(name) is interned  # once per frame
+        column = frame.column("payload")
+        rows = np.flatnonzero([bool(value) for value in column.tolist()])
+        codes, values = category_codes(column[rows].tolist())
+        coded = frame.payload_codes()
+        assert coded[0].tolist() == rows.tolist()
+        assert coded[1].tolist() == codes.tolist()
+        assert frame.coder.payload_values == values
+        assert frame.payload_codes() is coded  # once per frame
 
 
 #: Port-scoped rules over the chunk strategies' payloads (the shipped
@@ -409,14 +411,14 @@ alert http any any -> any 8080 (msg:"dated get"; content:"Date:"; classtype:bad-
 @given(chunks=chunk_sequences(), scoped=st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_tracker_classifies_like_per_row_rule_calls(chunks, scoped):
-    """The tracker's one batch call per frame gives the records the
-    per-row ``is_malicious(payload, port)`` loop gives, port scopes
-    included."""
+    """The tracker's labels, read from the frame's coder, give the
+    records the per-row ``is_malicious(payload, port)`` loop gives, port
+    scopes included."""
     def engine():
         return RuleEngine(parse_rules(SCOPED_RULES)) if scoped else RuleEngine()
 
-    tracker = ReputationTracker(capacity=1000, rule_engine=engine())
-    frame = StreamFrame.from_chunks(chunks)
+    tracker = ReputationTracker(capacity=1000)
+    frame = StreamFrame.from_chunks(chunks, PayloadCoder(engine()))
     tracker.consume(frame)
 
     reference, expected = engine(), {}

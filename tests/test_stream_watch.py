@@ -16,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.context import ExperimentConfig
 from repro.runner import orchestrate, resolve_workers
+from repro.serve.schema import MAX_TRAILING_HOURS
 from repro.stream import WatchOptions, watch_run_dir, watch_simulation
 
 #: Tiny but non-degenerate: every attachment mode sees real traffic.
@@ -81,39 +82,70 @@ class TestWatchRunDir:
             watch_run_dir(tmp_path)
 
 
+def _cyclic_types(run, names: set[str]) -> set[str]:
+    """Types among ``names`` that only the cycle collector could free
+    after ``run``."""
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return {type(obj).__name__ for obj in gc.garbage} & names
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
 class TestWatchLeavesNoCycle:
     """A finished watch session is freed by reference counting alone."""
 
     PIPELINE = {"StreamBus", "StreamAnalyzer", "IncidentPipeline", "SnapshotPrinter"}
 
-    def _cyclic_pipeline_types(self, watch) -> set[str]:
-        """Pipeline types only the cycle collector could free after ``watch``."""
-        gc.collect()
-        enabled, flags = gc.isenabled(), gc.get_debug()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            watch()
-            gc.collect()
-            return {type(obj).__name__ for obj in gc.garbage} & self.PIPELINE
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-            if enabled:
-                gc.enable()
-
     def test_watch_run_dir(self, tmp_path):
         out = tmp_path / "run"
         orchestrate(TINY, workers=1, out_dir=out, num_shards=2, quiet=True)
-        assert self._cyclic_pipeline_types(
+        assert _cyclic_types(
             lambda: watch_run_dir(out, options=WatchOptions(snapshot_events=0),
-                                  say=lambda line: None)
+                                  say=lambda line: None),
+            self.PIPELINE,
         ) == set()
 
     def test_watch_simulation(self):
-        assert self._cyclic_pipeline_types(
+        assert _cyclic_types(
             lambda: watch_simulation(TINY, options=WatchOptions(snapshot_events=0),
-                                     say=lambda line: None)
+                                     say=lambda line: None),
+            self.PIPELINE,
+        ) == set()
+
+
+class TestIncidentStateLeavesNoCycle:
+    """Finished detection — its runbook executor, store, audit log and
+    incidents — is freed by reference counting alone."""
+
+    STATE = {"RunbookExecutor", "IncidentStore", "AuditLog", "Incident"}
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cycle") / "run"
+        orchestrate(TINY, workers=1, out_dir=out, num_shards=2, quiet=True)
+        return out
+
+    def test_detect_incidents(self, run_dir):
+        from repro.incident.pipeline import detect_incidents
+        from repro.serve.backends import load_run_dir
+
+        dataset = load_run_dir(run_dir)[1]
+        assert _cyclic_types(lambda: detect_incidents(dataset), self.STATE) == set()
+
+    def test_watch_run_dir(self, run_dir):
+        assert _cyclic_types(
+            lambda: watch_run_dir(run_dir, options=WatchOptions(snapshot_events=0),
+                                  say=lambda line: None),
+            self.STATE,
         ) == set()
 
 
@@ -223,3 +255,43 @@ class TestWatchCli:
         with pytest.raises(SystemExit):
             main(["orchestrate", "--workers", "zero"])
         assert "auto" in capsys.readouterr().err
+
+
+#: A tiny simulation, so that a knob the CLI fails to reject costs little.
+_SIM = ["--scale", "0.01", "--telescope", "4"]
+
+
+class TestStreamKnobBounds:
+    """A stream knob out of range stops the CLI at the argument parser:
+    exit 2 with a message naming the flag, before anything starts."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["watch", "--simulate", *_SIM, "--sketch-k", "0"], "--sketch-k",
+                     id="watch-sketch-k"),
+        pytest.param(["serve", "--simulate", *_SIM, "--duration", "1", "--sketch-k", "0"],
+                     "--sketch-k", id="serve-sketch-k"),
+        pytest.param(["watch", "--simulate", *_SIM, "--top-k", "0"], "--top-k",
+                     id="watch-top-k"),
+        pytest.param(["watch", "--simulate", *_SIM, "--queue-events", "0"], "--queue-events",
+                     id="watch-queue-events"),
+        pytest.param(["serve", "--simulate", *_SIM, "--duration", "1", "--queue-events", "0"],
+                     "--queue-events", id="serve-queue-events"),
+        pytest.param(["watch", "--run-dir", "no-such-run", "--chunk-events", "0"],
+                     "--chunk-events", id="watch-chunk-events"),
+        pytest.param(["watch", "--simulate", *_SIM, "--snapshot-events", "-5"],
+                     "--snapshot-events", id="watch-snapshot-events"),
+        pytest.param(["watch", "--simulate", *_SIM, "--max-snapshots", "-1"],
+                     "--max-snapshots", id="watch-max-snapshots"),
+        pytest.param(["watch", "--simulate", *_SIM, "--trailing-hours", "-3"],
+                     "--trailing-hours", id="watch-trailing-hours-below"),
+        pytest.param(["watch", "--simulate", *_SIM,
+                      "--trailing-hours", str(MAX_TRAILING_HOURS + 1)],
+                     "--trailing-hours", id="watch-trailing-hours-above"),
+        pytest.param(["watch", "--live", "--port", "0=http", "--duration", "0.2",
+                      "--interval", "0"], "--interval", id="watch-interval"),
+    ])
+    def test_bad_knob_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
