@@ -55,56 +55,37 @@ class CommandSummary:
         return self.sessions_logged_in / self.sessions_with_login_attempts
 
 
-def _commands_map_shard(view) -> dict:
-    """One shard's mergeable command aggregate: per-command counts plus
-    the global first-sighting key ``(vantage position, shard, row, tuple
-    position)``, which orders commands as a walk over the merged rows
-    would first meet them.
+def command_summary(
+    dataset_or_events: AnalysisDataset | Iterable[CapturedEvent],
+    top: int = 10,
+) -> CommandSummary:
+    """Summarize captured shell sessions (of a dataset, or of row events,
+    which are grouped per vantage into tables first).
 
-    Sessions are counted column-wise; commands are tallied once per
-    distinct command tuple, keyed at the tuple's first logged-in row.
+    Sessions are counted column-wise.  Commands are tallied once per
+    distinct command tuple of each table, in first-sighting order, so
+    ties in the top list fall in the order a walk over the rows first
+    meets each command.
     """
-    from repro.analysis.contingency_engine import _sorted_view_tables
-
+    dataset = dataset_or_events
+    if not isinstance(dataset, AnalysisDataset):
+        dataset = AnalysisDataset(events=dataset)
     attempts = 0
     logged_in = 0
-    counts: dict[str, int] = {}
-    first: dict[str, tuple[int, int, int, int]] = {}
-    for vpos, table in _sorted_view_tables(view):
+    commands: Counter = Counter()
+    for table in dataset.tables.values():
+        if not len(table):
+            continue
         has_cred = table.credentials.astype(bool)
         attempts += int(has_cred.sum())
-        commands = table.commands
-        rows = np.flatnonzero(has_cred & commands.astype(bool))
+        command_column = table.commands
+        rows = np.flatnonzero(has_cred & command_column.astype(bool))
         if not rows.size:
             continue
         logged_in += int(rows.size)
-        selected = commands[rows].tolist()
-        # Reversed pairs: each tuple keeps the row of its first sighting.
-        first_row = dict(zip(reversed(selected), reversed(rows.tolist())))
-        for sequence, times in Counter(selected).items():
-            for position, command in enumerate(sequence):
-                counts[command] = counts.get(command, 0) + times
-                key = (vpos, view.index, first_row[sequence], position)
-                if command not in first or key < first[command]:
-                    first[command] = key
-    return {"attempts": attempts, "logged_in": logged_in, "counts": counts, "first": first}
-
-
-def _commands_reduce(partials, top: int) -> CommandSummary:
-    attempts = sum(partial["attempts"] for partial in partials)
-    logged_in = sum(partial["logged_in"] for partial in partials)
-    counts: dict[str, int] = {}
-    first: dict[str, tuple[int, int, int, int]] = {}
-    for partial in partials:
-        for command, count in partial["counts"].items():
-            counts[command] = counts.get(command, 0) + count
-        for command, key in partial["first"].items():
-            known = first.get(command)
-            if known is None or key < known:
-                first[command] = key
-    commands: Counter = Counter()
-    for command, _key in sorted(first.items(), key=lambda item: item[1]):
-        commands[command] = counts[command]
+        for sequence, times in Counter(command_column[rows].tolist()).items():
+            for command in sequence:
+                commands[command] += times
     classes: Counter = Counter()
     for command, count in commands.items():
         classes[classify_command(command)] += count
@@ -114,20 +95,4 @@ def _commands_reduce(partials, top: int) -> CommandSummary:
         total_commands=sum(commands.values()),
         top_commands=tuple(commands.most_common(top)),
         class_counts=dict(classes),
-    )
-
-
-def command_summary(
-    dataset_or_events: AnalysisDataset | Iterable[CapturedEvent],
-    top: int = 10,
-) -> CommandSummary:
-    """Summarize captured shell sessions (of a dataset, or of row events,
-    which are grouped per vantage into tables first)."""
-    from repro.experiments.base import run_shard_wise
-
-    dataset = dataset_or_events
-    if not isinstance(dataset, AnalysisDataset):
-        dataset = AnalysisDataset(events=dataset)
-    return run_shard_wise(
-        _commands_map_shard, lambda partials: _commands_reduce(partials, top), dataset
     )

@@ -16,14 +16,15 @@ counts.  This module makes that one pass over the
   once per row), and the Section 3.2 maliciousness label becomes one
   gather per table over a per-payload alert flag;
 * per-(vantage × characteristic) **count matrices** are materialized
-  with one ``np.bincount`` per (slice, characteristic) over the view's
-  concatenated columns, keyed by vantage position × category code;
-* the matrices are **additively mergeable across shards**: the build
-  runs through the PR 6 ``map_shard``/``reduce`` protocol
-  (:func:`~repro.experiments.base.run_shard_wise`), so sharded datasets
-  (:class:`~repro.io.lazy.ShardedEventTable`) never materialize merged
-  columns, and a single-process dataset is just the one-shard case of
-  the same code path.
+  with one ``np.bincount`` per (slice, characteristic) over the
+  dataset's concatenated columns, keyed by vantage position × category
+  code;
+* the build is **one pass** over the dataset's tables in dataset
+  order, whatever made them: an orchestrated run's tables are the
+  merged week (:class:`~repro.io.lazy.ShardedEventTable`, each merged
+  column concatenated on first read), so shard layout never reaches
+  the counts.  Category codes are re-coded into sorted value tables,
+  which fixes the matrices' column order.
 
 The engine is cached on the :class:`~repro.analysis.dataset
 .AnalysisDataset` keyed by a cheap table digest (vantage ids × row
@@ -49,7 +50,6 @@ from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.detection.coder import PayloadCoder, intern_value
-from repro.experiments.base import ShardView, run_shard_wise
 from repro.stats.contingency import ChiSquareResult, chi_square_test
 
 __all__ = [
@@ -224,17 +224,6 @@ def _slice_masks(
     }
 
 
-def _sorted_view_tables(view: ShardView) -> list[tuple[int, Any]]:
-    """(vantage position, table) pairs in merged-dataset vantage order."""
-    items = [
-        (view.order[vantage_id], table)
-        for vantage_id, table in view.tables.items()
-        if len(table)
-    ]
-    items.sort(key=lambda item: item[0])
-    return items
-
-
 def dataset_digest(tables: Mapping[str, Any]) -> tuple:
     """Cheap identity of a table mapping: vantage ids × row counts."""
     return tuple((vantage_id, len(table)) for vantage_id, table in tables.items())
@@ -244,17 +233,6 @@ def dataset_digest(tables: Mapping[str, Any]) -> tuple:
 # count matrices
 # ----------------------------------------------------------------------
 
-@dataclass
-class _MatrixPartial:
-    """One shard's mergeable contribution to the count matrices."""
-
-    values: dict[str, list]
-    counts: dict[tuple[str, str], np.ndarray]
-    events: dict[str, np.ndarray]
-    malicious: dict[str, np.ndarray]
-    cred_events: np.ndarray
-
-
 def dataset_coder(dataset) -> "_ShardCoder":
     """One shared interning coder per table-backed dataset.
 
@@ -262,10 +240,9 @@ def dataset_coder(dataset) -> "_ShardCoder":
     build, the leak histograms and the run-dir server's exact counts
     (:class:`~repro.serve.backends.RunDirBackend`) all reuse the same
     payload/credential code tables (and their per-table coded columns)
-    instead of re-interning every distinct value per build.  Fork-pool shard maps
-    inherit the coder copy-on-write; their partials carry value lists
-    that may be supersets of what one shard saw, which the reduces
-    already handle by remapping codes through values.
+    instead of re-interning every distinct value per build.  Its codes
+    are in first-occurrence order; the builds re-code them into sorted
+    value tables (:func:`_sorted_values`).
     """
     digest = dataset_digest(dataset.tables)
     coder = getattr(dataset, "_shard_coder", None)
@@ -277,12 +254,11 @@ def dataset_coder(dataset) -> "_ShardCoder":
 
 
 @dataclass
-class _ViewColumns:
-    """One shard view's event columns, concatenated once in merged-dataset
-    vantage order.  Built inside a map and dropped with it."""
+class _Columns:
+    """The event columns of a mapping of vantage tables, concatenated once
+    in mapping order (empty tables skipped)."""
 
-    position: np.ndarray       # vantage position of each event
-    row: np.ndarray            # row of each event within its vantage table
+    position: np.ndarray       # mapping position of each event's vantage
     payload: np.ndarray        # payload codes
     port: np.ndarray
     src: np.ndarray
@@ -293,25 +269,27 @@ class _ViewColumns:
     pair_password: np.ndarray
 
 
-def _view_columns(view: ShardView, coder: "_ShardCoder") -> _ViewColumns:
-    """Concatenate a view's columns; every payload of the view is interned
-    before anything is derived from it."""
-    items = _sorted_view_tables(view)
+def _columns(vantage_tables: Mapping[str, Any], coder: "_ShardCoder") -> _Columns:
+    """Concatenate the tables' columns; every payload is interned before
+    anything is derived from it."""
+    items = [
+        (position, table)
+        for position, table in enumerate(vantage_tables.values())
+        if len(table)
+    ]
     tables = [table for _position, table in items]
     lengths = np.array([len(table) for table in tables], dtype=np.int64)
     offsets = np.cumsum(lengths) - lengths
-    total = int(lengths.sum())
     coded = [coder.coded(table) for table in tables]
     creds = [credentials for _payloads, credentials in coded]
 
     def concat(parts, dtype=np.int64) -> np.ndarray:
         return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-    return _ViewColumns(
+    return _Columns(
         position=np.repeat(
             np.array([position for position, _table in items], dtype=np.int64), lengths
         ),
-        row=np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths),
         payload=concat([payloads for payloads, _credentials in coded]),
         port=concat([np.asarray(table.dst_port, dtype=np.int64) for table in tables]),
         src=concat([np.asarray(table.src_ip, dtype=np.int64) for table in tables]),
@@ -326,127 +304,15 @@ def _view_columns(view: ShardView, coder: "_ShardCoder") -> _ViewColumns:
     )
 
 
-def _matrix_map(view: ShardView, coder: "_ShardCoder") -> _MatrixPartial:
-    n_vantages = len(view.order)
-    columns = _view_columns(view, coder)
-    position = columns.position
-    as_codes = coder.code_asns(columns.asn)
-    event_fp = coder.fp_lookup()[columns.payload]
-    stripped = coder.stripped_lookup()[columns.payload]
-    mal = coder.label(columns.payload, columns.port, columns.login)
-    pair_position = position[columns.pair_event]
-    nonempty_payload = stripped >= 0
-    http_code = coder.fp_codes.get("http", -1)
-    values = {
-        "as": list(coder.as_values),
-        "username": list(coder.user_values),
-        "password": list(coder.pass_values),
-        "payload": list(coder.stripped_values),
-    }
-
-    def per_vantage(positions: np.ndarray) -> np.ndarray:
-        return np.bincount(positions, minlength=n_vantages)
-
-    def matrix(
-        characteristic: str, positions: np.ndarray, codes: np.ndarray
-    ) -> np.ndarray:
-        width = len(values[characteristic])
-        return np.bincount(
-            positions * width + codes, minlength=n_vantages * width
-        ).reshape(n_vantages, width)
-
-    events: dict[str, np.ndarray] = {}
-    malicious: dict[str, np.ndarray] = {}
-    counts: dict[tuple[str, str], np.ndarray] = {}
-    for slice_key, mask in _slice_masks(columns.port, event_fp, http_code).items():
-        if mask is None:
-            events[slice_key] = per_vantage(position)
-            malicious[slice_key] = per_vantage(position[mal])
-            counts[(slice_key, "as")] = matrix("as", position, as_codes)
-            payload_rows = nonempty_payload
-            pair_rows = slice(None)
-        else:
-            events[slice_key] = per_vantage(position[mask])
-            malicious[slice_key] = per_vantage(position[mal & mask])
-            counts[(slice_key, "as")] = matrix("as", position[mask], as_codes[mask])
-            payload_rows = mask & nonempty_payload
-            pair_rows = mask[columns.pair_event]
-        counts[(slice_key, "username")] = matrix(
-            "username", pair_position[pair_rows], columns.pair_user[pair_rows]
-        )
-        counts[(slice_key, "password")] = matrix(
-            "password", pair_position[pair_rows], columns.pair_password[pair_rows]
-        )
-        counts[(slice_key, "payload")] = matrix(
-            "payload", position[payload_rows], stripped[payload_rows]
-        )
-    return _MatrixPartial(
-        values=values,
-        counts=counts,
-        events=events,
-        malicious=malicious,
-        cred_events=per_vantage(position[columns.login]),
-    )
-
-
-def _merge_matrix(
-    matrices: Sequence[np.ndarray], remaps: Sequence[np.ndarray], n_vantages: int, width: int
-) -> np.ndarray:
-    """Sum of the partials' count matrices, partial column ``j`` landing
-    on merged column ``remaps[k][j]``: the first partial's matrix
-    column-gathered into place (merged columns it lacks zeroed), then
-    every later partial added in.  No zero-filled copy is built and
-    scattered into."""
-    first, placed = matrices[0], remaps[0]
-    source = np.zeros(width, dtype=np.int64)
-    source[placed] = np.arange(len(placed))
-    merged = (np.take(first, source, axis=1) if first.shape[1]
-              else np.zeros((n_vantages, width), dtype=np.int64))
-    missing = np.ones(width, dtype=bool)
-    missing[placed] = False
-    merged[:, missing] = 0
-    for matrix, remap in zip(matrices[1:], remaps[1:]):
-        if matrix.shape[1]:
-            merged[:, remap] += matrix
-    return merged
-
-
-def _matrix_reduce(
-    partials: Sequence[_MatrixPartial], vantage_ids: Sequence[str]
-) -> "ContingencyEngine":
-    n_vantages = len(vantage_ids)
-    values: dict[str, list] = {}
-    remaps: dict[str, list[np.ndarray]] = {}
-    for characteristic in CHARACTERISTICS:
-        values[characteristic], remaps[characteristic] = _merge_value_lists(
-            [partial.values[characteristic] for partial in partials]
-        )
-    counts = {
-        (slice_key, characteristic): _merge_matrix(
-            [partial.counts[(slice_key, characteristic)] for partial in partials],
-            remaps[characteristic],
-            n_vantages,
-            len(values[characteristic]),
-        )
-        for slice_key in ENGINE_SLICES
-        for characteristic in CHARACTERISTICS
-    }
-    events = {key: np.zeros(n_vantages, dtype=np.int64) for key in ENGINE_SLICES}
-    malicious = {key: np.zeros(n_vantages, dtype=np.int64) for key in ENGINE_SLICES}
-    cred_events = np.zeros(n_vantages, dtype=np.int64)
-    for partial in partials:
-        for slice_key in ENGINE_SLICES:
-            events[slice_key] += partial.events[slice_key]
-            malicious[slice_key] += partial.malicious[slice_key]
-        cred_events += partial.cred_events
-    return ContingencyEngine(
-        vantage_ids=tuple(vantage_ids),
-        values=values,
-        counts=counts,
-        events=events,
-        malicious=malicious,
-        cred_events=cred_events,
-    )
+def _sorted_values(values: Sequence, none_first: bool = False) -> tuple[list, np.ndarray]:
+    """A coder's value table sorted (``None`` first when asked), and the
+    remap from each coder code to its sorted code."""
+    if none_first:
+        ordered = sorted(values, key=lambda v: (v is not None, "" if v is None else v))
+    else:
+        ordered = sorted(values)
+    index = {value: code for code, value in enumerate(ordered)}
+    return ordered, np.array([index[value] for value in values], dtype=np.int64)
 
 
 class ContingencyEngine:
@@ -571,13 +437,73 @@ class ContingencyEngine:
 
 
 def build_engine(dataset) -> ContingencyEngine:
-    """Build the engine for a dataset, shard-wise."""
+    """Build the engine for a dataset in one pass over its tables."""
     coder = dataset_coder(dataset)
     vantage_ids = list(dataset.tables)
-    engine = run_shard_wise(
-        lambda view: _matrix_map(view, coder),
-        lambda partials: _matrix_reduce(partials, vantage_ids),
-        dataset,
+    n_vantages = len(vantage_ids)
+    columns = _columns(dataset.tables, coder)
+    position = columns.position
+    as_codes = coder.code_asns(columns.asn)
+    event_fp = coder.fp_lookup()[columns.payload]
+    stripped = coder.stripped_lookup()[columns.payload]
+    mal = coder.label(columns.payload, columns.port, columns.login)
+    pair_position = position[columns.pair_event]
+    nonempty_payload = stripped >= 0
+    http_code = coder.fp_codes.get("http", -1)
+
+    values: dict[str, list] = {}
+    values["as"], as_remap = _sorted_values(coder.as_values)
+    values["username"], user_remap = _sorted_values(coder.user_values)
+    values["password"], pass_remap = _sorted_values(coder.pass_values)
+    values["payload"], stripped_remap = _sorted_values(coder.stripped_values)
+    as_codes = as_remap[as_codes]
+    pair_user = user_remap[columns.pair_user]
+    pair_password = pass_remap[columns.pair_password]
+    stripped[nonempty_payload] = stripped_remap[stripped[nonempty_payload]]
+
+    def per_vantage(positions: np.ndarray) -> np.ndarray:
+        return np.bincount(positions, minlength=n_vantages)
+
+    def matrix(
+        characteristic: str, positions: np.ndarray, codes: np.ndarray
+    ) -> np.ndarray:
+        width = len(values[characteristic])
+        return np.bincount(
+            positions * width + codes, minlength=n_vantages * width
+        ).reshape(n_vantages, width)
+
+    events: dict[str, np.ndarray] = {}
+    malicious: dict[str, np.ndarray] = {}
+    counts: dict[tuple[str, str], np.ndarray] = {}
+    for slice_key, mask in _slice_masks(columns.port, event_fp, http_code).items():
+        if mask is None:
+            events[slice_key] = per_vantage(position)
+            malicious[slice_key] = per_vantage(position[mal])
+            counts[(slice_key, "as")] = matrix("as", position, as_codes)
+            payload_rows = nonempty_payload
+            pair_rows = slice(None)
+        else:
+            events[slice_key] = per_vantage(position[mask])
+            malicious[slice_key] = per_vantage(position[mal & mask])
+            counts[(slice_key, "as")] = matrix("as", position[mask], as_codes[mask])
+            payload_rows = mask & nonempty_payload
+            pair_rows = mask[columns.pair_event]
+        counts[(slice_key, "username")] = matrix(
+            "username", pair_position[pair_rows], pair_user[pair_rows]
+        )
+        counts[(slice_key, "password")] = matrix(
+            "password", pair_position[pair_rows], pair_password[pair_rows]
+        )
+        counts[(slice_key, "payload")] = matrix(
+            "payload", position[payload_rows], stripped[payload_rows]
+        )
+    engine = ContingencyEngine(
+        vantage_ids=vantage_ids,
+        values=values,
+        counts=counts,
+        events=events,
+        malicious=malicious,
+        cred_events=per_vantage(position[columns.login]),
     )
     engine.digest = dataset_digest(dataset.tables)
     return engine
@@ -586,27 +512,6 @@ def build_engine(dataset) -> ContingencyEngine:
 # ----------------------------------------------------------------------
 # per-source aggregates (tags / campaigns)
 # ----------------------------------------------------------------------
-
-@dataclass
-class _SourcePartial:
-    """One shard's mergeable per-source behavior aggregate."""
-
-    sources: np.ndarray      # distinct source IPs, ascending
-    first_pos: np.ndarray    # [n, 3] (vantage position, shard, row) of first sighting
-    first_asn: np.ndarray    # [n] source AS at first sighting
-    event_count: np.ndarray  # [n]
-    malicious: np.ndarray    # [n] bool
-    port_fp: np.ndarray      # [m, 3] distinct (src, port, fp code)
-    fp_values: list
-    cred: np.ndarray         # [m, 3] distinct (src, user code, password code)
-    user_values: list
-    pass_values: list
-    payloads: np.ndarray     # [m, 2] distinct (src, stripped-payload code)
-    stripped_values: list
-    families: np.ndarray     # [m, 2] distinct (src, alert classtype code)
-    family_values: list
-    asn_pairs: np.ndarray    # [m, 2] distinct (src, asn)
-
 
 def _unique_rows(*columns: np.ndarray) -> np.ndarray:
     """Distinct rows of stacked int64 columns (lexicographically sorted).
@@ -643,118 +548,6 @@ def _unique_rows(*columns: np.ndarray) -> np.ndarray:
     return np.unique(np.stack(arrays, axis=1), axis=0)
 
 
-def _source_map(view: ShardView, coder: "_ShardCoder") -> _SourcePartial:
-    columns = _view_columns(view, coder)
-    if not columns.src.size:
-        empty = np.empty(0, dtype=np.int64)
-        empty_pairs = np.empty((0, 2), dtype=np.int64)
-        return _SourcePartial(
-            sources=empty, first_pos=np.empty((0, 3), dtype=np.int64),
-            first_asn=empty.copy(), event_count=empty.copy(),
-            malicious=np.empty(0, dtype=bool),
-            port_fp=np.empty((0, 3), dtype=np.int64), fp_values=[],
-            cred=np.empty((0, 3), dtype=np.int64), user_values=[], pass_values=[],
-            payloads=empty_pairs, stripped_values=[],
-            families=empty_pairs.copy(), family_values=[],
-            asn_pairs=empty_pairs.copy(),
-        )
-
-    src_all = columns.src
-    port_all = columns.port
-    pcode_all = columns.payload
-    fp_all = coder.fp_lookup()[pcode_all]
-    stripped_all = coder.stripped_lookup()[pcode_all]
-    mal_all = coder.label(pcode_all, port_all, columns.login)
-
-    # The view columns are in (vantage position, row) order, so
-    # np.unique's first-occurrence index IS the shard-local first
-    # sighting of each source.
-    sources, first_index, event_count = np.unique(
-        src_all, return_index=True, return_counts=True
-    )
-    first_pos = np.stack(
-        [
-            columns.position[first_index],
-            np.full(len(sources), view.index, dtype=np.int64),
-            columns.row[first_index],
-        ],
-        axis=1,
-    )
-    malicious = np.isin(sources, _unique_ints(src_all[mal_all]), assume_unique=True)
-
-    port_fp = _unique_rows(src_all, port_all, fp_all)
-    asn_pairs = _unique_rows(src_all, columns.asn)
-    truthy = stripped_all >= 0
-    payloads = _unique_rows(src_all[truthy], stripped_all[truthy])
-    cred = _unique_rows(
-        src_all[columns.pair_event], columns.pair_user, columns.pair_password
-    )
-
-    # Alert families expanded once per distinct (src, payload, port)
-    # triple.  Only the families that occur are kept; the reduce re-codes
-    # them through sorted values.
-    triples = _unique_rows(src_all[truthy], pcode_all[truthy], port_all[truthy])
-    rows, family_codes = coder.alert_families(triples[:, 1], triples[:, 2])
-    families = _unique_rows(triples[rows, 0], family_codes)
-    used = _unique_ints(families[:, 1])
-    families[:, 1] = np.searchsorted(used, families[:, 1])
-
-    return _SourcePartial(
-        sources=sources,
-        first_pos=first_pos,
-        first_asn=columns.asn[first_index],
-        event_count=event_count,
-        malicious=malicious,
-        port_fp=port_fp,
-        fp_values=list(coder.fp_values),
-        cred=cred,
-        user_values=list(coder.user_values),
-        pass_values=list(coder.pass_values),
-        payloads=payloads,
-        stripped_values=list(coder.stripped_values),
-        families=families,
-        family_values=[coder.family_values[code] for code in used.tolist()],
-        asn_pairs=asn_pairs,
-    )
-
-
-def _merge_value_lists(lists: Sequence[list], none_first: bool = False) -> tuple[list, list[np.ndarray]]:
-    """Merge per-shard value tables; return (merged, per-shard remaps)."""
-    union: set = set()
-    for values in lists:
-        union.update(values)
-    if none_first:
-        merged = sorted(union, key=lambda v: (v is not None, "" if v is None else v))
-    else:
-        merged = sorted(union)
-    index = {value: code for code, value in enumerate(merged)}
-    remaps = [
-        np.array([index[value] for value in values], dtype=np.int64)
-        for values in lists
-    ]
-    return merged, remaps
-
-
-def _remapped_pairs(
-    partial_arrays: Sequence[np.ndarray],
-    column_remaps: Mapping[int, Sequence[np.ndarray]],
-) -> np.ndarray:
-    """Concatenate per-shard distinct-row arrays, remapping each coded
-    column through its per-shard remaps into the merged value tables,
-    and re-deduplicate."""
-    remapped: list[np.ndarray] = []
-    for index, rows in enumerate(partial_arrays):
-        if rows.shape[0] == 0:
-            continue
-        rows = rows.copy()
-        for column, remaps in column_remaps.items():
-            rows[:, column] = remaps[index][rows[:, column]]
-        remapped.append(rows)
-    if not remapped:
-        return np.empty((0, partial_arrays[0].shape[1]), dtype=np.int64)
-    return np.unique(np.concatenate(remapped), axis=0)
-
-
 class SourceAggregates:
     """Per-source behavioral aggregates over the whole dataset.
 
@@ -768,7 +561,7 @@ class SourceAggregates:
     def __init__(
         self,
         sources: np.ndarray,
-        first_pos: np.ndarray,
+        first_order: np.ndarray,
         first_asn: np.ndarray,
         event_count: np.ndarray,
         malicious: np.ndarray,
@@ -784,6 +577,7 @@ class SourceAggregates:
         asn_pairs: np.ndarray,
     ) -> None:
         self.sources = sources
+        self.first_order = first_order
         self.first_asn = first_asn
         self.event_count = event_count
         self.malicious = malicious
@@ -797,9 +591,6 @@ class SourceAggregates:
         self.families = families
         self.family_values = family_values
         self.asn_pairs = asn_pairs
-        self.first_order = np.lexsort(
-            (first_pos[:, 2], first_pos[:, 1], first_pos[:, 0])
-        )
         self.digest: Optional[tuple] = None
         # Distinct (src, port) and (src, fingerprint) projections of the
         # port/fingerprint triples.
@@ -820,96 +611,65 @@ class SourceAggregates:
         return len(self.sources)
 
 
-def _source_reduce(partials: Sequence[_SourcePartial]) -> SourceAggregates:
-    fp_values, fp_remaps = _merge_value_lists(
-        [partial.fp_values for partial in partials], none_first=True
-    )
-    user_values, user_remaps = _merge_value_lists(
-        [partial.user_values for partial in partials]
-    )
-    pass_values, pass_remaps = _merge_value_lists(
-        [partial.pass_values for partial in partials]
-    )
-    stripped_values, stripped_remaps = _merge_value_lists(
-        [partial.stripped_values for partial in partials]
-    )
-    family_values, family_remaps = _merge_value_lists(
-        [partial.family_values for partial in partials]
-    )
+def build_source_aggregates(dataset) -> SourceAggregates:
+    """Build per-source aggregates for a dataset in one pass over its
+    tables.  Every pair/triple array is deduplicated once, after its
+    value codes are re-coded into the sorted value tables."""
+    coder = dataset_coder(dataset)
+    columns = _columns(dataset.tables, coder)
+    src_all = columns.src
+    port_all = columns.port
+    pcode_all = columns.payload
+    fp_all = coder.fp_lookup()[pcode_all]
+    stripped_all = coder.stripped_lookup()[pcode_all]
+    mal_all = coder.label(pcode_all, port_all, columns.login)
 
-    sources = np.unique(np.concatenate([partial.sources for partial in partials]))
-    n = len(sources)
-    event_count = np.zeros(n, dtype=np.int64)
-    malicious = np.zeros(n, dtype=bool)
-    for partial in partials:
-        if partial.sources.size:
-            index = np.searchsorted(sources, partial.sources)
-            np.add.at(event_count, index, partial.event_count)
-            malicious[index] |= partial.malicious
-
-    # First sighting: minimum (vantage position, shard, row) per source.
-    firsts = np.concatenate(
-        [
-            np.concatenate(
-                [
-                    partial.sources[:, None],
-                    partial.first_pos,
-                    partial.first_asn[:, None],
-                ],
-                axis=1,
-            )
-            for partial in partials
-            if partial.sources.size
-        ]
+    # The columns run in dataset order, so np.unique's first-occurrence
+    # index IS each source's first sighting.
+    sources, first_index, event_count = np.unique(
+        src_all, return_index=True, return_counts=True
     )
-    order = np.lexsort((firsts[:, 3], firsts[:, 2], firsts[:, 1], firsts[:, 0]))
-    firsts = firsts[order]
-    _uniq, first_index = np.unique(firsts[:, 0], return_index=True)
-    first_rows = firsts[first_index]
-    first_pos = first_rows[:, 1:4]
-    first_asn = first_rows[:, 4]
+    malicious = np.isin(sources, _unique_ints(src_all[mal_all]), assume_unique=True)
 
-    def _src_to_index(rows: np.ndarray) -> np.ndarray:
-        if rows.shape[0]:
-            rows = rows.copy()
-            rows[:, 0] = np.searchsorted(sources, rows[:, 0])
+    def by_source(*coded: np.ndarray) -> np.ndarray:
+        """Distinct rows, the source column as an index into ``sources``."""
+        rows = _unique_rows(*coded)
+        rows[:, 0] = np.searchsorted(sources, rows[:, 0])
         return rows
 
-    port_fp = _src_to_index(_remapped_pairs([p.port_fp for p in partials], {2: fp_remaps}))
-    cred = _src_to_index(
-        _remapped_pairs([p.cred for p in partials], {1: user_remaps, 2: pass_remaps})
-    )
-    payloads = _src_to_index(
-        _remapped_pairs([p.payloads for p in partials], {1: stripped_remaps})
-    )
-    families = _src_to_index(_remapped_pairs([p.families for p in partials], {1: family_remaps}))
-    asn_pairs = _src_to_index(_remapped_pairs([p.asn_pairs for p in partials], {}))
-    return SourceAggregates(
+    fp_values, fp_remap = _sorted_values(coder.fp_values, none_first=True)
+    user_values, user_remap = _sorted_values(coder.user_values)
+    pass_values, pass_remap = _sorted_values(coder.pass_values)
+    stripped_values, stripped_remap = _sorted_values(coder.stripped_values)
+    truthy = stripped_all >= 0
+
+    # Alert families expanded once per distinct (src, payload, port)
+    # triple.  Only the families that occur are kept, re-coded in the
+    # ruleset's sorted classtype order.
+    triples = _unique_rows(src_all[truthy], pcode_all[truthy], port_all[truthy])
+    rows, family_codes = coder.alert_families(triples[:, 1], triples[:, 2])
+    used = _unique_ints(family_codes)
+
+    aggregates = SourceAggregates(
         sources=sources,
-        first_pos=first_pos,
-        first_asn=first_asn,
+        first_order=np.argsort(first_index),
+        first_asn=columns.asn[first_index],
         event_count=event_count,
         malicious=malicious,
-        port_fp=port_fp,
+        port_fp=by_source(src_all, port_all, fp_remap[fp_all]),
         fp_values=fp_values,
-        cred=cred,
+        cred=by_source(
+            src_all[columns.pair_event],
+            user_remap[columns.pair_user],
+            pass_remap[columns.pair_password],
+        ),
         user_values=user_values,
         pass_values=pass_values,
-        payloads=payloads,
+        payloads=by_source(src_all[truthy], stripped_remap[stripped_all[truthy]]),
         stripped_values=stripped_values,
-        families=families,
-        family_values=family_values,
-        asn_pairs=asn_pairs,
-    )
-
-
-def build_source_aggregates(dataset) -> SourceAggregates:
-    """Build per-source aggregates for a dataset, shard-wise."""
-    coder = dataset_coder(dataset)
-    aggregates = run_shard_wise(
-        lambda view: _source_map(view, coder),
-        _source_reduce,
-        dataset,
+        families=by_source(triples[rows, 0], np.searchsorted(used, family_codes)),
+        family_values=[coder.family_values[code] for code in used.tolist()],
+        asn_pairs=by_source(src_all, columns.asn),
     )
     aggregates.digest = dataset_digest(dataset.tables)
     return aggregates

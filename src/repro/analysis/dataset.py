@@ -81,21 +81,11 @@ class AnalysisDataset:
         leak_experiment: Optional[LeakExperiment] = None,
         rule_engine: Optional[RuleEngine] = None,
         tables: Optional[Mapping[str, EventTable]] = None,
-        shard_tables: Optional[Sequence[Mapping[str, EventTable]]] = None,
-        map_workers: int = 1,
     ) -> None:
         source = tables if events is None else _group_rows(events)
         if source is None:
             raise ValueError("provide events or tables")
         self.tables: dict[str, EventTable] = dict(source)
-        # Per-shard table views of the same rows (merge order), set by the
-        # orchestrator so map-reduce drivers can regroup work shard-wise;
-        # ``map_workers`` is their fan-out budget.
-        self.shard_tables: Optional[list[dict[str, EventTable]]] = (
-            [dict(shard) for shard in shard_tables]
-            if shard_tables is not None else None
-        )
-        self.map_workers = int(map_workers)
         self.vantages: list[VantagePoint] = list(vantages)
         self.window = window
         self.telescope = telescope
@@ -115,20 +105,13 @@ class AnalysisDataset:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_simulation(
-        cls,
-        result: SimulationResult,
-        shard_tables: Optional[Sequence[Mapping[str, EventTable]]] = None,
-        map_workers: int = 1,
-    ) -> "AnalysisDataset":
+    def from_simulation(cls, result: SimulationResult) -> "AnalysisDataset":
         return cls(
             tables=result.tables(),
             vantages=result.deployment.honeypots,
             window=result.window,
             telescope=result.telescope,
             leak_experiment=result.deployment.leak_experiment,
-            shard_tables=shard_tables,
-            map_workers=map_workers,
         )
 
     # ------------------------------------------------------------------
@@ -138,7 +121,7 @@ class AnalysisDataset:
     def contingency(self):
         """The shared columnar contingency engine.
 
-        Built shard-wise on first use and cached keyed by a cheap table
+        Built in one pass on first use and cached keyed by a cheap table
         digest, so every §3.3 comparison experiment draws from the same
         precomputed count matrices.
         """
@@ -164,7 +147,7 @@ class AnalysisDataset:
         return hit[1]
 
     def source_aggregates(self):
-        """Per-source behavioral aggregates, built shard-wise and cached
+        """Per-source behavioral aggregates, built in one pass and cached
         like :meth:`contingency`."""
         from repro.analysis.contingency_engine import (
             build_source_aggregates,

@@ -50,76 +50,58 @@ def _leak_series(
     dataset: AnalysisDataset,
     specs: list[tuple[tuple, int, tuple[int, ...], bool]],
 ) -> dict[tuple, np.ndarray]:
-    """Shard-wise hourly histograms for every (port, group, malicious)
-    spec in one pass over the event tables.
-
-    Hourly histograms over disjoint shards are additive, so each shard
-    contributes integer counts and the reduce sums them; the per-IP
-    normalization happens once at assembly.
-    """
-    from repro.experiments.base import run_shard_wise
-
+    """Hourly histograms for every (port, group, malicious) spec in one
+    pass over the event tables; the per-IP normalization happens once at
+    assembly."""
     from repro.analysis.contingency_engine import _unique_ints, dataset_coder
 
     hours = dataset.window.hours
-    shared_coder = dataset_coder(dataset)
+    coder = dataset_coder(dataset)
     ip_arrays = {
         ips: np.asarray(ips, dtype=np.int64)
         for _key, _port, ips, _malicious_only in specs
     }
     all_ips = _unique_ints(np.concatenate(list(ip_arrays.values())))
-
-    def map_shard(view) -> dict[tuple, np.ndarray]:
-        from repro.analysis.contingency_engine import _sorted_view_tables
-
-        coder = shared_coder
-        hists = {spec[0]: np.zeros(hours, dtype=np.int64) for spec in specs}
-        for _vpos, table in _sorted_view_tables(view):
-            dst_ips = table.dst_ip
-            # One membership test against the union of experiment IPs
-            # skips the vast majority of vantages outright.
-            relevant = np.isin(dst_ips, all_ips)
-            if not relevant.any():
-                continue
-            ports = table.dst_port
-            timestamps = table.timestamps
-            keep = ~np.isin(table.src_asn, _CRAWLER_ARRAY)
-            base_masks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-            # Only tables where a malicious spec selects rows need the
-            # (memoized) maliciousness column.
-            malicious = None
-            for _key, port, ips, malicious_only in specs:
-                base_key = (port, ips)
-                base = base_masks.get(base_key)
-                if base is None:
-                    base = (
-                        np.isin(dst_ips, ip_arrays[ips])
-                        & (ports == port)
-                        & keep
-                    )
-                    base_masks[base_key] = base
-                if malicious_only and malicious is None and base.any():
-                    malicious = coder.malicious(table)
-            for key, port, ips, malicious_only in specs:
-                if malicious_only and malicious is None:
-                    continue  # no candidate rows, nothing malicious to bin
-                base = base_masks[(port, ips)]
-                mask = base & malicious if malicious_only else base
-                if mask.any():
-                    counts, _edges = np.histogram(
-                        timestamps[mask], bins=hours, range=(0.0, float(hours))
-                    )
-                    hists[key] += counts
-        return hists
-
-    def reduce(partials: list[dict[tuple, np.ndarray]]) -> dict[tuple, np.ndarray]:
-        merged = {spec[0]: np.zeros(hours, dtype=np.int64) for spec in specs}
-        for partial in partials:
-            for key, hist in partial.items():
-                merged[key] += hist
-        return merged
-
-    return run_shard_wise(map_shard, reduce, dataset)
+    hists = {spec[0]: np.zeros(hours, dtype=np.int64) for spec in specs}
+    for table in dataset.tables.values():
+        if not len(table):
+            continue
+        dst_ips = table.dst_ip
+        # One membership test against the union of experiment IPs
+        # skips the vast majority of vantages outright.
+        relevant = np.isin(dst_ips, all_ips)
+        if not relevant.any():
+            continue
+        ports = table.dst_port
+        timestamps = table.timestamps
+        keep = ~np.isin(table.src_asn, _CRAWLER_ARRAY)
+        base_masks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        # Only tables where a malicious spec selects rows need the
+        # (memoized) maliciousness column.
+        malicious = None
+        for _key, port, ips, malicious_only in specs:
+            base_key = (port, ips)
+            base = base_masks.get(base_key)
+            if base is None:
+                base = (
+                    np.isin(dst_ips, ip_arrays[ips])
+                    & (ports == port)
+                    & keep
+                )
+                base_masks[base_key] = base
+            if malicious_only and malicious is None and base.any():
+                malicious = coder.malicious(table)
+        for key, port, ips, malicious_only in specs:
+            if malicious_only and malicious is None:
+                continue  # no candidate rows, nothing malicious to bin
+            base = base_masks[(port, ips)]
+            mask = base & malicious if malicious_only else base
+            if mask.any():
+                counts, _edges = np.histogram(
+                    timestamps[mask], bins=hours, range=(0.0, float(hours))
+                )
+                hists[key] += counts
+    return hists
 
 
 def leak_report(dataset: AnalysisDataset, alpha: float = 0.05) -> list[LeakRow]:
@@ -135,8 +117,8 @@ def leak_report(dataset: AnalysisDataset, alpha: float = 0.05) -> list[LeakRow]:
 
 
 def _leak_rows(dataset: AnalysisDataset, alpha: float) -> list[LeakRow]:
-    """Table 3's rows; every hourly series comes from one shard-wise pass
-    over the event tables."""
+    """Table 3's rows; every hourly series comes from one pass over the
+    event tables."""
     experiment = dataset.leak_experiment
     hours = dataset.window.hours
     groups_by_port: dict[int, dict[str, tuple[int, ...]]] = {}
@@ -193,12 +175,11 @@ def _leak_rows(dataset: AnalysisDataset, alpha: float) -> list[LeakRow]:
 def _unique_credentials(
     dataset: AnalysisDataset, groups: dict[str, tuple[int, ...]], port: int
 ) -> dict[str, float]:
-    """Shard-wise per-honeypot unique-password sets; set unions over
-    disjoint shards are order-free, so the reduce is a plain merge."""
+    """Per-honeypot unique-password sets in one pass over the event
+    tables, averaged per group."""
     from repro.analysis.contingency_engine import _unique_ints, dataset_coder
-    from repro.experiments.base import run_shard_wise
 
-    shared_coder = dataset_coder(dataset)
+    coder = dataset_coder(dataset)
     group_items = [
         (name, tuple(int(ip) for ip in ips)) for name, ips in groups.items()
     ]
@@ -206,53 +187,34 @@ def _unique_credentials(
         (name, np.asarray(ips, dtype=np.int64)) for name, ips in group_items
     ]
     all_ips = _unique_ints(np.concatenate([array for _name, array in group_arrays]))
-
-    def map_shard(view) -> dict[str, dict[int, set[str]]]:
-        from repro.analysis.contingency_engine import _sorted_view_tables
-
-        coder = shared_coder
-        found: dict[str, dict[int, set[str]]] = {name: {} for name, _ips in group_items}
-        for _vpos, table in _sorted_view_tables(view):
-            dst_column = table.dst_ip
-            keep = np.isin(dst_column, all_ips)
-            if not keep.any():
-                continue
-            keep &= (table.dst_port == port) & ~np.isin(table.src_asn, _CRAWLER_ARRAY)
-            if not keep.any():
-                continue
-            _payload_codes, creds = coder.coded(table)
-            _has_cred, pair_rows, _pair_users, pair_passwords = creds
-            if not pair_rows.size:
-                continue
-            selected = keep[pair_rows]
-            destinations = dst_column[pair_rows[selected]]
-            codes = pair_passwords[selected]
-            for name, ips_array in group_arrays:
-                member = np.isin(destinations, ips_array)
-                per_ip = found[name]
-                for ip, code in zip(
-                    destinations[member].tolist(), codes[member].tolist()
-                ):
-                    per_ip.setdefault(int(ip), set()).add(coder.pass_values[code])
-        return found
-
-    def reduce(partials: list[dict[str, dict[int, set[str]]]]) -> dict[str, dict[int, set[str]]]:
-        merged: dict[str, dict[int, set[str]]] = {name: {} for name, _ips in group_items}
-        for partial in partials:
-            for name, per_ip in partial.items():
-                target = merged[name]
-                for ip, passwords in per_ip.items():
-                    known = target.get(ip)
-                    if known is None:
-                        target[ip] = passwords
-                    else:
-                        known |= passwords
-        return merged
-
-    merged = run_shard_wise(map_shard, reduce, dataset)
+    found: dict[str, dict[int, set[str]]] = {name: {} for name, _ips in group_items}
+    for table in dataset.tables.values():
+        if not len(table):
+            continue
+        dst_column = table.dst_ip
+        keep = np.isin(dst_column, all_ips)
+        if not keep.any():
+            continue
+        keep &= (table.dst_port == port) & ~np.isin(table.src_asn, _CRAWLER_ARRAY)
+        if not keep.any():
+            continue
+        _payload_codes, creds = coder.coded(table)
+        _has_cred, pair_rows, _pair_users, pair_passwords = creds
+        if not pair_rows.size:
+            continue
+        selected = keep[pair_rows]
+        destinations = dst_column[pair_rows[selected]]
+        codes = pair_passwords[selected]
+        for name, ips_array in group_arrays:
+            member = np.isin(destinations, ips_array)
+            per_ip = found[name]
+            for ip, code in zip(
+                destinations[member].tolist(), codes[member].tolist()
+            ):
+                per_ip.setdefault(int(ip), set()).add(coder.pass_values[code])
     averages: dict[str, float] = {}
     for name, ips in group_items:
-        per_ip_unique = [len(merged[name].get(ip, ())) for ip in ips]
+        per_ip_unique = [len(found[name].get(ip, ())) for ip in ips]
         averages[name] = float(np.mean(per_ip_unique)) if per_ip_unique else 0.0
     return averages
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.analysis.dataset import AnalysisDataset
 from repro.net.ports import POPULAR_PORTS
 from repro.sim.events import NetworkKind
@@ -43,43 +45,24 @@ def _port_kind_sources(
     ports: Sequence[int],
     kinds: Sequence[NetworkKind],
 ) -> dict[tuple[int, NetworkKind], set[int]]:
-    """Source-IP sets for every (port, network kind) pair, in one pass.
-
-    A shard-wise map-reduce: each shard concatenates the (port, source)
-    columns of each network kind's tables once and takes per-port
-    sort-based unique source sets over them; the reduce is a set union
-    — exact, since set membership is order-free.
-    """
-    pairs = [(port, kind) for port in ports for kind in kinds]
-
-    import numpy as np
-
+    """Source-IP sets for every (port, network kind) pair, in one pass:
+    each network kind's (port, source) columns are concatenated once and
+    each port takes a sort-based unique source set over them."""
     from repro.analysis.contingency_engine import _unique_ints
-    from repro.experiments.base import run_shard_wise
 
-    def map_shard(view):
-        partial = {}
-        for kind in kinds:
-            tables = [
-                table for table in view.tables.values()
-                if table.network_kind == kind and len(table)
-            ]
-            if not tables:
-                continue
-            dst_port = np.concatenate([table.dst_port for table in tables])
-            src_ip = np.concatenate([table.src_ip for table in tables])
-            for port in ports:
-                partial[(port, kind)] = set(_unique_ints(src_ip[dst_port == port]).tolist())
-        return partial
-
-    def reduce(partials):
-        merged = {pair: set() for pair in pairs}
-        for partial in partials:
-            for pair, sources in partial.items():
-                merged[pair].update(sources)
-        return merged
-
-    return run_shard_wise(map_shard, reduce, dataset)
+    sources = {(port, kind): set() for port in ports for kind in kinds}
+    for kind in kinds:
+        tables = [
+            table for table in dataset.tables.values()
+            if table.network_kind == kind and len(table)
+        ]
+        if not tables:
+            continue
+        dst_port = np.concatenate([table.dst_port for table in tables])
+        src_ip = np.concatenate([table.src_ip for table in tables])
+        for port in ports:
+            sources[(port, kind)] = set(_unique_ints(src_ip[dst_port == port]).tolist())
+    return sources
 
 
 def scanner_overlap(

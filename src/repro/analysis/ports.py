@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from repro.analysis.dataset import AnalysisDataset
 from repro.detection.classify import Reputation
 
@@ -50,67 +52,31 @@ def _first_protocol_by_source(
 ) -> dict[int, dict[int, str]]:
     """Per port: each Honeytrap source's *first* fingerprinted protocol.
 
-    Shard-wise map-reduce with first-occurrence semantics: every
-    candidate carries its global sort key ``(vantage position, shard
-    position, row)`` and the reduce keeps the minimum — exactly the
-    first matching event in merged row order, so the result is
-    bit-identical to a single scan of the merged rows.
+    One pass over the Honeytrap tables' columns in dataset order, so
+    ``np.unique``'s first index is each source's first sighting.
     """
-    from repro.analysis.contingency_engine import _view_columns, dataset_coder
-    from repro.experiments.base import ShardView, run_shard_wise
-
-    import numpy as np
+    from repro.analysis.contingency_engine import _columns, dataset_coder
 
     coder = dataset_coder(dataset)
-
-    def map_shard(view):
-        honeytrap = ShardView(
-            view.index,
-            {
-                vantage_id: table
-                for vantage_id, table in view.tables.items()
-                if vantage_id.startswith(_HONEYTRAP_PREFIX)
-            },
-            view.order,
-        )
-        columns = _view_columns(honeytrap, coder)
-        protocols = coder.fp_lookup()[columns.payload]
-        identified = protocols != coder.fp_codes.get(None, -1)
-        partial: dict[int, dict[int, tuple[tuple[int, int, int], str]]] = {}
-        for port in ports:
-            matching = np.flatnonzero(identified & (columns.port == port))
-            # The view columns run in (vantage position, row) order, so
-            # each source's first index is its first sighting here.
-            sources, first = np.unique(columns.src[matching], return_index=True)
-            first = matching[first]
-            partial[port] = {
-                src_ip: ((position, view.index, row), coder.fp_values[code])
-                for src_ip, position, row, code in zip(
-                    sources.tolist(),
-                    columns.position[first].tolist(),
-                    columns.row[first].tolist(),
-                    protocols[first].tolist(),
-                )
-            }
-        return partial
-
-    def reduce(partials):
-        merged: dict[int, dict[int, tuple[tuple[int, int, int], str]]] = {
-            port: {} for port in ports
-        }
-        for partial in partials:
-            for port, candidates in partial.items():
-                first = merged[port]
-                for src_ip, candidate in candidates.items():
-                    held = first.get(src_ip)
-                    if held is None or candidate[0] < held[0]:
-                        first[src_ip] = candidate
-        return {
-            port: {src_ip: proto for src_ip, (_key, proto) in candidates.items()}
-            for port, candidates in merged.items()
-        }
-
-    return run_shard_wise(map_shard, reduce, dataset)
+    columns = _columns(
+        {
+            vantage_id: table
+            for vantage_id, table in dataset.tables.items()
+            if vantage_id.startswith(_HONEYTRAP_PREFIX)
+        },
+        coder,
+    )
+    protocols = coder.fp_lookup()[columns.payload]
+    identified = protocols != coder.fp_codes.get(None, -1)
+    first_protocols: dict[int, dict[int, str]] = {}
+    for port in ports:
+        matching = np.flatnonzero(identified & (columns.port == port))
+        sources, first = np.unique(columns.src[matching], return_index=True)
+        first_protocols[port] = dict(zip(
+            sources.tolist(),
+            [coder.fp_values[code] for code in protocols[matching[first]].tolist()],
+        ))
+    return first_protocols
 
 
 def protocol_breakdown(
@@ -207,78 +173,47 @@ def methodology_numbers(dataset: AnalysisDataset) -> MethodologyNumbers:
 
 
 def _methodology_counts(dataset: AnalysisDataset):
-    """Shard-wise columnar computation of the Section 3.2 counters:
+    """One columnar pass, in dataset order, for the Section 3.2 counters:
     ``(telnet, telnet with login, ssh, ssh with login, HTTP/80, malicious
     HTTP/80, {stripped HTTP/80 payload: malicious})``.
 
-    The scalar counters (auth fractions, HTTP totals) are plain sums —
-    trivially mergeable.  ``distinct_http`` has first-occurrence
-    semantics (the flag recorded is the *first* matching event's
-    maliciousness), so partials carry ``(vantage position, shard
-    position, row)`` sort keys and the reduce keeps the minimum,
-    reproducing the merged row order's ``setdefault`` exactly.
-    Fingerprints, stripped forms and maliciousness come from the
-    dataset coder's per-payload tables and memoized per-event columns.
+    ``distinct_http`` records the maliciousness of each stripped
+    payload's *first* matching event.  Fingerprints, stripped forms and
+    maliciousness come from the dataset coder's per-payload tables and
+    memoized per-event columns.
     """
-    import numpy as np
-
     from repro.analysis.contingency_engine import dataset_coder
-    from repro.experiments.base import run_shard_wise
 
     coder = dataset_coder(dataset)
-
-    def map_shard(view):
-        counts = [0, 0, 0, 0, 0, 0]
-        distinct: dict[bytes, tuple[tuple[int, int, int], bool]] = {}
-        for vantage_id, table in view.tables.items():
-            if len(table) == 0:
-                continue
-            dst_port = table.dst_port
-            payload_codes = coder.payload_column(table)
-            has_cred = coder.login_flags(table)
-            if vantage_id.startswith("gn-"):
-                handshake = table.handshake
-                for port, slot in ((23, 0), (22, 2)):
-                    matching = (dst_port == port) & handshake
-                    counts[slot] += int(np.count_nonzero(matching))
-                    counts[slot + 1] += int(np.count_nonzero(matching & has_cred))
-            stripped = coder.stripped_lookup()[payload_codes]
-            http = (
-                (dst_port == 80)
-                & (stripped >= 0)  # non-empty payloads only
-                & (coder.fp_lookup()[payload_codes] == coder.fp_codes.get("http", -1))
-            )
-            rows = np.flatnonzero(http)
-            if rows.size == 0:
-                continue
-            malicious = coder.malicious(table)[rows]
-            counts[4] += int(rows.size)
-            counts[5] += int(np.count_nonzero(malicious))
-            # Ascending rows: np.unique's first index is each stripped
-            # payload's first hit in this table.
-            codes, first = np.unique(stripped[rows], return_index=True)
-            vantage_pos = view.order[vantage_id]
-            for code, index in zip(codes.tolist(), first.tolist()):
-                key = (vantage_pos, view.index, int(rows[index]))
-                value = coder.stripped_values[code]
-                held = distinct.get(value)
-                if held is None or key < held[0]:
-                    distinct[value] = (key, bool(malicious[index]))
-        return counts, distinct
-
-    def reduce(partials):
-        totals = [0, 0, 0, 0, 0, 0]
-        merged: dict[bytes, tuple[tuple[int, int, int], bool]] = {}
-        for counts, distinct in partials:
-            for slot, value in enumerate(counts):
-                totals[slot] += value
-            for stripped, candidate in distinct.items():
-                held = merged.get(stripped)
-                if held is None or candidate[0] < held[0]:
-                    merged[stripped] = candidate
-        distinct_http = {
-            stripped: malicious for stripped, (_key, malicious) in merged.items()
-        }
-        return (*totals, distinct_http)
-
-    return run_shard_wise(map_shard, reduce, dataset)
+    counts = [0, 0, 0, 0, 0, 0]
+    distinct_http: dict[bytes, bool] = {}
+    for vantage_id, table in dataset.tables.items():
+        if len(table) == 0:
+            continue
+        dst_port = table.dst_port
+        payload_codes = coder.payload_column(table)
+        has_cred = coder.login_flags(table)
+        if vantage_id.startswith("gn-"):
+            handshake = table.handshake
+            for port, slot in ((23, 0), (22, 2)):
+                matching = (dst_port == port) & handshake
+                counts[slot] += int(np.count_nonzero(matching))
+                counts[slot + 1] += int(np.count_nonzero(matching & has_cred))
+        stripped = coder.stripped_lookup()[payload_codes]
+        http = (
+            (dst_port == 80)
+            & (stripped >= 0)  # non-empty payloads only
+            & (coder.fp_lookup()[payload_codes] == coder.fp_codes.get("http", -1))
+        )
+        rows = np.flatnonzero(http)
+        if rows.size == 0:
+            continue
+        malicious = coder.malicious(table)[rows]
+        counts[4] += int(rows.size)
+        counts[5] += int(np.count_nonzero(malicious))
+        # Ascending rows: np.unique's first index is each stripped
+        # payload's first hit in this table.
+        codes, first = np.unique(stripped[rows], return_index=True)
+        for code, index in zip(codes.tolist(), first.tolist()):
+            distinct_http.setdefault(coder.stripped_values[code], bool(malicious[index]))
+    return (*counts, distinct_http)

@@ -75,40 +75,20 @@ def vantage_summary(dataset: AnalysisDataset) -> list[VantageSummaryRow]:
 def _unique_sources_by_group(
     dataset: AnalysisDataset, groups: dict, group_keys: list
 ) -> dict[tuple[str, str], tuple[set[int], set[int]]]:
-    """Shard-wise unique (src_ip, src_asn) sets per deployment group.
-
-    Per shard, one sort-based unique over each group's concatenated
-    address columns; the reduce is a set union, so shard-wise results
-    equal a single pass over the merged rows exactly.
-    """
+    """Unique (src_ip, src_asn) sets per deployment group: one sort-based
+    unique over each group's concatenated address columns."""
     from repro.analysis.contingency_engine import _unique_ints
-    from repro.experiments.base import run_shard_wise
 
-    member_ids = {
-        key: [vantage.vantage_id for vantage in groups[key]] for key in group_keys
-    }
-
-    def map_shard(view):
-        partial = {}
-        for key in group_keys:
-            tables = [
-                table
-                for table in map(view.tables.get, member_ids[key])
-                if table is not None and len(table)
-            ]
-            if tables:
-                partial[key] = (
-                    set(_unique_ints(np.concatenate([t.src_ip for t in tables])).tolist()),
-                    set(_unique_ints(np.concatenate([t.src_asn for t in tables])).tolist()),
-                )
-        return partial
-
-    def reduce(partials):
-        merged = {key: (set(), set()) for key in group_keys}
-        for partial in partials:
-            for key, (sources, ases) in partial.items():
-                merged[key][0].update(sources)
-                merged[key][1].update(ases)
-        return merged
-
-    return run_shard_wise(map_shard, reduce, dataset)
+    unique = {key: (set(), set()) for key in group_keys}
+    for key in group_keys:
+        tables = [
+            table
+            for table in (dataset.tables.get(vantage.vantage_id) for vantage in groups[key])
+            if table is not None and len(table)
+        ]
+        if tables:
+            unique[key] = (
+                set(_unique_ints(np.concatenate([t.src_ip for t in tables])).tolist()),
+                set(_unique_ints(np.concatenate([t.src_asn for t in tables])).tolist()),
+            )
+    return unique

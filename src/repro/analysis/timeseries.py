@@ -37,18 +37,7 @@ def hourly_matrix(
     matrix = np.zeros((len(vantage_ids), hours))
     for row, vantage_id in enumerate(vantage_ids):
         table = dataset.tables.get(vantage_id)
-        if table is None or not len(table):
-            continue
-        parts = getattr(table, "parts", None)
-        if parts:
-            # Sharded capture: histogram each mmap'd part and sum.  Bin
-            # edges are fixed by (hours,), so per-shard counts add to
-            # exactly the merged-column histogram without ever
-            # concatenating the timestamp column.
-            for _shard_pos, part in parts:
-                if len(part):
-                    matrix[row] += hourly_volumes(part.timestamps, hours)
-        else:
+        if table is not None and len(table):
             matrix[row] = hourly_volumes(table.timestamps, hours)
     return matrix
 

@@ -70,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "(CPU-derived; default 2)")
     orchestrate.add_argument("--out", default="orchestrate-out", metavar="DIR",
                              help="run directory for shards, cache, and run.json")
-    orchestrate.add_argument("--shards", type=int, default=None,
+    orchestrate.add_argument("--shards", type=_int_arg(1), default=None,
                              help="shard count (default: --workers)")
     orchestrate.add_argument("--resume", action="store_true",
                              help="skip shards whose manifests verify complete")
-    orchestrate.add_argument("--max-retries", type=int, default=2,
+    orchestrate.add_argument("--max-retries", type=_int_arg(0), default=2,
                              help="per-shard retry budget before degrading "
                                   "to partial coverage (default 2)")
     orchestrate.add_argument("--experiments", nargs="*", default=None, metavar="ID",
@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     respond.add_argument("--blocklist-out", default=None, metavar="FILE",
                          help="write the emitted blocklist here (AS<number> "
                               "lines, the format 'run X1 --blocklist' reads)")
-    respond.add_argument("--quiet-hours", type=int, default=12,
+    respond.add_argument("--quiet-hours", type=_int_arg(1), default=12,
                          help="hours of silence before an incident resolves "
                               "(default 12)")
 

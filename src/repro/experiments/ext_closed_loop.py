@@ -9,9 +9,9 @@ quantifies what that buys:
 
 * **auto arm** — the entries :func:`~repro.incident.pipeline.detect_incidents`
   emits, applied analytically over the merged dataset with
-  :class:`~repro.incident.enforce.ActiveBlocklist` masks (shard-wise
-  map-reduce, so sharded runs reproduce the single-process numbers
-  bit for bit);
+  :class:`~repro.incident.enforce.ActiveBlocklist` masks in one pass
+  over its tables, so orchestrated runs reproduce the single-process
+  numbers bit for bit;
 * **static arm** — the paper-style baseline: malicious source IPs seen
   in the first half of the window, active from the halfway point.  The
   list round-trips through a blocklist *file* (the same parser external
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.experiments.base import ExperimentOutput, resolve_context, run_shard_wise
+from repro.experiments.base import ExperimentOutput, resolve_context
 from repro.experiments.context import ExperimentContext
 from repro.incident.enforce import ActiveBlocklist
 from repro.incident.pipeline import detect_incidents
@@ -46,8 +46,9 @@ def closed_loop_metrics(
     """Detect, respond, and account the response (the X5/bench core).
 
     Returns a flat dict of deterministic metrics; every aggregate is a
-    shard-order-independent sum/min/union, so the values are identical
-    for single-process and orchestrated datasets of the same seed.
+    sum, minimum or union over the dataset's tables, so the values are
+    identical for single-process and orchestrated datasets of the same
+    seed.
     """
     dataset = context.dataset
     hours = float(dataset.window.hours)
@@ -60,52 +61,27 @@ def closed_loop_metrics(
     from repro.analysis.contingency_engine import dataset_coder
 
     coder = dataset_coder(dataset)
-
-    def map_shard(view):
-        total = auto_blocked = 0
-        train_ips: set[int] = set()
-        first_seen: dict[int, float] = {}
-        coder.intern(view.tables.values())
-        for vantage_id in sorted(view.tables):
-            table = view.tables[vantage_id]
-            if len(table) == 0:
-                continue
-            stamps = np.asarray(table.timestamps, dtype=np.float64)
-            asns = np.asarray(table.src_asn)
-            ips = np.asarray(table.src_ip)
-            total += len(table)
-            auto_blocked += int(np.count_nonzero(auto.blocked_mask(stamps, asns, ips)))
-            for asn in auto_asns:
-                hits = stamps[asns == asn]
-                if hits.size:
-                    seen = float(hits.min())
-                    if asn not in first_seen or seen < first_seen[asn]:
-                        first_seen[asn] = seen
-            # Static-arm training: malicious sources in the first half.
-            trained = (stamps < train_hours) & coder.malicious(table)
-            if trained.any():
-                train_ips.update(np.unique(ips[trained]).tolist())
-        return {
-            "total": total,
-            "auto_blocked": auto_blocked,
-            "train_ips": train_ips,
-            "first_seen": first_seen,
-        }
-
-    def reduce(partials):
-        merged = {"total": 0, "auto_blocked": 0,
-                  "train_ips": set(), "first_seen": {}}
-        for partial in partials:
-            merged["total"] += partial["total"]
-            merged["auto_blocked"] += partial["auto_blocked"]
-            merged["train_ips"] |= partial["train_ips"]
-            for asn, seen in partial["first_seen"].items():
-                held = merged["first_seen"].get(asn)
-                if held is None or seen < held:
-                    merged["first_seen"][asn] = seen
-        return merged
-
-    scan = run_shard_wise(map_shard, reduce, dataset)
+    tables = [table for table in dataset.tables.values() if len(table)]
+    coder.intern(tables)
+    total = auto_blocked = 0
+    train_ips: set[int] = set()
+    first_seen: dict[int, float] = {}
+    for table in tables:
+        stamps = np.asarray(table.timestamps, dtype=np.float64)
+        asns = np.asarray(table.src_asn)
+        ips = np.asarray(table.src_ip)
+        total += len(table)
+        auto_blocked += int(np.count_nonzero(auto.blocked_mask(stamps, asns, ips)))
+        for asn in auto_asns:
+            hits = stamps[asns == asn]
+            if hits.size:
+                seen = float(hits.min())
+                if asn not in first_seen or seen < first_seen[asn]:
+                    first_seen[asn] = seen
+        # Static-arm training: malicious sources in the first half.
+        trained = (stamps < train_hours) & coder.malicious(table)
+        if trained.any():
+            train_ips.update(np.unique(ips[trained]).tolist())
 
     # Static paper baseline: train-half malicious IPs, written to and
     # re-read from a blocklist file so both arms share the file parser.
@@ -113,37 +89,29 @@ def closed_loop_metrics(
 
     with tempfile.TemporaryDirectory(prefix="cloudwatching-x5-") as tmp:
         path = os.path.join(tmp, "static-blocklist.txt")
-        write_blocklist_file(path, ips=scan["train_ips"])
+        write_blocklist_file(path, ips=train_ips)
         static_ips, static_asns = load_blocklist_file(path)
     static = ActiveBlocklist(
         ip_entries=[(ip, train_hours) for ip in static_ips],
         asn_entries=[(asn, train_hours) for asn in static_asns],
     )
 
-    def map_static(view):
-        blocked = 0
-        for vantage_id in sorted(view.tables):
-            table = view.tables[vantage_id]
-            if len(table) == 0:
-                continue
-            mask = static.blocked_mask(
-                np.asarray(table.timestamps, dtype=np.float64),
-                np.asarray(table.src_asn),
-                np.asarray(table.src_ip),
-            )
-            blocked += int(np.count_nonzero(mask))
-        return blocked
-
-    static_blocked = run_shard_wise(map_static, sum, dataset)
+    static_blocked = sum(
+        int(np.count_nonzero(static.blocked_mask(
+            np.asarray(table.timestamps, dtype=np.float64),
+            np.asarray(table.src_asn),
+            np.asarray(table.src_ip),
+        )))
+        for table in tables
+    )
 
     latencies = sorted(
-        entry.active_from - scan["first_seen"][entry.asn]
+        entry.active_from - first_seen[entry.asn]
         for entry in entries
-        if entry.asn in scan["first_seen"]
+        if entry.asn in first_seen
     )
     mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
 
-    total = scan["total"]
     summary = pipeline.summary()
     metrics = {
         "incidents": summary["incidents"],
@@ -153,9 +121,9 @@ def closed_loop_metrics(
         "audit_digest": pipeline.audit.digest(),
         "blocklist_entries": [entry.as_dict() for entry in entries],
         "total_events": total,
-        "auto_blocked_events": scan["auto_blocked"],
+        "auto_blocked_events": auto_blocked,
         "auto_volume_reduction_pct":
-            100.0 * scan["auto_blocked"] / total if total else 0.0,
+            100.0 * auto_blocked / total if total else 0.0,
         "static_blocklist_size": len(static_ips) + len(static_asns),
         "static_blocked_events": static_blocked,
         "static_volume_reduction_pct":
@@ -179,7 +147,7 @@ def closed_loop_metrics(
             enforcer=auto,
         )
         enforced_total = sum(len(t) for t in enforced.tables().values())
-        predicted = total - scan["auto_blocked"]
+        predicted = total - auto_blocked
         metrics["resim"] = {
             "baseline_events": total,
             "enforced_events": enforced_total,

@@ -11,8 +11,8 @@ Enforcement is applied **after** every RNG draw for a batch (the engine
 filters the finished batch), so the enforced run consumes the identical
 random stream as the baseline and its capture set is, by construction,
 the baseline's minus the blocked rows.  That identity is what lets the
-closed-loop experiment predict blocked volumes analytically shard-wise
-and then cross-check the prediction against a real enforced re-run.
+closed-loop experiment predict blocked volumes analytically and then
+cross-check the prediction against a real enforced re-run.
 
 The class is deliberately dependency-light (numpy only) and duck-typed
 from the engine's side: anything with ``keep_mask(timestamps, src_asns,

@@ -28,14 +28,14 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.io.table import EventTable
 from repro.sim.events import NetworkKind
 
-__all__ = ["ShardBank", "ShardedEventTable", "open_shard"]
+__all__ = ["ShardBank", "ShardedEventTable", "merge_shard_tables", "open_shard"]
 
 
 class _NpzMapper:
@@ -226,28 +226,29 @@ class ShardedEventTable(EventTable):
 
     Exposes the exact :class:`EventTable` columnar accessors — a merged
     column is the per-column concatenation of the mapped shard banks,
-    built only on first access.  ``parts`` keeps ``(shard position,
-    per-shard table)`` pairs in merge order so map-reduce drivers
-    (:mod:`repro.experiments.base`) can regroup the same rows
-    shard-wise without touching the merged columns at all.
+    built on first access and cached.
     """
 
-    def __init__(
-        self,
-        vantage_id: str,
-        network: str,
-        network_kind: NetworkKind,
-        region: str,
-        parts: Sequence[tuple[int, EventTable]] = (),
-    ) -> None:
-        super().__init__(vantage_id, network, network_kind, region)
-        self.parts: list[tuple[int, EventTable]] = []
-        for shard_pos, part in parts:
-            self.add_part(shard_pos, part)
-
-    def add_part(self, shard_pos: int, part: EventTable) -> None:
+    def add_part(self, part: EventTable) -> None:
         """Append one shard's rows for this vantage (in shard order)."""
-        self.parts.append((shard_pos, part))
         self._own_chunks.extend(part._chunks)
         self._own_length += len(part)
         self._invalidate()
+
+
+def merge_shard_tables(
+    vantages: Iterable, shard_tables: Sequence[Mapping[str, EventTable]]
+) -> dict[str, ShardedEventTable]:
+    """Each vantage's rows across the shards, in shard order, as one
+    :class:`ShardedEventTable` (vantage order kept; vantages no shard
+    captured are left out).  No column data is read."""
+    merged: dict[str, ShardedEventTable] = {}
+    for vantage in vantages:
+        table = ShardedEventTable.for_vantage(vantage)
+        for tables in shard_tables:
+            part = tables.get(vantage.vantage_id)
+            if part is not None and len(part):
+                table.add_part(part)
+        if len(table):
+            merged[vantage.vantage_id] = table
+    return merged

@@ -19,9 +19,9 @@ to disk (:mod:`repro.io.shards`).  The division of labor:
   data is read at merge time; telescope aggregates are summed from npz
   counters, and the parent's deterministic phase-1/2 state (sources,
   crawled engines — computed once at plan time and shared with fork
-  workers copy-on-write) completes a full experiment context.  The
-  merged dataset keeps its per-shard views and the worker budget so
-  map-reduce drivers (:mod:`repro.experiments.base`) can fan back out.
+  workers copy-on-write) completes a full experiment context.  Analyses
+  then run in one pass over the merged tables, as over an in-process
+  simulation.
 
 The merged dataset's identity is the ``dataset_digest``: the config
 digest plus every completed shard's data-file hashes (and the identity
@@ -48,7 +48,7 @@ from repro.io.shards import (
     shard_dir_name,
     verify_shard,
 )
-from repro.io.lazy import ShardedEventTable
+from repro.io.lazy import merge_shard_tables
 from repro.io.table import EventTable
 from repro.runner.plan import ShardPlan, config_digest, plan_shards
 from repro.runner.worker import build_task, run_shard, set_fork_state
@@ -323,16 +323,12 @@ def orchestrate(
         shard_tables.append(load_shard_tables(shard_path))
         if telescope is not None:
             merge_telescope_shard(telescope, shard_path)
+    merged = merge_shard_tables(deployment.honeypots, shard_tables)
     captures: dict[str, VantageCapture] = {}
     for vantage in deployment.honeypots:
         capture = VantageCapture(vantage)
-        merged = ShardedEventTable.for_vantage(vantage)
-        for shard_pos, tables in enumerate(shard_tables):
-            part = tables.get(vantage.vantage_id)
-            if part is not None and len(part):
-                merged.add_part(shard_pos, part)
-        if merged.parts:
-            capture.table = merged
+        if vantage.vantage_id in merged:
+            capture.table = merged[vantage.vantage_id]
         captures[vantage.vantage_id] = capture
     result = SimulationResult(
         config=simulation_config,
@@ -348,9 +344,7 @@ def orchestrate(
         config=config,
         deployment=deployment,
         result=result,
-        dataset=AnalysisDataset.from_simulation(
-            result, shard_tables=shard_tables, map_workers=workers
-        ),
+        dataset=AnalysisDataset.from_simulation(result),
     )
     stats.events_total = result.total_events()
     stats.merge_seconds = time.perf_counter() - started

@@ -570,7 +570,7 @@ def load_run_dir(run_dir: Union[str, Path]):
     from repro.analysis.dataset import AnalysisDataset
     from repro.deployment.fleet import build_full_deployment
     from repro.experiments.context import ExperimentConfig, _WINDOWS
-    from repro.io.lazy import ShardedEventTable
+    from repro.io.lazy import merge_shard_tables
     from repro.io.shards import load_shard_tables, read_manifest
     from repro.sim.rng import RngHub
 
@@ -593,22 +593,11 @@ def load_run_dir(run_dir: Union[str, Path]):
     if not shard_tables:
         raise FileNotFoundError(f"no completed shards under {run_dir}")
 
-    tables = {}
-    for vantage in deployment.honeypots:
-        merged = ShardedEventTable.for_vantage(vantage)
-        for shard_pos, shard in enumerate(shard_tables):
-            part = shard.get(vantage.vantage_id)
-            if part is not None and len(part):
-                merged.add_part(shard_pos, part)
-        if merged.parts:
-            tables[vantage.vantage_id] = merged
-
     dataset = AnalysisDataset(
-        tables=tables,
+        tables=merge_shard_tables(deployment.honeypots, shard_tables),
         vantages=deployment.honeypots,
         window=_WINDOWS[config.year],
         leak_experiment=deployment.leak_experiment,
-        shard_tables=shard_tables,
     )
     return config, dataset, digest
 

@@ -371,9 +371,6 @@ class StreamBus:
         self._subscribers: list[Consumer] = []
         #: The payload coder every delivered frame carries.
         self.coder = PayloadCoder()
-        #: Called after every flush that delivered at least one chunk
-        #: (the watch service hangs snapshot cadence off this).
-        self.on_flush: Optional[Callable[[int], None]] = None
 
     # -- wiring --------------------------------------------------------
 
@@ -440,8 +437,6 @@ class StreamBus:
                 deliver(subscriber, frame)
             stats.delivered_chunks += 1
             stats.delivered_events += last
-        if self.on_flush is not None:
-            self.on_flush(len(batch))
         return len(batch)
 
     def close(self) -> int:

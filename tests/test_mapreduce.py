@@ -1,16 +1,16 @@
-"""Shard-wise map-reduce analyses == single-process analyses, exactly.
+"""Analyses over an orchestrated run == single-process analyses, exactly.
 
-The orchestrator's lazy merge keeps per-shard memory-mapped views
-alongside the merged (virtual) table, and the hot analyses fan out over
-those views with mergeable partial aggregates.  These tests pin the
-contract that matters: at a fixed seed, every ported analysis produces
-*bit-identical* results whether it ran shard-wise over mmap'd spills or
-in one pass over an in-process simulation — including after a partial
-run is resumed.
+The orchestrator's lazy merge serves each vantage's capture as one table
+over the memory-mapped shard spills, and every analysis runs in one pass
+over the merged tables, in the calling process.  These tests pin the
+contract that matters: at a fixed seed, every analysis produces
+*bit-identical* results over a 3-shard run as over an in-process
+simulation — including after a partial run is resumed.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import numpy as np
@@ -33,16 +33,16 @@ from tests.conftest import SMALL
 
 @pytest.fixture(scope="module")
 def sharded_run(tmp_path_factory):
-    """One SMALL run split over three shards, merged lazily."""
+    """One SMALL run split over three shards on two workers (the CLI
+    default), merged lazily."""
     out_dir = tmp_path_factory.mktemp("mapreduce-run")
-    return orchestrate(SMALL, workers=1, num_shards=3, out_dir=out_dir, quiet=True)
+    return orchestrate(SMALL, workers=2, num_shards=3, out_dir=out_dir, quiet=True)
 
 
 @pytest.fixture(scope="module")
 def sharded_dataset(sharded_run):
-    dataset = sharded_run.context.dataset
-    assert dataset.shard_tables is not None and len(dataset.shard_tables) == 3
-    return dataset
+    assert sharded_run.stats.num_shards == 3
+    return sharded_run.context.dataset
 
 
 class TestShardWiseEqualsSingleProcess:
@@ -66,18 +66,16 @@ class TestShardWiseEqualsSingleProcess:
         )
 
     def test_merged_columns_are_memory_mapped(self, sharded_dataset):
-        """The lazy merge serves shard parts as mmaps, not copies."""
-        table = next(
-            table for table in sharded_dataset.tables.values() if table.parts
-        )
-        _pos, part = table.parts[0]
-        assert isinstance(part.timestamps, np.memmap)
+        """The lazy merge serves shard banks as mmaps, not copies."""
+        table = next(iter(sharded_dataset.tables.values()))
+        columns, start, stop = table.runs()[0]
+        assert isinstance(columns["timestamps"][start:stop], np.memmap)
 
 
 class TestContingencyShardWise:
-    """The contingency engine's partial matrices merge additively across
-    shards: a 3-shard build must equal the single-shard build bit for
-    bit, and so must every analysis drawing from it."""
+    """The contingency engine and the per-source aggregates built over a
+    3-shard run must equal the single-process builds bit for bit, and so
+    must every analysis drawing from them."""
 
     def test_engine_matrices_merge_exactly(self, dataset, sharded_dataset):
         single = dataset.contingency()
@@ -148,6 +146,44 @@ class TestContingencyShardWise:
         assert unique_credentials_per_group(
             sharded_dataset
         ) == unique_credentials_per_group(dataset)
+
+
+class TestNoAnalysisStartsAProcess:
+    def test_analyses_run_in_the_calling_process(
+        self, small_context, sharded_run, monkeypatch
+    ):
+        """With ``os.fork`` raising once the run is merged, the engine,
+        the source aggregates, the T1/T3/T8/T11/M1 analyses, the command
+        summary, the hourly matrix and X5 run over the orchestrated
+        dataset (each through its unmemoized build function), and X5
+        equals the in-process run."""
+        from repro.analysis.commands import command_summary
+        from repro.analysis.contingency_engine import (
+            build_engine,
+            build_source_aggregates,
+        )
+        from repro.analysis.leak import _leak_rows, unique_credentials_per_group
+        from repro.analysis.ports import _protocol_breakdown
+        from repro.experiments.ext_closed_loop import closed_loop_metrics
+
+        expected_x5 = closed_loop_metrics(small_context, verify_resim=False)
+
+        def fork():
+            raise AssertionError("an analysis started a process")
+
+        monkeypatch.setattr(os, "fork", fork)
+        dataset = sharded_run.context.dataset
+        build_engine(dataset)
+        build_source_aggregates(dataset)
+        vantage_summary(dataset)
+        scanner_overlap(dataset)
+        methodology_numbers(dataset)
+        _protocol_breakdown(dataset, (80, 8080))
+        command_summary(dataset)
+        _leak_rows(dataset, 0.05)
+        unique_credentials_per_group(dataset)
+        hourly_matrix(dataset, list(dataset.tables))
+        assert closed_loop_metrics(sharded_run.context, verify_resim=False) == expected_x5
 
 
 class TestResumeWithLazyMerge:

@@ -144,14 +144,6 @@ class TestStreamBus:
         with pytest.raises(ValueError):
             StreamBus(policy="bogus")
 
-    def test_on_flush_callback(self):
-        bus = StreamBus()
-        flushes = []
-        bus.on_flush = flushes.append
-        bus.publish(_chunk(timestamps=[0.1]))
-        bus.close()
-        assert flushes == [1]
-
 
 class TestTumblingWindows:
     def test_matches_hourly_volumes_binning(self):

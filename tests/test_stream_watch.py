@@ -260,10 +260,17 @@ class TestWatchCli:
 #: A tiny simulation, so that a knob the CLI fails to reject costs little.
 _SIM = ["--scale", "0.01", "--telescope", "4"]
 
+#: Stands for a run directory under the test's ``tmp_path``.
+_TMP_OUT = "<tmp>/run"
+
+#: A tiny orchestrated run that skips analysis and writes under ``tmp_path``.
+_ORCHESTRATE = ["orchestrate", "--out", _TMP_OUT, *_SIM, "--workers", "1", "--experiments"]
+
 
 class TestStreamKnobBounds:
-    """A stream knob out of range stops the CLI at the argument parser:
-    exit 2 with a message naming the flag, before anything starts."""
+    """A stream, orchestrate or respond knob out of range stops the CLI at
+    the argument parser: exit 2 with a message naming the flag, before
+    anything starts."""
 
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(["watch", "--simulate", *_SIM, "--sketch-k", "0"], "--sketch-k",
@@ -289,8 +296,16 @@ class TestStreamKnobBounds:
                      "--trailing-hours", id="watch-trailing-hours-above"),
         pytest.param(["watch", "--live", "--port", "0=http", "--duration", "0.2",
                       "--interval", "0"], "--interval", id="watch-interval"),
+        pytest.param([*_ORCHESTRATE, "--shards", "-1"], "--shards",
+                     id="orchestrate-shards-negative"),
+        pytest.param([*_ORCHESTRATE, "--shards", "0"], "--shards", id="orchestrate-shards-0"),
+        pytest.param([*_ORCHESTRATE, "--max-retries", "-1"], "--max-retries",
+                     id="orchestrate-max-retries"),
+        pytest.param(["respond", "--run-dir", "no-such-run", "--quiet-hours", "-3"],
+                     "--quiet-hours", id="respond-quiet-hours"),
     ])
-    def test_bad_knob_exits_2_naming_the_flag(self, argv, flag, capsys):
+    def test_bad_knob_exits_2_naming_the_flag(self, argv, flag, capsys, tmp_path):
+        argv = [str(tmp_path / "run") if arg == _TMP_OUT else arg for arg in argv]
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
