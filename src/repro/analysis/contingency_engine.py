@@ -21,10 +21,10 @@ counts.  This module makes that one pass over the
   code;
 * the build is **one pass** over the dataset's tables in dataset
   order, whatever made them: an orchestrated run's tables are the
-  merged week (:class:`~repro.io.lazy.ShardedEventTable`, each merged
-  column concatenated on first read), so shard layout never reaches
-  the counts.  Category codes are re-coded into sorted value tables,
-  which fixes the matrices' column order.
+  merged week (per vantage one :meth:`~repro.io.table.EventTable.concat`
+  of its shard tables, each column concatenated on first read), so
+  shard layout never reaches the counts.  Category codes are re-coded
+  into sorted value tables, which fixes the matrices' column order.
 
 The engine is cached on the :class:`~repro.analysis.dataset
 .AnalysisDataset` keyed by a cheap table digest (vantage ids × row

@@ -20,16 +20,10 @@ import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
 from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
+from repro.stream.windows import CRAWLER_ASES, LEAK_SERVICES
 
-__all__ = ["LeakRow", "leak_report", "unique_credentials_per_group", "CRAWLER_ASES"]
-
-#: The engines' own crawler origin ASes (excluded from the comparison).
-CRAWLER_ASES: frozenset[int] = frozenset({398324, 10439})
-
-_CRAWLER_ARRAY = np.array(sorted(CRAWLER_ASES), dtype=np.int64)
-
-#: The (protocol, port) services the experiment emulates.
-LEAK_SERVICES: tuple[tuple[str, int], ...] = (("http", 80), ("ssh", 22), ("telnet", 23))
+__all__ = ["LeakRow", "leak_report", "unique_credentials_per_group", "CRAWLER_ASES",
+           "LEAK_SERVICES"]
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ def _leak_series(
             continue
         ports = table.dst_port
         timestamps = table.timestamps
-        keep = ~np.isin(table.src_asn, _CRAWLER_ARRAY)
+        keep = ~np.isin(table.src_asn, CRAWLER_ASES)
         base_masks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         # Only tables where a malicious spec selects rows need the
         # (memoized) maliciousness column.
@@ -195,7 +189,7 @@ def _unique_credentials(
         keep = np.isin(dst_column, all_ips)
         if not keep.any():
             continue
-        keep &= (table.dst_port == port) & ~np.isin(table.src_asn, _CRAWLER_ARRAY)
+        keep &= (table.dst_port == port) & ~np.isin(table.src_asn, CRAWLER_ASES)
         if not keep.any():
             continue
         _payload_codes, creds = coder.coded(table)

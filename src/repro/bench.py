@@ -268,7 +268,7 @@ def run_serve_bench(
                         deployment,
                         population,
                         SimulationConfig(seed=seed, window=_WINDOWS[year]),
-                        tap=bus.table_tap(),
+                        tap=bus.publish,
                     ),
                     bus.close(),
                 ),

@@ -623,7 +623,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 deployment,
                 population,
                 SimulationConfig(seed=config.seed, window=window),
-                tap=bus.table_tap(),
+                tap=bus.publish,
             )
             end_live_stream(bus, backend)
 

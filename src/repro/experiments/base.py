@@ -2,8 +2,8 @@
 
 Analyses read a dataset in one pass over ``dataset.tables``, in
 dataset order.  An orchestrated run's dataset is the merged week (one
-:class:`~repro.io.lazy.ShardedEventTable` per vantage), so how the run
-was cut into shards is an input to no analysis.
+:meth:`~repro.io.table.EventTable.concat` of shard tables per vantage),
+so how the run was cut into shards is an input to no analysis.
 """
 
 from __future__ import annotations

@@ -25,11 +25,7 @@ a bit-identical audit log no matter how the run was sharded.
 
 from repro.incident.enforce import ActiveBlocklist
 from repro.incident.incidents import AuditLog, Incident, IncidentStore
-from repro.incident.pipeline import (
-    IncidentPipeline,
-    canonical_chunks,
-    detect_incidents,
-)
+from repro.incident.pipeline import IncidentPipeline, detect_incidents
 from repro.incident.rules import (
     CampaignOnsetRule,
     CredentialLeakRule,
@@ -55,7 +51,6 @@ __all__ = [
     "RunbookExecutor",
     "Signal",
     "VolumeSpikeRule",
-    "canonical_chunks",
     "default_rules",
     "detect_incidents",
 ]

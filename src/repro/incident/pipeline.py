@@ -30,7 +30,7 @@ object.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -39,19 +39,16 @@ from repro.incident.incidents import AuditLog, IncidentStore
 from repro.incident.rules import IncidentRule, default_rules
 from repro.incident.runbooks import RunbookExecutor
 from repro.io.table import concat_runs, gather_plan
-from repro.stream.bus import StreamChunk, StreamFrame
+from repro.stream.bus import StreamFrame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataset import AnalysisDataset
     from repro.stream.analyzer import StreamAnalyzer
 
-__all__ = ["IncidentPipeline", "canonical_chunks", "canonical_frame", "detect_incidents"]
+__all__ = ["IncidentPipeline", "canonical_frame", "detect_incidents"]
 
 class IncidentPipeline:
     """Rules + store + executor behind one ``consume(frame)`` face."""
-
-    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
-    accepts_frames = True
 
     def __init__(
         self,
@@ -72,14 +69,12 @@ class IncidentPipeline:
 
     # -- ingest ---------------------------------------------------------
 
-    def consume(self, frame: Union[StreamFrame, StreamChunk]) -> None:
+    def consume(self, frame: StreamFrame) -> None:
         """Bus-subscriber hook; must run after the analyzer's consume.
 
         ``frame`` must not run past one of :meth:`cuts`' chunks (the bus
-        and :func:`detect_incidents` cut there); a bare chunk is a
-        one-chunk frame.
+        and :func:`detect_incidents` cut there).
         """
-        frame = StreamFrame.of(frame)
         for source in frame.sources:
             self.regions.setdefault(source.vantage_id, source.region)
         for rule in self.rules:
@@ -203,16 +198,10 @@ def canonical_frame(tables: dict, hours: int) -> StreamFrame:
                        offsets, _resolve, coder=PayloadCoder())
 
 
-def canonical_chunks(tables: dict, hours: int) -> Iterator[StreamChunk]:
-    """The canonical replay cell by cell, one chunk per (vantage, hour)."""
-    return canonical_frame(tables, hours).chunks()
-
-
 def detect_incidents(
     dataset: "AnalysisDataset",
     rules: Optional[tuple[IncidentRule, ...]] = None,
     quiet_hours: int = 12,
-    sketch_k: int = 64,
 ) -> IncidentPipeline:
     """Post-hoc detection over a merged dataset, canonically ordered.
 
@@ -232,7 +221,6 @@ def detect_incidents(
     hours = int(dataset.window.hours)
     analyzer = StreamAnalyzer(
         hours=hours,
-        sketch_k=sketch_k,
         leak_experiment=dataset.leak_experiment,
         characteristics=tuple(
             name for name in CHARACTERISTICS if any(name in rule.reads for rule in rules)

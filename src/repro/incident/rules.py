@@ -247,7 +247,6 @@ class CampaignOnsetRule(IncidentRule):
         self._signaled: set[str] = set()
 
     def observe(self, frame: StreamFrame) -> None:
-        frame = StreamFrame.of(frame)
         hits, payload_codes = frame.payload_codes()
         if not hits.size:
             return
@@ -366,11 +365,11 @@ class CredentialLeakRule(IncidentRule):
         return signals
 
 
-def default_rules(trailing_hours: Optional[int] = None) -> tuple[IncidentRule, ...]:
+def default_rules() -> tuple[IncidentRule, ...]:
     """The stock rule catalog, in evaluation order."""
     return (
         VolumeSpikeRule(),
         NewHeavyHitterRule(),
         CampaignOnsetRule(),
-        CredentialLeakRule(trailing_hours=trailing_hours),
+        CredentialLeakRule(),
     )

@@ -8,10 +8,11 @@ shard directory by reading two small NDJSON lines (format header +
 vantage directory) and maps nothing else.  Numeric column banks are
 ``np.memmap``'d straight out of the npz archive on first access; object
 pools decode once per column on first access.  A merged run is then a
-set of :class:`ShardedEventTable` objects whose chunks point into the
-mapped banks — ``orchestrate`` never materializes a full merged table
-unless an experiment asks for one, and an experiment that reads only
-``src_ip`` touches only the ``src_ip`` bytes of each spill.
+set of per-vantage :meth:`~repro.io.table.EventTable.concat` merges
+whose runs point into the mapped banks — ``orchestrate`` never
+materializes a full merged table unless an experiment asks for one, and
+an experiment that reads only ``src_ip`` touches only the ``src_ip``
+bytes of each spill.
 
 Why manual mapping: ``np.load(..., mmap_mode="r")`` silently ignores
 ``mmap_mode`` for ``.npz`` archives (members live inside a zip).  Since
@@ -32,10 +33,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.io.table import EventTable
+from repro.io.table import OBJECT_COLUMNS, EventTable
 from repro.sim.events import NetworkKind
 
-__all__ = ["ShardBank", "ShardedEventTable", "merge_shard_tables", "open_shard"]
+__all__ = ["ShardBank", "merge_shard_tables", "open_shard"]
 
 
 class _NpzMapper:
@@ -156,7 +157,7 @@ class ShardBank:
     def column(self, name: str) -> np.ndarray:
         array = self._columns.get(name)
         if array is None:
-            if name in self._shards._OBJECT:
+            if name in OBJECT_COLUMNS:
                 index = self._ensure_mapper().load(f"bank|{name}.idx")
                 pool = self.pool(name)
                 if len(index):
@@ -221,34 +222,16 @@ def open_shard(directory: Union[str, Path]) -> ShardBank:
     return ShardBank(directory)
 
 
-class ShardedEventTable(EventTable):
-    """One vantage's capture spanning the spills of many shards.
-
-    Exposes the exact :class:`EventTable` columnar accessors — a merged
-    column is the per-column concatenation of the mapped shard banks,
-    built on first access and cached.
-    """
-
-    def add_part(self, part: EventTable) -> None:
-        """Append one shard's rows for this vantage (in shard order)."""
-        self._own_chunks.extend(part._chunks)
-        self._own_length += len(part)
-        self._invalidate()
-
-
 def merge_shard_tables(
     vantages: Iterable, shard_tables: Sequence[Mapping[str, EventTable]]
-) -> dict[str, ShardedEventTable]:
+) -> dict[str, EventTable]:
     """Each vantage's rows across the shards, in shard order, as one
-    :class:`ShardedEventTable` (vantage order kept; vantages no shard
-    captured are left out).  No column data is read."""
-    merged: dict[str, ShardedEventTable] = {}
+    :meth:`EventTable.concat` of its shard tables (vantage order kept;
+    vantages no shard captured are left out).  No column data is read."""
+    merged: dict[str, EventTable] = {}
     for vantage in vantages:
-        table = ShardedEventTable.for_vantage(vantage)
-        for tables in shard_tables:
-            part = tables.get(vantage.vantage_id)
-            if part is not None and len(part):
-                table.add_part(part)
+        table = EventTable.concat([tables[vantage.vantage_id] for tables in shard_tables
+                                   if vantage.vantage_id in tables])
         if len(table):
             merged[vantage.vantage_id] = table
     return merged

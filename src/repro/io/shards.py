@@ -61,7 +61,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from repro.honeypots.telescope import TelescopeCapture
-from repro.io.table import _DTYPES, EventTable
+from repro.io.table import _DTYPES, NUMERIC_COLUMNS, OBJECT_COLUMNS, EventTable
 
 __all__ = [
     "SHARD_FORMAT",
@@ -80,10 +80,6 @@ SHARD_FORMAT = "cloudwatching-shard/2"
 _COLUMNS_FILE = "columns.npz"
 _OBJECTS_FILE = "objects.ndjson"
 _MANIFEST_FILE = "manifest.json"
-
-_NUMERIC = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
-            "transport_code", "handshake")
-_OBJECT = ("payload", "credentials", "commands")
 
 
 def shard_dir_name(shard_index: int) -> str:
@@ -162,11 +158,11 @@ def write_shard(
         return np.concatenate([table.column(name) for table in ordered])
 
     arrays: dict[str, np.ndarray] = {"bank|offsets": offsets}
-    for name in _NUMERIC:
+    for name in NUMERIC_COLUMNS:
         arrays[f"bank|{name}"] = bank(name)
 
     pools: dict[str, list] = {}
-    for name in _OBJECT:
+    for name in OBJECT_COLUMNS:
         pool: dict = {}
         values = bank(name).tolist()
         arrays[f"bank|{name}.idx"] = np.fromiter(
@@ -215,7 +211,7 @@ def write_shard(
         handle.write(json.dumps(
             {"vantages": vantage_records}, separators=(",", ":")
         ) + "\n")
-        for name in _OBJECT:
+        for name in OBJECT_COLUMNS:
             record = {"pool": name, "values": _encode_pool(name, pools[name])}
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 

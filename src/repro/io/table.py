@@ -47,11 +47,15 @@ from repro.net.packets import Transport
 from repro.sim.events import CapturedEvent, NetworkKind
 
 __all__ = [
+    "COLUMNS",
     "ConsolidationGroup",
     "EventTable",
+    "NUMERIC_COLUMNS",
+    "OBJECT_COLUMNS",
     "TRANSPORT_CODES",
     "TRANSPORT_OF_CODE",
     "concat_runs",
+    "event_columns",
     "gather_plan",
 ]
 
@@ -60,9 +64,10 @@ TRANSPORT_CODES: dict[Transport, int] = {Transport.TCP: 0, Transport.UDP: 1}
 TRANSPORT_OF_CODE: tuple[Transport, ...] = (Transport.TCP, Transport.UDP)
 
 #: Column names in schema order (numeric columns first, object columns last).
-_NUMERIC_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
-                    "transport_code", "handshake")
-_OBJECT_COLUMNS = ("payload", "credentials", "commands")
+NUMERIC_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
+                   "transport_code", "handshake")
+OBJECT_COLUMNS = ("payload", "credentials", "commands")
+COLUMNS = NUMERIC_COLUMNS + OBJECT_COLUMNS
 _DTYPES = {
     "timestamps": np.float64,
     "src_ip": np.int64,
@@ -90,6 +95,22 @@ def _object_column(length: int, values) -> np.ndarray:
     return column
 
 
+def event_columns(event: CapturedEvent) -> dict:
+    """One captured session as a one-row column set: a scalar per column."""
+    return {
+        "timestamps": float(event.timestamp),
+        "src_ip": int(event.src_ip),
+        "src_asn": int(event.src_asn),
+        "dst_ip": int(event.dst_ip),
+        "dst_port": int(event.dst_port),
+        "transport_code": TRANSPORT_CODES[event.transport],
+        "handshake": bool(event.handshake),
+        "payload": event.payload,
+        "credentials": event.credentials,
+        "commands": event.commands,
+    }
+
+
 def concat_runs(runs: Iterable[tuple[dict, int, int]], name: str) -> np.ndarray:
     """One column over ``(columns, start, stop)`` runs, in order.
 
@@ -99,7 +120,7 @@ def concat_runs(runs: Iterable[tuple[dict, int, int]], name: str) -> np.ndarray:
     """
     dtype = _DTYPES.get(name, object)
     parts = []
-    if name in _OBJECT_COLUMNS:
+    if name in OBJECT_COLUMNS:
         for columns, start, stop in runs:
             value = columns[name]
             if isinstance(value, np.ndarray) and value.dtype == object:
@@ -465,7 +486,7 @@ class EventTable:
         ]
         columns = {
             name: np.fromiter(values, dtype=_DTYPES.get(name, object), count=len(rows))
-            for name, values in zip(_NUMERIC_COLUMNS + _OBJECT_COLUMNS, zip(*rows))
+            for name, values in zip(COLUMNS, zip(*rows))
         }
         table.append_view(columns, 0, len(rows))
         return table
@@ -474,11 +495,13 @@ class EventTable:
     def concat(cls, tables: Sequence["EventTable"]) -> "EventTable":
         """Merge per-shard tables of one vantage, preserving input order.
 
-        The orchestrator's merge layer: shard k's rows land before shard
-        k+1's, so concatenating contiguous-population shards reproduces
-        the single-process row order exactly.  The merge is zero-copy —
-        chunk references are shared with the inputs, so the inputs must
-        not be appended to afterwards (shard loads never are).
+        The orchestrator's merge layer (each vantage's shard tables, in
+        :func:`~repro.io.lazy.merge_shard_tables`): shard k's rows land
+        before shard k+1's, so concatenating contiguous-population shards
+        reproduces the single-process row order exactly.  The merge is
+        zero-copy — chunk references are shared with the inputs, so the
+        inputs must not be appended to afterwards (shard loads never
+        are).
 
         Edge cases are legal rather than the caller's problem: an empty
         parts list yields a valid zero-row table with anonymous
@@ -529,18 +552,7 @@ class EventTable:
 
     def append_event(self, event: CapturedEvent) -> None:
         """Append one row (scalar capture path and live replay)."""
-        columns = {
-            "timestamps": float(event.timestamp),
-            "src_ip": int(event.src_ip),
-            "src_asn": int(event.src_asn),
-            "dst_ip": int(event.dst_ip),
-            "dst_port": int(event.dst_port),
-            "transport_code": TRANSPORT_CODES[event.transport],
-            "handshake": bool(event.handshake),
-            "payload": event.payload,
-            "credentials": event.credentials,
-            "commands": event.commands,
-        }
+        columns = event_columns(event)
         self._own_append(columns, 0, 1)
         if self._hook is not None:
             self._hook(self, columns, 0, 1)
@@ -629,7 +641,7 @@ class EventTable:
         return self._consolidate_column(name)
 
     def _consolidate(self) -> dict[str, np.ndarray]:
-        for name in _NUMERIC_COLUMNS + _OBJECT_COLUMNS:
+        for name in COLUMNS:
             self._consolidate_column(name)
         return self._columns
 

@@ -14,14 +14,14 @@ to disk (:mod:`repro.io.shards`).  The division of labor:
   degrades to partial coverage instead of aborting.
 * **merge** — *lazy and zero-copy*: each shard opens as a memory-mapped
   column bank (:mod:`repro.io.lazy`) and every vantage's capture becomes
-  a :class:`~repro.io.lazy.ShardedEventTable` over the mapped spills in
-  shard order (contiguous shards → single-process row order).  No column
-  data is read at merge time; telescope aggregates are summed from npz
-  counters, and the parent's deterministic phase-1/2 state (sources,
-  crawled engines — computed once at plan time and shared with fork
-  workers copy-on-write) completes a full experiment context.  Analyses
-  then run in one pass over the merged tables, as over an in-process
-  simulation.
+  one :meth:`~repro.io.table.EventTable.concat` of its shard tables over
+  the mapped spills, in shard order (contiguous shards → single-process
+  row order).  No column data is read at merge time; telescope
+  aggregates are summed from npz counters, and the parent's
+  deterministic phase-1/2 state (sources, crawled engines — computed
+  once at plan time and shared with fork workers copy-on-write)
+  completes a full experiment context.  Analyses then run in one pass
+  over the merged tables, as over an in-process simulation.
 
 The merged dataset's identity is the ``dataset_digest``: the config
 digest plus every completed shard's data-file hashes (and the identity
@@ -217,12 +217,12 @@ def orchestrate(
 
     ``workers`` is a count or ``"auto"`` (CPU-derived, see
     :func:`resolve_workers`); the chosen count and the original request
-    are both recorded in ``run.json``.  ``num_shards`` defaults to the
-    resolved worker count.  With ``resume``, shards whose manifests
-    verify (config digest, shard layout, data-file hashes) are not
-    re-simulated.  Shards that exhaust their retry budget are dropped
-    from the merge and reported as partial coverage rather than aborting
-    the run.
+    are both recorded in ``run.json``.  ``num_shards`` (at least 1)
+    defaults to the resolved worker count.  With ``resume``, shards
+    whose manifests verify (config digest, shard layout, data-file
+    hashes) are not re-simulated.  Shards that exhaust their retry
+    budget are dropped from the merge and reported as partial coverage
+    rather than aborting the run.
     """
     from repro.analysis.dataset import AnalysisDataset
     from repro.deployment.fleet import build_full_deployment
@@ -237,11 +237,14 @@ def orchestrate(
             print(message, flush=True)
 
     config = config or ExperimentConfig()
+    if num_shards is not None and num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1 (got {num_shards})")
     workers_requested = workers
     workers = resolve_workers(workers)
     if workers_requested == "auto":
         say(f"workers auto -> {workers} (cpu_count {os.cpu_count()})")
-    num_shards = num_shards or workers
+    if num_shards is None:
+        num_shards = workers
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_started = time.perf_counter()
@@ -308,7 +311,7 @@ def orchestrate(
 
     # ---- merge (lazy: no column data is read here) ----
     # Shards open as memory-mapped banks; each vantage's capture becomes
-    # a ShardedEventTable whose chunks point into the mapped spills, so
+    # an EventTable.concat whose runs point into the mapped spills, so
     # the merge is O(#vantages) bookkeeping regardless of event volume.
     # A merged column materializes only if an experiment asks for it.
     started = time.perf_counter()

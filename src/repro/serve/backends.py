@@ -23,11 +23,11 @@ so a client (and the test suite) can move between them freely:
   microseconds.  Per-IP classification comes from a bounded
   :class:`ReputationTracker` fed off the same bus.
 * :class:`RunDirBackend` opens a completed ``cloudwatching orchestrate``
-  output directory through the memory-mapped shard banks
-  (:class:`~repro.io.lazy.ShardedEventTable`) and answers with *exact*
-  batch values computed by the same columnar machinery the experiment
-  drivers use, memoized per (dataset digest, endpoint, params) in a
-  content-addressed response cache.
+  output directory through the memory-mapped shard banks (one
+  :meth:`~repro.io.table.EventTable.concat` of its shard tables per
+  vantage) and answers with *exact* batch values computed by the same
+  columnar machinery the experiment drivers use, memoized per (dataset
+  digest, endpoint, params) in a content-addressed response cache.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.serve.schema import (
     TopQuery,
     VolumesQuery,
 )
-from repro.stream.bus import StreamFrame, deliver, frame_cuts
+from repro.stream.bus import StreamFrame, frame_cuts
 
 __all__ = [
     "ROUTES",
@@ -215,9 +215,6 @@ class ReputationTracker:
     bounded no matter how many sources scan.
     """
 
-    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
-    accepts_frames = True
-
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -229,10 +226,9 @@ class ReputationTracker:
     def __len__(self) -> int:
         return len(self._records)
 
-    def consume(self, frame) -> None:
-        """Fold one frame's rows in, in stream order (a bare chunk is a
-        one-chunk frame).  Rows are labeled by the frame's coder."""
-        frame = StreamFrame.of(frame)
+    def consume(self, frame: StreamFrame) -> None:
+        """Fold one frame's rows in, in stream order.  Rows are labeled
+        by the frame's coder."""
         flags = frame.column("credentials").astype(bool)
         rows, codes = frame.payload_codes()
         if rows.size:
@@ -474,20 +470,16 @@ class LockedConsumer:
     (:data:`~repro.stream.bus.MAX_FRAME_EVENTS`) bounds the hold.
     """
 
-    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
-    accepts_frames = True
-
     def __init__(self, lock: threading.Lock, *consumers) -> None:
         self.lock = lock
         self.consumers = consumers
 
-    def consume(self, frame) -> None:
-        frame = StreamFrame.of(frame)
+    def consume(self, frame: StreamFrame) -> None:
         with self.lock:
             for consumer in self.consumers:
-                deliver(consumer, frame)
+                consumer.consume(frame)
 
-    def cuts(self, frame) -> list[int]:
+    def cuts(self, frame: StreamFrame) -> list[int]:
         """Where the wrapped consumers read state mid-stream."""
         with self.lock:
             return frame_cuts(self.consumers, frame)
@@ -498,8 +490,6 @@ def build_live_pipeline(
     leak_experiment=None,
     sketch_k: int = 64,
     max_buffered_events: int = 65536,
-    policy: str = "backpressure",
-    tracker_capacity: int = 65536,
     incidents: bool = False,
 ):
     """Wire bus → (analyzer, tracker) → LiveBackend for live serving.
@@ -521,11 +511,11 @@ def build_live_pipeline(
     from repro.stream.bus import StreamBus
 
     lock = threading.Lock()
-    bus = StreamBus(max_buffered_events=max_buffered_events, policy=policy)
+    bus = StreamBus(max_buffered_events=max_buffered_events)
     analyzer = StreamAnalyzer(
         hours=hours, sketch_k=sketch_k, leak_experiment=leak_experiment
     )
-    tracker = ReputationTracker(capacity=tracker_capacity)
+    tracker = ReputationTracker()
     consumers = [analyzer, tracker]
     pipeline = None
     if incidents:
@@ -541,7 +531,7 @@ def build_live_pipeline(
 
 
 def end_live_stream(bus, backend: LiveBackend) -> None:
-    """End of ingest: deliver what ``bus`` still buffers, then finalize
+    """End of ingest: flush what ``bus`` still buffers, then finalize
     live incident detection under the ingest lock — the window's last
     hour never seals on its own, so without this ``/incidents`` misses
     the tail."""
@@ -562,8 +552,8 @@ def load_run_dir(run_dir: Union[str, Path]):
     Reads ``run.json`` for the configuration and dataset digest,
     deterministically rebuilds the deployment (vantage identities and
     leak-experiment geometry — no event data comes from it), then maps
-    every completed shard's column banks into per-vantage
-    :class:`~repro.io.lazy.ShardedEventTable` views.  Nothing beyond the
+    every completed shard's column banks into per-vantage merged views
+    (:func:`~repro.io.lazy.merge_shard_tables`).  Nothing beyond the
     shard directories' small NDJSON headers is read until an endpoint
     touches a column.
     """
@@ -699,8 +689,11 @@ class RunDirBackend(ServeBackend):
         """Post-hoc incident detection over the run, memoized.
 
         The canonical replay is a pure function of the merged tables, so
-        the pipeline (and its audit digest) answers identically to the
-        live pipeline that watched the same run — that parity is a test.
+        the answer (and its audit digest) is the same for every shard
+        layout of a seed.  A live pipeline gives the same answer only
+        when it is fed the rows in that canonical order (the parity test
+        feeds it so); a tapped simulation or a watched run directory
+        streams them in another order, and seals hours differently.
         """
         if self._incidents is None:
             from repro.incident.pipeline import detect_incidents

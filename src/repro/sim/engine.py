@@ -295,7 +295,7 @@ class Simulator:
         see :meth:`repro.io.table.EventTable.set_append_hook`) installed
         on every honeypot capture table for the duration of the run —
         the streaming subsystem's engine ingest
-        (``run(tap=bus.table_tap())``).  It is detached before the result
+        (``run(tap=bus.publish)``).  It is detached before the result
         is returned.
         """
         if source_ips is None:

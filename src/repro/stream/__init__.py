@@ -8,7 +8,7 @@ leak tests on demand.
 """
 
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer, StreamSnapshot
-from repro.stream.bus import BusStats, StreamBus, StreamChunk, StreamFrame
+from repro.stream.bus import BusStats, StreamBus, StreamFrame
 from repro.stream.sketches import HyperLogLog, SpaceSavingSketch, StreamingContingency
 from repro.stream.watch import (
     WatchOptions,
@@ -24,7 +24,6 @@ __all__ = [
     "StreamSnapshot",
     "BusStats",
     "StreamBus",
-    "StreamChunk",
     "StreamFrame",
     "HyperLogLog",
     "SpaceSavingSketch",

@@ -1,8 +1,8 @@
 """The standard bus subscriber: online sketches + windows + alarms.
 
 :class:`StreamAnalyzer` consumes :class:`~repro.stream.bus.StreamFrame`
-objects (ordered runs of chunks; a bare chunk is a one-chunk frame) and
-maintains, in bounded memory:
+objects (ordered runs of published chunks) and maintains, in bounded
+memory:
 
 * per-vantage Space-Saving sketches for each §3.3 characteristic
   (source AS, username, password, payload — payloads in the stripped
@@ -32,7 +32,7 @@ import numpy as np
 from repro.deployment.fleet import LeakExperiment
 from repro.reporting.tables import render_table
 from repro.stats.contingency import ChiSquareResult
-from repro.stream.bus import BusStats, StreamChunk, StreamFrame
+from repro.stream.bus import BusStats, StreamFrame
 from repro.stream.sketches import HyperLogLogBank, StreamingContingency, category_codes
 from repro.stream.windows import LeakAlarm, StreamingLeakAlarm, TumblingWindows
 
@@ -236,14 +236,10 @@ def _sketch_frame(
 class StreamAnalyzer:
     """Bounded-memory online view of a captured-event stream."""
 
-    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
-    accepts_frames = True
-
     def __init__(
         self,
         hours: int,
         sketch_k: int = 64,
-        hll_p: int = 12,
         leak_experiment: Optional[LeakExperiment] = None,
         characteristics: tuple[str, ...] = CHARACTERISTICS,
     ) -> None:
@@ -255,13 +251,12 @@ class StreamAnalyzer:
             )
         self.hours = int(hours)
         self.sketch_k = sketch_k
-        self.hll_p = hll_p
         self.characteristics = tuple(characteristics)
         self.contingency: dict[str, StreamingContingency] = {
             name: StreamingContingency(sketch_k) for name in self.characteristics
         }
         self.windows = TumblingWindows(self.hours)
-        self.distinct_sources = HyperLogLogBank(self.hll_p)
+        self.distinct_sources = HyperLogLogBank()
         self.events_per_vantage: Counter = Counter()
         self.leak: Optional[StreamingLeakAlarm] = (
             StreamingLeakAlarm(leak_experiment, self.hours)
@@ -273,9 +268,8 @@ class StreamAnalyzer:
 
     # -- ingest --------------------------------------------------------
 
-    def consume(self, frame: Union[StreamFrame, StreamChunk]) -> None:
-        """Ingest one frame; a bare chunk is a one-chunk frame."""
-        frame = StreamFrame.of(frame)
+    def consume(self, frame: StreamFrame) -> None:
+        """Ingest one frame."""
         if not len(frame):
             return
         vantage_ids = frame.vantage_ids

@@ -1,30 +1,34 @@
-"""The streaming event bus: chunked publish, bounded buffering, explicit
+"""The streaming event bus: run-wise publish, bounded buffering, explicit
 backpressure and drop accounting.
 
-Producers publish :class:`StreamChunk` objects — zero-copy columnar
-slices with the same column schema :class:`~repro.io.table.EventTable`
-chunks use — and consumers receive them in publish order.  Two ingest
-adapters cover the repository's producers:
+The bus's unit is a table run.  ``publish(source, columns, start, stop)``
+enqueues rows ``[start, stop)`` of a column set in the
+:class:`~repro.io.table.EventTable` schema (each column an array, or a
+scalar broadcast over the run) captured at ``source``, anything carrying
+``vantage_id`` and ``region``.  Those are the arguments
+:meth:`~repro.io.table.EventTable.set_append_hook` passes, so each
+producer publishes its own runs without copying a column:
 
-* :meth:`StreamBus.table_tap` — a hook for the sim engine's columnar
-  emission path (``run_simulation(..., tap=bus.table_tap())``): every
-  batch chunk a capture table appends is republished on the bus without
-  copying the columns.
-* :meth:`StreamBus.event_tap` — a hook for the live asyncio honeypots
-  (``LiveHoneypot(on_event=bus.event_tap())``): each captured session
-  becomes a single-row chunk.
+* the sim engine's capture tables:
+  ``run_simulation(..., tap=bus.publish)``;
+* ``watch --run-dir``: ranges of a shard table's run, published with the
+  table as their source;
+* the live asyncio honeypots: :meth:`StreamBus.event_tap`
+  (``LiveHoneypot(on_event=bus.event_tap())``) publishes each captured
+  session as the one-row run ``(event, event_columns(event), 0, 1)``.
 
-The buffer is bounded in *events*, not chunks.  Two overflow policies:
+The buffer is bounded in *events*, not runs.  Two overflow policies:
 
 * ``"backpressure"`` (default) — a publish that would overflow first
   flushes the queue to the subscribers synchronously; the producer pays
   the processing cost and **nothing is ever lost** (the acceptance
   criterion for default queue sizes).  Forced flushes are counted.
-* ``"drop"`` — the chunk is discarded and counted, the shape a
-  saturated remote collector degrades in.
+* ``"drop"`` — the run is discarded and counted, the shape a saturated
+  remote collector degrades in.
 
-A flush hands subscribers :class:`StreamFrame` objects: ordered runs of
-the buffered chunks, each consumed in one pass, so per-event work is
+A flush hands every subscriber's ``consume`` :class:`StreamFrame`
+objects, and only those: ordered runs of the buffered chunks (one chunk
+per published run), each consumed in one pass, so per-event work is
 paid per event rather than per (often tiny) chunk.  A frame column is
 gathered from the chunks' distinct column sets, not sliced chunk by
 chunk.  Every frame carries the bus's
@@ -43,15 +47,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.detection.coder import PayloadCoder
-from repro.sim.events import CapturedEvent, NetworkKind
-from repro.io.table import TRANSPORT_CODES, concat_runs, gather_plan
+from repro.io.table import concat_runs, event_columns, gather_plan
+from repro.sim.events import CapturedEvent
 
-__all__ = ["StreamChunk", "StreamFrame", "BusStats", "StreamBus", "MAX_FRAME_EVENTS"]
+__all__ = ["StreamFrame", "BusStats", "StreamBus", "MAX_FRAME_EVENTS"]
 
 #: Most events one frame carries (a single larger chunk is a frame of
 #: its own).  A live server consumes each frame under its ingest lock,
@@ -62,91 +66,14 @@ MAX_FRAME_EVENTS = 4096
 #: (no consumer keys state by code across frames, so results keep).
 _CODER_PAYLOAD_CAP = 65_536
 
-#: Column names every chunk carries (the EventTable chunk schema).
-CHUNK_COLUMNS = ("timestamps", "src_ip", "src_asn", "dst_ip", "dst_port",
-                 "transport_code", "handshake", "payload", "credentials", "commands")
-
-
-class StreamChunk:
-    """A columnar slice of captured events from one vantage point.
-
-    ``columns`` maps column names to arrays *or* scalars (scalars
-    broadcast over the chunk, exactly as in EventTable chunks), and
-    ``[start, stop)`` is the row range of those columns this chunk
-    covers — so republishing an engine batch is zero-copy.
-    """
-
-    __slots__ = ("vantage_id", "network", "network_kind", "region",
-                 "columns", "start", "stop")
-
-    def __init__(
-        self,
-        vantage_id: str,
-        network: str,
-        network_kind: NetworkKind,
-        region: str,
-        columns: dict,
-        start: int,
-        stop: int,
-    ) -> None:
-        self.vantage_id = vantage_id
-        self.network = network
-        self.network_kind = network_kind
-        self.region = region
-        self.columns = columns
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    @classmethod
-    def from_table_chunk(cls, table, columns: dict, start: int, stop: int) -> "StreamChunk":
-        """Wrap one EventTable chunk append (the sim-engine tap)."""
-        return cls(table.vantage_id, table.network, table.network_kind,
-                   table.region, columns, start, stop)
-
-    @classmethod
-    def from_event(cls, event: CapturedEvent) -> "StreamChunk":
-        """Wrap one captured session (the live-honeypot tap)."""
-        columns = {
-            "timestamps": float(event.timestamp),
-            "src_ip": int(event.src_ip),
-            "src_asn": int(event.src_asn),
-            "dst_ip": int(event.dst_ip),
-            "dst_port": int(event.dst_port),
-            "transport_code": TRANSPORT_CODES[event.transport],
-            "handshake": bool(event.handshake),
-            "payload": event.payload,
-            "credentials": event.credentials,
-            "commands": event.commands,
-        }
-        return cls(event.vantage_id, event.network, event.network_kind,
-                   event.region, columns, 0, 1)
-
-    def raw(self, name: str):
-        """The column as stored: a scalar, or an *unsliced* array."""
-        return self.columns[name]
-
-    def resolved(self, name: str) -> np.ndarray:
-        """The column as a length-``len(self)`` array (scalars broadcast)."""
-        value = self.columns[name]
-        if isinstance(value, np.ndarray):
-            return value[self.start:self.stop]
-        length = len(self)
-        if isinstance(value, (bytes, tuple)):
-            out = np.empty(length, dtype=object)
-            out[:] = [value] * length
-            return out
-        return np.full(length, value)
-
 
 class _ChunkGather:
-    """Resolves a frame's columns over its chunk list: per chunk range,
-    one :func:`~repro.io.table.gather_plan` shared by every column, then
-    one :func:`~repro.io.table.concat_runs` over the range's distinct
-    column sets and one gather per column.  Only the latest range's plan
-    is kept (sub-frames are consumed one at a time)."""
+    """Resolves a frame's columns over its ``(source, columns, start,
+    stop)`` chunks: per chunk range, one
+    :func:`~repro.io.table.gather_plan` shared by every column, then one
+    :func:`~repro.io.table.concat_runs` over the range's distinct column
+    sets and one gather per column.  Only the latest range's plan is kept
+    (sub-frames are consumed one at a time)."""
 
     __slots__ = ("chunks", "_range", "_plan")
 
@@ -158,9 +85,9 @@ class _ChunkGather:
     def __call__(self, name: str, first: int, stop: int) -> np.ndarray:
         if self._range != (first, stop):
             chunks = self.chunks[first:stop]
-            self._plan = gather_plan([chunk.columns for chunk in chunks],
-                                     [chunk.start for chunk in chunks],
-                                     [chunk.stop for chunk in chunks])
+            self._plan = gather_plan([chunk[1] for chunk in chunks],
+                                     [chunk[2] for chunk in chunks],
+                                     [chunk[3] for chunk in chunks])
             self._range = (first, stop)
         sources, index = self._plan
         return concat_runs(sources, name)[index]
@@ -169,13 +96,14 @@ class _ChunkGather:
 class StreamFrame:
     """An ordered run of chunks, consumed in one pass.
 
-    Subscribers do their per-event work (binning, hashing, counting)
-    once over the frame's columns, each a ``len(frame)``-row array
-    resolved on first use; ``offsets`` keeps the chunk boundaries, so
-    the order-dependent updates (Space-Saving) still apply chunk by
-    chunk.  ``sources[i]`` is chunk ``i``'s origin, anything carrying
-    ``vantage_id`` and ``region``: the :class:`StreamChunk` itself, or
-    the table a replayed cell came from.
+    A chunk is one published run.  Subscribers do their per-event work
+    (binning, hashing, counting) once over the frame's columns, each a
+    ``len(frame)``-row array resolved on first use; ``offsets`` keeps
+    the chunk boundaries, so the order-dependent updates (Space-Saving)
+    still apply chunk by chunk.  ``sources[i]`` is chunk ``i``'s origin,
+    anything carrying ``vantage_id`` and ``region``: the table or
+    captured event it was published with, or the table a replayed cell
+    came from.
 
     ``resolve(name, first, stop)`` builds one column over chunks
     ``[first, stop)`` of the frame a frame was split from, so a
@@ -201,17 +129,16 @@ class StreamFrame:
         self._payload_codes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
-    def from_chunks(cls, chunks: Iterable[StreamChunk],
+    def from_chunks(cls, chunks: Iterable[tuple],
                     coder: Optional[PayloadCoder] = None) -> "StreamFrame":
-        chunks = [chunk for chunk in chunks if len(chunk)]
+        """A frame over ``(source, columns, start, stop)`` chunks, in
+        order; empty ones are left out."""
+        chunks = [chunk for chunk in chunks if chunk[3] > chunk[2]]
         offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-        np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
-        return cls(chunks, offsets, _ChunkGather(chunks), coder=coder)
-
-    @classmethod
-    def of(cls, item: Union["StreamFrame", StreamChunk]) -> "StreamFrame":
-        """``item`` as a frame: a bare chunk is a one-chunk frame."""
-        return item if isinstance(item, StreamFrame) else cls.from_chunks([item])
+        np.cumsum([stop - start for _source, _columns, start, stop in chunks],
+                  out=offsets[1:])
+        return cls([chunk[0] for chunk in chunks], offsets, _ChunkGather(chunks),
+                   coder=coder)
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -277,19 +204,6 @@ class StreamFrame:
             start = end + 1
             yield frame
 
-    def chunks(self) -> Iterator[StreamChunk]:
-        """The frame's chunks, one :class:`StreamChunk` each."""
-        columns = None
-        for index, source in enumerate(self.sources):
-            if isinstance(source, StreamChunk):
-                yield source
-                continue
-            if columns is None:
-                columns = {name: self.column(name) for name in CHUNK_COLUMNS}
-            yield StreamChunk.from_table_chunk(
-                source, columns, int(self.offsets[index]), int(self.offsets[index + 1])
-            )
-
 
 def frame_cuts(consumers: Iterable, frame: StreamFrame) -> list[int]:
     """The union of the consumers' ``cuts(frame)``: chunk indices after
@@ -300,24 +214,6 @@ def frame_cuts(consumers: Iterable, frame: StreamFrame) -> list[int]:
         if cut_points is not None:
             cuts.update(int(index) for index in cut_points(frame))
     return sorted(cuts)
-
-
-def deliver(consumer, frame: StreamFrame) -> None:
-    """Hand ``frame`` to ``consumer``: whole when it ``accepts_frames``,
-    otherwise chunk by chunk (the plain ``consume(chunk)`` protocol)."""
-    if getattr(consumer, "accepts_frames", False):
-        consumer.consume(frame)
-    else:
-        for chunk in frame.chunks():
-            consumer.consume(chunk)
-
-
-class Consumer(Protocol):  # pragma: no cover - typing aid
-    """A subscriber: ``consume`` takes a :class:`StreamFrame` when the
-    class sets ``accepts_frames = True``, else one chunk per call; an
-    optional ``cuts(frame)`` names the chunks after which it reads state."""
-
-    def consume(self, frame: Union[StreamFrame, StreamChunk]) -> None: ...
 
 
 @dataclass
@@ -350,7 +246,7 @@ class BusStats:
 
 
 class StreamBus:
-    """Bounded in-order pub/sub bus for captured-event chunks."""
+    """Bounded in-order pub/sub bus for captured-event runs."""
 
     POLICIES = ("backpressure", "drop")
 
@@ -366,39 +262,46 @@ class StreamBus:
         self.max_buffered_events = max_buffered_events
         self.policy = policy
         self.stats = BusStats()
-        self._queue: deque[StreamChunk] = deque()
+        #: ``(source, columns, start, stop)`` per buffered run.
+        self._queue: deque[tuple] = deque()
         self._buffered_events = 0
-        self._subscribers: list[Consumer] = []
+        self._subscribers: list = []
         #: The payload coder every delivered frame carries.
         self.coder = PayloadCoder()
 
     # -- wiring --------------------------------------------------------
 
-    def subscribe(self, consumer: Consumer) -> None:
+    def subscribe(self, consumer) -> None:
+        """Hand every frame to ``consumer.consume(frame)``, after the
+        subscribers before it.
+
+        A consumer that reads state mid-stream also defines
+        ``cuts(frame)``: the indices of the chunks of ``frame`` after
+        which it reads.  The bus ends a frame right after each, so the
+        consumer reads exactly the state it would have read had the
+        chunks arrived one at a time.
+        """
         self._subscribers.append(consumer)
 
-    def table_tap(self) -> Callable:
-        """An :meth:`EventTable.set_append_hook` callback publishing here."""
-        def _tap(table, columns: dict, start: int, stop: int) -> None:
-            self.publish(StreamChunk.from_table_chunk(table, columns, start, stop))
-        return _tap
-
     def event_tap(self) -> Callable[[CapturedEvent], None]:
-        """A ``LiveHoneypot.on_event`` callback publishing here."""
+        """A ``LiveHoneypot.on_event`` callback publishing each session
+        as a one-row run."""
         def _tap(event: CapturedEvent) -> None:
-            self.publish(StreamChunk.from_event(event))
+            self.publish(event, event_columns(event), 0, 1)
         return _tap
 
-    # -- publish / deliver ---------------------------------------------
+    # -- publish / flush -----------------------------------------------
 
     @property
     def buffered_events(self) -> int:
         return self._buffered_events
 
-    def publish(self, chunk: StreamChunk) -> bool:
-        """Enqueue one chunk; returns False iff the chunk was dropped."""
-        length = len(chunk)
-        if length == 0:
+    def publish(self, source, columns: dict, start: int, stop: int) -> bool:
+        """Enqueue rows ``[start, stop)`` of ``columns``, captured at
+        ``source``; returns False iff the run was dropped.  The signature
+        is an :meth:`EventTable.set_append_hook` hook's."""
+        length = stop - start
+        if length <= 0:
             return True
         self.stats.published_chunks += 1
         self.stats.published_events += length
@@ -409,7 +312,7 @@ class StreamBus:
                 return False
             self.stats.backpressure_flushes += 1
             self.flush()
-        self._queue.append(chunk)
+        self._queue.append((source, columns, start, stop))
         self._buffered_events += length
         self.stats.queue_high_water = max(
             self.stats.queue_high_water, self._buffered_events
@@ -417,7 +320,7 @@ class StreamBus:
         return True
 
     def flush(self) -> int:
-        """Deliver every buffered chunk to every subscriber, in order."""
+        """Deliver every buffered run to every subscriber, in order."""
         if not self._queue:
             return 0
         if len(self.coder) > _CODER_PAYLOAD_CAP:
@@ -434,7 +337,7 @@ class StreamBus:
             stats.delivered_chunks += frame.num_chunks - 1
             stats.delivered_events += len(frame) - last
             for subscriber in self._subscribers:
-                deliver(subscriber, frame)
+                subscriber.consume(frame)
             stats.delivered_chunks += 1
             stats.delivered_events += last
         return len(batch)

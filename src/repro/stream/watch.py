@@ -29,8 +29,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from repro.io.table import COLUMNS
 from repro.stream.analyzer import StreamAnalyzer
-from repro.stream.bus import CHUNK_COLUMNS, BusStats, StreamBus, StreamChunk, StreamFrame
+from repro.stream.bus import BusStats, StreamBus, StreamFrame
 
 __all__ = ["WatchOptions", "SnapshotPrinter", "watch_simulation",
            "watch_run_dir", "watch_live", "stream_table"]
@@ -72,9 +73,6 @@ class WatchOptions:
 
 class SnapshotPrinter:
     """Bus subscriber that renders snapshots on an event cadence."""
-
-    #: Takes whole :class:`~repro.stream.bus.StreamFrame` objects.
-    accepts_frames = True
 
     def __init__(
         self,
@@ -198,13 +196,14 @@ def _summary(bus: StreamBus, analyzer: StreamAnalyzer, printer: SnapshotPrinter,
 
 
 def stream_table(bus: StreamBus, table, chunk_events: int) -> int:
-    """Publish one EventTable's rows as bounded chunks; returns events.
+    """Publish one EventTable's rows as bounded runs; returns events.
 
     A single-run table (a shard table: one row range of its shard's bank
     columns) publishes ranges of that run's column set, so nothing is
     consolidated per table; other tables publish their consolidated
-    columns.  Either way chunk ``k`` covers the table's rows
-    ``[k * chunk_events, (k + 1) * chunk_events)``.
+    columns.  Either way run ``k`` covers the table's rows
+    ``[k * chunk_events, (k + 1) * chunk_events)``, with the table as
+    its source.
     """
     length = len(table)
     if length == 0:
@@ -213,10 +212,9 @@ def stream_table(bus: StreamBus, table, chunk_events: int) -> int:
     if len(runs) == 1:
         columns, offset, _stop = runs[0]
     else:
-        columns, offset = {name: table.column(name) for name in CHUNK_COLUMNS}, 0
+        columns, offset = {name: table.column(name) for name in COLUMNS}, 0
     for start in range(offset, offset + length, chunk_events):
-        stop = min(start + chunk_events, offset + length)
-        bus.publish(StreamChunk.from_table_chunk(table, columns, start, stop))
+        bus.publish(table, columns, start, min(start + chunk_events, offset + length))
     return length
 
 
@@ -253,7 +251,7 @@ def watch_simulation(
         deployment,
         population,
         SimulationConfig(seed=config.seed, window=window),
-        tap=bus.table_tap(),
+        tap=bus.publish,
     )
     bus.close()
     elapsed = time.perf_counter() - started
@@ -276,7 +274,10 @@ def watch_run_dir(
     Completed shards (manifest present) are streamed in shard order;
     with ``follow_seconds > 0`` the directory is re-polled for newly
     completed shards until the deadline passes, so the watcher can run
-    alongside a live ``orchestrate``.
+    alongside a live ``orchestrate``.  The pipeline is built when the
+    first completed shard appears, for the run's configuration:
+    ``run.json``'s, else that shard's manifest's (``orchestrate`` writes
+    ``run.json`` last, after the merge).
     """
     from repro.deployment.fleet import build_full_deployment
     from repro.experiments.context import ExperimentConfig, _WINDOWS
@@ -285,22 +286,23 @@ def watch_run_dir(
 
     run_dir = Path(run_dir)
     options = options or WatchOptions()
-    run_file = run_dir / "run.json"
-    config_fields = {}
-    if run_file.exists():
-        with open(run_file, "r", encoding="utf-8") as handle:
-            config_fields = json.load(handle).get("config", {})
-    config = ExperimentConfig(**config_fields) if config_fields else ExperimentConfig()
-    window = _WINDOWS[config.year]
-    # The deployment rebuild is deterministic per seed; it supplies the
-    # leak-experiment geometry the alarms need (no event data is read
-    # from it — everything streamed comes from the shards).
-    deployment = build_full_deployment(
-        RngHub(config.seed), num_telescope_slash24s=config.telescope_slash24s
-    )
-    bus, analyzer, printer = _pipeline(
-        window.hours, options, say, leak_experiment=deployment.leak_experiment
-    )
+    bus = analyzer = printer = None
+
+    def _attach(manifest: dict) -> tuple[StreamBus, StreamAnalyzer, SnapshotPrinter]:
+        run_file = run_dir / "run.json"
+        fields = manifest["config"]
+        if run_file.exists():
+            with open(run_file, "r", encoding="utf-8") as handle:
+                fields = json.load(handle)["config"]
+        config = ExperimentConfig(**fields)
+        # The deployment rebuild is deterministic per seed; it supplies
+        # the leak-experiment geometry the alarms need (no event data is
+        # read from it — everything streamed comes from the shards).
+        deployment = build_full_deployment(
+            RngHub(config.seed), num_telescope_slash24s=config.telescope_slash24s
+        )
+        return _pipeline(_WINDOWS[config.year].hours, options, say,
+                         leak_experiment=deployment.leak_experiment)
 
     processed: set[str] = set()
     abandoned: set[str] = set()
@@ -322,11 +324,12 @@ def watch_run_dir(
         banks = {id(columns): columns for table in tables.values()
                  for columns, _start, _stop in table.runs()}
         for columns in banks.values():
-            for name in CHUNK_COLUMNS:
+            for name in COLUMNS:
                 columns[name]
         return tables
 
     def _sweep() -> int:
+        nonlocal bus, analyzer, printer
         streamed = 0
         for shard_path in sorted(run_dir.glob("shard-*")):
             name = shard_path.name
@@ -334,7 +337,8 @@ def watch_run_dir(
                 continue
             if time.perf_counter() < retry_at.get(name, 0.0):
                 continue  # backing off a previously unreadable shard
-            if read_manifest(shard_path) is None:
+            manifest = read_manifest(shard_path)
+            if manifest is None:
                 continue  # still being written
             try:
                 tables = _resolve_shard(shard_path)
@@ -359,6 +363,8 @@ def watch_run_dir(
                         f"retrying in {backoff:.2f}s")
                 continue
             processed.add(name)
+            if bus is None:
+                bus, analyzer, printer = _attach(manifest)
             say(f"streaming {name} "
                 f"({sum(len(t) for t in tables.values()):,} events)")
             for vantage_id in sorted(tables):

@@ -27,7 +27,8 @@ from repro.deployment.fleet import LeakExperiment
 from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
 from repro.stream.sketches import KeyedRows
 
-__all__ = ["MAX_TRAILING_HOURS", "TumblingWindows", "LeakAlarm", "StreamingLeakAlarm"]
+__all__ = ["CRAWLER_ASES", "LEAK_SERVICES", "MAX_TRAILING_HOURS", "TumblingWindows",
+           "LeakAlarm", "StreamingLeakAlarm"]
 
 #: Largest trailing window (hours) a leak-alarm query may request (the
 #: ``/alarms`` endpoint and ``watch --trailing-hours`` reject more).
@@ -141,11 +142,13 @@ class TumblingWindows:
 
 # -- streaming Table 3 ------------------------------------------------------
 
-#: The engines' own crawler origin ASes (see repro.analysis.leak).
-_CRAWLER_ASES = (398324, 10439)
+#: The search engines' own crawler origin ASes, excluded from every
+#: leak comparison (batch Table 3 and the alarm) so that increases are
+#: attributable to attackers.
+CRAWLER_ASES: tuple[int, ...] = (398324, 10439)
 
 #: The (protocol, port) services the leak experiment emulates.
-_LEAK_SERVICES: tuple[tuple[str, int], ...] = (("http", 80), ("ssh", 22), ("telnet", 23))
+LEAK_SERVICES: tuple[tuple[str, int], ...] = (("http", 80), ("ssh", 22), ("telnet", 23))
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ class StreamingLeakAlarm:
             ip_groups[int(ip)] = "control"
         for ip in experiment.previously_leaked_ips:
             ip_groups[int(ip)] = "previously"
-        for _protocol, port in _LEAK_SERVICES:
+        for _protocol, port in LEAK_SERVICES:
             self._group_sizes[(port, "control")] = len(experiment.control_ips)
             self._group_sizes[(port, "previously")] = len(experiment.previously_leaked_ips)
         leaked_port: dict[int, tuple[int, str]] = {}
@@ -196,7 +199,7 @@ class StreamingLeakAlarm:
         self._watch_ips = np.unique(np.fromiter(
             (int(ip) for ip in experiment.all_ips), dtype=np.int64
         ))
-        self._ports = np.asarray([port for _p, port in _LEAK_SERVICES], dtype=np.int64)
+        self._ports = np.asarray([port for _p, port in LEAK_SERVICES], dtype=np.int64)
         # The same membership as lookup arrays over ``_watch_ips``, so a
         # frame resolves every row's (port, group) key without a loop.
         self._keys = list(self._group_sizes)
@@ -243,7 +246,7 @@ class StreamingLeakAlarm:
                      self._group_key[np.maximum(port_pos, 0), np.maximum(group, 0)], -1),
             np.where(self._leak_port[slot] == ports, self._leak_key[slot], -1),
         )
-        key[np.isin(np.asarray(src_asns, dtype=np.int64)[mask], _CRAWLER_ASES)] = -1
+        key[np.isin(np.asarray(src_asns, dtype=np.int64)[mask], CRAWLER_ASES)] = -1
         counted = key >= 0
         stamps = np.asarray(timestamps, dtype=np.float64)[mask][counted]
         return self.windows.add_keyed(self._keys, key[counted], stamps)
@@ -273,7 +276,7 @@ class StreamingLeakAlarm:
             lo = max(0, hi - int(trailing_hours))
             if hi - lo < 2:  # nothing comparable yet
                 return alarms
-        for protocol, port in _LEAK_SERVICES:
+        for protocol, port in LEAK_SERVICES:
             control = self.per_ip_series(port, "control")[lo:hi]
             for group in ("censys", "shodan", "previously"):
                 if (port, group) not in self._group_sizes:

@@ -358,7 +358,7 @@ def _tapped_live_pipeline(*subscribers):
         deployment,
         build_population(PopulationConfig(year=TINY.year, scale=TINY.scale)),
         SimulationConfig(seed=TINY.seed, window=window),
-        tap=bus.table_tap(),
+        tap=bus.publish,
     )
     end_live_stream(bus, backend)
     return analyzer, tracker, backend.pipeline
@@ -421,8 +421,6 @@ def _live_state(analyzer, tracker, pipeline) -> tuple:
 
 class _CoderLog:
     """A subscriber recording each coder its frames carry, in turn."""
-
-    accepts_frames = True
 
     def __init__(self) -> None:
         self.coders: list = []

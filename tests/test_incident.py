@@ -31,7 +31,8 @@ from repro.incident import (
     default_rules,
     detect_incidents,
 )
-from repro.incident.pipeline import canonical_chunks, canonical_frame
+from repro.incident.pipeline import canonical_frame
+from repro.io.table import COLUMNS
 from repro.runner import orchestrate
 from repro.serve.backends import RunDirBackend, build_live_pipeline, load_run_dir
 from repro.serve.schema import (
@@ -251,18 +252,30 @@ class _StubAnalyzer:
         return []
 
 
-def _payload_chunk(vantage_id, payload, asns, stamps):
-    """A campaign-batch chunk: one bytes payload broadcast over its rows."""
+def _payload_frame(vantage_id, payload, asns, stamps):
+    """A campaign-batch run as a one-chunk frame: one bytes payload
+    broadcast over its rows."""
+    from repro.io.table import EventTable
     from repro.sim.events import NetworkKind
-    from repro.stream.bus import StreamChunk
+    from repro.stream.bus import StreamFrame
 
     columns = {
         "timestamps": np.asarray(stamps, dtype=np.float64),
         "src_asn": np.asarray(asns, dtype=np.int64),
         "payload": payload,
     }
-    return StreamChunk(vantage_id, "aws", NetworkKind.CLOUD, "US-EAST",
-                       columns, 0, len(stamps))
+    source = EventTable(vantage_id, "aws", NetworkKind.CLOUD, "US-EAST")
+    return StreamFrame.from_chunks([(source, columns, 0, len(stamps))])
+
+
+def _canonical_runs(tables, hours):
+    """The canonical replay cell by cell: per (vantage, hour) cell, the
+    run ``(table, columns, start, stop)`` of the replay's columns."""
+    frame = canonical_frame(tables, hours)
+    columns = {name: frame.column(name) for name in COLUMNS}
+    offsets = frame.offsets.tolist()
+    return [(source, columns, offsets[index], offsets[index + 1])
+            for index, source in enumerate(frame.sources)]
 
 
 class TestVolumeSpikeRule:
@@ -316,7 +329,7 @@ class TestCampaignOnsetRule:
     PAYLOAD = b"GET /shell?cd+/tmp HTTP/1.1\r\nHost: x\r\n\r\n"
 
     def _observe(self, rule, vantage_id, stamp, count=10):
-        rule.observe(_payload_chunk(
+        rule.observe(_payload_frame(
             vantage_id, self.PAYLOAD,
             asns=[64500] * count,
             stamps=[stamp] * count,
@@ -444,14 +457,14 @@ class TestAuditDeterminism:
         hours = int(tiny.dataset.window.hours)
         last = (-1, "")
         total = 0
-        for chunk in canonical_chunks(tiny.dataset.tables, hours):
-            stamps = np.asarray(chunk.resolved("timestamps"), dtype=np.float64)
+        for source, columns, start, stop in _canonical_runs(tiny.dataset.tables, hours):
+            stamps = np.asarray(columns["timestamps"][start:stop], dtype=np.float64)
             bins = np.minimum(stamps.astype(np.int64), hours - 1)
             assert bins.min() == bins.max(), "chunk spans hours"
-            key = (int(bins[0]), str(chunk.vantage_id))
+            key = (int(bins[0]), str(source.vantage_id))
             assert key > last, f"out of order: {last} -> {key}"
             last = key
-            total += len(chunk)
+            total += stop - start
         assert total == sum(len(t) for t in tiny.dataset.tables.values())
 
 
@@ -527,8 +540,8 @@ class TestServeEndpoints:
             hours, leak_experiment=tiny.dataset.leak_experiment,
             incidents=True,
         )
-        for chunk in canonical_chunks(tiny.dataset.tables, hours):
-            bus.publish(chunk)
+        for run in _canonical_runs(tiny.dataset.tables, hours):
+            bus.publish(*run)
         bus.close()
         with live.lock:
             live.pipeline.finalize()
@@ -580,7 +593,7 @@ class TestServeEndpoints:
             deployment,
             build_population(PopulationConfig(year=TINY.year, scale=TINY.scale)),
             SimulationConfig(seed=TINY.seed, window=window),
-            tap=bus.table_tap(),
+            tap=bus.publish,
         )
         bus.close()
         with live.lock:

@@ -139,6 +139,17 @@ class TestRetriesAndDegradation:
         assert run_record["coverage"] == 0.5
 
 
+class TestShardCountBounds:
+    @pytest.mark.parametrize("num_shards", [0, -1])
+    def test_below_one_is_rejected_before_the_run_dir_exists(self, tmp_path, num_shards):
+        """Only ``None`` means "one shard per worker"; 0 and negatives
+        are errors, raised before anything is written."""
+        out_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="num_shards"):
+            orchestrate(TINY, workers=1, out_dir=out_dir, num_shards=num_shards, quiet=True)
+        assert not out_dir.exists()
+
+
 class TestScheduler:
     def test_cache_hits_after_first_run(self, tmp_path):
         out_dir = tmp_path / "sched"

@@ -489,7 +489,7 @@ class TestLiveBackend:
                             population,
                             SimulationConfig(seed=TINY.seed,
                                              window=_WINDOWS[TINY.year]),
-                            tap=bus.table_tap(),
+                            tap=bus.publish,
                         ),
                         bus.close(),
                     ),

@@ -23,8 +23,11 @@ from repro.sim.rng import RngHub
 from repro.stats.contingency import chi_square_test
 from repro.stats.topk import top_k, union_table
 from repro.stats.volume import count_spikes, hourly_volumes
+from repro.io.table import EventTable, event_columns
+from repro.net.packets import Transport
+from repro.sim.events import CapturedEvent, NetworkKind
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
-from repro.stream.bus import StreamBus, StreamChunk
+from repro.stream.bus import StreamBus, StreamFrame
 from repro.stream.windows import TumblingWindows
 
 #: Sketch capacity for the consistency run: must be >= the distinct
@@ -33,8 +36,14 @@ from repro.stream.windows import TumblingWindows
 CONSISTENCY_K = 4096
 
 
+def _source(vantage_id="v0"):
+    """An empty table standing for a published run's capture table."""
+    return EventTable(vantage_id, "aws", NetworkKind.CLOUD, "US-EAST")
+
+
 def _chunk(vantage_id="v0", *, timestamps, **overrides):
-    """A StreamChunk over explicit columns (scalars broadcast)."""
+    """A published run, ``(source, columns, start, stop)``, over explicit
+    columns (scalars broadcast)."""
     length = len(timestamps)
     columns = {
         "timestamps": np.asarray(timestamps, dtype=np.float64),
@@ -48,43 +57,70 @@ def _chunk(vantage_id="v0", *, timestamps, **overrides):
         "credentials": overrides.get("credentials", ()),
         "commands": (),
     }
-    from repro.sim.events import NetworkKind
+    return _source(vantage_id), columns, 0, length
 
-    return StreamChunk(vantage_id, "aws", NetworkKind.CLOUD, "US-EAST",
-                       columns, 0, length)
+
+def _live_event() -> CapturedEvent:
+    return CapturedEvent(
+        vantage_id="live-0", network="stanford", network_kind=NetworkKind.EDU,
+        region="US-WEST", timestamp=0.25, src_ip=7, src_asn=4134, dst_ip=8,
+        dst_port=23, transport=Transport.TCP, handshake=True,
+        payload=b"root", credentials=(("root", "admin"),), commands=(),
+    )
 
 
 class TestStreamChunk:
+    """A published run, as the one-chunk frame a subscriber sees."""
+
     def test_scalar_columns_broadcast(self):
-        chunk = _chunk(timestamps=[0.5, 1.5, 2.5], payload=b"GET /")
-        asns = chunk.resolved("src_asn")
+        frame = StreamFrame.from_chunks([_chunk(timestamps=[0.5, 1.5, 2.5], payload=b"GET /")])
+        asns = frame.column("src_asn")
         assert asns.tolist() == [4134, 4134, 4134]
-        payloads = chunk.resolved("payload")
+        payloads = frame.column("payload")
         assert payloads.dtype == object
         assert payloads.tolist() == [b"GET /", b"GET /", b"GET /"]
-        assert len(chunk) == 3
+        assert len(frame) == 3
 
     def test_array_columns_sliced(self):
         columns = {"timestamps": np.arange(10.0)}
-        from repro.sim.events import NetworkKind
-
-        chunk = StreamChunk("v0", "aws", NetworkKind.CLOUD, "US", columns, 4, 7)
-        assert chunk.resolved("timestamps").tolist() == [4.0, 5.0, 6.0]
+        frame = StreamFrame.from_chunks([(_source(), columns, 4, 7)])
+        assert frame.column("timestamps").tolist() == [4.0, 5.0, 6.0]
 
     def test_from_event_roundtrip(self):
-        from repro.net.packets import Transport
-        from repro.sim.events import CapturedEvent, NetworkKind
+        bus = StreamBus()
+        frames = []
 
-        event = CapturedEvent(
-            vantage_id="live-0", network="stanford", network_kind=NetworkKind.EDU,
-            region="US-WEST", timestamp=0.25, src_ip=7, src_asn=4134, dst_ip=8,
-            dst_port=23, transport=Transport.TCP, handshake=True,
-            payload=b"root", credentials=(("root", "admin"),), commands=(),
-        )
-        chunk = StreamChunk.from_event(event)
-        assert len(chunk) == 1
-        assert chunk.resolved("timestamps")[0] == 0.25
-        assert chunk.raw("credentials") == (("root", "admin"),)
+        class Collector:
+            def consume(self, frame):
+                frames.append(frame)
+
+        bus.subscribe(Collector())
+        event = _live_event()
+        bus.event_tap()(event)
+        bus.close()
+        (frame,) = frames
+        assert len(frame) == 1 and frame.sources == [event]
+        assert frame.vantage_ids == ["live-0"]
+        assert frame.column("timestamps")[0] == 0.25
+        assert frame.column("credentials")[0] == (("root", "admin"),)
+
+    def test_event_columns_are_what_append_event_stores_and_event_tap_publishes(self):
+        """One event-to-columns mapping: a table's one-row run, the run its
+        append hook passes on, and the live tap's run are all
+        ``event_columns(event)``."""
+        event = _live_event()
+        expected = event_columns(event)
+        bus = StreamBus()
+        table = EventTable("live-0", "stanford", NetworkKind.EDU, "US-WEST")
+        table.set_append_hook(bus.publish)
+        table.append_event(event)
+        bus.event_tap()(event)
+        (stored,) = table.runs()
+        assert stored == (expected, 0, 1)
+        hooked, tapped = bus._queue
+        assert hooked[0] is table and hooked[1] is stored[0] and hooked[2:] == (0, 1)
+        assert tapped == (event, expected, 0, 1)
+        assert type(tapped[1]["timestamps"]) is float and type(tapped[1]["src_ip"]) is int
 
 
 class TestStreamBus:
@@ -93,15 +129,15 @@ class TestStreamBus:
         seen = []
 
         class Collector:
-            def consume(self, chunk):
-                seen.append(chunk.resolved("timestamps").tolist())
+            def consume(self, frame):
+                seen.append((frame.column("timestamps").tolist(), frame.lengths.tolist()))
 
         bus.subscribe(Collector())
-        bus.publish(_chunk(timestamps=[0.1, 0.2]))
-        bus.publish(_chunk(timestamps=[0.3]))
+        bus.publish(*_chunk(timestamps=[0.1, 0.2]))
+        bus.publish(*_chunk(timestamps=[0.3]))
         assert bus.buffered_events == 3
         assert bus.flush() == 3
-        assert seen == [[0.1, 0.2], [0.3]]
+        assert seen == [([0.1, 0.2, 0.3], [2, 1])]
         assert bus.stats.published_events == 3
         assert bus.stats.delivered_events == 3
         assert bus.stats.dropped_events == 0
@@ -112,12 +148,12 @@ class TestStreamBus:
         delivered = []
 
         class Collector:
-            def consume(self, chunk):
-                delivered.append(len(chunk))
+            def consume(self, frame):
+                delivered.append(len(frame))
 
         bus.subscribe(Collector())
         for _ in range(10):
-            assert bus.publish(_chunk(timestamps=[0.1, 0.2, 0.3]))
+            assert bus.publish(*_chunk(timestamps=[0.1, 0.2, 0.3]))
         bus.close()
         assert sum(delivered) == 30
         assert bus.stats.delivered_events == 30
@@ -127,15 +163,15 @@ class TestStreamBus:
 
     def test_drop_policy_counts_losses(self):
         bus = StreamBus(max_buffered_events=4, policy="drop")
-        assert bus.publish(_chunk(timestamps=[0.1, 0.2, 0.3]))
-        assert not bus.publish(_chunk(timestamps=[0.4, 0.5]))  # would overflow
+        assert bus.publish(*_chunk(timestamps=[0.1, 0.2, 0.3]))
+        assert not bus.publish(*_chunk(timestamps=[0.4, 0.5]))  # would overflow
         assert bus.stats.dropped_chunks == 1
         assert bus.stats.dropped_events == 2
         assert bus.flush() == 3
 
     def test_empty_chunks_ignored(self):
         bus = StreamBus()
-        assert bus.publish(_chunk(timestamps=[]))
+        assert bus.publish(*_chunk(timestamps=[]))
         assert bus.stats.published_chunks == 0
 
     def test_rejects_bad_configuration(self):
@@ -193,8 +229,9 @@ class TestAnalyzerCharacteristics:
 
     def test_no_characteristics_keeps_windows_only(self):
         analyzer = StreamAnalyzer(hours=4, characteristics=())
-        analyzer.consume(_chunk(timestamps=[0.5, 1.5], payload=b"GET / HTTP/1.1\r\n\r\n",
-                                credentials=(("root", "admin"),)))
+        analyzer.consume(StreamFrame.from_chunks([_chunk(
+            timestamps=[0.5, 1.5], payload=b"GET / HTTP/1.1\r\n\r\n",
+            credentials=(("root", "admin"),))]))
         assert analyzer.contingency == {}
         assert analyzer.events_consumed == 2
         assert analyzer.windows.series("v0").tolist() == [1.0, 1.0, 0.0, 0.0]
@@ -219,7 +256,7 @@ def streamed_sim():
     result = run_simulation(
         deployment, population,
         SimulationConfig(seed=seed, window=window),
-        tap=bus.table_tap(),
+        tap=bus.publish,
     )
     bus.close()
     dataset = AnalysisDataset.from_simulation(result)

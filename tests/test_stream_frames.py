@@ -35,13 +35,13 @@ from repro.incident.rules import (
     Signal,
     VolumeSpikeRule,
 )
-from repro.io.table import concat_runs
+from repro.io.table import COLUMNS, EventTable, concat_runs
 from repro.runner import orchestrate
 from repro.scanners.payloads import strip_ephemeral_headers
 from repro.serve.backends import LockedConsumer, ReputationTracker
 from repro.sim.events import NetworkKind
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
-from repro.stream.bus import CHUNK_COLUMNS, StreamBus, StreamChunk, StreamFrame, frame_cuts
+from repro.stream.bus import StreamBus, StreamFrame, frame_cuts
 from repro.stream.sketches import (
     HyperLogLog,
     HyperLogLogBank,
@@ -54,6 +54,10 @@ from repro.stream.windows import TumblingWindows
 
 HOURS = 6
 VANTAGES = ("v0", "v1", "v2")
+#: The capture table each vantage's chunks are published with (empty:
+#: a chunk's rows live in its own columns).
+SOURCES = {vantage: EventTable(vantage, "aws", NetworkKind.CLOUD, f"R-{vantage}")
+           for vantage in VANTAGES}
 #: Small enough that every sketch evicts.
 SKETCH_K = 3
 LEAK = LeakExperiment(
@@ -104,6 +108,7 @@ def _column(values: list, pad: int, dtype):
 
 @st.composite
 def chunk_sequences(draw):
+    """Published runs, ``(source, columns, start, stop)`` each."""
     chunks = []
     for _ in range(draw(st.integers(min_value=1, max_value=30))):
         vantage = draw(st.sampled_from(VANTAGES))
@@ -126,14 +131,12 @@ def chunk_sequences(draw):
                 columns[name] = _column(
                     draw(st.lists(pool, min_size=length, max_size=length)), pad, dtype
                 )
-        chunks.append(StreamChunk(vantage, "aws", NetworkKind.CLOUD, f"R-{vantage}",
-                                  columns, pad, pad + length))
+        chunks.append((SOURCES[vantage], columns, pad, pad + length))
     # One chunk stamped exactly at the window's end: it seals the last
     # hour through the watermark, before finalize() does.
-    sealing = dict(chunks[0].columns, timestamps=np.asarray([float(HOURS)]))
+    sealing = dict(chunks[0][1], timestamps=np.asarray([float(HOURS)]))
     position = draw(st.integers(min_value=0, max_value=len(chunks)))
-    chunks.insert(position, StreamChunk("v1", "aws", NetworkKind.CLOUD, "R-v1",
-                                        sealing, 0, 1))
+    chunks.insert(position, (SOURCES["v1"], sealing, 0, 1))
     return chunks
 
 
@@ -190,13 +193,29 @@ def _fingerprint(analyzer, tracker, pipeline) -> dict:
 
 
 def _one_at_a_time(chunks):
+    """Every consumer fed one-chunk frames, in publish order."""
     analyzer, tracker, pipeline = _stack()
     for chunk in chunks:
-        analyzer.consume(chunk)
-        tracker.consume(chunk)
-        pipeline.consume(chunk)
+        frame = StreamFrame.from_chunks([chunk])
+        analyzer.consume(frame)
+        tracker.consume(frame)
+        pipeline.consume(frame)
     pipeline.finalize()
     return analyzer, tracker, pipeline
+
+
+def _rows(chunk, name: str) -> np.ndarray:
+    """One chunk's rows of a column, sliced from its own columns (a
+    scalar broadcast over the chunk), without the frame path."""
+    _source, columns, start, stop = chunk
+    value = columns[name]
+    if isinstance(value, np.ndarray):
+        return value[start:stop]
+    if isinstance(value, (bytes, tuple)):
+        rows = np.empty(stop - start, dtype=object)
+        rows[:] = [value] * (stop - start)
+        return rows
+    return np.full(stop - start, value)
 
 
 def _chunkwise_oracle(chunks):
@@ -205,21 +224,21 @@ def _chunkwise_oracle(chunks):
     contingency = {name: StreamingContingency(SKETCH_K) for name in CHARACTERISTICS}
     hlls: dict = {}
     for chunk in chunks:
-        vantage = chunk.vantage_id
+        vantage = chunk[0].vantage_id
         counters = {name: Counter() for name in CHARACTERISTICS}
-        for asn in chunk.resolved("src_asn").tolist():
+        for asn in _rows(chunk, "src_asn").tolist():
             counters["as"][int(asn)] += 1
-        for payload in chunk.resolved("payload"):
+        for payload in _rows(chunk, "payload"):
             if payload:
                 counters["payload"][strip_ephemeral_headers(payload)] += 1
-        for pairs in chunk.resolved("credentials"):
+        for pairs in _rows(chunk, "credentials"):
             for username, password in pairs:
                 counters["username"][username] += 1
                 counters["password"][password] += 1
         for name, counts in counters.items():
             if counts:
                 contingency[name].update_counts(vantage, counts)
-        hlls.setdefault(vantage, HyperLogLog(12)).add_ints(chunk.resolved("src_ip"))
+        hlls.setdefault(vantage, HyperLogLog(12)).add_ints(_rows(chunk, "src_ip"))
     return contingency, hlls
 
 
@@ -264,22 +283,19 @@ class TestFrameEqualsChunks:
         bus = StreamBus(max_buffered_events=queue)
         bus.subscribe(LockedConsumer(threading.Lock(), analyzer, tracker, pipeline))
         for chunk in chunks:
-            bus.publish(chunk)
+            bus.publish(*chunk)
         bus.close()
         pipeline.finalize()
         assert _fingerprint(analyzer, tracker, pipeline) == reference
         assert bus.stats.delivered_chunks == len(chunks)
-        assert bus.stats.delivered_events == sum(len(chunk) for chunk in chunks)
+        assert bus.stats.delivered_events == sum(stop - start for *_, start, stop in chunks)
 
 
 class TestFrameSplit:
     def _frame(self, lengths):
-        chunks = [
-            StreamChunk("v0", "aws", NetworkKind.CLOUD, "R",
-                        {"timestamps": np.full(n, 0.5)}, 0, n)
-            for n in lengths
-        ]
-        return StreamFrame.from_chunks(chunks)
+        return StreamFrame.from_chunks(
+            [(SOURCES["v0"], {"timestamps": np.full(n, 0.5)}, 0, n) for n in lengths]
+        )
 
     def test_cuts_end_frames_after_the_named_chunks(self):
         frame = self._frame([2, 2, 2, 2, 2])
@@ -298,19 +314,30 @@ class TestFrameSplit:
         assert second.column("timestamps").tolist() == [0.5] * 5
         assert second.chunk_index().tolist() == [0, 0, 1, 1, 1]
 
-    def test_chunkwise_subscribers_still_get_chunks(self):
+    def test_subscribers_get_frames_whose_chunks_are_the_published_runs(self):
+        """A subscriber defining only ``consume`` receives StreamFrames,
+        one chunk per published run, in publish order."""
         bus = StreamBus()
-        seen = []
+        frames = []
 
-        class Chunkwise:
-            def consume(self, chunk):
-                seen.append(len(chunk))
+        class ConsumeOnly:
+            def consume(self, frame):
+                frames.append(frame)
 
-        bus.subscribe(Chunkwise())
-        for chunk in self._frame([2, 1, 3]).sources:
-            bus.publish(chunk)
+        bus.subscribe(ConsumeOnly())
+        columns = {"timestamps": np.arange(6.0) / 8, "src_asn": 64500}
+        runs = [(SOURCES["v0"], columns, 0, 2), (SOURCES["v1"], columns, 2, 3),
+                (SOURCES["v0"], columns, 3, 6)]
+        for run in runs:
+            bus.publish(*run)
         bus.close()
-        assert seen == [2, 1, 3]
+        (frame,) = frames
+        assert isinstance(frame, StreamFrame)
+        assert frame.lengths.tolist() == [2, 1, 3]
+        assert frame.sources == [source for source, *_ in runs]
+        assert frame.column("timestamps").tolist() == columns["timestamps"].tolist()
+        assert frame.column("src_asn").tolist() == [64500] * 6
+        assert bus.stats.delivered_chunks == len(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +375,7 @@ def shared_column_chunks(draw):
         start = draw(st.integers(min_value=0, max_value=SET_ROWS - 1))
         stop = draw(st.integers(min_value=start + 1, max_value=SET_ROWS))
         vantage = draw(st.sampled_from(VANTAGES))
-        chunks.append(StreamChunk(vantage, "aws", NetworkKind.CLOUD, f"R-{vantage}",
-                                  columns, start, stop))
+        chunks.append((SOURCES[vantage], columns, start, stop))
     return chunks
 
 
@@ -370,16 +396,20 @@ class TestGatheredFrames:
         concatenating the chunks' own rows: same dtype, values and
         objects."""
         frame = StreamFrame.from_chunks(chunks)
-        early = data.draw(st.lists(st.sampled_from(CHUNK_COLUMNS), max_size=3))
+        early = data.draw(st.lists(st.sampled_from(COLUMNS), max_size=3))
         for name in early:
             frame.column(name)
         cuts = data.draw(st.sets(st.integers(min_value=0, max_value=len(chunks) - 1)))
         max_events = data.draw(st.integers(min_value=1, max_value=3 * SET_ROWS))
         parts = [frame, *frame.split(cuts, max_events=max_events)]
         assert sum(part.num_chunks for part in parts[1:]) == len(chunks)
-        for part in parts:
-            runs = [(chunk.columns, chunk.start, chunk.stop) for chunk in part.sources]
-            for name in CHUNK_COLUMNS:
+        # Sub-frames are consecutive: each covers the next num_chunks chunks.
+        ends = np.cumsum([part.num_chunks for part in parts[1:]]).tolist()
+        bounds = [(0, len(chunks)), *zip([0, *ends], ends)]
+        for part, (lo, hi) in zip(parts, bounds):
+            assert part.sources == [source for source, *_ in chunks[lo:hi]]
+            runs = [(columns, start, stop) for _source, columns, start, stop in chunks[lo:hi]]
+            for name in COLUMNS:
                 assert _same_column(part.column(name), concat_runs(runs, name)), name
 
     @given(chunks=shared_column_chunks())

@@ -210,6 +210,57 @@ class TestWatchFollowTolerance:
         assert any("not readable yet" in line for line in said)
 
 
+class TestWatchWithoutRunFile:
+    """``orchestrate`` writes ``run.json`` last: a run dir without it
+    (one still being written) is watched with the config its shard
+    manifests carry."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("no-run-file") / "run"
+        assert not orchestrate(TINY, workers=1, out_dir=out, num_shards=2,
+                               quiet=True).partial
+        return out
+
+    @staticmethod
+    def _final_snapshot(run_dir, follow_seconds: float = 0.0) -> str:
+        lines: list[str] = []
+        summary = watch_run_dir(
+            run_dir, options=WatchOptions(snapshot_events=0, format="json"),
+            say=lines.append, follow_seconds=follow_seconds, poll_seconds=0.1,
+        )
+        assert summary["shards"] == 2
+        (snapshot,) = [line for line in lines if line.startswith("{")]
+        return snapshot
+
+    def test_final_snapshot_equals_the_run_files(self, run_dir, tmp_path):
+        bare = tmp_path / "run"
+        shutil.copytree(run_dir, bare)
+        (bare / "run.json").unlink()
+        reference = self._final_snapshot(run_dir)
+        assert json.loads(reference)["leak_alarms"]
+        assert self._final_snapshot(bare) == reference
+
+    def test_follow_mode_attaches_when_the_first_shard_completes(self, run_dir, tmp_path):
+        bare = tmp_path / "run"
+        bare.mkdir()
+        staging = tmp_path / "staging"
+
+        def _complete_shards():
+            for name in ("shard-0000", "shard-0001"):
+                time.sleep(0.3)
+                shutil.copytree(run_dir / name, staging / name)
+                (staging / name).rename(bare / name)
+
+        writer = threading.Thread(target=_complete_shards)
+        writer.start()
+        try:
+            snapshot = self._final_snapshot(bare, follow_seconds=2.0)
+        finally:
+            writer.join()
+        assert snapshot == self._final_snapshot(run_dir)
+
+
 class TestResolveWorkers:
     def test_auto_derives_from_cpu_count(self):
         assert resolve_workers("auto") >= 1
