@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
+from repro.deployment.fleet import CRAWLER_ASES, LEAK_SERVICES
 from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
-from repro.stream.windows import CRAWLER_ASES, LEAK_SERVICES
 
 __all__ = ["LeakRow", "leak_report", "unique_credentials_per_group", "CRAWLER_ASES",
            "LEAK_SERVICES"]

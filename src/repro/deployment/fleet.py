@@ -39,6 +39,8 @@ from repro.sim.rng import RngHub
 
 __all__ = [
     "GREYNOISE_REGIONS",
+    "CRAWLER_ASES",
+    "LEAK_SERVICES",
     "LeakGroup",
     "LeakExperiment",
     "Deployment",
@@ -84,6 +86,16 @@ TELESCOPE_BASE_PREFIX = "198.112.0.0/13"
 
 _HONEYPOTS_PER_GREYNOISE_REGION = 4
 _FULL_PORT_HONEYPOTS_PER_REGION = 2
+
+
+#: The search engines' own crawler origin ASes, excluded from every
+#: leak comparison (batch Table 3 and the streaming alarm) so that
+#: increases are attributable to attackers.
+CRAWLER_ASES: tuple[int, ...] = (398324, 10439)
+
+#: The (protocol, port) services the leak experiment emulates, in Table
+#: 3's row order.
+LEAK_SERVICES: tuple[tuple[str, int], ...] = (("http", 80), ("ssh", 22), ("telnet", 23))
 
 
 @dataclass(frozen=True)
@@ -330,7 +342,8 @@ def build_telescope(num_slash24s: int = 16) -> VantagePoint:
     )
 
 
-#: Leak experiment protocols and ports (Section 4.3 methodology).
+#: Leak experiment protocols and ports (Section 4.3 methodology) in build
+#: order, which fixes each group's IPs; ``LEAK_SERVICES`` is Table 3's order.
 _LEAK_SERVICES: tuple[tuple[str, int], ...] = (("ssh", 22), ("telnet", 23), ("http", 80))
 _LEAK_INTERACTIVE_PORTS = frozenset({22, 23})
 

@@ -275,9 +275,9 @@ def watch_run_dir(
     with ``follow_seconds > 0`` the directory is re-polled for newly
     completed shards until the deadline passes, so the watcher can run
     alongside a live ``orchestrate``.  The pipeline is built when the
-    first completed shard appears, for the run's configuration:
-    ``run.json``'s, else that shard's manifest's (``orchestrate`` writes
-    ``run.json`` last, after the merge).
+    first completed shard appears, for the run configuration that
+    shard's manifest carries (``orchestrate`` writes ``run.json`` only
+    after the merge, so it is never read here).
     """
     from repro.deployment.fleet import build_full_deployment
     from repro.experiments.context import ExperimentConfig, _WINDOWS
@@ -289,12 +289,7 @@ def watch_run_dir(
     bus = analyzer = printer = None
 
     def _attach(manifest: dict) -> tuple[StreamBus, StreamAnalyzer, SnapshotPrinter]:
-        run_file = run_dir / "run.json"
-        fields = manifest["config"]
-        if run_file.exists():
-            with open(run_file, "r", encoding="utf-8") as handle:
-                fields = json.load(handle)["config"]
-        config = ExperimentConfig(**fields)
+        config = ExperimentConfig(**manifest["config"])
         # The deployment rebuild is deterministic per seed; it supplies
         # the leak-experiment geometry the alarms need (no event data is
         # read from it — everything streamed comes from the shards).

@@ -23,12 +23,11 @@ from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
-from repro.deployment.fleet import LeakExperiment
+from repro.deployment.fleet import CRAWLER_ASES, LEAK_SERVICES, LeakExperiment
 from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
 from repro.stream.sketches import KeyedRows
 
-__all__ = ["CRAWLER_ASES", "LEAK_SERVICES", "MAX_TRAILING_HOURS", "TumblingWindows",
-           "LeakAlarm", "StreamingLeakAlarm"]
+__all__ = ["MAX_TRAILING_HOURS", "TumblingWindows", "LeakAlarm", "StreamingLeakAlarm"]
 
 #: Largest trailing window (hours) a leak-alarm query may request (the
 #: ``/alarms`` endpoint and ``watch --trailing-hours`` reject more).
@@ -141,15 +140,6 @@ class TumblingWindows:
 
 
 # -- streaming Table 3 ------------------------------------------------------
-
-#: The search engines' own crawler origin ASes, excluded from every
-#: leak comparison (batch Table 3 and the alarm) so that increases are
-#: attributable to attackers.
-CRAWLER_ASES: tuple[int, ...] = (398324, 10439)
-
-#: The (protocol, port) services the leak experiment emulates.
-LEAK_SERVICES: tuple[tuple[str, int], ...] = (("http", 80), ("ssh", 22), ("telnet", 23))
-
 
 @dataclass(frozen=True)
 class LeakAlarm:

@@ -18,6 +18,7 @@ from repro.experiments.context import ExperimentConfig
 from repro.runner import orchestrate, resolve_workers
 from repro.serve.schema import MAX_TRAILING_HOURS
 from repro.stream import WatchOptions, watch_run_dir, watch_simulation
+from repro.stream import watch as watch_module
 
 #: Tiny but non-degenerate: every attachment mode sees real traffic.
 TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
@@ -223,11 +224,17 @@ class TestWatchWithoutRunFile:
         return out
 
     @staticmethod
-    def _final_snapshot(run_dir, follow_seconds: float = 0.0) -> str:
+    def _final_snapshot(run_dir, follow_seconds: float = 0.0, said=None) -> str:
         lines: list[str] = []
+
+        def _say(line: str) -> None:
+            lines.append(line)
+            if said is not None:
+                said(line)
+
         summary = watch_run_dir(
             run_dir, options=WatchOptions(snapshot_events=0, format="json"),
-            say=lines.append, follow_seconds=follow_seconds, poll_seconds=0.1,
+            say=_say, follow_seconds=follow_seconds, poll_seconds=0.1,
         )
         assert summary["shards"] == 2
         (snapshot,) = [line for line in lines if line.startswith("{")]
@@ -241,22 +248,56 @@ class TestWatchWithoutRunFile:
         assert json.loads(reference)["leak_alarms"]
         assert self._final_snapshot(bare) == reference
 
-    def test_follow_mode_attaches_when_the_first_shard_completes(self, run_dir, tmp_path):
+    def test_follow_mode_attaches_when_the_first_shard_completes(
+        self, run_dir, tmp_path, monkeypatch
+    ):
+        # The watcher starts on an empty dir.  The first shard is renamed
+        # in after the watcher's first poll, the second after the watcher
+        # has said it streams the first, and the follow deadline passes
+        # once the second has streamed: the order of steps is set by
+        # events, not by how fast the host runs them.
         bare = tmp_path / "run"
         bare.mkdir()
         staging = tmp_path / "staging"
+        names = ("shard-0000", "shard-0001")
+        polled = threading.Event()
+        streamed = {name: threading.Event() for name in names}
+
+        class _Clock:
+            """The watch module's clock: real time until the last shard
+            has streamed, then an hour past it."""
+
+            @staticmethod
+            def perf_counter() -> float:
+                skip = 3600.0 if streamed[names[-1]].is_set() else 0.0
+                return time.perf_counter() + skip
+
+            @staticmethod
+            def sleep(seconds: float) -> None:
+                polled.set()
+                time.sleep(seconds)
+
+        def _note(line: str) -> None:
+            for name in names:
+                if line.startswith(f"streaming {name} "):
+                    streamed[name].set()
 
         def _complete_shards():
-            for name in ("shard-0000", "shard-0001"):
-                time.sleep(0.3)
+            ready = polled
+            for name in names:
+                if not ready.wait(timeout=120):
+                    return
                 shutil.copytree(run_dir / name, staging / name)
                 (staging / name).rename(bare / name)
+                ready = streamed[name]
 
+        monkeypatch.setattr(watch_module, "time", _Clock)
         writer = threading.Thread(target=_complete_shards)
         writer.start()
         try:
-            snapshot = self._final_snapshot(bare, follow_seconds=2.0)
+            snapshot = self._final_snapshot(bare, follow_seconds=300.0, said=_note)
         finally:
+            monkeypatch.undo()
             writer.join()
         assert snapshot == self._final_snapshot(run_dir)
 
