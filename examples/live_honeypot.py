@@ -42,16 +42,16 @@ def build_campaign(rng: np.random.Generator):
                          banner_only_fraction=1.0)
     unexpected = PortPlan(8080, "tls", 1.0)
 
-    intents = []
-    for index in range(6):
-        intents.append(crawler.build_intent(rng, 0.1, 0x0A000001 + index, 0x7F000001))
-    for index in range(4):
-        intents.append(exploit.build_intent(rng, 0.2, 0x0A000101 + index, 0x7F000001))
-    for index in range(3):
-        intents.append(botnet.build_intent(rng, 0.3, 0x0A000201 + index, 0x7F000001))
-    intents.append(ssh_probe.build_intent(rng, 0.4, 0x0A000301, 0x7F000001))
-    intents.append(unexpected.build_intent(rng, 0.5, 0x0A000401, 0x7F000001))
-    return intents
+    def sessions(plan, count, hour, first_source):
+        """``count`` sessions toward 127.0.0.1 from consecutive sources."""
+        batch = plan.build_intent_batch(rng, np.full(count, hour),
+                                        first_source + np.arange(count),
+                                        np.full(count, 0x7F000001))
+        return list(batch.intents())
+
+    return (sessions(crawler, 6, 0.1, 0x0A000001) + sessions(exploit, 4, 0.2, 0x0A000101)
+            + sessions(botnet, 3, 0.3, 0x0A000201) + sessions(ssh_probe, 1, 0.4, 0x0A000301)
+            + sessions(unexpected, 1, 0.5, 0x0A000401))
 
 
 async def main() -> None:

@@ -32,10 +32,13 @@ def build_intents():
         PortPlan(8080, "http", 1.0, http_payloads=("gpon-rce",), http_weights=(1.0,)),
     ]
     intents = []
-    for index, plan in enumerate(plans * 6):
-        intents.append(plan.build_intent(rng, 0.5 + index * 0.01,
-                                         0x0A000001 + index, 0xC0A80001))
-    return intents
+    for offset, plan in enumerate(plans):
+        # Six sessions per plan, the plans taking turns every 0.01 h.
+        index = offset + len(plans) * np.arange(6)
+        batch = plan.build_intent_batch(rng, 0.5 + index * 0.01, 0x0A000001 + index,
+                                        np.full(6, 0xC0A80001))
+        intents.extend(batch.intents())
+    return sorted(intents, key=lambda intent: intent.timestamp)
 
 
 def main() -> None:

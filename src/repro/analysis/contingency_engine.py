@@ -98,7 +98,7 @@ class _ShardCoder(PayloadCoder):
     fingerprinted and classified at most once per dataset, and the §3.2
     label (:meth:`malicious`) is one gather per table.  This class adds
     the credential and AS coding and the per-table coded columns shared
-    by the matrix build, the per-source aggregation, the leak histograms
+    by the matrix build, the per-source aggregation, Table 3's leak alarm
     and every consumer of the label.
     """
 
@@ -237,7 +237,7 @@ def dataset_coder(dataset) -> "_ShardCoder":
     """One shared interning coder per table-backed dataset.
 
     Cached keyed by the dataset digest so the matrix build, the source
-    build, the leak histograms and the run-dir server's exact counts
+    build, Table 3's malicious leak alarm and the run-dir server's exact counts
     (:class:`~repro.serve.backends.RunDirBackend`) all reuse the same
     payload/credential code tables (and their per-table coded columns)
     instead of re-interning every distinct value per build.  Its codes

@@ -11,6 +11,13 @@ group) against the control group:
 
 Traffic from the search engines' own crawler ASes is excluded so that
 increases are attributable to attackers, not to Censys/Shodan themselves.
+
+The hourly series and tests are those of the streaming leak alarm
+(:class:`repro.stream.windows.StreamingLeakAlarm`): Table 3 is the
+full-window evaluation of one alarm drained over every row and one over
+the malicious rows (:func:`drain_leak_alarm`), so the batch table,
+``/alarms``, the watch snapshot and the ``credential-leak`` incident
+rule share one implementation.
 """
 
 from __future__ import annotations
@@ -20,10 +27,9 @@ import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
 from repro.deployment.fleet import CRAWLER_ASES, LEAK_SERVICES
-from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
 
-__all__ = ["LeakRow", "leak_report", "unique_credentials_per_group", "CRAWLER_ASES",
-           "LEAK_SERVICES"]
+__all__ = ["LeakRow", "drain_leak_alarm", "leak_report", "unique_credentials_per_group",
+           "CRAWLER_ASES", "LEAK_SERVICES"]
 
 
 @dataclass(frozen=True)
@@ -40,62 +46,39 @@ class LeakRow:
     control_spikes: int
 
 
-def _leak_series(
-    dataset: AnalysisDataset,
-    specs: list[tuple[tuple, int, tuple[int, ...], bool]],
-) -> dict[tuple, np.ndarray]:
-    """Hourly histograms for every (port, group, malicious) spec in one
-    pass over the event tables; the per-IP normalization happens once at
-    assembly."""
-    from repro.analysis.contingency_engine import _unique_ints, dataset_coder
+def drain_leak_alarm(dataset: AnalysisDataset, malicious_only: bool = False):
+    """A :class:`~repro.stream.windows.StreamingLeakAlarm` that has
+    observed the dataset's tables, every row or only the malicious ones.
 
-    hours = dataset.window.hours
-    coder = dataset_coder(dataset)
-    ip_arrays = {
-        ips: np.asarray(ips, dtype=np.int64)
-        for _key, _port, ips, _malicious_only in specs
-    }
-    all_ips = _unique_ints(np.concatenate(list(ip_arrays.values())))
-    hists = {spec[0]: np.zeros(hours, dtype=np.int64) for spec in specs}
-    for table in dataset.tables.values():
-        if not len(table):
-            continue
-        dst_ips = table.dst_ip
-        # One membership test against the union of experiment IPs
-        # skips the vast majority of vantages outright.
-        relevant = np.isin(dst_ips, all_ips)
-        if not relevant.any():
-            continue
-        ports = table.dst_port
-        timestamps = table.timestamps
-        keep = ~np.isin(table.src_asn, CRAWLER_ASES)
-        base_masks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        # Only tables where a malicious spec selects rows need the
-        # (memoized) maliciousness column.
-        malicious = None
-        for _key, port, ips, malicious_only in specs:
-            base_key = (port, ips)
-            base = base_masks.get(base_key)
-            if base is None:
-                base = (
-                    np.isin(dst_ips, ip_arrays[ips])
-                    & (ports == port)
-                    & keep
-                )
-                base_masks[base_key] = base
-            if malicious_only and malicious is None and base.any():
-                malicious = coder.malicious(table)
-        for key, port, ips, malicious_only in specs:
-            if malicious_only and malicious is None:
-                continue  # no candidate rows, nothing malicious to bin
-            base = base_masks[(port, ips)]
-            mask = base & malicious if malicious_only else base
-            if mask.any():
-                counts, _edges = np.histogram(
-                    timestamps[mask], bins=hours, range=(0.0, float(hours))
-                )
-                hists[key] += counts
-    return hists
+    Only the rows to experiment IPs are observed, and only tables with
+    such rows are labeled, so no other vantage's payload is classified
+    for it.  The watermark is the dataset's last event, as if the tables
+    had been streamed.
+    """
+    from repro.analysis.contingency_engine import dataset_coder
+    from repro.stream.windows import StreamingLeakAlarm
+
+    alarm = StreamingLeakAlarm(dataset.leak_experiment, dataset.window.hours)
+    tables = [table for table in dataset.tables.values() if len(table)]
+    if not tables:
+        return alarm
+    coder = dataset_coder(dataset) if malicious_only else None
+    # One membership test for every table: a test per table costs more
+    # than the rest of the drain.
+    watched = np.isin(np.concatenate([table.dst_ip for table in tables]),
+                      dataset.leak_experiment.all_ips)
+    offsets = np.cumsum([0] + [len(table) for table in tables])
+    for table, start, stop in zip(tables, offsets[:-1], offsets[1:]):
+        rows = np.flatnonzero(watched[start:stop])
+        if rows.size and coder is not None:
+            rows = rows[coder.malicious(table)[rows]]
+        if rows.size:
+            alarm.observe(table.dst_ip[rows], table.dst_port[rows],
+                          table.src_asn[rows], table.timestamps[rows])
+    alarm.windows.watermark = max(
+        alarm.windows.watermark, max(float(table.timestamps.max()) for table in tables)
+    )
+    return alarm
 
 
 def leak_report(dataset: AnalysisDataset, alpha: float = 0.05) -> list[LeakRow]:
@@ -111,58 +94,23 @@ def leak_report(dataset: AnalysisDataset, alpha: float = 0.05) -> list[LeakRow]:
 
 
 def _leak_rows(dataset: AnalysisDataset, alpha: float) -> list[LeakRow]:
-    """Table 3's rows; every hourly series comes from one pass over the
-    event tables."""
-    experiment = dataset.leak_experiment
-    hours = dataset.window.hours
-    groups_by_port: dict[int, dict[str, tuple[int, ...]]] = {}
-    specs: list[tuple[tuple, int, tuple[int, ...], bool]] = []
-    for protocol, port in LEAK_SERVICES:
-        groups: dict[str, tuple[int, ...]] = {
-            "control": tuple(experiment.control_ips),
-            "previously": tuple(experiment.previously_leaked_ips),
-        }
-        for leak_group in experiment.leak_groups:
-            if leak_group.port == port:
-                groups[leak_group.engine] = tuple(leak_group.ips)
-        groups_by_port[port] = groups
-        for group_name in ("control", "censys", "shodan", "previously"):
-            ips = groups.get(group_name, ())
-            if not ips:
-                continue
-            for malicious_only in (False, True):
-                specs.append(((group_name, port, malicious_only), port, ips, malicious_only))
-
-    histograms = _leak_series(dataset, specs)
-
-    def series(group_name: str, port: int, malicious_only: bool) -> np.ndarray:
-        ips = groups_by_port[port].get(group_name, ())
-        if not ips:
-            return np.zeros(hours)
-        counts = histograms[(group_name, port, malicious_only)]
-        return counts.astype(np.float64) / float(len(ips))
-
+    """Table 3's rows: the full-window alarms over all traffic and over
+    malicious traffic, interleaved per (service, group)."""
     rows: list[LeakRow] = []
-    for protocol, port in LEAK_SERVICES:
-        for group_name in ("censys", "shodan", "previously"):
-            for malicious_only in (False, True):
-                leaked_series = series(group_name, port, malicious_only)
-                control = series("control", port, malicious_only)
-                comparison: VolumeComparison = compare_volumes(leaked_series, control)
-                rows.append(
-                    LeakRow(
-                        service=f"{protocol.upper()}/{port}"
-                        if protocol != "http"
-                        else "HTTP/80",
-                        group=group_name,
-                        traffic="malicious" if malicious_only else "all",
-                        fold=comparison.fold,
-                        stochastically_greater=comparison.stochastically_greater(alpha),
-                        distribution_differs=comparison.distribution_differs(alpha),
-                        leaked_spikes=count_spikes(leaked_series),
-                        control_spikes=count_spikes(control),
-                    )
-                )
+    every = drain_leak_alarm(dataset).evaluate(None, alpha)
+    malicious = drain_leak_alarm(dataset, malicious_only=True).evaluate(None, alpha)
+    for pair in zip(every, malicious):
+        for traffic, alarm in zip(("all", "malicious"), pair):
+            rows.append(LeakRow(
+                service=alarm.service,
+                group=alarm.group,
+                traffic=traffic,
+                fold=alarm.fold,
+                stochastically_greater=alarm.stochastically_greater,
+                distribution_differs=alarm.distribution_differs,
+                leaked_spikes=alarm.leaked_spikes,
+                control_spikes=alarm.control_spikes,
+            ))
     return rows
 
 

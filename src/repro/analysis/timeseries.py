@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.dataset import AnalysisDataset
-from repro.stats.volume import hourly_volumes
+from repro.stats.volume import hourly_volumes, spike_indices
 
 __all__ = [
     "hourly_matrix",
@@ -58,18 +58,16 @@ class SpikeEvent:
 def spike_hours(
     hourly: Sequence[float], threshold_sigmas: float = 3.0
 ) -> list[SpikeEvent]:
-    """The hours whose volume exceeds mean + k·std, with magnitudes."""
+    """The hours :func:`~repro.stats.volume.spike_indices` calls spikes,
+    with magnitudes against the series mean."""
     series = np.asarray(hourly, dtype=np.float64)
-    if series.size == 0:
+    spikes = spike_indices(series, threshold_sigmas)
+    if not spikes.size:
         return []
     mean = float(series.mean())
-    std = float(series.std())
-    if std == 0.0:
-        return []
-    cutoff = mean + threshold_sigmas * std
     return [
         SpikeEvent(hour=int(hour), volume=float(series[hour]), baseline=mean)
-        for hour in np.flatnonzero(series > cutoff)
+        for hour in spikes
     ]
 
 

@@ -30,6 +30,9 @@ DEFAULT_ARTIFACT = "BENCH_simulation.json"
 #: Environment variable overriding the artifact path everywhere.
 ARTIFACT_ENV = "CLOUDWATCHING_BENCH_JSON"
 
+#: Concurrent clients querying the live backend during the serve bench's ingest.
+_LIVE_CONNECTIONS = 64
+
 
 def artifact_path(override: Optional[str] = None) -> str:
     """Resolve the artifact path (argument > environment > default)."""
@@ -210,7 +213,6 @@ def run_serve_bench(
     year: int = 2021,
     connections: int = 1000,
     duration_seconds: float = 5.0,
-    live_connections: int = 64,
     artifact: Optional[str] = None,
     quiet: bool = False,
 ) -> dict:
@@ -220,10 +222,10 @@ def run_serve_bench(
 
     1. **live** — simulate one window streaming through a default-sized
        :class:`~repro.stream.bus.StreamBus` into the live backend on an
-       ingest thread, while ``live_connections`` concurrent clients
-       query the HTTP server the whole time.  The record keeps the bus's
-       drop counters: the acceptance bar is *zero* drops at the default
-       queue size while queries are being answered.
+       ingest thread, while 64 concurrent clients query the HTTP server
+       the whole time.  The record keeps the bus's drop counters: the
+       acceptance bar is *zero* drops at the default queue size while
+       queries are being answered.
     2. **run-dir** — orchestrate a small run, serve it exactly, and hold
        ``connections`` (≥ 1000 for the pinned record) keep-alive clients
        open for ``duration_seconds``, recording sustained RPS and
@@ -282,7 +284,7 @@ def run_serve_bench(
             while True:
                 reports.append(await run_load(
                     server.options.host, server.port, paths,
-                    connections=live_connections, duration_seconds=0.5,
+                    connections=_LIVE_CONNECTIONS, duration_seconds=0.5,
                 ))
                 if not ingest.is_alive():
                     break
@@ -293,7 +295,7 @@ def run_serve_bench(
             return {
                 "ingest_seconds": round(seconds, 4),
                 "events": analyzer.events_consumed,
-                "connections": live_connections,
+                "connections": _LIVE_CONNECTIONS,
                 "queries_during_ingest": queries,
                 "query_errors": sum(report.errors for report in reports),
                 "bus": bus.stats.as_dict(),

@@ -22,16 +22,17 @@ PANELS: tuple[tuple[str, int], ...] = (
     ("(d) port 17128", 17128),
 )
 
+#: Addresses per point of each panel's rolling average.
+ROLLING_WINDOW = 512
 
-def run(
-    context: Optional[ExperimentContext] = None, rolling_window: int = 512
-) -> ExperimentOutput:
+
+def run(context: Optional[ExperimentContext] = None) -> ExperimentOutput:
     context = resolve_context(context)
     telescope = context.result.telescope
     profiles = {}
     sections = []
     for title, port in PANELS:
-        series = figure1_series(telescope, port, window=rolling_window)
+        series = figure1_series(telescope, port, window=ROLLING_WINDOW)
         profile = structure_profile(telescope, port)
         profiles[port] = profile
         summary = (

@@ -16,26 +16,30 @@ from repro.sim.events import Credential, ScanIntent
 
 __all__ = ["ReplayClient", "replay_intents"]
 
+#: Seconds a replayed session waits to connect, and for each read.
+_CONNECT_TIMEOUT = 5.0
+_IO_TIMEOUT = 5.0
+#: Sessions :func:`replay_intents` keeps in flight at once.
+_CONCURRENCY = 8
+
 
 @dataclass
 class ReplayClient:
     """Replays scan sessions against a host:port map."""
 
     host: str = "127.0.0.1"
-    connect_timeout: float = 5.0
-    io_timeout: float = 5.0
 
     async def send_payload(self, port: int, payload: bytes) -> bytes:
         """Open a connection, send one payload, return the server reply."""
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, port), timeout=self.connect_timeout
+            asyncio.open_connection(self.host, port), timeout=_CONNECT_TIMEOUT
         )
         try:
             if payload:
                 writer.write(payload)
                 await writer.drain()
             try:
-                return await asyncio.wait_for(reader.read(64 * 1024), timeout=self.io_timeout)
+                return await asyncio.wait_for(reader.read(64 * 1024), timeout=_IO_TIMEOUT)
             except asyncio.TimeoutError:
                 return b""
         finally:
@@ -58,7 +62,7 @@ class ReplayClient:
         finishing with ``exit`` — the loader behavior Cowrie records.
         """
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, port), timeout=self.connect_timeout
+            asyncio.open_connection(self.host, port), timeout=_CONNECT_TIMEOUT
         )
         transcript = b""
         try:
@@ -92,7 +96,7 @@ class ReplayClient:
         buffer = b""
         while prompt not in buffer:
             try:
-                chunk = await asyncio.wait_for(reader.read(1024), timeout=self.io_timeout)
+                chunk = await asyncio.wait_for(reader.read(1024), timeout=_IO_TIMEOUT)
             except asyncio.TimeoutError:
                 break
             if not chunk:
@@ -113,11 +117,10 @@ async def replay_intents(
     intents: Iterable[ScanIntent],
     port_map: dict[int, int],
     host: str = "127.0.0.1",
-    concurrency: int = 8,
 ) -> int:
     """Replay many intents with bounded concurrency; returns the count."""
     client = ReplayClient(host=host)
-    semaphore = asyncio.Semaphore(concurrency)
+    semaphore = asyncio.Semaphore(_CONCURRENCY)
     count = 0
 
     async def _one(intent: ScanIntent) -> None:

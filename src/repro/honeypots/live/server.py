@@ -212,7 +212,6 @@ class LiveHoneypot:
     region: str = "US-WEST"
     host: str = "127.0.0.1"
     services: dict[int, ServiceEmulator] = field(default_factory=dict)
-    asn_lookup: Optional[Callable[[int], int]] = None
     events: list[CapturedEvent] = field(default_factory=list)
     #: Called with each event as it is recorded (the streaming tap).
     on_event: Optional[Callable[[CapturedEvent], None]] = None
@@ -220,8 +219,6 @@ class LiveHoneypot:
     #: connection arriving at the cap is closed immediately and counted
     #: in :attr:`rejected_connections`.
     max_connections: int = 0
-    #: StreamReader buffer bound per connection (bytes).
-    read_limit: int = _READ_LIMIT
 
     def __post_init__(self) -> None:
         self._servers: list[asyncio.base_events.Server] = []
@@ -240,7 +237,7 @@ class LiveHoneypot:
             bind_port = max(requested_port, 0)
             server = await asyncio.start_server(
                 self._make_handler(requested_port, emulator), self.host, bind_port,
-                limit=self.read_limit,
+                limit=_READ_LIMIT,
             )
             actual_port = server.sockets[0].getsockname()[1]
             self.bound_ports[requested_port] = actual_port
@@ -301,7 +298,7 @@ class LiveHoneypot:
                     region=self.region,
                     timestamp=self._timestamp_hours(),
                     src_ip=src_ip,
-                    src_asn=self.asn_lookup(src_ip) if self.asn_lookup else 0,
+                    src_asn=0,  # live captures have no IP-to-AS lookup
                     dst_ip=ip_to_int(sock[0]) if "." in str(sock[0]) else 0,
                     dst_port=requested_port if requested_port > 0 else sock[1],
                     transport=Transport.TCP,

@@ -39,6 +39,7 @@ from repro.incident.incidents import AuditLog, IncidentStore
 from repro.incident.rules import IncidentRule, default_rules
 from repro.incident.runbooks import RunbookExecutor
 from repro.io.table import concat_runs, gather_plan
+from repro.stats.volume import hour_bins
 from repro.stream.bus import StreamFrame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -173,10 +174,8 @@ def canonical_frame(tables: dict, hours: int) -> StreamFrame:
         return StreamFrame.from_chunks([])
     column_sets, starts, stops = zip(*(run for table in sources for run in table.runs()))
     spans, index = gather_plan(column_sets, starts, stops)
-    stamps = concat_runs(spans, "timestamps")[index]
-    # hourly_volumes binning: final bin right-closed, so ts == hours
-    # lands in the last hour; rows binned before hour 0 are not replayed.
-    bins = np.minimum(stamps.astype(np.int64), hours - 1)
+    # The hourly windows' bins: rows outside ``[0, hours]`` are not replayed.
+    bins = hour_bins(concat_runs(spans, "timestamps")[index], hours)
     table_of_row = np.repeat(np.arange(len(sources)), [len(table) for table in sources])
     rows = np.flatnonzero(bins >= 0)
     cells = bins[rows] * len(sources) + table_of_row[rows]

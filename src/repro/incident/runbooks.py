@@ -26,6 +26,11 @@ from repro.incident.incidents import AuditLog, Incident, IncidentStore
 
 __all__ = ["BlocklistEntry", "RunbookExecutor"]
 
+#: A reweight multiplies a region's traffic weight by this factor ...
+_REWEIGHT_FACTOR = 0.5
+#: ... down to this floor, where the region is no longer reweighted.
+_MIN_REGION_WEIGHT = 0.25
+
 
 @dataclass(frozen=True)
 class BlocklistEntry:
@@ -60,14 +65,10 @@ class RunbookExecutor:
         audit: AuditLog,
         store: IncidentStore,
         region_of: Optional[Callable[[str], Optional[str]]] = None,
-        reweight_factor: float = 0.5,
-        min_region_weight: float = 0.25,
     ) -> None:
         self.audit = audit
         self.store = store
         self.region_of = region_of or (lambda vantage_id: None)
-        self.reweight_factor = float(reweight_factor)
-        self.min_region_weight = float(min_region_weight)
         self.blocklist: list[BlocklistEntry] = []
         self._blocked_asns: set[int] = set()
         self.rotations: list[dict] = []
@@ -144,9 +145,9 @@ class RunbookExecutor:
                 continue
             region = self.region_of(str(value)) or "unknown"
             weight = self.region_weights.get(region, 1.0)
-            if weight <= self.min_region_weight:
+            if weight <= _MIN_REGION_WEIGHT:
                 continue
-            weight = max(weight * self.reweight_factor, self.min_region_weight)
+            weight = max(weight * _REWEIGHT_FACTOR, _MIN_REGION_WEIGHT)
             self.region_weights[region] = weight
             actions.append({
                 "action": "reweight",

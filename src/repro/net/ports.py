@@ -7,7 +7,7 @@ honeypot framework) would assume about traffic on a port.
 
 from __future__ import annotations
 
-__all__ = ["IANA_ASSIGNMENTS", "assigned_protocol", "POPULAR_PORTS"]
+__all__ = ["IANA_ASSIGNMENTS", "POPULAR_PORTS"]
 
 #: IANA-assigned (or de-facto standard) application protocol per port.
 IANA_ASSIGNMENTS: dict[int, str] = {
@@ -37,12 +37,3 @@ IANA_ASSIGNMENTS: dict[int, str] = {
 
 #: The popular ports Tables 8/9 iterate over, in the paper's row order.
 POPULAR_PORTS: tuple[int, ...] = (23, 2323, 80, 8080, 21, 2222, 25, 7547, 22, 443)
-
-
-def assigned_protocol(port: int) -> str:
-    """The protocol a payload-less observer would assume for ``port``.
-
-    Unassigned ports return ``"unknown"`` rather than raising: telescopes
-    receive traffic on all 65536 ports.
-    """
-    return IANA_ASSIGNMENTS.get(port, "unknown")

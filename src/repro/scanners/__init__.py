@@ -1,7 +1,7 @@
 """Scanner population models: strategies, payloads, credentials, campaigns."""
 
 from repro.scanners.base import PortPlan, ScannerSpec, SearchEngineUse, TemporalProfile
-from repro.scanners.credentials import DIALECTS, CredentialDialect, dialect, sample_credentials
+from repro.scanners.credentials import DIALECTS, CredentialDialect, dialect
 from repro.scanners.payloads import (
     HTTP_CORPUS,
     HttpPayload,
@@ -15,7 +15,7 @@ from repro.scanners.strategies import CoverageModel, StructureBias, TargetSet, T
 
 __all__ = [
     "PortPlan", "ScannerSpec", "SearchEngineUse", "TemporalProfile",
-    "DIALECTS", "CredentialDialect", "dialect", "sample_credentials",
+    "DIALECTS", "CredentialDialect", "dialect",
     "HTTP_CORPUS", "HttpPayload", "LZR_PROTOCOLS", "http_payload",
     "protocol_first_payload", "strip_ephemeral_headers",
     "PopulationConfig", "build_population",

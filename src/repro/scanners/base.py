@@ -20,14 +20,14 @@ import numpy as np
 
 from repro.net.addresses import int_to_ip
 from repro.net.packets import Transport
-from repro.scanners.credentials import sample_credentials, sample_credentials_batch
+from repro.scanners.credentials import sample_credentials_batch
 from repro.scanners.payloads import (
     http_payload,
     protocol_first_payload,
     render_http,
 )
 from repro.scanners.strategies import TargetStrategy
-from repro.sim.events import Credential, IntentBatch, ScanIntent
+from repro.sim.events import IntentBatch
 
 __all__ = ["TemporalProfile", "PortPlan", "PayloadGrid", "SearchEngineUse", "ScannerSpec"]
 
@@ -267,51 +267,6 @@ class PortPlan:
             cached = weights / weights.sum()
             object.__setattr__(self, "_http_probability_cache", cached)
         return cached
-
-    def build_intent(
-        self,
-        rng: np.random.Generator,
-        timestamp: float,
-        src_ip: int,
-        dst_ip: int,
-        dst_region: str = "",
-    ) -> ScanIntent:
-        """Synthesize one session's intent toward ``dst_ip``."""
-        payload = b""
-        credentials: tuple[Credential, ...] = ()
-        commands: tuple[str, ...] = ()
-        host = int_to_ip(dst_ip)
-
-        if self.protocol == "http" and self.http_payloads:
-            names = self.http_payloads
-            index = int(rng.choice(len(names), p=self._http_probabilities()))
-            payload = http_payload(names[index]).render(host)
-        elif self.interactive:
-            payload = protocol_first_payload(self.protocol, host)
-            if rng.random() >= self.banner_only_fraction:
-                dialect = self.region_dialects.get(dst_region, self.credential_dialect)
-                low, high = self.credential_attempts
-                attempts = int(rng.integers(low, high + 1))
-                credentials = sample_credentials(
-                    rng, dialect, attempts, distinct=self.distinct_credentials
-                )
-                if credentials and self.shell_commands:
-                    choice = int(rng.integers(len(self.shell_commands)))
-                    commands = self.shell_commands[choice]
-        elif self.protocol:
-            payload = protocol_first_payload(self.protocol, host)
-
-        return ScanIntent(
-            timestamp=timestamp,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            dst_port=self.port,
-            transport=self.transport,
-            protocol=self.protocol,
-            payload=payload,
-            credentials=credentials,
-            commands=commands,
-        )
 
     def _command_array(self) -> np.ndarray:
         cached = self.__dict__.get("_command_array_cache")

@@ -17,13 +17,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.sim.events import Credential
-
 __all__ = [
     "CredentialDialect",
     "DIALECTS",
     "dialect",
-    "sample_credentials",
     "sample_credentials_batch",
     "sample_distinct",
 ]
@@ -230,47 +227,23 @@ def sample_distinct(
     return found
 
 
-def sample_credentials(
-    rng: np.random.Generator,
-    dialect_name: str,
-    attempts: int,
-    distinct: bool = False,
-) -> tuple[Credential, ...]:
-    """Draw a login sequence from a dialect.
-
-    ``attempts`` is the number of username/password tries in one session;
-    with ``distinct`` the session never repeats a pair (bounded by the
-    dialect's vocabulary size) — attackers that mine search engines try
-    ~3x more *unique* passwords (Section 4.3), which populations express
-    by raising ``attempts`` with ``distinct=True``.
-    """
-    if attempts <= 0:
-        return ()
-    vocabulary = dialect(dialect_name)
-    probabilities = vocabulary.probabilities()
-    if distinct:
-        attempts = min(attempts, len(vocabulary.pairs))
-        indices = sample_distinct(rng, probabilities.tolist(), attempts)
-    else:
-        indices = rng.choice(len(vocabulary.pairs), size=attempts, p=probabilities)
-    return tuple(Credential(*vocabulary.pairs[index]) for index in indices)
-
-
 def sample_credentials_batch(
     rng: np.random.Generator,
     dialect_name: str,
     attempts: np.ndarray,
     distinct: bool = False,
 ) -> np.ndarray:
-    """Vectorized :func:`sample_credentials` for a batch of sessions.
+    """Draw a login sequence from a dialect for each of a batch of sessions.
 
     ``attempts[i]`` is session *i*'s login-attempt count; the return value
     is a 1-d object array holding one tuple of ``(username, password)``
     pairs per session (plain string pairs, the representation capture
-    stacks record).  Without ``distinct``, all sessions' draws collapse
-    into a single weighted ``choice`` call; distinct sampling (only
-    boosted search-engine spikes use it) draws session by session through
-    :func:`sample_distinct`.
+    stacks record).  With ``distinct`` a session never repeats a pair
+    (so it tries at most the dialect's vocabulary size): attackers that
+    mine search engines try ~3x more *unique* passwords (Section 4.3).
+    Without it, all sessions' draws collapse into a single weighted
+    ``choice`` call; distinct sampling (only boosted search-engine spikes
+    use it) draws session by session through :func:`sample_distinct`.
     """
     vocabulary = dialect(dialect_name)
     pairs = vocabulary.pairs

@@ -26,12 +26,10 @@ from dataclasses import dataclass
 __all__ = [
     "LZR_PROTOCOLS",
     "protocol_first_payload",
-    "protocol_first_payload_cached",
     "HttpPayload",
     "HTTP_CORPUS",
     "http_payload",
     "render_http",
-    "render_http_cached",
     "strip_ephemeral_headers",
 ]
 
@@ -117,34 +115,6 @@ def protocol_first_payload(protocol: str, host: str = "198.51.100.1") -> bytes:
     if b"{host}" in template:
         return template.replace(b"{host}", host.encode("ascii"))
     return template
-
-
-#: Rendered-payload memoization for the batch emission path.  Payloads are
-#: pure functions of (template, host); the key spaces are bounded by
-#: |corpus| x |destination IPs|, which at fleet scale is small compared to
-#: the session count the caches amortize.
-_FIRST_PAYLOAD_CACHE: dict[tuple[str, str], bytes] = {}
-_HTTP_RENDER_CACHE: dict[tuple[str, str], bytes] = {}
-
-
-def protocol_first_payload_cached(protocol: str, host: str) -> bytes:
-    """Memoized :func:`protocol_first_payload` (hot in batch emission)."""
-    key = (protocol, host)
-    payload = _FIRST_PAYLOAD_CACHE.get(key)
-    if payload is None:
-        payload = protocol_first_payload(protocol, host)
-        _FIRST_PAYLOAD_CACHE[key] = payload
-    return payload
-
-
-def render_http_cached(name: str, host: str) -> bytes:
-    """Memoized corpus-entry render (hot in batch emission)."""
-    key = (name, host)
-    payload = _HTTP_RENDER_CACHE.get(key)
-    if payload is None:
-        payload = http_payload(name).render(host)
-        _HTTP_RENDER_CACHE[key] = payload
-    return payload
 
 
 @dataclass(frozen=True)

@@ -598,7 +598,8 @@ class RunDirBackend(ServeBackend):
     Every response is computed from the memory-mapped shard columns with
     the same primitives the batch analyses use (``top_k`` ordering,
     ``hourly_volumes`` binning, ``union_table`` → ``chi_square_test``,
-    the reputation oracle), labeled ``"exact": true``.  Computed
+    the reputation oracle, Table 3's drained leak alarm), labeled
+    ``"exact": true``.  Computed
     aggregates are memoized per (vantage, characteristic); encoded
     responses are additionally cached content-addressed on
     ``(dataset_digest, path, params)`` by the HTTP layer, keyed through
@@ -669,19 +670,10 @@ class RunDirBackend(ServeBackend):
 
     @requires_ingest_lock
     def _leak(self):
-        from repro.stream.windows import StreamingLeakAlarm
-
         if self._leak_alarm is None and self.dataset.leak_experiment is not None:
-            alarm = StreamingLeakAlarm(self.dataset.leak_experiment, self.hours)
-            for vantage_id in sorted(self.dataset.tables):
-                table = self.dataset.tables[vantage_id]
-                alarm.observe(table.dst_ip, table.dst_port,
-                              table.src_asn, table.timestamps)
-                alarm.windows.watermark = max(
-                    alarm.windows.watermark,
-                    float(table.timestamps.max()) if len(table) else 0.0,
-                )
-            self._leak_alarm = alarm
+            from repro.analysis.leak import drain_leak_alarm
+
+            self._leak_alarm = drain_leak_alarm(self.dataset)
         return self._leak_alarm
 
     @requires_ingest_lock

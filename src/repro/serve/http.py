@@ -34,6 +34,9 @@ from repro.serve.schema import SchemaError
 
 __all__ = ["ServeOptions", "ServerStats", "QueryServer"]
 
+#: StreamReader buffer bound per connection (bytes).
+_READ_LIMIT = 64 * 1024
+
 _REASONS = {
     200: "OK",
     304: "Not Modified",
@@ -65,8 +68,6 @@ class ServeOptions:
     max_connections: int = 4096
     #: Hard cap on one request head (request line + headers, bytes).
     max_request_bytes: int = 8 * 1024
-    #: StreamReader buffer bound per connection (bytes).
-    read_limit: int = 64 * 1024
     #: Seconds to wait for the next request on an idle connection.
     read_timeout: float = 30.0
     #: Requests served per connection before it is closed (0 = unlimited).
@@ -155,7 +156,7 @@ class QueryServer:
             self.options.host,
             self.options.port,
             backlog=self.options.backlog,
-            limit=self.options.read_limit,
+            limit=_READ_LIMIT,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 __all__ = ["LoadReport", "run_load", "raise_nofile_limit"]
 
+#: Requests each client sends before its latencies are recorded.
+_WARMUP_REQUESTS = 1
+
 
 @dataclass(frozen=True)
 class LoadReport:
@@ -99,7 +102,6 @@ async def run_load(
     paths: list[str],
     connections: int = 1000,
     duration_seconds: float = 5.0,
-    warmup_requests: int = 1,
 ) -> LoadReport:
     """Hold ``connections`` keep-alive clients open and hammer ``paths``.
 
@@ -131,7 +133,7 @@ async def run_load(
             served = 0
             while True:
                 now = time.perf_counter()
-                if now >= deadline and served >= warmup_requests:
+                if now >= deadline and served >= _WARMUP_REQUESTS:
                     break
                 path = paths[step % len(paths)]
                 step += 1
@@ -147,7 +149,7 @@ async def run_load(
                     errors += 1
                     break
                 served += 1
-                if served > warmup_requests:
+                if served > _WARMUP_REQUESTS:
                     latencies.append(elapsed)
                 key = str(status)
                 status_counts[key] = status_counts.get(key, 0) + 1

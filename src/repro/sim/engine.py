@@ -45,6 +45,11 @@ from repro.sim.rng import RngHub
 
 __all__ = ["SimulationConfig", "SimulationResult", "Simulator", "run_simulation"]
 
+#: Hour the search engines crawled the fleet: a day before the window.
+_CRAWL_TIME = -24.0
+#: Hour they crawl the leak experiment's services: at experiment start.
+_LEAK_CRAWL_TIME = 2.0
+
 
 @dataclass
 class SimulationConfig:
@@ -52,8 +57,6 @@ class SimulationConfig:
 
     seed: int = 20230701
     window: ObservationWindow = WEEK_2021
-    crawl_time: float = -24.0  # engines crawled the fleet a day before the window
-    leak_crawl_time: float = 2.0  # leaked services are crawled at experiment start
     max_sessions_per_pair: int = 512  # safety valve against runaway rates
 
 
@@ -196,7 +199,7 @@ class Simulator:
             # Experiment honeypots come online (and leak) at the start
             # of the window; the rest of the fleet was indexed long ago.
             crawl_times[vantage.vantage_id] = (
-                self.config.leak_crawl_time if in_experiment else self.config.crawl_time
+                _LEAK_CRAWL_TIME if in_experiment else _CRAWL_TIME
             )
         for engine in engines.values():
             for vantage in self.deployment.honeypots:
@@ -205,7 +208,7 @@ class Simulator:
                 )
             if self.deployment.telescope is not None:
                 engine.crawl_vantage(
-                    self.deployment.telescope, self.config.crawl_time, IANA_ASSIGNMENTS
+                    self.deployment.telescope, _CRAWL_TIME, IANA_ASSIGNMENTS
                 )
         return engines
 

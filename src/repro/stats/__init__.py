@@ -14,9 +14,11 @@ from repro.stats.volume import (
     compare_volumes,
     count_spikes,
     fold_increase,
+    hour_bins,
     hourly_volumes,
     kolmogorov_smirnov,
     mann_whitney_greater,
+    spike_indices,
 )
 
 __all__ = [
@@ -25,5 +27,6 @@ __all__ = [
     "ChiSquareResult", "EffectMagnitude", "chi_square_test", "cramers_v_magnitude",
     "median_counter", "top_k", "top_k_union", "union_table",
     "VolumeComparison", "compare_volumes", "count_spikes", "fold_increase",
-    "hourly_volumes", "kolmogorov_smirnov", "mann_whitney_greater",
+    "hour_bins", "hourly_volumes", "kolmogorov_smirnov", "mann_whitney_greater",
+    "spike_indices",
 ]

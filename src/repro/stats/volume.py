@@ -10,8 +10,10 @@ Section 4.3 uses two tests on hourly traffic volumes:
   attributes these differences to *spikes* of traffic (Table 3
   asterisks).
 
-This module provides both, plus hourly binning and a spike detector used
-by the analyses and by validation tests.
+This module provides both, plus the one hour-bin rule
+(:func:`hour_bins`) and the one spike cutoff (:func:`spike_indices`)
+that the batch analyses, the streaming windows and the canonical
+incident replay share.
 
 Both p-values come from small kernels that return, float for float, what
 scipy 1.17.1's ``mannwhitneyu(alternative="greater")`` and ``ks_2samp``
@@ -33,14 +35,32 @@ import numpy as np
 from scipy import special
 
 __all__ = [
+    "hour_bins",
     "hourly_volumes",
     "VolumeComparison",
     "mann_whitney_greater",
     "kolmogorov_smirnov",
     "compare_volumes",
     "count_spikes",
+    "spike_indices",
     "fold_increase",
 ]
+
+
+def hour_bins(timestamps: np.ndarray, hours: int) -> np.ndarray:
+    """Each timestamp's hour (fractional hours in, int64 out), or -1
+    outside ``[0, hours]``.
+
+    The window's final hour is closed on the right, so a row at exactly
+    ``hours`` lands in hour ``hours - 1`` (``np.histogram``'s rule over
+    the range ``(0, hours)``); rows before hour 0 or past ``hours`` have
+    no hour.
+    """
+    stamps = np.asarray(timestamps, dtype=np.float64)
+    inside = (stamps >= 0.0) & (stamps <= hours)
+    bins = np.full(stamps.shape, -1, dtype=np.int64)
+    bins[inside] = np.minimum(stamps[inside].astype(np.int64), hours - 1)
+    return bins
 
 
 def hourly_volumes(timestamps: Iterable[float], hours: int) -> np.ndarray:
@@ -48,11 +68,12 @@ def hourly_volumes(timestamps: Iterable[float], hours: int) -> np.ndarray:
     if hours <= 0:
         raise ValueError("hours must be positive")
     if isinstance(timestamps, np.ndarray):
-        array = timestamps.astype(np.float64, copy=False)
+        array = timestamps
     else:
         array = np.fromiter((float(t) for t in timestamps), dtype=np.float64)
-    counts, _edges = np.histogram(array, bins=hours, range=(0.0, float(hours)))
-    return counts.astype(np.float64)
+    # Shifted by one so the out-of-window rows (-1) fall in a dropped bin.
+    counts = np.bincount(hour_bins(array, hours) + 1, minlength=hours + 1)
+    return counts[1:].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -219,18 +240,20 @@ def compare_volumes(leaked: Sequence[float], control: Sequence[float]) -> Volume
     )
 
 
-def count_spikes(hourly: Sequence[float], threshold_sigmas: float = 3.0) -> int:
-    """Count hours whose volume exceeds mean + k·std.
+def spike_indices(hourly: Sequence[float], threshold_sigmas: float = 3.0) -> np.ndarray:
+    """The hours whose volume exceeds mean + k·std.
 
     The paper observes that leaked services attract more *spikes* —
     brief bursts right after an attacker finds the service in a search
     engine.  A flat series (std = 0) has no spikes by definition.
     """
     array = np.asarray(hourly, dtype=np.float64)
-    if array.size == 0:
-        return 0
-    std = float(array.std())
+    std = float(array.std()) if array.size else 0.0
     if std == 0.0:
-        return 0
-    cutoff = float(array.mean()) + threshold_sigmas * std
-    return int(np.count_nonzero(array > cutoff))
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(array > float(array.mean()) + threshold_sigmas * std)
+
+
+def count_spikes(hourly: Sequence[float], threshold_sigmas: float = 3.0) -> int:
+    """How many hours :func:`spike_indices` calls spikes."""
+    return int(spike_indices(hourly, threshold_sigmas).size)

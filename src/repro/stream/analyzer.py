@@ -41,6 +41,11 @@ __all__ = ["CHARACTERISTICS", "StreamAnalyzer", "StreamSnapshot"]
 #: The §3.3 characteristics tracked per vantage point.
 CHARACTERISTICS = ("as", "username", "password", "payload")
 
+#: Busiest vantages a snapshot lists top categories for, and a rendered
+#: snapshot's vantage table shows.
+_TOP_CATEGORY_VANTAGES = 6
+_RENDERED_VANTAGES = 8
+
 
 @dataclass
 class StreamSnapshot:
@@ -60,14 +65,14 @@ class StreamSnapshot:
     #: Incident-pipeline summary (None when detection is not attached).
     incidents: Optional[dict] = None
 
-    def render(self, top_vantages: int = 8) -> str:
+    def render(self) -> str:
         """Plain-text snapshot (what `cloudwatching watch` prints)."""
         lines = [
             f"== stream snapshot: {self.events:,} events / {self.chunks:,} chunks "
             f"from {self.vantages} vantage(s), watermark {self.watermark:.2f}h "
             f"({self.sealed_hours} sealed hour(s)), state ~{self.state_bytes:,} B =="
         ]
-        busiest = sorted(self.vantage_rows, key=lambda row: -row[1])[:top_vantages]
+        busiest = sorted(self.vantage_rows, key=lambda row: -row[1])[:_RENDERED_VANTAGES]
         if busiest:
             lines.append(render_table(
                 ["vantage", "events", "events/hr", "~distinct src", "spikes"],
@@ -364,7 +369,6 @@ class StreamAnalyzer:
         top_k: int = 3,
         bus_stats: Optional[BusStats] = None,
         trailing_hours: Optional[int] = None,
-        max_vantages_per_table: int = 6,
     ) -> StreamSnapshot:
         """Capture the current online state as a renderable snapshot."""
         busiest = [vid for vid, _count in self.events_per_vantage.most_common()]
@@ -382,7 +386,7 @@ class StreamAnalyzer:
         for name in self.characteristics:
             contingency = self.contingency[name]
             rows = []
-            for vid in busiest[:max_vantages_per_table]:
+            for vid in busiest[:_TOP_CATEGORY_VANTAGES]:
                 top = contingency.top(vid, top_k)
                 if top:
                     rows.append((vid, top))

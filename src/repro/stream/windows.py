@@ -1,19 +1,21 @@
 """Windowed aggregation: tumbling hourly volumes, streaming spikes, and
 the streaming Table 3 leak alarm.
 
-* :class:`TumblingWindows` maintains per-key hourly event counts with
-  exactly the binning of :func:`repro.stats.volume.hourly_volumes`
-  (integer-edge histogram over ``[0, hours)``), so a fully drained
+* :class:`TumblingWindows` maintains per-key hourly event counts,
+  binned by :func:`repro.stats.volume.hour_bins` as
+  :func:`~repro.stats.volume.hourly_volumes` bins, so a fully drained
   stream reproduces the batch series bit-for-bit.  The sealed prefix
-  (hours the watermark has passed) feeds the *existing* spike detector,
+  (hours the watermark has passed) feeds the batch spike detector,
   :func:`repro.stats.volume.count_spikes`, unchanged.
-* :class:`StreamingLeakAlarm` is the streaming version of the Section
+* :class:`StreamingLeakAlarm` is the one implementation of the Section
   4.3 / Table 3 comparison: per-(service, leak-group) hourly volumes are
   maintained incrementally, crawler ASes excluded, and an on-demand
   :func:`~repro.stats.volume.compare_volumes` (one-sided Mann–Whitney U
-  + KS) runs over the trailing window against the control group.  With
-  the trailing window spanning the whole observation window, the
-  all-traffic rows converge to ``leak_report``'s batch answers.
+  + KS) runs over the trailing window against the control group.
+  Table 3 itself (:func:`repro.analysis.leak.leak_report`) is the
+  full-window evaluation of two alarms drained over a dataset's tables
+  (:func:`repro.analysis.leak.drain_leak_alarm`): one over every row,
+  one over the malicious rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Hashable, Iterable, Optional
 import numpy as np
 
 from repro.deployment.fleet import CRAWLER_ASES, LEAK_SERVICES, LeakExperiment
-from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes
+from repro.stats.volume import VolumeComparison, compare_volumes, count_spikes, hour_bins
 from repro.stream.sketches import KeyedRows
 
 __all__ = ["MAX_TRAILING_HOURS", "TumblingWindows", "LeakAlarm", "StreamingLeakAlarm"]
@@ -82,16 +84,13 @@ class TumblingWindows:
         present = np.unique(codes)
         rows = np.zeros(len(keys), dtype=np.int64)
         rows[present] = self._rows.rows([keys[code] for code in present.tolist()])
-        # np.histogram semantics over range (0, hours): the final bin is
-        # closed on the right, everything outside the range is dropped.
-        keep = (array >= 0.0) & (array <= self.hours)
-        kept = array[keep]
-        if kept.size == 0:
+        bins = hour_bins(array, self.hours)
+        keep = bins >= 0
+        if not keep.any():
             return 0
-        indices = np.minimum(kept.astype(np.int64), self.hours - 1)
-        self._rows.scatter(np.add, rows[np.asarray(codes)[keep]], indices, 1.0)
-        self.watermark = max(self.watermark, float(kept.max()))
-        return int(kept.size)
+        self._rows.scatter(np.add, rows[np.asarray(codes)[keep]], bins[keep], 1.0)
+        self.watermark = max(self.watermark, float(array[keep].max()))
+        return int(np.count_nonzero(keep))
 
     def seal_points(self, timestamps: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Runs after which :meth:`sealed_hours` would rise.
@@ -103,7 +102,7 @@ class TumblingWindows:
         if len(offsets) < 2:
             return np.empty(0, dtype=np.int64)
         stamps = np.asarray(timestamps, dtype=np.float64)
-        kept = np.where((stamps >= 0.0) & (stamps <= self.hours), stamps, -np.inf)
+        kept = np.where(hour_bins(stamps, self.hours) >= 0, stamps, -np.inf)
         marks = np.maximum.accumulate(
             np.maximum(np.maximum.reduceat(kept, offsets[:-1]), self.watermark)
         )
@@ -254,8 +253,8 @@ class StreamingLeakAlarm:
         """Run the Table 3 tests on the trailing window, right now.
 
         ``trailing_hours=None`` compares the full observation window
-        (the configuration that converges to the batch ``leak_report``);
-        a finite trailing window restricts both series to the last
+        (Table 3's rows, :func:`repro.analysis.leak.leak_report`); a
+        finite trailing window restricts both series to the last
         ``trailing_hours`` sealed hours, the live-alarm shape.
         """
         alarms: list[LeakAlarm] = []

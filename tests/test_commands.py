@@ -69,7 +69,8 @@ class TestPortPlanCommands:
         plan = PortPlan(23, "telnet", 1.0, credential_dialect="mirai",
                         credential_attempts=(2, 2),
                         shell_commands=(("enable", "shell"), ("uname -a",)))
-        intents = [plan.build_intent(rng, 1.0, 1, 2) for _ in range(20)]
+        intents = list(plan.build_intent_batch(
+            rng, np.full(20, 1.0), np.ones(20), np.full(20, 2)).intents())
         sequences = {intent.commands for intent in intents}
         assert sequences <= {("enable", "shell"), ("uname -a",)}
         assert len(sequences) == 2  # both sequences get exercised
@@ -79,7 +80,8 @@ class TestPortPlanCommands:
         plan = PortPlan(23, "telnet", 1.0, credential_dialect="mirai",
                         banner_only_fraction=1.0,
                         shell_commands=(("uname -a",),))
-        intent = plan.build_intent(rng, 1.0, 1, 2)
+        intent, = plan.build_intent_batch(
+            rng, np.array([1.0]), np.array([1]), np.array([2])).intents()
         assert intent.commands == ()
 
 

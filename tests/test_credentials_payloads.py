@@ -8,7 +8,7 @@ from repro.scanners.credentials import (
     CredentialDialect,
     DIALECTS,
     dialect,
-    sample_credentials,
+    sample_credentials_batch,
 )
 from repro.scanners.payloads import (
     COMMON_PROBE_PATHS,
@@ -51,6 +51,12 @@ class TestDialects:
             CredentialDialect("bad", (("a", "b"),), (0.0,))
 
 
+def sample_credentials(rng, dialect_name, attempts, distinct=False):
+    """One session's login sequence, drawn as a batch of one."""
+    return sample_credentials_batch(rng, dialect_name, np.array([attempts]),
+                                    distinct=distinct)[0]
+
+
 class TestSampleCredentials:
     def test_zero_attempts(self):
         rng = np.random.default_rng(0)
@@ -64,7 +70,7 @@ class TestSampleCredentials:
     def test_distinct_never_repeats(self):
         rng = np.random.default_rng(0)
         creds = sample_credentials(rng, "mirai", 12, distinct=True)
-        assert len(set(c.as_tuple() for c in creds)) == len(creds)
+        assert len(set(creds)) == len(creds)
 
     def test_distinct_bounded_by_vocabulary(self):
         rng = np.random.default_rng(0)
@@ -74,14 +80,14 @@ class TestSampleCredentials:
     def test_all_from_dialect(self):
         rng = np.random.default_rng(3)
         vocabulary = set(dialect("mirai").pairs)
-        for credential in sample_credentials(rng, "mirai", 50):
-            assert credential.as_tuple() in vocabulary
+        for pair in sample_credentials(rng, "mirai", 50):
+            assert pair in vocabulary
 
     def test_popular_credentials_dominate(self):
         rng = np.random.default_rng(1)
         creds = sample_credentials(rng, "global-telnet", 2000)
         top = max(set(creds), key=list(creds).count)
-        assert top.as_tuple() == ("root", "root")
+        assert top == ("root", "root")
 
 
 class TestProtocolPayloads:

@@ -467,6 +467,30 @@ class TestAuditDeterminism:
             total += stop - start
         assert total == sum(len(t) for t in tiny.dataset.tables.values())
 
+    def test_canonical_replay_drops_rows_outside_the_window(self):
+        """A row before hour 0 or past ``hours`` is not replayed, as
+        ``hourly_volumes`` does not count it; a row at exactly ``hours``
+        is replayed in the last hour."""
+        from repro.io.table import EventTable
+        from repro.net.packets import Transport
+        from repro.sim.events import NetworkKind
+        from repro.stats.volume import hourly_volumes
+
+        hours = 4
+        stamps = np.array([-0.5, 0.5, 3.0, 4.0, 4.5])
+        table = EventTable("v0", "aws", NetworkKind.CLOUD, "US-EAST")
+        table.append_batch(stamps, np.arange(1, 6), np.full(5, 7), 99, 22,
+                           Transport.TCP, True, b"")
+        counts = hourly_volumes(table.timestamps, hours)
+        assert counts.tolist() == [1.0, 0.0, 0.0, 2.0]
+
+        runs = _canonical_runs({"v0": table}, hours)
+        replayed = np.concatenate([columns["timestamps"][start:stop]
+                                   for _source, columns, start, stop in runs])
+        assert replayed.tolist() == [0.5, 3.0, 4.0]
+        assert np.array_equal(hourly_volumes(replayed, hours), counts)
+        assert len(runs) == 2  # one cell each for hours 0 and 3
+
 
 # ---------------------------------------------------------------------------
 # the post-hoc replay builds only the sketches its rules read

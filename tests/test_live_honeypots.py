@@ -137,9 +137,10 @@ class TestReplayIntents:
                                        credential_dialect="mirai",
                                        credential_attempts=(2, 2))
                 intents = [
-                    http_plan.build_intent(rng, 0.1, 100 + i, 200) for i in range(4)
-                ] + [
-                    telnet_plan.build_intent(rng, 0.2, 300 + i, 200) for i in range(2)
+                    *http_plan.build_intent_batch(
+                        rng, np.full(4, 0.1), 100 + np.arange(4), np.full(4, 200)).intents(),
+                    *telnet_plan.build_intent_batch(
+                        rng, np.full(2, 0.2), 300 + np.arange(2), np.full(2, 200)).intents(),
                 ]
                 count = await replay_intents(intents, port_map)
                 await pot.stop()

@@ -129,9 +129,11 @@ class TestIntentProperties:
     ports = st.sampled_from([22, 23, 80, 443, 8080])
     protocols = st.sampled_from(["http", "ssh", "telnet", "tls", "smb", ""])
 
-    @given(ports, protocols, st.integers(min_value=0, max_value=2**31 - 1))
+    @given(ports, protocols, st.integers(min_value=0, max_value=2**31 - 1),
+           st.integers(min_value=0, max_value=8))
     @settings(max_examples=60)
-    def test_build_intent_always_valid(self, port, protocol, seed):
+    def test_build_intent_always_valid(self, port, protocol, seed, sessions):
+        """Every session of a synthesized batch is a valid intent."""
         rng = np.random.default_rng(seed)
         kwargs = {}
         if protocol == "http":
@@ -140,14 +142,18 @@ class TestIntentProperties:
             kwargs = {"credential_dialect": f"global-{protocol}",
                       "credential_attempts": (1, 3)}
         plan = PortPlan(port, protocol, 1.0, **kwargs)
-        intent = plan.build_intent(rng, 12.0, 1, 2)
-        assert intent.dst_port == port
-        assert intent.timestamp == 12.0
-        if protocol in ("ssh", "telnet") and intent.credentials:
+        batch = plan.build_intent_batch(rng, np.full(sessions, 12.0),
+                                        np.arange(1, sessions + 1), np.full(sessions, 2))
+        intents = list(batch.intents())
+        assert len(intents) == sessions
+        for intent in intents:
+            assert intent.dst_port == port
+            assert intent.timestamp == 12.0
+            assert len(intent.credentials) <= 3
             assert all(isinstance(u, str) and isinstance(p, str)
                        for u, p in (c.as_tuple() for c in intent.credentials))
-        if protocol == "":
-            assert intent.payload == b""
+            if protocol == "":
+                assert intent.payload == b""
 
 
 class TestRuleEngineProperties:

@@ -18,6 +18,14 @@ def simple_plan(**kwargs):
     return PortPlan(**defaults)
 
 
+def one_intent(plan, rng=RNG, dst_region=None):
+    """One session's intent from 1 to 2 at hour 1, synthesized as a batch."""
+    regions = None if dst_region is None else np.array([dst_region], dtype=object)
+    batch = plan.build_intent_batch(rng, np.array([1.0]), np.array([1]), np.array([2]),
+                                    dst_regions=regions)
+    return next(batch.intents())
+
+
 class TestTemporalProfile:
     def test_uniform_within_window(self):
         times = TemporalProfile().sample_times(RNG, 500, 168.0)
@@ -57,21 +65,21 @@ class TestPortPlan:
         assert not PortPlan(80, "http", 1.0, credential_dialect="global-ssh").interactive
 
     def test_http_intent_payload(self):
-        intent = simple_plan().build_intent(RNG, 1.0, 1, 2)
+        intent = one_intent(simple_plan())
         assert intent.payload.startswith(b"GET / HTTP/1.1")
         assert intent.credentials == ()
 
     def test_ssh_intent_credentials(self):
         plan = PortPlan(22, "ssh", 1.0, credential_dialect="global-ssh",
                         credential_attempts=(2, 2))
-        intent = plan.build_intent(RNG, 1.0, 1, 2)
+        intent = one_intent(plan)
         assert len(intent.credentials) == 2
         assert intent.payload.startswith(b"SSH-")
 
     def test_banner_only_sessions_have_no_credentials(self):
         plan = PortPlan(22, "ssh", 1.0, credential_dialect="global-ssh",
                         banner_only_fraction=1.0)
-        intent = plan.build_intent(RNG, 1.0, 1, 2)
+        intent = one_intent(plan)
         assert intent.credentials == ()
         assert intent.payload.startswith(b"SSH-")
 
@@ -82,19 +90,19 @@ class TestPortPlan:
             region_dialects={"AP-AU": "apac-huawei"},
         )
         rng = np.random.default_rng(0)
-        au = plan.build_intent(rng, 1.0, 1, 2, dst_region="AP-AU")
+        au = one_intent(plan, rng, dst_region="AP-AU")
         usernames = {username for username, _ in (c.as_tuple() for c in au.credentials)}
         huawei = {"mother", "e8ehome", "e8telnet", "telecomadmin", "root", "admin"}
         assert usernames <= huawei
 
     def test_raw_protocol_intent(self):
         plan = PortPlan(80, "tls", 1.0)
-        intent = plan.build_intent(RNG, 1.0, 1, 2)
+        intent = one_intent(plan)
         assert intent.payload[0] == 0x16
 
     def test_empty_protocol_sends_nothing(self):
         plan = PortPlan(17128, "", 1.0)
-        intent = plan.build_intent(RNG, 1.0, 1, 2)
+        intent = one_intent(plan)
         assert intent.payload == b"" and intent.credentials == ()
 
 

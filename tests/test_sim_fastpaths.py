@@ -7,7 +7,7 @@ for bit:
 * :func:`sample_distinct` against the installed numpy's
   ``Generator.choice(replace=False, p=...)``, including the generator
   state it leaves behind;
-* :class:`PayloadGrid` against the memoized per-call renderers;
+* :class:`PayloadGrid` against the per-call renderers;
 * Cowrie's batched accept-login hash against the scalar hash;
 * the memoized §3.3 reports and the split dataset coder.
 """
@@ -33,9 +33,9 @@ from repro.scanners.payloads import (
     HTTP_CORPUS,
     LZR_PROTOCOLS,
     HttpPayload,
-    protocol_first_payload_cached,
+    http_payload,
+    protocol_first_payload,
     render_http,
-    render_http_cached,
 )
 from repro.sim.events import IntentBatch
 
@@ -59,22 +59,22 @@ def test_distinct_sampler_matches_numpy_choice(name):
 _HOSTS = np.array([0, 167772161, 3232235777, 2886729985, 4294967295], dtype=np.int64)
 
 
-def test_payload_grid_matches_cached_renderers():
+def test_payload_grid_matches_the_renderers():
     grid = PayloadGrid(_HOSTS[::-1])  # any address order
     columns = grid.columns(_HOSTS)
     hosts = [int_to_ip(int(ip)) for ip in _HOSTS]
     for entry in HTTP_CORPUS:
         got = grid.gather(grid.row(("http", entry.name)), columns).tolist()
-        assert got == [render_http_cached(entry.name, host) for host in hosts], entry.name
+        assert got == [entry.render(host) for host in hosts], entry.name
     for protocol in LZR_PROTOCOLS:
         got = grid.gather(grid.row(("first", protocol)), columns).tolist()
-        want = [protocol_first_payload_cached(protocol, host) for host in hosts]
+        want = [protocol_first_payload(protocol, host) for host in hosts]
         assert got == want, protocol
     # Per-session rows gather in one call; repeated cells are shared.
     names = tuple(entry.name for entry in HTTP_CORPUS[:3])
     picks = np.array([2, 0, 1, 1, 0], dtype=np.int64)
     got = grid.gather(grid.http_rows(names)[picks], columns).tolist()
-    assert got == [render_http_cached(names[p], h) for p, h in zip(picks.tolist(), hosts)]
+    assert got == [http_payload(names[p]).render(h) for p, h in zip(picks.tolist(), hosts)]
 
 
 def test_payload_grid_renders_host_sized_bodies_per_host(monkeypatch):

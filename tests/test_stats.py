@@ -223,6 +223,21 @@ class TestVolumes:
         with pytest.raises(ValueError):
             hourly_volumes([], 0)
 
+    @given(st.integers(min_value=1, max_value=200),
+           st.lists(st.floats(min_value=-3, max_value=203), max_size=60))
+    @example(4, [-0.5, 0.5, 3.0, 4.0, 4.5])
+    def test_hour_bins_bin_as_numpy_histogram(self, hours, stamps):
+        """``hour_bins`` drops what ``np.histogram`` over ``(0, hours)``
+        drops and bins the rest as it does, final bin right-closed."""
+        edge_cases = [0.0, -0.0, float(hours), np.nextafter(float(hours), 0.0),
+                      np.nextafter(float(hours), np.inf), np.nextafter(0.0, -1.0)]
+        array = np.asarray(stamps + edge_cases, dtype=np.float64)
+        want, _edges = np.histogram(array, bins=hours, range=(0.0, float(hours)))
+        bins = volume.hour_bins(array, hours)
+        assert np.array_equal(bins >= 0, (array >= 0) & (array <= hours))
+        assert np.array_equal(np.bincount(bins[bins >= 0], minlength=hours), want)
+        assert np.array_equal(hourly_volumes(array, hours), want.astype(np.float64))
+
     def test_fold_increase(self):
         assert fold_increase([10.0] * 10, [2.0] * 10) == pytest.approx(5.0)
         assert fold_increase([1.0], []) == float("inf")
