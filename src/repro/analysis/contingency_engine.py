@@ -15,21 +15,25 @@ counts.  This module makes that one pass over the
   is fingerprinted, stripped and matched against the ruleset once, not
   once per row), and the Section 3.2 maliciousness label becomes one
   gather per table over a per-payload alert flag;
-* per-(vantage × characteristic) **count matrices** are materialized
-  with one ``np.bincount`` per (slice, characteristic) over the
-  dataset's concatenated columns, keyed by vantage position × category
-  code;
+* per-(vantage × characteristic) **count tables** are counted with one
+  ``np.bincount`` per (slice, characteristic) over the dataset's
+  concatenated columns, keyed by vantage position × category code, and
+  only their nonzero cells are kept (:class:`CountTable`, row-compressed:
+  0.6–7% of the cells at scale 1.0), so one dense count array exists at
+  a time and only while its table is built;
+* event codes, vantage positions and ports are int32 (source IPs and
+  ASes stay int64), and a build concatenates only the columns it reads;
 * the build is **one pass** over the dataset's tables in dataset
   order, whatever made them: an orchestrated run's tables are the
   merged week (per vantage one :meth:`~repro.io.table.EventTable.concat`
   of its shard tables, each column concatenated on first read), so
   shard layout never reaches the counts.  Category codes are re-coded
-  into sorted value tables, which fixes the matrices' column order.
+  into sorted value tables, which fixes the tables' column order.
 
 The engine is cached on the :class:`~repro.analysis.dataset
 .AnalysisDataset` keyed by a cheap table digest (vantage ids × row
 counts), so T2/T3/T5/T7/X2/X4 and the temporal twins all draw from the
-same precomputed matrices.
+same precomputed tables; a query densifies only the rows it asks for.
 
 Every result equals the Counter-based definitions in
 :mod:`repro.stats` bit for bit (tests/test_analysis_goldens.py pins
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -57,6 +62,7 @@ __all__ = [
     "ENGINE_SLICES",
     "POPULAR_PORTS",
     "ContingencyEngine",
+    "CountTable",
     "SourceAggregates",
     "build_engine",
     "build_source_aggregates",
@@ -69,7 +75,7 @@ CHARACTERISTICS: tuple[str, ...] = ("as", "username", "password", "payload")
 #: The Table 10 "Any/All" popular-port pool.
 POPULAR_PORTS: tuple[int, ...] = (80, 8080, 22, 23, 443, 21, 25, 2222, 2323, 7547)
 
-#: Count-matrix slices.  The first five mirror ``repro.analysis.dataset
+#: Count-table slices.  The first five mirror ``repro.analysis.dataset
 #: .SLICES``; ``port80``/``popular`` are the port-only pools backing the
 #: telescope AS comparisons (Table 10 restricts by port, not by
 #: fingerprint).
@@ -98,8 +104,8 @@ class _ShardCoder(PayloadCoder):
     fingerprinted and classified at most once per dataset, and the §3.2
     label (:meth:`malicious`) is one gather per table.  This class adds
     the credential and AS coding and the per-table coded columns shared
-    by the matrix build, the per-source aggregation, Table 3's leak alarm
-    and every consumer of the label.
+    by the count-table build, the per-source aggregation, Table 3 and
+    every consumer of the label.
     """
 
     def __init__(self, classifier) -> None:
@@ -110,15 +116,16 @@ class _ShardCoder(PayloadCoder):
         self.pass_values: list[str] = []
         self.as_codes: dict[int, int] = {}
         self.as_values: list[int] = []
-        # Per-table coded columns, keyed by table identity (the table is
-        # pinned in the value so ids cannot be recycled).  The matrix
-        # build and the source build walk the same tables; sharing one
-        # coder per dataset means the second build recodes nothing.  The
-        # payload codes and the login flag are memoized apart from the
-        # credential pairs, so the §3.2 label never interns pairs.
+        # Per-table coded columns (int32 codes), keyed by table identity
+        # (the table is pinned in the value so ids cannot be recycled).
+        # The count-table build and the source build walk the same
+        # tables; sharing one coder per dataset means the second build
+        # recodes nothing.  The payload codes, the login flag and the
+        # credential pairs are memoized apart, so the §3.2 label never
+        # interns pairs.
         self._payload_memo: dict[int, tuple] = {}
         self._login_memo: dict[int, tuple] = {}
-        self._table_memo: dict[int, tuple] = {}
+        self._pair_memo: dict[int, tuple] = {}
 
     @staticmethod
     def _memoized(memo: dict, table, build):
@@ -141,14 +148,10 @@ class _ShardCoder(PayloadCoder):
             self._login_memo, table, lambda table: table.credentials.astype(bool)
         )
 
-    def coded(self, table) -> tuple:
-        """Memoized ``(payload_codes, (has_cred, pair_rows, pair_users,
-        pair_passwords))`` for one table."""
-        return self._memoized(
-            self._table_memo,
-            table,
-            lambda table: (self.payload_column(table), self.code_credentials(table)),
-        )
+    def credential_pairs(self, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Memoized ``(pair_rows, pair_users, pair_passwords)`` of one
+        table (:meth:`_code_credentials`)."""
+        return self._memoized(self._pair_memo, table, self._code_credentials)
 
     def intern(self, tables: Iterable) -> None:
         """Code every table's payloads, so the first derived read after
@@ -159,41 +162,35 @@ class _ShardCoder(PayloadCoder):
 
     # -- column coding --------------------------------------------------
 
-    def code_credentials(self, table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Expand the credentials column into pair arrays.
-
-        Returns ``(has_cred, pair_rows, pair_users, pair_passwords)`` —
-        a per-event login flag plus one entry per (event, credential
-        pair), coded through the shard's user/password tables.  Each
-        distinct pair is interned once, in first-occurrence order, which
-        gives usernames and passwords the codes a pair-by-pair walk
-        would.
-        """
-        has = self.login_flags(table)
-        rows = np.flatnonzero(has)
+    def _code_credentials(self, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expand the credentials column into int32 pair arrays: one
+        entry per (event, credential pair), its event row and its codes
+        in the user/password tables.  Each distinct pair is interned
+        once, in first-occurrence order, which gives usernames and
+        passwords the codes a pair-by-pair walk would."""
+        rows = np.flatnonzero(self.login_flags(table))
         sequences = table.credentials[rows].tolist()
         pairs = list(chain.from_iterable(sequences))
         distinct = dict.fromkeys(pairs)
         for code, pair in enumerate(distinct):
             distinct[pair] = code
         users = np.array([intern_value(self.user_codes, self.user_values, user)
-                          for user, _ in distinct], dtype=np.int64)
+                          for user, _ in distinct], dtype=np.int32)
         passwords = np.array([intern_value(self.pass_codes, self.pass_values, password)
-                              for _, password in distinct], dtype=np.int64)
-        codes = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.int64, count=len(pairs))
+                              for _, password in distinct], dtype=np.int32)
+        codes = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.int32, count=len(pairs))
         lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-        return has, np.repeat(rows, lengths), users[codes], passwords[codes]
+        return np.repeat(rows.astype(np.int32), lengths), users[codes], passwords[codes]
 
     def code_asns(self, asns: np.ndarray) -> np.ndarray:
-        """Per-event source-AS codes: one unique over the column, then
-        each distinct AS is interned."""
+        """Per-event int32 source-AS codes: one unique over the column,
+        then each distinct AS is interned."""
         uniq = _unique_ints(asns)
-        inverse = np.searchsorted(uniq, asns)
         remap = np.array(
             [intern_value(self.as_codes, self.as_values, value) for value in uniq.tolist()],
-            dtype=np.int64,
+            dtype=np.int32,
         )
-        return remap[inverse]
+        return remap[np.searchsorted(uniq, asns)]
 
     def malicious(self, table) -> np.ndarray:
         """Section 3.2 maliciousness of every event of one table.
@@ -230,13 +227,13 @@ def dataset_digest(tables: Mapping[str, Any]) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# count matrices
+# count tables
 # ----------------------------------------------------------------------
 
 def dataset_coder(dataset) -> "_ShardCoder":
     """One shared interning coder per table-backed dataset.
 
-    Cached keyed by the dataset digest so the matrix build, the source
+    Cached keyed by the dataset digest so the count-table build, the source
     build, Table 3's malicious leak alarm and the run-dir server's exact counts
     (:class:`~repro.serve.backends.RunDirBackend`) all reuse the same
     payload/credential code tables (and their per-table coded columns)
@@ -253,82 +250,146 @@ def dataset_coder(dataset) -> "_ShardCoder":
     return coder
 
 
-@dataclass
+def _concat(parts: list, dtype) -> np.ndarray:
+    """``parts`` concatenated into one ``dtype`` array."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(parts, dtype=dtype, casting="same_kind")
+
+
 class _Columns:
-    """The event columns of a mapping of vantage tables, concatenated once
-    in mapping order (empty tables skipped)."""
+    """The event columns of a mapping of vantage tables, in mapping order
+    (empty tables skipped).  Each column is concatenated on its first
+    read, so a build pays only for the columns it reads.  Every payload
+    is interned up front, before anything is derived from one."""
 
-    position: np.ndarray       # mapping position of each event's vantage
-    payload: np.ndarray        # payload codes
-    port: np.ndarray
-    src: np.ndarray
-    asn: np.ndarray
-    login: np.ndarray          # attempted-login flags
-    pair_event: np.ndarray     # event of each credential pair
-    pair_user: np.ndarray
-    pair_password: np.ndarray
+    def __init__(self, vantage_tables: Mapping[str, Any], coder: "_ShardCoder") -> None:
+        items = [
+            (position, table)
+            for position, table in enumerate(vantage_tables.values())
+            if len(table)
+        ]
+        self._positions = [position for position, _table in items]
+        self._tables = [table for _position, table in items]
+        self._coder = coder
+        coder.intern(self._tables)
 
+    @cached_property
+    def position(self) -> np.ndarray:
+        """Mapping position of each event's vantage (int32)."""
+        return np.repeat(
+            np.array(self._positions, dtype=np.int32),
+            [len(table) for table in self._tables],
+        )
 
-def _columns(vantage_tables: Mapping[str, Any], coder: "_ShardCoder") -> _Columns:
-    """Concatenate the tables' columns; every payload is interned before
-    anything is derived from it."""
-    items = [
-        (position, table)
-        for position, table in enumerate(vantage_tables.values())
-        if len(table)
-    ]
-    tables = [table for _position, table in items]
-    lengths = np.array([len(table) for table in tables], dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-    coded = [coder.coded(table) for table in tables]
-    creds = [credentials for _payloads, credentials in coded]
+    @cached_property
+    def payload(self) -> np.ndarray:
+        """Payload codes (int32)."""
+        return _concat([self._coder.payload_column(t) for t in self._tables], np.int32)
 
-    def concat(parts, dtype=np.int64) -> np.ndarray:
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    @cached_property
+    def port(self) -> np.ndarray:
+        return _concat([table.dst_port for table in self._tables], np.int32)
 
-    return _Columns(
-        position=np.repeat(
-            np.array([position for position, _table in items], dtype=np.int64), lengths
-        ),
-        payload=concat([payloads for payloads, _credentials in coded]),
-        port=concat([np.asarray(table.dst_port, dtype=np.int64) for table in tables]),
-        src=concat([np.asarray(table.src_ip, dtype=np.int64) for table in tables]),
-        asn=concat([np.asarray(table.src_asn, dtype=np.int64) for table in tables]),
-        login=concat([has for has, _rows, _users, _passwords in creds], dtype=bool),
-        pair_event=concat(
-            [rows + offset
-             for (_has, rows, _users, _passwords), offset in zip(creds, offsets)]
-        ),
-        pair_user=concat([users for _has, _rows, users, _passwords in creds]),
-        pair_password=concat([passwords for _has, _rows, _users, passwords in creds]),
-    )
+    @cached_property
+    def src(self) -> np.ndarray:
+        return _concat([table.src_ip for table in self._tables], np.int64)
+
+    @cached_property
+    def asn(self) -> np.ndarray:
+        return _concat([table.src_asn for table in self._tables], np.int64)
+
+    @cached_property
+    def login(self) -> np.ndarray:
+        """Attempted-login flags."""
+        return _concat([self._coder.login_flags(t) for t in self._tables], bool)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(event, user, password)`` of every credential pair (int32).
+        Its first read interns the tables' credentials, so a build reads
+        it before it sorts the coder's user and password tables."""
+        coded = [self._coder.credential_pairs(table) for table in self._tables]
+        offsets = np.cumsum([0] + [len(table) for table in self._tables[:-1]]).tolist()
+        return (
+            _concat([rows + np.int32(offset)
+                     for (rows, _users, _passwords), offset in zip(coded, offsets)], np.int32),
+            _concat([users for _rows, users, _passwords in coded], np.int32),
+            _concat([passwords for _rows, _users, passwords in coded], np.int32),
+        )
 
 
 def _sorted_values(values: Sequence, none_first: bool = False) -> tuple[list, np.ndarray]:
     """A coder's value table sorted (``None`` first when asked), and the
-    remap from each coder code to its sorted code."""
+    int32 remap from each coder code to its sorted code."""
     if none_first:
         ordered = sorted(values, key=lambda v: (v is not None, "" if v is None else v))
     else:
         ordered = sorted(values)
     index = {value: code for code, value in enumerate(ordered)}
-    return ordered, np.array([index[value] for value in values], dtype=np.int64)
+    return ordered, np.array([index[value] for value in values], dtype=np.int32)
+
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """One (slice × characteristic) count table, row-compressed.
+
+    Row ``r`` (a vantage) keeps only its nonzero cells:
+    ``codes[bounds[r]:bounds[r + 1]]`` are their category codes
+    (ascending, int32) and ``counts[...]`` their counts, so the table
+    holds memory in proportion to its nonzero cells, not to
+    vantages × categories (``width``).
+    """
+
+    width: int
+    bounds: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def count(cls, positions: np.ndarray, codes: np.ndarray,
+              n_rows: int, width: int) -> "CountTable":
+        """Count (row position, category code) pairs with one
+        ``np.bincount`` and keep its nonzero cells.  Each temporary is
+        dropped before the next is made, so the dense counts are the
+        only large array alive."""
+        keys = positions.astype(np.int64)
+        keys *= width
+        keys += codes
+        dense = np.bincount(keys, minlength=n_rows * width)
+        del keys
+        cells = np.flatnonzero(dense)
+        counts = dense[cells]
+        del dense
+        rows, cell_codes = np.divmod(cells, width)
+        return cls(width, np.searchsorted(rows, np.arange(n_rows + 1)),
+                   cell_codes.astype(np.int32), counts)
+
+    def dense(self, rows: Sequence[int]) -> np.ndarray:
+        """The int64 ``len(rows) × width`` block of the given rows."""
+        block = np.zeros((len(rows), self.width), dtype=np.int64)
+        for index, row in enumerate(rows):
+            lo, hi = self.bounds[row], self.bounds[row + 1]
+            block[index, self.codes[lo:hi]] = self.counts[lo:hi]
+        return block
 
 
 class ContingencyEngine:
-    """Precomputed per-(vantage × characteristic) count matrices.
+    """Precomputed per-(vantage × characteristic) count tables.
 
     Rows are vantage points (dataset order), columns are the
-    canonically-sorted category values of one characteristic; one matrix
-    exists per (slice, characteristic).  All query helpers reproduce the
-    Counter definitions in :mod:`repro.stats` bit-for-bit.
+    canonically-sorted category values of one characteristic; one
+    row-compressed :class:`CountTable` exists per (slice,
+    characteristic), and the query helpers densify only the rows they
+    are asked for.  All of them reproduce the Counter definitions in
+    :mod:`repro.stats` bit-for-bit.
     """
 
     def __init__(
         self,
         vantage_ids: Sequence[str],
         values: dict[str, list],
-        counts: dict[tuple[str, str], np.ndarray],
+        counts: dict[tuple[str, str], CountTable],
         events: dict[str, np.ndarray],
         malicious: dict[str, np.ndarray],
         cred_events: np.ndarray,
@@ -369,20 +430,23 @@ class ContingencyEngine:
 
     # -- aggregation -----------------------------------------------------
 
+    def row_vector(self, slice_key: str, characteristic: str, row: int) -> np.ndarray:
+        """One vantage row's int64 counts over every category."""
+        return self.counts[(slice_key, characteristic)].dense([row])[0]
+
     def sum_vector(self, slice_key: str, characteristic: str, rows: Sequence[int]) -> np.ndarray:
-        matrix = self.counts[(slice_key, characteristic)]
+        table = self.counts[(slice_key, characteristic)]
         if not rows:
-            return np.zeros(matrix.shape[1], dtype=np.int64)
-        return matrix[np.asarray(rows, dtype=np.int64)].sum(axis=0)
+            return np.zeros(table.width, dtype=np.int64)
+        return table.dense(rows).sum(axis=0)
 
     def median_vector(self, slice_key: str, characteristic: str, rows: Sequence[int]) -> np.ndarray:
         """Section 4.4 per-category median across honeypots (float64,
         same inputs as ``median_counter`` fed with per-honeypot floats)."""
-        matrix = self.counts[(slice_key, characteristic)]
+        table = self.counts[(slice_key, characteristic)]
         if not rows:
-            return np.zeros(matrix.shape[1], dtype=np.float64)
-        block = matrix[np.asarray(rows, dtype=np.int64)].astype(np.float64)
-        return np.median(block, axis=0)
+            return np.zeros(table.width, dtype=np.float64)
+        return np.median(table.dense(rows).astype(np.float64), axis=0)
 
     def fraction(self, slice_key: str, rows: Sequence[int]) -> tuple[int, int]:
         if not rows:
@@ -441,13 +505,15 @@ def build_engine(dataset) -> ContingencyEngine:
     coder = dataset_coder(dataset)
     vantage_ids = list(dataset.tables)
     n_vantages = len(vantage_ids)
-    columns = _columns(dataset.tables, coder)
+    columns = _Columns(dataset.tables, coder)
     position = columns.position
+    payload = columns.payload
+    pair_event, pair_user, pair_password = columns.pairs
     as_codes = coder.code_asns(columns.asn)
-    event_fp = coder.fp_lookup()[columns.payload]
-    stripped = coder.stripped_lookup()[columns.payload]
-    mal = coder.label(columns.payload, columns.port, columns.login)
-    pair_position = position[columns.pair_event]
+    event_fp = coder.fp_lookup()[payload]
+    stripped = coder.stripped_lookup()[payload]
+    mal = coder.label(payload, columns.port, columns.login)
+    pair_position = position[pair_event]
     nonempty_payload = stripped >= 0
     http_code = coder.fp_codes.get("http", -1)
 
@@ -457,44 +523,39 @@ def build_engine(dataset) -> ContingencyEngine:
     values["password"], pass_remap = _sorted_values(coder.pass_values)
     values["payload"], stripped_remap = _sorted_values(coder.stripped_values)
     as_codes = as_remap[as_codes]
-    pair_user = user_remap[columns.pair_user]
-    pair_password = pass_remap[columns.pair_password]
+    pair_user = user_remap[pair_user]
+    pair_password = pass_remap[pair_password]
     stripped[nonempty_payload] = stripped_remap[stripped[nonempty_payload]]
 
     def per_vantage(positions: np.ndarray) -> np.ndarray:
         return np.bincount(positions, minlength=n_vantages)
 
-    def matrix(
-        characteristic: str, positions: np.ndarray, codes: np.ndarray
-    ) -> np.ndarray:
-        width = len(values[characteristic])
-        return np.bincount(
-            positions * width + codes, minlength=n_vantages * width
-        ).reshape(n_vantages, width)
+    def table(characteristic: str, positions: np.ndarray, codes: np.ndarray) -> CountTable:
+        return CountTable.count(positions, codes, n_vantages, len(values[characteristic]))
 
     events: dict[str, np.ndarray] = {}
     malicious: dict[str, np.ndarray] = {}
-    counts: dict[tuple[str, str], np.ndarray] = {}
+    counts: dict[tuple[str, str], CountTable] = {}
     for slice_key, mask in _slice_masks(columns.port, event_fp, http_code).items():
         if mask is None:
             events[slice_key] = per_vantage(position)
             malicious[slice_key] = per_vantage(position[mal])
-            counts[(slice_key, "as")] = matrix("as", position, as_codes)
+            counts[(slice_key, "as")] = table("as", position, as_codes)
             payload_rows = nonempty_payload
             pair_rows = slice(None)
         else:
             events[slice_key] = per_vantage(position[mask])
             malicious[slice_key] = per_vantage(position[mal & mask])
-            counts[(slice_key, "as")] = matrix("as", position[mask], as_codes[mask])
+            counts[(slice_key, "as")] = table("as", position[mask], as_codes[mask])
             payload_rows = mask & nonempty_payload
-            pair_rows = mask[columns.pair_event]
-        counts[(slice_key, "username")] = matrix(
+            pair_rows = mask[pair_event]
+        counts[(slice_key, "username")] = table(
             "username", pair_position[pair_rows], pair_user[pair_rows]
         )
-        counts[(slice_key, "password")] = matrix(
+        counts[(slice_key, "password")] = table(
             "password", pair_position[pair_rows], pair_password[pair_rows]
         )
-        counts[(slice_key, "payload")] = matrix(
+        counts[(slice_key, "payload")] = table(
             "payload", position[payload_rows], stripped[payload_rows]
         )
     engine = ContingencyEngine(
@@ -514,38 +575,39 @@ def build_engine(dataset) -> ContingencyEngine:
 # ----------------------------------------------------------------------
 
 def _unique_rows(*columns: np.ndarray) -> np.ndarray:
-    """Distinct rows of stacked int64 columns (lexicographically sorted).
+    """Distinct rows of stacked integer columns, as int64
+    (lexicographically sorted).
 
     When every column is non-negative and the combined bit widths fit an
-    int64, the rows are packed into scalar keys so the dedup is one 1-D
-    sort (:func:`_unique_ints`) — far faster than the row-wise (void-view)
-    sort of ``np.unique(axis=0)``, with the identical lexicographic
-    result.  Oversized or negative values fall back to the row-wise path.
+    int64, the rows are packed into scalar keys straight from the
+    columns, so the dedup is one 1-D sort (:func:`_unique_ints`) — far
+    faster than the row-wise (void-view) sort of ``np.unique(axis=0)``,
+    with the identical lexicographic result.  Oversized or negative
+    values fall back to the row-wise path.
     """
-    arrays = [np.ascontiguousarray(column, dtype=np.int64) for column in columns]
-    if arrays[0].shape[0] == 0:
-        return np.stack(arrays, axis=1)
+    if len(columns[0]) == 0:
+        return np.empty((0, len(columns)), dtype=np.int64)
     bits: list[int] = []
-    packable = True
-    for array in arrays:
-        if int(array.min()) < 0:
-            packable = False
+    for column in columns:
+        if int(column.min()) < 0:
             break
-        bits.append(max(1, int(array.max()).bit_length()))
-    if packable and sum(bits) <= 63:
-        keys = arrays[0].copy()
-        for array, width in zip(arrays[1:], bits[1:]):
+        bits.append(max(1, int(column.max()).bit_length()))
+    if len(bits) == len(columns) and sum(bits) <= 63:
+        keys = columns[0].astype(np.int64)
+        for column, width in zip(columns[1:], bits[1:]):
             keys <<= width
-            keys |= array
+            keys |= column
         keys = _unique_ints(keys)
-        out = np.empty((keys.shape[0], len(arrays)), dtype=np.int64)
-        for index in range(len(arrays) - 1, 0, -1):
+        out = np.empty((keys.shape[0], len(columns)), dtype=np.int64)
+        for index in range(len(columns) - 1, 0, -1):
             width = bits[index]
             out[:, index] = keys & ((1 << width) - 1)
             keys >>= width
         out[:, 0] = keys
         return out
-    return np.unique(np.stack(arrays, axis=1), axis=0)
+    return np.unique(
+        np.stack([np.asarray(column, dtype=np.int64) for column in columns], axis=1), axis=0
+    )
 
 
 class SourceAggregates:
@@ -594,18 +656,9 @@ class SourceAggregates:
         self.digest: Optional[tuple] = None
         # Distinct (src, port) and (src, fingerprint) projections of the
         # port/fingerprint triples.
-        self.port_pairs = (
-            _unique_rows(port_fp[:, 0], port_fp[:, 1])
-            if port_fp.shape[0] else np.empty((0, 2), dtype=np.int64)
-        )
-        self.fp_pairs = (
-            _unique_rows(port_fp[:, 0], port_fp[:, 2])
-            if port_fp.shape[0] else np.empty((0, 2), dtype=np.int64)
-        )
-        self.pass_pairs = (
-            _unique_rows(cred[:, 0], cred[:, 2])
-            if cred.shape[0] else np.empty((0, 2), dtype=np.int64)
-        )
+        self.port_pairs = _unique_rows(port_fp[:, 0], port_fp[:, 1])
+        self.fp_pairs = _unique_rows(port_fp[:, 0], port_fp[:, 2])
+        self.pass_pairs = _unique_rows(cred[:, 0], cred[:, 2])
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -616,10 +669,11 @@ def build_source_aggregates(dataset) -> SourceAggregates:
     tables.  Every pair/triple array is deduplicated once, after its
     value codes are re-coded into the sorted value tables."""
     coder = dataset_coder(dataset)
-    columns = _columns(dataset.tables, coder)
+    columns = _Columns(dataset.tables, coder)
     src_all = columns.src
     port_all = columns.port
     pcode_all = columns.payload
+    pair_event, pair_user, pair_password = columns.pairs
     fp_all = coder.fp_lookup()[pcode_all]
     stripped_all = coder.stripped_lookup()[pcode_all]
     mal_all = coder.label(pcode_all, port_all, columns.login)
@@ -659,9 +713,7 @@ def build_source_aggregates(dataset) -> SourceAggregates:
         port_fp=by_source(src_all, port_all, fp_remap[fp_all]),
         fp_values=fp_values,
         cred=by_source(
-            src_all[columns.pair_event],
-            user_remap[columns.pair_user],
-            pass_remap[columns.pair_password],
+            src_all[pair_event], user_remap[pair_user], pass_remap[pair_password]
         ),
         user_values=user_values,
         pass_values=pass_values,

@@ -123,7 +123,7 @@ class AnalysisDataset:
 
         Built in one pass on first use and cached keyed by a cheap table
         digest, so every §3.3 comparison experiment draws from the same
-        precomputed count matrices.
+        precomputed count tables.
         """
         from repro.analysis.contingency_engine import build_engine, dataset_digest
 

@@ -130,22 +130,25 @@ def _unique_credentials(
     ]
     all_ips = _unique_ints(np.concatenate([array for _name, array in group_arrays]))
     found: dict[str, dict[int, set[str]]] = {name: {} for name, _ips in group_items}
-    for table in dataset.tables.values():
-        if not len(table):
-            continue
-        dst_column = table.dst_ip
-        keep = np.isin(dst_column, all_ips)
+    tables = [table for table in dataset.tables.values() if len(table)]
+    # One membership test for every table, as in drain_leak_alarm.
+    watched = np.isin(
+        np.concatenate([np.empty(0, dtype=np.int64)] + [table.dst_ip for table in tables]),
+        all_ips,
+    )
+    offsets = np.cumsum([0] + [len(table) for table in tables])
+    for table, start, stop in zip(tables, offsets[:-1], offsets[1:]):
+        keep = watched[start:stop]
         if not keep.any():
             continue
-        keep &= (table.dst_port == port) & ~np.isin(table.src_asn, CRAWLER_ASES)
+        keep = keep & (table.dst_port == port) & ~np.isin(table.src_asn, CRAWLER_ASES)
         if not keep.any():
             continue
-        _payload_codes, creds = coder.coded(table)
-        _has_cred, pair_rows, _pair_users, pair_passwords = creds
+        pair_rows, _pair_users, pair_passwords = coder.credential_pairs(table)
         if not pair_rows.size:
             continue
         selected = keep[pair_rows]
-        destinations = dst_column[pair_rows[selected]]
+        destinations = table.dst_ip[pair_rows[selected]]
         codes = pair_passwords[selected]
         for name, ips_array in group_arrays:
             member = np.isin(destinations, ips_array)

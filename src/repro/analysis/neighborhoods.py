@@ -66,7 +66,7 @@ def _neighborhood_comparison(
     engine, slice_key: str, honeypot_rows: dict[str, int], characteristic: str, k: int = 3
 ):
     """Run one neighborhood's chi-squared test for one characteristic, on
-    the honeypots' count-matrix rows."""
+    the honeypots' count-table rows."""
     if characteristic == "fraction_malicious":
         fractions = {
             vantage_id: engine.fraction(slice_key, [row])
@@ -76,9 +76,9 @@ def _neighborhood_comparison(
         if len(fractions) < 2:
             return None
         return compare_fractions(fractions)
-    matrix = engine.counts[(slice_key, characteristic)]
     vectors = {
-        vantage_id: matrix[row] for vantage_id, row in honeypot_rows.items()
+        vantage_id: engine.row_vector(slice_key, characteristic, row)
+        for vantage_id, row in honeypot_rows.items()
     }
     vectors = {key: vector for key, vector in vectors.items() if vector.sum() > 0}
     if len(vectors) < 2:
@@ -127,7 +127,7 @@ def _neighborhood_cells(
 
     for slice_key, characteristics in TABLE2_LAYOUT.items():
         traffic_slice = SLICES[slice_key]
-        # Per neighborhood: the count-matrix row of every observing
+        # Per neighborhood: the count-table row of every observing
         # honeypot that saw traffic in the slice.
         sliced: dict[tuple[str, str], dict[str, int]] = {}
         for key, vantages in neighborhoods.items():

@@ -55,10 +55,10 @@ def _first_protocol_by_source(
     One pass over the Honeytrap tables' columns in dataset order, so
     ``np.unique``'s first index is each source's first sighting.
     """
-    from repro.analysis.contingency_engine import _columns, dataset_coder
+    from repro.analysis.contingency_engine import _Columns, dataset_coder
 
     coder = dataset_coder(dataset)
-    columns = _columns(
+    columns = _Columns(
         {
             vantage_id: table
             for vantage_id, table in dataset.tables.items()

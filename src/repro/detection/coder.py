@@ -117,9 +117,9 @@ class PayloadCoder:
         self.fp_values: list[Optional[str]] = []
         self.stripped_codes: dict[bytes, int] = {}
         self.stripped_values: list[bytes] = []
-        # Per-payload derived columns (payload code -> value code).
-        self._fp = _Growing(np.int64)
-        self._stripped = _Growing(np.int64)  # -1 for empty payloads
+        # Per-payload derived columns (payload code -> int32 value code).
+        self._fp = _Growing(np.int32)
+        self._stripped = _Growing(np.int32)  # -1 for empty payloads
         self._alert_columns: Optional[_AlertColumns] = None
 
     def __len__(self) -> int:
@@ -132,14 +132,14 @@ class PayloadCoder:
         return self._rule_engine
 
     def code(self, payloads: list) -> np.ndarray:
-        """Per-value payload codes; unseen payloads are interned in
+        """Per-value int32 payload codes; unseen payloads are interned in
         first-occurrence order."""
         codes, values = self.payload_codes, self.payload_values
         for payload in dict.fromkeys(payloads):
             if payload not in codes:
                 intern_value(codes, values, payload)
         return np.fromiter(
-            map(codes.__getitem__, payloads), dtype=np.int64, count=len(payloads)
+            map(codes.__getitem__, payloads), dtype=np.int32, count=len(payloads)
         )
 
     # -- derived columns, extended on read ------------------------------

@@ -648,7 +648,7 @@ class RunDirBackend(ServeBackend):
                 codes = coder.stripped_lookup()[payloads]
                 codes, categories = codes[codes >= 0], coder.stripped_values
             else:
-                _has, _rows, users, passwords = coder.coded(table)[1]
+                _rows, users, passwords = coder.credential_pairs(table)
                 if characteristic is Characteristic.USERNAME:
                     codes, categories = users, coder.user_values
                 else:

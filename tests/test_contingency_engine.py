@@ -1,22 +1,27 @@
 """The columnar contingency engine and the analyses built on it.
 
-The engine pre-aggregates per-(vantage × characteristic) count matrices
+The engine pre-aggregates per-(vantage × characteristic) count tables
 and per-source behavior tables in one pass over the event tables; every
-pairwise-comparison analysis slices those matrices.  Their values are
+pairwise-comparison analysis slices those tables.  Their values are
 pinned in ``tests/test_analysis_goldens.py``.  Here:
 
 * the parity classes check that a dataset rebuilt from rows — the
   shared fixture's events written to NDJSON and read back, grouped per
   vantage into tables — gives *exactly* the outputs of the simulator's
   own tables: same values, same float bits, same dict ordering;
-* :class:`TestMatrixInternals` checks the count matrices against an
+* :class:`TestMatrixInternals` checks the count tables against an
   independent per-event reference computed from the materialized rows
   with the row-level definitions (``fingerprint``,
-  ``strip_ephemeral_headers``, ``MaliciousnessClassifier.is_malicious``).
+  ``strip_ephemeral_headers``, ``MaliciousnessClassifier.is_malicious``);
+* :class:`TestCountTablesAgainstDenseReference` checks every query of
+  the row-compressed store against dense vantage × category matrices
+  counted by brute force from every row, and bounds the store's bytes
+  by its nonzero cells.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -203,10 +208,15 @@ class TestLeakParity:
         assert list(simulated) == list(reloaded)
 
 
+# Memoized per distinct payload: the references below derive every row.
+_fingerprint = functools.lru_cache(maxsize=None)(fingerprint)
+_strip = functools.lru_cache(maxsize=None)(strip_ephemeral_headers)
+
+
 def _slice_mask(events, slice_key):
     """Events of one engine slice, by the row-level definitions."""
     ports = [event.dst_port for event in events]
-    http = [fingerprint(event.payload) == "http" for event in events]
+    http = [_fingerprint(event.payload) == "http" for event in events]
     return {
         "ssh22": [port == 22 for port in ports],
         "telnet23": [port == 23 for port in ports],
@@ -222,9 +232,7 @@ def _reference_counter(events, characteristic):
     if characteristic == "as":
         return Counter(event.src_asn for event in events)
     if characteristic == "payload":
-        return Counter(
-            strip_ephemeral_headers(event.payload) for event in events if event.payload
-        )
+        return Counter(_strip(event.payload) for event in events if event.payload)
     position = {"username": 0, "password": 1}[characteristic]
     return Counter(pair[position] for event in events for pair in event.credentials)
 
@@ -260,11 +268,127 @@ class TestMatrixInternals:
                         _reference_counter(selected, characteristic)
                     ), (*where, characteristic)
     def test_events_row_sums(self, dataset):
-        """Each event carries exactly one AS, so AS-matrix row sums are
+        """Each event carries exactly one AS, so AS-table row sums are
         the per-vantage event counts of the slice."""
         engine = dataset.contingency()
         for slice_key in ("ssh22", "telnet23", "http80", "any_all"):
-            counts = engine.counts[(slice_key, "as")]
-            np.testing.assert_array_equal(
-                counts.sum(axis=1), engine.events[slice_key]
-            )
+            table = engine.counts[(slice_key, "as")]
+            row_sums = [
+                int(table.counts[lo:hi].sum())
+                for lo, hi in zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist())
+            ]
+            np.testing.assert_array_equal(row_sums, engine.events[slice_key])
+
+
+@pytest.fixture(scope="module")
+def reference_counts(dataset):
+    """``(values, dense)``: per characteristic its sorted categories, and
+    per (slice, characteristic) the dense vantage × category count matrix,
+    counted by brute force over every materialized row of the fixture
+    (rows in dataset order)."""
+    counters = {
+        (slice_key, characteristic): [] for slice_key in ENGINE_SLICES
+        for characteristic in CHARACTERISTICS
+    }
+    for table in dataset.tables.values():
+        events = list(table.iter_events())
+        for slice_key in ENGINE_SLICES:
+            mask = _slice_mask(events, slice_key)
+            selected = [event for event, keep in zip(events, mask) if keep]
+            for characteristic in CHARACTERISTICS:
+                counters[(slice_key, characteristic)].append(
+                    _reference_counter(selected, characteristic)
+                )
+    values = {
+        characteristic: sorted(set().union(*counters[("any_all", characteristic)]))
+        for characteristic in CHARACTERISTICS
+    }
+    dense = {}
+    for (slice_key, characteristic), rows in counters.items():
+        column = {value: code for code, value in enumerate(values[characteristic])}
+        matrix = np.zeros((len(rows), len(column)), dtype=np.int64)
+        for row, counter in enumerate(rows):
+            for value, count in counter.items():
+                matrix[row, column[value]] = count
+        dense[(slice_key, characteristic)] = matrix
+    return values, dense
+
+
+def _arrays(value):
+    """Every numpy array reachable from ``value`` through containers and
+    object attributes."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
+class TestCountTablesAgainstDenseReference:
+    """The row-compressed count store against dense matrices counted by
+    brute force from the fixture's rows: every row, sums and medians over
+    random row subsets, Counter views, and the store's size."""
+
+    def test_values_are_the_sorted_categories(self, dataset, reference_counts):
+        values, _dense = reference_counts
+        assert dataset.contingency().values == values
+
+    def test_every_row_vector(self, dataset, reference_counts):
+        engine = dataset.contingency()
+        _values, dense = reference_counts
+        assert set(engine.counts) == set(dense)
+        for key, matrix in dense.items():
+            for row in range(matrix.shape[0]):
+                vector = engine.row_vector(*key, row)
+                assert vector.dtype == np.int64
+                np.testing.assert_array_equal(vector, matrix[row], err_msg=f"{key} row {row}")
+
+    def test_sums_medians_and_counters_over_random_rows(self, dataset, reference_counts):
+        engine = dataset.contingency()
+        values, dense = reference_counts
+        rng = np.random.default_rng(20231024)
+        for key, matrix in dense.items():
+            n_rows = matrix.shape[0]
+            subsets = [[], [int(rng.integers(n_rows))], list(range(n_rows))]
+            subsets += [
+                sorted(rng.choice(n_rows, size=size, replace=False).tolist())
+                for size in (2, 5, 40, 300)
+            ]
+            for rows in subsets:
+                block = matrix[rows]
+                expected_sum = block.sum(axis=0)
+                expected_median = (
+                    np.median(block.astype(np.float64), axis=0)
+                    if rows else np.zeros(matrix.shape[1], dtype=np.float64)
+                )
+                summed = engine.sum_vector(*key, rows)
+                median = engine.median_vector(*key, rows)
+                assert summed.dtype == np.int64 and median.dtype == np.float64
+                np.testing.assert_array_equal(summed, expected_sum)
+                # Same float bits, not merely close.
+                assert median.tobytes() == expected_median.tobytes(), (key, len(rows))
+                assert engine.counter(*key, rows) == Counter({
+                    values[key[1]][code]: int(count)
+                    for code, count in enumerate(expected_sum.tolist()) if count
+                })
+
+    def test_store_holds_only_nonzero_cells(self, dataset, reference_counts):
+        """No vantages × categories array is held: each table's bytes are
+        bounded by its nonzero cells (an int32 code and an int64 count
+        each) plus one row bound per vantage."""
+        engine = dataset.contingency()
+        _values, dense = reference_counts
+        n_rows = len(engine.vantage_ids)
+        for key, matrix in dense.items():
+            nonzero = int(np.count_nonzero(matrix))
+            held = sum(array.nbytes for array in _arrays(engine.counts[key]))
+            assert held <= 12 * nonzero + 8 * (n_rows + 1), (key, held, nonzero)
+            assert held < matrix.nbytes, key
+        for array in _arrays(engine):
+            assert array.ndim == 1, array.shape

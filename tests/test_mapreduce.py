@@ -84,7 +84,13 @@ class TestContingencyShardWise:
         assert single.counts.keys() == sharded.counts.keys()
         for key in single.counts:
             assert single.values[key[1]] == sharded.values[key[1]]
-            np.testing.assert_array_equal(single.counts[key], sharded.counts[key])
+            # Cell for cell: the same nonzero cells (row bounds and
+            # category codes) holding the same counts.
+            left, right = single.counts[key], sharded.counts[key]
+            assert left.width == right.width
+            np.testing.assert_array_equal(left.bounds, right.bounds)
+            np.testing.assert_array_equal(left.codes, right.codes)
+            np.testing.assert_array_equal(left.counts, right.counts)
         for slice_key in single.events:
             np.testing.assert_array_equal(
                 single.events[slice_key], sharded.events[slice_key]

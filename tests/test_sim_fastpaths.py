@@ -171,7 +171,7 @@ def test_label_and_oracle_never_intern_credential_pairs(small_context):
     coder = dataset_coder(dataset)
     assert oracle._malicious_ips
     assert coder.user_values == [] and coder.pass_values == []
-    assert not coder._table_memo
+    assert not coder._pair_memo
     for table in dataset.tables.values():
         if len(table):
             flags = coder.malicious(table)
