@@ -241,7 +241,7 @@ class TestMatrixInternals:
     """Cheap invariants on the engine itself (not just its callers)."""
 
     def test_counts_match_counters(self, dataset):
-        """Every slice's count matrices and event, malicious and login
+        """Every slice's count tables and event, malicious and login
         vectors equal per-event counts over one vantage's rows, for a
         Cowrie (GreyNoise) vantage with logins, a Honeytrap vantage and
         a leak vantage."""
