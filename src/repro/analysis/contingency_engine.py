@@ -120,11 +120,12 @@ class _ShardCoder(PayloadCoder):
         # (the table is pinned in the value so ids cannot be recycled).
         # The count-table build and the source build walk the same
         # tables; sharing one coder per dataset means the second build
-        # recodes nothing.  The payload codes, the login flag and the
-        # credential pairs are memoized apart, so the §3.2 label never
-        # interns pairs.
+        # recodes nothing.  The payload codes, the login flag, the §3.2
+        # label and the credential pairs are memoized apart, so the label
+        # never interns pairs.
         self._payload_memo: dict[int, tuple] = {}
         self._login_memo: dict[int, tuple] = {}
+        self._label_memo: dict[int, tuple] = {}
         self._pair_memo: dict[int, tuple] = {}
 
     @staticmethod
@@ -193,14 +194,18 @@ class _ShardCoder(PayloadCoder):
         return remap[np.searchsorted(uniq, asns)]
 
     def malicious(self, table) -> np.ndarray:
-        """Section 3.2 maliciousness of every event of one table.
+        """Memoized Section 3.2 maliciousness of every event of one table.
 
         Payload codes plus the login flag (and the port, for port-scoped
         rules) are all the label depends on, so one gather per table
         serves every consumer of it.
         """
-        return self.label(
-            self.payload_column(table), table.dst_port, self.login_flags(table)
+        return self._memoized(
+            self._label_memo,
+            table,
+            lambda table: self.label(
+                self.payload_column(table), table.dst_port, self.login_flags(table)
+            ),
         )
 
 

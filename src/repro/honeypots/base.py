@@ -6,22 +6,23 @@ the "collection method" (Table 1): which ports are observed, whether the
 L4 handshake completes, whether payloads are recorded, and whether
 interactive logins are emulated.
 
-The analysis pipeline only ever sees the :class:`CapturedEvent` records a
-stack chooses to emit — the stack is the epistemic boundary between what
-attackers *did* and what researchers *know*.
+A stack captures whole :class:`~repro.sim.events.IntentBatch` blocks
+into a vantage's columnar :class:`~repro.io.table.EventTable`; the
+analysis pipeline only ever sees the columns a stack chooses to record —
+the stack is the epistemic boundary between what attackers *did* and
+what researchers *know*.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.io.table import EventTable
-from repro.net.packets import Transport
-from repro.sim.events import CapturedEvent, IntentBatch, NetworkKind, ScanIntent
+from repro.sim.events import CapturedEvent, IntentBatch, NetworkKind
 
 __all__ = ["CaptureStack", "VantagePoint", "VantageCapture"]
 
@@ -30,8 +31,9 @@ class CaptureStack(abc.ABC):
     """Abstract capture framework.
 
     Subclasses set :attr:`completes_handshake` and implement
-    :meth:`observes` (port filtering) and :meth:`capture` (what survives
-    into the dataset).
+    :meth:`observes` (port filtering) and :meth:`capture_batch_columns`
+    (what survives into the dataset); a stack that drops sessions
+    overrides :meth:`capture_batch` instead.
     """
 
     #: Human-readable framework name as it appears in Table 1.
@@ -43,50 +45,25 @@ class CaptureStack(abc.ABC):
     def observes(self, port: int) -> bool:
         """Whether traffic to ``port`` is recorded at all."""
 
-    @abc.abstractmethod
-    def capture(
-        self, intent: ScanIntent, vantage: "VantagePoint", src_asn: int
-    ) -> Optional[CapturedEvent]:
-        """Turn a connection attempt into a dataset record (or drop it)."""
-
     def capture_batch(
-        self,
-        batch: IntentBatch,
-        vantage: "VantagePoint",
-        src_asns: np.ndarray,
-        table: EventTable,
+        self, batch: IntentBatch, src_asns: np.ndarray, table: EventTable
     ) -> int:
         """Capture a whole intent batch into ``table``; returns rows kept.
 
-        Stacks that define :meth:`capture_batch_columns` append one
-        zero-copy column chunk; everything else (e.g. stochastic wrappers
-        like the firewall) falls back to materializing rows through
-        :meth:`capture`, so any stack is batch-capable.  Both paths must
-        record exactly what the scalar path would.
+        One append of the batch's captured columns, so ``table``'s append
+        hook sees one notification per call.
         """
-        columns = self.capture_batch_columns(batch, src_asns)
-        if columns is not None:
-            return table.append_view(columns, 0, len(batch))
-        appended = 0
-        for intent, src_asn in zip(batch.intents(), src_asns):
-            event = self.capture(intent, vantage, int(src_asn))
-            if event is not None:
-                table.append_event(event)
-                appended += 1
-        return appended
+        return table.append_view(self.capture_batch_columns(batch, src_asns), 0, len(batch))
 
-    def capture_batch_columns(
-        self, batch: IntentBatch, src_asns: np.ndarray
-    ) -> Optional[dict]:
-        """Vectorized capture: the batch's captured-column dict, or None.
+    def capture_batch_columns(self, batch: IntentBatch, src_asns: np.ndarray) -> dict:
+        """The batch's captured columns, one row per session.
 
-        A stack whose capture transformation is a pure per-row column
-        mapping (no drops, no vantage dependence) returns the
-        :class:`~repro.io.table.EventTable` chunk columns for the *whole*
-        batch; callers append per-vantage ``[start, stop)`` views of it.
-        Returning None routes the batch through the scalar fallback.
+        Subclasses map the *whole* batch column-wise (no drops, no
+        vantage dependence) to :class:`~repro.io.table.EventTable` chunk
+        columns; callers append per-vantage ``[start, stop)`` views of
+        them.
         """
-        return None
+        raise NotImplementedError(f"{type(self).__name__} has no column capture")
 
     def batch_policy_key(self, port: int) -> Optional[tuple]:
         """Hash key identifying this stack's capture transformation.
@@ -95,39 +72,9 @@ class CaptureStack(abc.ABC):
         :meth:`capture_batch_columns` for the same batch, letting the
         engine compute the columns once and share them across every
         vantage in a run (stack instances are per-vantage).  None means
-        the transformation is not shareable (scalar fallback).
+        each vantage's runs go through its own :meth:`capture_batch`.
         """
         return None
-
-    def _base_event(
-        self,
-        intent: ScanIntent,
-        vantage: "VantagePoint",
-        src_asn: int,
-        handshake: bool,
-        payload: bytes,
-        credentials: tuple[tuple[str, str], ...] = (),
-    ) -> CapturedEvent:
-        # UDP has no handshake, and per the paper's ethics posture the
-        # honeypots never *respond* to UDP — but the first datagram's
-        # payload still arrives and is recorded (Honeytrap semantics).
-        if intent.transport is Transport.UDP:
-            handshake = False
-        return CapturedEvent(
-            vantage_id=vantage.vantage_id,
-            network=vantage.network,
-            network_kind=vantage.kind,
-            region=vantage.region_code,
-            timestamp=intent.timestamp,
-            src_ip=intent.src_ip,
-            src_asn=src_asn,
-            dst_ip=intent.dst_ip,
-            dst_port=intent.dst_port,
-            transport=intent.transport,
-            handshake=handshake,
-            payload=payload,
-            credentials=credentials,
-        )
 
 
 @dataclass(frozen=True)
@@ -166,15 +113,9 @@ class VantageCapture:
     ``capture.table`` directly.
     """
 
-    def __init__(
-        self,
-        vantage: VantagePoint,
-        events: Optional[Iterable[CapturedEvent]] = None,
-    ) -> None:
+    def __init__(self, vantage: VantagePoint) -> None:
         self.vantage = vantage
         self.table = EventTable.for_vantage(vantage)
-        if events:
-            self.extend(events)
 
     @property
     def events(self) -> list[CapturedEvent]:
@@ -185,13 +126,7 @@ class VantageCapture:
         """Run a whole intent batch through the stack; returns rows kept."""
         if len(batch) == 0 or not self.vantage.stack.observes(batch.dst_port):
             return 0
-        return self.vantage.stack.capture_batch(
-            batch, self.vantage, src_asns, self.table
-        )
-
-    def extend(self, events: Iterable[CapturedEvent]) -> None:
-        for event in events:
-            self.table.append_event(event)
+        return self.vantage.stack.capture_batch(batch, src_asns, self.table)
 
     def __len__(self) -> int:
         return len(self.table)

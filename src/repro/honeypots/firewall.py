@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.detection.engine import RuleEngine
-from repro.honeypots.base import CaptureStack, VantagePoint
-from repro.sim.events import CapturedEvent, ScanIntent
-from repro.sim.rng import stable_hash64
+from repro.honeypots.base import CaptureStack
+from repro.io.table import EventTable
+from repro.sim.events import IntentBatch
+from repro.sim.rng import session_uniforms
 
 __all__ = ["FirewalledStack"]
 
@@ -61,29 +64,37 @@ class FirewalledStack(CaptureStack):
     def observes(self, port: int) -> bool:
         return self._inner.observes(port)
 
-    def _looks_malicious(self, intent: ScanIntent) -> bool:
-        if intent.credentials:
-            return True
-        if intent.payload and self._rules.is_malicious(intent.payload, intent.dst_port):
-            return True
-        return False
+    def capture_batch(
+        self, batch: IntentBatch, src_asns: np.ndarray, table: EventTable
+    ) -> int:
+        """Drop the filtered sessions, then capture the kept sub-batch
+        through the inner stack (one append per call)."""
+        drops = self._drops(batch)
+        if drops.any():
+            kept = np.flatnonzero(~drops)
+            self.dropped += len(batch) - len(kept)
+            if not len(kept):
+                return 0
+            batch, src_asns = batch.take(kept), src_asns[kept]
+        return self._inner.capture_batch(batch, src_asns, table)
 
-    def _drops(self, intent: ScanIntent) -> bool:
+    def _drops(self, batch: IntentBatch) -> np.ndarray:
+        """Per-session drop mask: a malicious session (a login attempt,
+        or a payload the rule engine alerts on at this port) is dropped
+        when its :func:`~repro.sim.rng.session_uniforms` draw falls
+        below the drop probability."""
         if self._drop_probability == 0.0:
-            return False
-        if not self._looks_malicious(intent):
-            return False
-        if self._drop_probability >= 1.0:
-            return True
-        draw = stable_hash64(
-            self._seed, intent.src_ip, intent.dst_ip, round(intent.timestamp, 6)
-        ) / float(1 << 64)
-        return draw < self._drop_probability
-
-    def capture(
-        self, intent: ScanIntent, vantage: VantagePoint, src_asn: int
-    ) -> Optional[CapturedEvent]:
-        if self._drops(intent):
-            self.dropped += 1
-            return None
-        return self._inner.capture(intent, vantage, src_asn)
+            return np.zeros(len(batch), dtype=bool)
+        port = batch.dst_port
+        is_malicious = self._rules.is_malicious
+        drops = np.array([
+            bool(credentials) or (bool(payload) and is_malicious(payload, port))
+            for payload, credentials in zip(batch.payloads.tolist(), batch.credentials.tolist())
+        ], dtype=bool)
+        if self._drop_probability < 1.0 and drops.any():
+            rows = np.flatnonzero(drops)
+            draws = session_uniforms(
+                (self._seed,), batch.src_ips[rows], batch.dst_ips[rows], batch.timestamps[rows]
+            )
+            drops[rows] = draws < self._drop_probability
+        return drops

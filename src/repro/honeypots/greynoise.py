@@ -9,15 +9,13 @@ protocol-assigned services on at least seven popular ports." (Section 3.1)
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.honeypots.base import CaptureStack, VantagePoint
+from repro.honeypots.base import CaptureStack
 from repro.honeypots.cowrie import COWRIE_PORTS, CowrieStack
 from repro.io.table import TRANSPORT_CODES
 from repro.net.packets import Transport
-from repro.sim.events import CapturedEvent, IntentBatch, ScanIntent
+from repro.sim.events import IntentBatch
 
 __all__ = ["GreyNoiseStack", "GREYNOISE_DEFAULT_PORTS"]
 
@@ -46,24 +44,11 @@ class GreyNoiseStack(CaptureStack):
     def observes(self, port: int) -> bool:
         return port in self._ports
 
-    def capture(
-        self, intent: ScanIntent, vantage: VantagePoint, src_asn: int
-    ) -> Optional[CapturedEvent]:
-        if self._cowrie.observes(intent.dst_port):
-            return self._cowrie.capture(intent, vantage, src_asn)
-        # Non-Cowrie port: handshake completes, first payload only, no
-        # interactive login emulation (credentials are never observed).
-        return self._base_event(
-            intent,
-            vantage,
-            src_asn,
-            handshake=True,
-            payload=intent.payload,
-        )
-
     def capture_batch_columns(self, batch: IntentBatch, src_asns: np.ndarray) -> dict:
         if self._cowrie.observes(batch.dst_port):
             return self._cowrie.capture_batch_columns(batch, src_asns)
+        # Non-Cowrie port: handshake completes, first payload only, no
+        # interactive login emulation (credentials are never observed).
         return {
             "timestamps": batch.timestamps,
             "src_ip": batch.src_ips,

@@ -13,14 +13,12 @@ Cowrie-like credential capture on those ports for that deployment.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.honeypots.base import CaptureStack, VantagePoint
+from repro.honeypots.base import CaptureStack
 from repro.io.table import TRANSPORT_CODES
 from repro.net.packets import Transport
-from repro.sim.events import CapturedEvent, IntentBatch, ScanIntent
+from repro.sim.events import IntentBatch
 
 __all__ = ["HoneytrapStack"]
 
@@ -37,23 +35,11 @@ class HoneytrapStack(CaptureStack):
     def observes(self, port: int) -> bool:
         return True
 
-    def capture(
-        self, intent: ScanIntent, vantage: VantagePoint, src_asn: int
-    ) -> Optional[CapturedEvent]:
-        credentials: tuple[tuple[str, str], ...] = ()
-        if intent.dst_port in self._interactive_ports:
-            credentials = tuple(credential.as_tuple() for credential in intent.credentials)
-        return self._base_event(
-            intent,
-            vantage,
-            src_asn,
-            handshake=True,
-            payload=intent.payload,
-            credentials=credentials,
-        )
-
     def capture_batch_columns(self, batch: IntentBatch, src_asns: np.ndarray) -> dict:
         interactive = batch.dst_port in self._interactive_ports
+        # UDP has no handshake, and per the paper's ethics posture the
+        # honeypots never *respond* to UDP — but the first datagram's
+        # payload still arrives and is recorded (Honeytrap semantics).
         return {
             "timestamps": batch.timestamps,
             "src_ip": batch.src_ips,

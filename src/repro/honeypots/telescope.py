@@ -13,22 +13,21 @@ per-destination unique-source counts (Figure 1), and (c) per-source AS
 attribution.  :class:`TelescopeCapture` therefore aggregates at capture
 time — exactly the flow-level aggregation real telescope pipelines apply.
 
-The plain :class:`TelescopeStack` also supports the event-at-a-time
-:meth:`capture` API (emitting payload-free events) so small-scale tests
-and the live replayer can treat every stack uniformly.
+The plain :class:`TelescopeStack` captures intent batches like every
+other stack (header-only columns, no payloads), so small-scale tests can
+run a telescope vantage through the same capture path as a honeypot.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from repro.honeypots.base import CaptureStack, VantagePoint
+from repro.honeypots.base import CaptureStack
 from repro.io.table import TRANSPORT_CODES
-from repro.sim.events import CapturedEvent, IntentBatch, ScanIntent
+from repro.sim.events import IntentBatch
 
 __all__ = ["TelescopeStack", "TelescopeCapture"]
 
@@ -41,14 +40,6 @@ class TelescopeStack(CaptureStack):
 
     def observes(self, port: int) -> bool:
         return True
-
-    def capture(
-        self, intent: ScanIntent, vantage: VantagePoint, src_asn: int
-    ) -> Optional[CapturedEvent]:
-        # Only the first packet (the SYN) is recorded: no handshake, no
-        # payload, no credentials — regardless of what the scanner would
-        # have sent.
-        return self._base_event(intent, vantage, src_asn, handshake=False, payload=b"")
 
     def capture_batch_columns(self, batch: IntentBatch, src_asns: np.ndarray) -> dict:
         # Header-only columns: the application-layer fields never survive.

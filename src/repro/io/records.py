@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import base64
 import gzip
-import io
 import json
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
@@ -21,7 +20,7 @@ from typing import IO, Iterable, Iterator, Union
 from repro.net.packets import Transport
 from repro.sim.events import CapturedEvent, NetworkKind
 
-__all__ = ["event_to_record", "record_to_event", "write_events", "read_events", "DatasetWriter"]
+__all__ = ["event_to_record", "record_to_event", "write_events", "read_events"]
 
 #: Format identifier embedded in every file's header line.
 FORMAT_VERSION = "cloudwatching-events/1"
@@ -103,24 +102,3 @@ def read_events(path: Union[str, Path]) -> Iterator[CapturedEvent]:
             if line:
                 yield record_to_event(json.loads(line))
 
-
-class DatasetWriter:
-    """Incremental writer for long captures (used by the live honeypots)."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self._handle = _open(path, "w")
-        self._handle.write(json.dumps({"format": FORMAT_VERSION}) + "\n")
-        self.count = 0
-
-    def write(self, event: CapturedEvent) -> None:
-        self._handle.write(json.dumps(event_to_record(event), separators=(",", ":")) + "\n")
-        self.count += 1
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "DatasetWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

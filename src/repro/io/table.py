@@ -20,8 +20,9 @@ Design points:
   :class:`~repro.honeypots.base.VantageCapture`), which builds the
   ``CapturedEvent`` list once and caches it.  Group-by/count analyses
   use the column accessors directly and never pay for row objects.
-* **Scalar compatibility** — :meth:`append_event` keeps the one-row API
-  alive for the live replayer, the scalar capture fallback, and tests.
+* **One-row reference** — :meth:`append_event` appends a single
+  :class:`~repro.sim.events.CapturedEvent`; tests use it as the row-wise
+  reference for the batch paths.
 * **Per-column consolidation** — columns consolidate independently, so
   an analysis that reads only ``src_ip`` never pays for decoding the
   payload/credential columns.  A chunk's column source may be any
@@ -447,9 +448,9 @@ class EventTable:
     ) -> None:
         """Observe every append as ``hook(table, columns, start, stop)``.
 
-        The streaming tap: fires on both the chunked path
-        (:meth:`append_view` / :meth:`append_batch`) and the scalar path
-        (:meth:`append_event`), after the rows are owned by the table.
+        The streaming tap: fires once per append call — chunked
+        (:meth:`append_view` / :meth:`append_batch`) or one-row
+        (:meth:`append_event`) — after the rows are owned by the table.
         At most one hook; ``None`` detaches.
         """
         if self._group is not None:
@@ -551,7 +552,8 @@ class EventTable:
             self._invalidate()
 
     def append_event(self, event: CapturedEvent) -> None:
-        """Append one row (scalar capture path and live replay)."""
+        """Append one row record as a one-row run (the row-wise reference
+        the batch appends are tested against)."""
         columns = event_columns(event)
         self._own_append(columns, 0, 1)
         if self._hook is not None:
@@ -606,10 +608,6 @@ class EventTable:
         if self._hook is not None:
             self._hook(self, columns, start, stop)
         return stop - start
-
-    def extend(self, events: Iterable[CapturedEvent]) -> None:
-        for event in events:
-            self.append_event(event)
 
     # ------------------------------------------------------------------
     # consolidation + column accessors

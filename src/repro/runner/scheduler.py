@@ -15,8 +15,9 @@ scheduler runs their drivers with two production affordances:
   sequential execution.
 
 Cached outputs are pickled :class:`~repro.experiments.base.ExperimentOutput`
-objects, so ``data`` (the structured rows tests assert on) survives the
-round-trip, not just the rendered text.
+objects stored with their full key (:func:`store_cached_value`), so
+``data`` (the structured rows tests assert on) survives the round-trip,
+not just the rendered text.
 """
 
 from __future__ import annotations
@@ -88,32 +89,15 @@ def _cache_path(cache_dir: Path, experiment_id: str, key: str) -> Path:
     return cache_dir / f"{experiment_id}-{key[:16]}.pkl"
 
 
-def _load_cached(path: Path) -> Optional[ExperimentOutput]:
-    try:
-        with open(path, "rb") as handle:
-            output = pickle.load(handle)
-    except (OSError, pickle.PickleError, EOFError, AttributeError):
-        return None
-    return output if isinstance(output, ExperimentOutput) else None
-
-
-def _store_cached(path: Path, output: ExperimentOutput) -> None:
-    scratch = path.with_suffix(".tmp")
-    with open(scratch, "wb") as handle:
-        pickle.dump(output, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(scratch, path)
-
-
 def load_cached_value(
     cache_dir: Union[str, Path, None], name: str, key: str
 ):
     """Fetch one content-addressed pickled value, or ``None`` on any miss.
 
-    The generic sibling of the experiment-output cache: callers that
-    derive *other* artifacts from a dataset digest (e.g. X3's per-year
-    headline metrics) share the same keying and on-disk layout.  The
-    stored record carries its full key, so the truncated key in the file
-    name can never serve a colliding entry.
+    Experiment outputs are stored this way, and so are other artifacts
+    derived from a dataset digest (e.g. X3's per-year headline
+    metrics).  The stored record carries its full key, so the truncated
+    key in the file name can never serve a colliding entry.
     """
     if cache_dir is None:
         return None
@@ -170,10 +154,6 @@ def run_experiments(
     unknown = [e for e in experiment_ids if e not in ALL_EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {', '.join(unknown)}")
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-
     results: dict[str, ScheduledExperiment] = {}
     pending: list[str] = []
     keys = {
@@ -182,9 +162,7 @@ def run_experiments(
     }
     for experiment_id in experiment_ids:
         if cache_dir is not None:
-            cached = _load_cached(
-                _cache_path(cache_dir, experiment_id, keys[experiment_id])
-            )
+            cached = load_cached_value(cache_dir, experiment_id, keys[experiment_id])
             if cached is not None:
                 results[experiment_id] = ScheduledExperiment(
                     experiment_id, cached, True, 0.0, keys[experiment_id]
@@ -217,7 +195,7 @@ def run_experiments(
         for experiment_id, seconds, output in outcomes:
             key = keys[experiment_id]
             if cache_dir is not None:
-                _store_cached(_cache_path(cache_dir, experiment_id, key), output)
+                store_cached_value(cache_dir, experiment_id, key, output)
             results[experiment_id] = ScheduledExperiment(
                 experiment_id, output, False, seconds, key
             )

@@ -10,11 +10,12 @@ population against a deployed vantage fleet:
    their service indexes.
 3. **Attack phase** — per (campaign, port), a weight vector over all
    observable destinations is computed from the campaign's strategy;
-   session counts are Poisson draws; each session toward a honeypot
-   becomes a :class:`~repro.sim.events.ScanIntent` run through the
-   vantage's capture stack.  Telescope destinations are recorded through
-   the aggregated :class:`~repro.honeypots.telescope.TelescopeCapture`
-   (telescopes never capture payloads, so none are synthesized).
+   session counts are Poisson draws; the sessions toward honeypots form
+   one :class:`~repro.sim.events.IntentBatch` whose per-vantage runs are
+   captured column-wise by each vantage's capture stack.  Telescope
+   destinations are recorded through the aggregated
+   :class:`~repro.honeypots.telescope.TelescopeCapture` (telescopes
+   never capture payloads, so none are synthesized).
 4. **Search-engine-driven phase** — campaigns that mine an index send
    spike bursts at the services it lists (or, in ``avoid`` mode, have
    already had listed destinations zeroed out of their weights).

@@ -90,8 +90,7 @@ class IntentBatch:
     everything per-session lives in parallel arrays.  ``credentials``
     holds tuples of plain ``(username, password)`` pairs — the wire-level
     representation capture stacks record — and :meth:`intents` wraps them
-    back into :class:`Credential` objects when materializing rows for the
-    per-row capture fallback.
+    back into :class:`Credential` objects when materializing rows.
     """
 
     dst_port: int
@@ -136,8 +135,8 @@ class IntentBatch:
         )
 
     def intents(self) -> Iterator[ScanIntent]:
-        """Materialize row-level intents (the per-row capture fallback for
-        stacks without a batch policy)."""
+        """Materialize row-level intents (for the live replayer and the
+        packet-level examples, which send one session at a time)."""
         for index in range(len(self.timestamps)):
             pairs = self.credentials[index]
             yield ScanIntent(

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["RngHub", "analysis_rng", "stable_hash64"]
+__all__ = ["RngHub", "analysis_rng", "session_uniforms", "stable_hash64"]
 
 
 def stable_hash64(*parts: object) -> int:
@@ -26,6 +26,45 @@ def stable_hash64(*parts: object) -> int:
         "\x1f".join(str(part) for part in parts).encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def _rounded_str(value: float) -> str:
+    """``str(round(value, 6))`` for a non-negative float, from one
+    fixed-point format.
+
+    From 1e-4 up to 1e15 the shortest repr of the float nearest a
+    six-place decimal is that decimal without trailing zeros (distinct
+    six-place decimals are 1e-6 apart, far wider than a double's
+    spacing), so one ``.6f`` format gives the same text.  Outside that
+    range repr switches to exponent notation; those values take the
+    direct path.
+    """
+    if not 1e-4 <= value < 1e15:
+        return str(round(value, 6))
+    text = format(value, ".6f").rstrip("0")
+    return text + "0" if text[-1] == "." else text
+
+
+def session_uniforms(
+    prefix: tuple, src_ips: np.ndarray, dst_ips: np.ndarray, timestamps: np.ndarray
+) -> np.ndarray:
+    """Deterministic per-session draws in [0, 1), one per row.
+
+    Row ``i`` is ``stable_hash64(*prefix, src_ips[i], dst_ips[i],
+    round(timestamps[i], 6)) / 2**64``: a session's draw is a fixed
+    property of who connected where and when, so a capture stack's
+    stochastic choices (Cowrie accepting a login, a firewall dropping a
+    session) replay identically.  One loop hashes the exact bytes
+    :func:`stable_hash64` would.
+    """
+    head = "".join(f"{part}\x1f" for part in prefix)
+    digests = b"".join([
+        hashlib.blake2b(f"{head}{src}\x1f{dst}\x1f{stamp}".encode("utf-8"), digest_size=8).digest()
+        for src, dst, stamp in zip(
+            src_ips.tolist(), dst_ips.tolist(), map(_rounded_str, timestamps.tolist())
+        )
+    ])
+    return np.frombuffer(digests, ">u8") / float(1 << 64)
 
 
 class RngHub:

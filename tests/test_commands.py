@@ -11,6 +11,7 @@ from repro.honeypots.cowrie import CowrieStack
 from repro.honeypots.live import LiveHoneypot, ReplayClient, TelnetService
 from repro.scanners.base import PortPlan
 from repro.sim.events import Credential, NetworkKind, ScanIntent
+from tests.conftest import capture_row
 
 
 def cowrie_vantage(stack):
@@ -32,21 +33,21 @@ def login_intent(commands=("uname -a",), ts=1.0, src=7):
 class TestCowrieCommandCapture:
     def test_accepting_stack_records_commands(self):
         stack = CowrieStack(accept_login_probability=1.0)
-        event = stack.capture(login_intent(), cowrie_vantage(stack), 4134)
+        event = capture_row(cowrie_vantage(stack), login_intent(), 4134)
         assert event.commands == ("uname -a",)
         assert event.logged_in
 
     def test_rejecting_stack_drops_commands(self):
         stack = CowrieStack(accept_login_probability=0.0)
-        event = stack.capture(login_intent(), cowrie_vantage(stack), 4134)
+        event = capture_row(cowrie_vantage(stack), login_intent(), 4134)
         assert event.commands == ()
         assert event.attempted_login and not event.logged_in
 
     def test_acceptance_deterministic(self):
         stack = CowrieStack(accept_login_probability=0.5)
         intents = [login_intent(ts=float(i), src=100 + i) for i in range(100)]
-        first = [bool(stack.capture(i, cowrie_vantage(stack), 1).commands) for i in intents]
-        second = [bool(stack.capture(i, cowrie_vantage(stack), 1).commands) for i in intents]
+        first = [bool(capture_row(cowrie_vantage(stack), i).commands) for i in intents]
+        second = [bool(capture_row(cowrie_vantage(stack), i).commands) for i in intents]
         assert first == second
         assert 0.3 < sum(first) / len(first) < 0.7
 
@@ -55,7 +56,7 @@ class TestCowrieCommandCapture:
         intent = ScanIntent(timestamp=1.0, src_ip=7, dst_ip=1000, dst_port=23,
                             protocol="telnet", payload=b"\xff\xfb\x1f",
                             commands=("uname -a",))
-        event = stack.capture(intent, cowrie_vantage(stack), 1)
+        event = capture_row(cowrie_vantage(stack), intent)
         assert event.commands == ()
 
     def test_validation(self):

@@ -11,17 +11,21 @@ from repro.analysis.blocklists import (
 )
 from repro.analysis.campaigns import campaign_agreement, infer_campaigns
 from repro.deployment.fleet import build_full_deployment
+from repro.detection.engine import RuleEngine, load_default_rules
 from repro.detection.fingerprint import fingerprint
+from repro.detection.rules import parse_rule
 from repro.honeypots.base import VantagePoint
 from repro.honeypots.firewall import FirewalledStack
 from repro.honeypots.honeytrap import HoneytrapStack
+from repro.io.table import EventTable
 from repro.net.packets import Transport
 from repro.scanners.base import PortPlan, ScannerSpec
 from repro.scanners.payloads import http_payload
 from repro.scanners.strategies import TargetStrategy
 from repro.sim.engine import SimulationConfig, run_simulation
-from repro.sim.events import Credential, NetworkKind, ScanIntent
-from repro.sim.rng import RngHub
+from repro.sim.events import CapturedEvent, Credential, IntentBatch, NetworkKind, ScanIntent
+from repro.sim.rng import RngHub, stable_hash64
+from tests.conftest import capture_row
 
 
 def make_vantage(stack):
@@ -39,7 +43,7 @@ class TestUdpCapture:
             transport=Transport.UDP, protocol="sip",
             payload=b"OPTIONS sip:nm@1.2.3.4 SIP/2.0\r\nCSeq: 42 OPTIONS\r\n\r\n",
         )
-        event = stack.capture(intent, make_vantage(stack), 1)
+        event = capture_row(make_vantage(stack), intent)
         assert not event.handshake  # honeypots never respond to UDP
         assert fingerprint(event.payload) == "sip"
 
@@ -71,12 +75,12 @@ class TestFirewalledStack:
 
     def test_full_drop_blocks_all_malicious(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=1.0)
-        assert stack.capture(self.exploit_intent(), make_vantage(stack), 1) is None
+        assert capture_row(make_vantage(stack), self.exploit_intent()) is None
         assert stack.dropped == 1
 
     def test_benign_always_passes(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=1.0)
-        event = stack.capture(self.benign_intent(), make_vantage(stack), 1)
+        event = capture_row(make_vantage(stack), self.benign_intent())
         assert event is not None
 
     def test_login_attempts_are_filterable(self):
@@ -86,11 +90,11 @@ class TestFirewalledStack:
             timestamp=1.0, src_ip=7, dst_ip=1000, dst_port=22, protocol="ssh",
             payload=b"SSH-2.0-x\r\n", credentials=(Credential("root", "root"),),
         )
-        assert stack.capture(intent, make_vantage(stack), 1) is None
+        assert capture_row(make_vantage(stack), intent) is None
 
     def test_zero_probability_is_transparent(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=0.0)
-        assert stack.capture(self.exploit_intent(), make_vantage(stack), 1) is not None
+        assert capture_row(make_vantage(stack), self.exploit_intent()) is not None
 
     def test_partial_drop_deterministic(self):
         stack = FirewalledStack(HoneytrapStack(), drop_probability=0.5, seed=3)
@@ -99,11 +103,86 @@ class TestFirewalledStack:
                        protocol="http", payload=http_payload("log4shell").render())
             for i in range(200)
         ]
-        survived = [stack.capture(i, make_vantage(stack), 1) is not None for i in intents]
+        survived = [capture_row(make_vantage(stack), i) is not None for i in intents]
         again = FirewalledStack(HoneytrapStack(), drop_probability=0.5, seed=3)
-        survived_again = [again.capture(i, make_vantage(again), 1) is not None for i in intents]
+        survived_again = [capture_row(make_vantage(again), i) is not None for i in intents]
         assert survived == survived_again
         assert 0.3 < sum(survived) / len(survived) < 0.7
+
+    @pytest.mark.parametrize("drop", [0.0, 0.5, 1.0])
+    def test_mixed_batch_matches_the_per_row_reference(self, drop):
+        """Login attempts, an exploit, benign payloads and a payload only
+        a port-scoped rule alerts on, in multi-row batches: the kept
+        rows and the drop count match a per-row reference, and each
+        ``capture_batch`` call appends one table run."""
+        port = 8080
+        scoped = parse_rule(
+            'alert http any any -> any 8080 (msg:"scoped probe"; content:"/scoped-probe"; '
+            "classtype:attempted-recon; sid:9001;)"
+        )
+        rules = RuleEngine(load_default_rules() + [scoped])
+        scoped_payload = b"GET /scoped-probe HTTP/1.1\r\n\r\n"
+        assert not RuleEngine().is_malicious(scoped_payload, port)
+        assert not rules.is_malicious(scoped_payload, 80)
+        payload_of = {
+            "login": b"SSH-2.0-x\r\n",
+            "exploit": http_payload("log4shell").render(),
+            "benign": http_payload("root-get").render(),
+            "scoped": scoped_payload,
+            "bare": b"",
+        }
+        count = 48
+        kinds = [("login", "exploit", "benign", "scoped", "bare", "benign")[row % 6]
+                 for row in range(count)]
+        payloads = np.empty(count, dtype=object)
+        payloads[:] = [payload_of[kind] for kind in kinds]
+        credentials = np.empty(count, dtype=object)
+        credentials[:] = [(("root", "root"),) if kind == "login" else () for kind in kinds]
+        commands = np.empty(count, dtype=object)
+        commands.fill(())
+        batch = IntentBatch(
+            dst_port=port, transport=Transport.TCP, protocol="http",
+            timestamps=np.arange(count) * 1.37 + 0.25,
+            src_ips=100 + 7 * np.arange(count), dst_ips=1000 + np.arange(count) % 3,
+            payloads=payloads, credentials=credentials, commands=commands,
+        )
+        asns = 64500 + np.arange(count)
+
+        def dropped(row):
+            if kinds[row] not in ("login", "exploit", "scoped") or drop == 0.0:
+                return False
+            draw = stable_hash64(
+                3, int(batch.src_ips[row]), int(batch.dst_ips[row]),
+                round(float(batch.timestamps[row]), 6),
+            ) / float(1 << 64)
+            return drop >= 1.0 or draw < drop
+
+        kept = [row for row in range(count) if not dropped(row)]
+        if drop == 0.5:
+            assert 0 < count - len(kept) < 24  # 24 malicious rows
+
+        stack = FirewalledStack(
+            HoneytrapStack(interactive_ports=frozenset({port})), drop, rules, seed=3
+        )
+        vantage = make_vantage(stack)
+        table = EventTable.for_vantage(vantage)
+        calls = [(0, 20), (20, count)]
+        for start, stop in calls:
+            assert stack.capture_batch(
+                batch.slice(start, stop), asns[start:stop], table
+            ) == sum(start <= row < stop for row in kept)
+        assert stack.dropped == count - len(kept)
+        assert table.materialize() == [
+            CapturedEvent(
+                vantage_id="v", network="aws", network_kind=NetworkKind.CLOUD,
+                region="US-CA", timestamp=float(batch.timestamps[row]),
+                src_ip=int(batch.src_ips[row]), src_asn=int(asns[row]),
+                dst_ip=int(batch.dst_ips[row]), dst_port=port, handshake=True,
+                payload=payloads[row], credentials=credentials[row],
+            )
+            for row in kept
+        ]
+        assert len(table.runs()) == len(calls)
 
     def test_observes_delegates(self):
         from repro.honeypots.greynoise import GreyNoiseStack

@@ -8,7 +8,8 @@ from repro.honeypots.cowrie import COWRIE_PORTS, CowrieStack
 from repro.honeypots.greynoise import GREYNOISE_DEFAULT_PORTS, GreyNoiseStack
 from repro.honeypots.honeytrap import HoneytrapStack
 from repro.honeypots.telescope import TelescopeCapture, TelescopeStack
-from repro.sim.events import Credential, IntentBatch, NetworkKind, ScanIntent
+from repro.sim.events import Credential, NetworkKind, ScanIntent
+from tests.conftest import capture_row, one_row_batch
 
 
 def make_vantage(stack, ips=(1000,), kind=NetworkKind.CLOUD):
@@ -38,24 +39,6 @@ def http_intent(port=80):
     )
 
 
-def one_row_batch(intent):
-    """A one-row :class:`IntentBatch` holding ``intent``."""
-    def cell(value):
-        column = np.empty(1, dtype=object)
-        column[0] = value
-        return column
-
-    return IntentBatch(
-        dst_port=intent.dst_port, transport=intent.transport, protocol=intent.protocol,
-        timestamps=np.array([intent.timestamp]),
-        src_ips=np.array([intent.src_ip], dtype=np.int64),
-        dst_ips=np.array([intent.dst_ip], dtype=np.int64),
-        payloads=cell(intent.payload),
-        credentials=cell(tuple(credential.as_tuple() for credential in intent.credentials)),
-        commands=cell(intent.commands),
-    )
-
-
 class TestCowrie:
     def test_observes_default_ports(self):
         stack = CowrieStack()
@@ -64,14 +47,14 @@ class TestCowrie:
 
     def test_captures_credentials(self):
         stack = CowrieStack()
-        event = stack.capture(ssh_intent(), make_vantage(stack), src_asn=4134)
+        event = capture_row(make_vantage(stack), ssh_intent(), src_asn=4134)
         assert event.credentials == (("root", "123456"),)
         assert event.handshake
         assert event.src_asn == 4134
 
     def test_banner_only_session_recorded_without_credentials(self):
         stack = CowrieStack()
-        event = stack.capture(ssh_intent(credentials=()), make_vantage(stack), 1)
+        event = capture_row(make_vantage(stack), ssh_intent(credentials=()))
         assert event.credentials == ()
         assert event.payload.startswith(b"SSH-")
         assert not event.attempted_login
@@ -84,15 +67,15 @@ class TestHoneytrap:
 
     def test_first_payload_no_credentials(self):
         stack = HoneytrapStack()
-        event = stack.capture(ssh_intent(), make_vantage(stack), 1)
+        event = capture_row(make_vantage(stack), ssh_intent())
         assert event.payload.startswith(b"SSH-")
         assert event.credentials == ()  # Honeytrap cannot observe logins
 
     def test_interactive_ports_capture_credentials(self):
         stack = HoneytrapStack(interactive_ports=frozenset({22}))
-        event = stack.capture(ssh_intent(), make_vantage(stack), 1)
+        event = capture_row(make_vantage(stack), ssh_intent())
         assert event.credentials == (("root", "123456"),)
-        other = stack.capture(ssh_intent(port=2222), make_vantage(stack), 1)
+        other = capture_row(make_vantage(stack), ssh_intent(port=2222))
         assert other.credentials == ()
 
 
@@ -105,7 +88,7 @@ class TestGreyNoise:
 
     def test_cowrie_ports_capture_credentials(self):
         stack = GreyNoiseStack()
-        event = stack.capture(ssh_intent(), make_vantage(stack), 1)
+        event = capture_row(make_vantage(stack), ssh_intent())
         assert event.credentials == (("root", "123456"),)
 
     def test_non_cowrie_ports_payload_only(self):
@@ -115,7 +98,7 @@ class TestGreyNoise:
             protocol="telnet", payload=b"\xff\xfb\x1f",
             credentials=(Credential("root", "root"),),
         )
-        event = stack.capture(intent, make_vantage(stack), 1)
+        event = capture_row(make_vantage(stack), intent)
         assert event.payload == b"\xff\xfb\x1f"
         assert event.credentials == ()  # no login emulation off the Cowrie ports
 
@@ -135,7 +118,7 @@ class TestTelescopeStack:
 
     def test_captures_headers_only(self):
         stack = TelescopeStack()
-        event = stack.capture(http_intent(), make_vantage(stack, kind=NetworkKind.TELESCOPE), 1)
+        event = capture_row(make_vantage(stack, kind=NetworkKind.TELESCOPE), http_intent())
         assert event.payload == b""
         assert not event.handshake
         assert event.dst_port == 80

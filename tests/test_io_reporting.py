@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.io.records import (
-    DatasetWriter,
-    event_to_record,
-    read_events,
-    record_to_event,
-    write_events,
-)
+from repro.io.records import event_to_record, read_events, record_to_event, write_events
 from repro.net.packets import Transport
 from repro.reporting.tables import ascii_plot, pct_cell, phi_cell, render_table
 from repro.sim.events import CapturedEvent, NetworkKind
@@ -91,12 +85,10 @@ class TestFiles:
         path.write_text("")
         assert list(read_events(path)) == []
 
-    def test_dataset_writer_incremental(self, tmp_path):
+    def test_write_events_streams_a_generator(self, tmp_path):
         path = tmp_path / "incr.ndjson"
-        with DatasetWriter(path) as writer:
-            writer.write(make_event(src_ip=1))
-            writer.write(make_event(src_ip=2))
-            assert writer.count == 2
+        count = write_events(path, (make_event(src_ip=src) for src in (1, 2)))
+        assert count == 2
         assert [event.src_ip for event in read_events(path)] == [1, 2]
 
 

@@ -19,6 +19,7 @@ import pytest
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.context import ExperimentConfig
 from repro.runner import orchestrate, run_experiments
+from repro.runner.scheduler import cache_key
 from repro.runner.worker import FAILPOINTS_FILE
 from tests.conftest import SMALL
 
@@ -175,6 +176,16 @@ class TestScheduler:
         rerun = run_experiments(
             run.context, "a-different-dataset", ["T8"], cache_dir=cache_dir
         )
+        assert [item.cached for item in rerun] == [False]
+
+    def test_full_key_is_verified(self, small_context, tmp_path):
+        """An output under another digest's truncated file name is
+        recomputed, not served."""
+        run_experiments(small_context, "digest-a", ["T8"], cache_dir=tmp_path)
+        stored = next(tmp_path.iterdir())
+        other = cache_key("digest-b", "T8")
+        stored.rename(tmp_path / f"T8-{other[:16]}.pkl")
+        rerun = run_experiments(small_context, "digest-b", ["T8"], cache_dir=tmp_path)
         assert [item.cached for item in rerun] == [False]
 
     def test_unknown_experiment_rejected(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import ObservationWindow, WEEK_2020, WEEK_2021, WEEK_2022
-from repro.sim.rng import RngHub, stable_hash64
+from repro.sim.rng import RngHub, session_uniforms, stable_hash64
 
 
 class TestStableHash:
@@ -22,6 +22,24 @@ class TestStableHash:
     def test_64_bit_range(self):
         value = stable_hash64("anything")
         assert 0 <= value < (1 << 64)
+
+
+class TestSessionUniforms:
+    def test_equals_the_scalar_hash_per_row(self):
+        rng = np.random.default_rng(11)
+        src = rng.integers(0, 2**32, 500)
+        dst = rng.integers(0, 2**32, 500)
+        stamps = np.concatenate([rng.random(495) * 168, [0.0, 5e-5, 1e-4, 2.0000005, 1e15]])
+        for prefix in ((3,), (4, "cowrie-login")):
+            want = [
+                stable_hash64(*prefix, s, d, round(t, 6)) / float(1 << 64)
+                for s, d, t in zip(src.tolist(), dst.tolist(), stamps.tolist())
+            ]
+            assert session_uniforms(prefix, src, dst, stamps).tolist() == want
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert len(session_uniforms((1,), empty, empty, np.zeros(0))) == 0
 
 
 class TestRngHub:

@@ -8,7 +8,7 @@ for bit:
   ``Generator.choice(replace=False, p=...)``, including the generator
   state it leaves behind;
 * :class:`PayloadGrid` against the per-call renderers;
-* Cowrie's batched accept-login hash against the scalar hash;
+* Cowrie's batched accept-login hash against :func:`stable_hash64`;
 * the memoized §3.3 reports and the split dataset coder.
 """
 
@@ -23,7 +23,7 @@ from repro.analysis.geography import geo_similarity
 from repro.analysis.leak import leak_report
 from repro.analysis.neighborhoods import neighborhood_report
 from repro.analysis.ports import protocol_breakdown
-from repro.honeypots.cowrie import CowrieStack, _rounded_str
+from repro.honeypots.cowrie import CowrieStack
 from repro.net.addresses import int_to_ip
 from repro.net.packets import Transport
 from repro.scanners import base as scanner_base
@@ -38,6 +38,7 @@ from repro.scanners.payloads import (
     render_http,
 )
 from repro.sim.events import IntentBatch
+from repro.sim.rng import _rounded_str, stable_hash64
 
 SEEDS = range(200)
 
@@ -122,11 +123,17 @@ def test_cowrie_batch_accepts_exactly_the_scalar_logins(accept):
     )
     stack = CowrieStack(accept_login_probability=accept, seed=4)
     got = stack.capture_batch_columns(batch, np.zeros(count, dtype=np.int64))["commands"]
+
+    def accepts(row):
+        draw = stable_hash64(
+            4, "cowrie-login", int(batch.src_ips[row]), int(batch.dst_ips[row]),
+            round(float(batch.timestamps[row]), 6),
+        ) / float(1 << 64)
+        return accept >= 1.0 or draw < accept
+
     want = [
         batch.commands[row]
-        if batch.credentials[row] and batch.commands[row] and stack._accepts_login_at(
-            int(batch.src_ips[row]), int(batch.dst_ips[row]), float(batch.timestamps[row])
-        )
+        if batch.credentials[row] and batch.commands[row] and accepts(row)
         else ()
         for row in range(count)
     ]

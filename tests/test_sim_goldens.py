@@ -14,9 +14,15 @@ Cowrie hashing, one ``append_view`` per vantage run) and pin:
 
 The configuration exercises every capture policy (GreyNoise with and
 without Cowrie ports, Honeytrap with and without interactive ports, and
-the per-row fallback through two firewalled vantages), search-engine
-spikes that draw distinct credentials, and region-specific credential
-dialects; :func:`test_config_exercises_every_path` keeps it that way.
+two firewalled vantages, whose runs are captured one ``capture_batch``
+call each), search-engine spikes that draw distinct credentials, and
+region-specific credential dialects; :func:`test_config_exercises_every_path`
+keeps it that way.
+
+The tap digest was re-derived when firewalled vantages moved to batch
+capture: it is the per-session sequence with each firewalled
+``capture_batch`` call's one-row notifications merged into one
+``(vantage, 0, kept)`` notification.
 """
 
 from __future__ import annotations
@@ -71,8 +77,8 @@ GOLDEN_ENFORCED = {
     "commands": "f5c096e0d773ecef40493f8dbe11fe87d2248e3c062a9a719a463c0046faa726",
     "telescope": "d3bdb7933d17f5fe8fe9170c1e690c6e297979058e174b0116c793e4ba3622ae",
 }
-GOLDEN_TAP = "9d9603d2513c6d15b21856674f384272d91a9519cf1488588c6be099e142c6e4"
-GOLDEN_TAP_CALLS = 18435
+GOLDEN_TAP = "86f1add03738b5e13810420d2565cfb48fba12c72c28ad07a178efd54c97f012"
+GOLDEN_TAP_CALLS = 18375
 
 
 def _deployment() -> Deployment:
@@ -151,17 +157,17 @@ def _blocklist(baseline) -> ActiveBlocklist:
 
 def test_config_exercises_every_path(baseline):
     policies = set()
-    fallback_rows = 0
+    firewalled_rows = 0
     for capture in baseline.captures.values():
         if not len(capture):
             continue
         stack = capture.vantage.stack
         if isinstance(stack, FirewalledStack):
-            fallback_rows += len(capture)
+            firewalled_rows += len(capture)
             continue
         for port in np.unique(capture.table.dst_port).tolist():
             policies.add(stack.batch_policy_key(int(port)))
-    assert fallback_rows > 0
+    assert firewalled_rows > 0
     assert {("greynoise",), ("honeytrap", False), ("honeytrap", True)} <= policies
     assert any(key[0] == "cowrie" for key in policies)
 
