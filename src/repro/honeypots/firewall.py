@@ -88,7 +88,7 @@ class FirewalledStack(CaptureStack):
         port = batch.dst_port
         is_malicious = self._rules.is_malicious
         drops = np.array([
-            bool(credentials) or (bool(payload) and is_malicious(payload, port))
+            bool(credentials) or is_malicious(payload, port)
             for payload, credentials in zip(batch.payloads.tolist(), batch.credentials.tolist())
         ], dtype=bool)
         if self._drop_probability < 1.0 and drops.any():
