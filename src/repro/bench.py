@@ -242,8 +242,8 @@ def run_serve_bench(
     from repro.runner import orchestrate
     from repro.scanners.population import PopulationConfig, build_population
     from repro.serve import QueryServer, RunDirBackend, ServeOptions, run_load
-    from repro.serve.backends import build_live_pipeline
-    from repro.sim.engine import SimulationConfig, run_simulation
+    from repro.serve.backends import build_live_pipeline, ingest_live
+    from repro.sim.engine import SimulationConfig
     from repro.sim.rng import RngHub
 
     def _say(message: str) -> None:
@@ -265,15 +265,9 @@ def run_serve_bench(
     async def _live_phase() -> dict:
         async with QueryServer(live_backend, ServeOptions()) as server:
             ingest = threading.Thread(
-                target=lambda: (
-                    run_simulation(
-                        deployment,
-                        population,
-                        SimulationConfig(seed=seed, window=_WINDOWS[year]),
-                        tap=bus.publish,
-                    ),
-                    bus.close(),
-                ),
+                target=ingest_live,
+                args=(bus, live_backend, deployment, population,
+                      SimulationConfig(seed=seed, window=_WINDOWS[year])),
                 daemon=True,
             )
             started = time.perf_counter()
@@ -303,6 +297,8 @@ def run_serve_bench(
             }
 
     live_record = asyncio.run(_live_phase())
+    if live_backend.failure is not None:
+        raise RuntimeError("live phase: ingest failed") from live_backend.failure
     _say(f"live phase: {live_record['events']:,} events ingested in "
          f"{live_record['ingest_seconds']:.2f}s while answering "
          f"{live_record['queries_during_ingest']:,} queries "

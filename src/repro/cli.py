@@ -569,6 +569,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
     import threading
+    import traceback
 
     from repro.serve import QueryServer, RunDirBackend, ServeOptions
 
@@ -599,8 +600,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         from repro.deployment.fleet import build_full_deployment
         from repro.experiments.context import _WINDOWS
         from repro.scanners.population import PopulationConfig, build_population
-        from repro.serve.backends import build_live_pipeline, end_live_stream
-        from repro.sim.engine import SimulationConfig, run_simulation
+        from repro.serve.backends import build_live_pipeline, ingest_live
+        from repro.sim.engine import SimulationConfig
         from repro.sim.rng import RngHub
 
         window = _WINDOWS[config.year]
@@ -618,16 +619,12 @@ def _command_serve(args: argparse.Namespace) -> int:
             incidents=args.incidents,
         )
 
-        def _ingest() -> None:
-            run_simulation(
-                deployment,
-                population,
-                SimulationConfig(seed=config.seed, window=window),
-                tap=bus.publish,
-            )
-            end_live_stream(bus, backend)
-
-        ingest = threading.Thread(target=_ingest, daemon=True)
+        ingest = threading.Thread(
+            target=ingest_live,
+            args=(bus, backend, deployment, population,
+                  SimulationConfig(seed=config.seed, window=window)),
+            daemon=True,
+        )
         label = (f"live simulation ({len(population)} campaigns, "
                  f"scale {config.scale}, seed {config.seed})")
 
@@ -658,11 +655,16 @@ def _command_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         if not drained:
             print("interrupted", file=sys.stderr)
-            return 0
-    stats = drained[0]
-    print(f"served {stats.requests_served:,} request(s) over "
-          f"{stats.connections_accepted:,} connection(s) "
-          f"({stats.rejected_connections} rejected); drained cleanly")
+    if drained:
+        stats = drained[0]
+        print(f"served {stats.requests_served:,} request(s) over "
+              f"{stats.connections_accepted:,} connection(s) "
+              f"({stats.rejected_connections} rejected); drained cleanly")
+    failure = getattr(backend, "failure", None)
+    if failure is not None:
+        print("error: live ingest failed:", file=sys.stderr)
+        traceback.print_exception(failure, file=sys.stderr)
+        return 1
     return 0
 
 

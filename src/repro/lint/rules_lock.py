@@ -2,8 +2,9 @@
 
 The serve layer answers queries from the same sketch state an ingest
 thread is mutating; correctness rests on one shared lock
-(:class:`repro.serve.backends.LockedConsumer` on the write side, every
-endpoint method on the read side).  A sketch read that drifts outside
+(:meth:`repro.serve.backends.LiveBackend.commit` held around each bus
+flush on the write side, :meth:`~repro.serve.backends.LiveBackend.handle`
+around every computed answer on the read side).  A sketch read that drifts outside
 the lock produces torn estimates only under concurrent load — the worst
 kind of bug to find dynamically — so the rule demands the guard be
 visible lexically: either a ``with <lock>:`` block or an explicit

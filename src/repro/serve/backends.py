@@ -18,10 +18,11 @@ so a client (and the test suite) can move between them freely:
 * :class:`LiveBackend` attaches to a running
   :class:`~repro.stream.analyzer.StreamAnalyzer` /
   :class:`~repro.stream.bus.StreamBus` pair and answers from bounded
-  sketch state — estimates with explicit error bounds, never a rescan,
-  so a query can never block or slow ingest beyond the shared lock's
-  microseconds.  Per-IP classification comes from a bounded
-  :class:`ReputationTracker` fed off the same bus.
+  sketch state — estimates with explicit error bounds, never a rescan.
+  Each bus flush is one commit (an epoch) under the shared ingest lock,
+  and each answer is computed at most once per epoch; repeats are
+  served from a memo without the lock.  Per-IP classification comes
+  from a bounded :class:`ReputationTracker` fed off the same bus.
 * :class:`RunDirBackend` opens a completed ``cloudwatching orchestrate``
   output directory through the memory-mapped shard banks (one
   :meth:`~repro.io.table.EventTable.concat` of its shard tables per
@@ -36,8 +37,9 @@ import hashlib
 import json
 import threading
 from collections import Counter, OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -68,8 +70,13 @@ __all__ = [
     "build_live_pipeline",
     "encode_category",
     "end_live_stream",
+    "ingest_live",
     "load_run_dir",
 ]
+
+#: Answers a live backend memoizes per epoch (``/ip`` has one key per
+#: address); at the bound the oldest is dropped.
+LIVE_MEMO_ENTRIES = 1024
 
 #: path -> (request contract, backend method name)
 ROUTES = {
@@ -280,14 +287,23 @@ class ReputationTracker:
 
 
 class LiveBackend(ServeBackend):
-    """Serve a running analyzer's sketch state without blocking ingest.
+    """Serve a running analyzer's sketch state, each answer once per epoch.
 
-    ``lock`` is shared with the ingest side (the thread publishing to
-    the bus): every answer is computed under it, so queries see
-    consistent sketch state and ingest never observes a half-read.
-    Estimates are labeled ``"exact": false`` and carry their error
-    bounds — a Space-Saving answer is an overestimate by at most the
-    reported per-entry error.
+    The ingest side changes that state only inside :meth:`commit`: once
+    per bus flush (the bus holds the commit around the flush's every
+    frame), once for the final detection step, once for a failed ingest.
+    A commit holds ``lock`` while the state changes and then advances
+    :attr:`epoch`.  :meth:`handle` computes each (path, parameters)
+    answer under the same lock at most once per epoch and serves repeats
+    from a memo without taking the lock, so a query arriving during a
+    flush gets the last epoch's answer when one is memoized and
+    otherwise waits for the commit; no query sees part of a flush.
+    ``/stats`` reads the bus counters on every request.  Estimates are
+    labeled ``"exact": false`` and carry their error bounds — a
+    Space-Saving answer is an overestimate by at most the reported
+    per-entry error.  The endpoint methods expect the caller to hold the
+    lock (:meth:`handle` does); answers are shared between requests and
+    must not be mutated.
     """
 
     mode = "live"
@@ -297,7 +313,6 @@ class LiveBackend(ServeBackend):
         analyzer,
         bus=None,
         tracker: Optional[ReputationTracker] = None,
-        lock: Optional[threading.Lock] = None,
         pipeline=None,
     ) -> None:
         self.analyzer = analyzer
@@ -306,183 +321,257 @@ class LiveBackend(ServeBackend):
         #: Optional live :class:`~repro.incident.pipeline.IncidentPipeline`
         #: consuming the same bus under the same lock.
         self.pipeline = pipeline
-        self.lock = lock or threading.Lock()
+        self.lock = threading.Lock()
+        #: Commits so far; advanced only under :attr:`lock`.
+        self.epoch = 0
+        #: The exception that stopped ingest, once :meth:`fail` committed it.
+        self.failure: Optional[Exception] = None
+        #: (path, parsed query) -> answer, for the current epoch only.
+        self._memo: dict = {}
+        # The bus advances its counters outside the ingest lock (on each
+        # publish, and between the frames of a flush), so /stats reads
+        # them without it, on every request.
+        self._bus_stats = bus.stats if bus is not None else None
+        self._bus_config = {} if bus is None else {
+            "policy": bus.policy, "max_buffered_events": bus.max_buffered_events,
+        }
+
+    # -- ingest side ----------------------------------------------------
+
+    def attach(self, bus, *consumers) -> None:
+        """Feed ``consumers`` from ``bus``, each flush as one commit."""
+        bus.hold = self.commit
+        bus.subscribe(LockedConsumer(*consumers))
+
+    @contextmanager
+    def commit(self) -> Iterator[None]:
+        """Hold the ingest lock for one change of the served state, then
+        advance the epoch (answers are recomputed on demand).  A change
+        that raises releases the lock without advancing it."""
+        with self.lock:
+            yield
+            self.epoch += 1
+            self._memo = {}
+
+    def fail(self, error: Exception) -> None:
+        """Record the exception that stopped ingest, as a commit."""
+        with self.commit():
+            self.failure = error
+
+    # -- query side -----------------------------------------------------
+
+    def handle(self, path: str, params: Mapping[str, str]) -> Optional[dict]:
+        route = ROUTES.get(path)
+        if route is None:
+            return None
+        contract, method = route
+        key = (path, contract.parse(params))
+        answer = self._memo.get(key)
+        if answer is None:
+            with self.lock:
+                answer = self._answer(key, method)
+        if path == "/stats":
+            bus = None
+            if self._bus_stats is not None:
+                bus = {**self._bus_stats.as_dict(), **self._bus_config}
+            answer = {**answer, "bus": bus}
+        return answer
+
+    @requires_ingest_lock
+    def _answer(self, key: tuple, method: str) -> dict:
+        memo = self._memo
+        answer = memo.get(key)
+        if answer is None:
+            answer = getattr(self, method)(key[1])
+            if len(memo) >= LIVE_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[key] = answer
+        return answer
+
+    @requires_ingest_lock
+    def _status(self) -> dict:
+        if self.failure is None:
+            return {"status": "ok"}
+        return {"status": "failed", "error": {
+            "type": type(self.failure).__name__, "detail": str(self.failure)[:200],
+        }}
 
     @requires_ingest_lock
     def _require_vantage(self, vantage: str) -> None:
         if vantage not in self.analyzer.events_per_vantage:
             raise self._unknown_vantage(vantage)
 
+    @requires_ingest_lock
     def health(self, _query) -> dict:
-        with self.lock:
-            analyzer = self.analyzer
-            return {
-                "status": "ok",
-                "backend": self.mode,
-                "events": int(analyzer.events_consumed),
-                "chunks": int(analyzer.chunks_consumed),
-                "vantages": len(analyzer.events_per_vantage),
-                "watermark_hours": float(analyzer.windows.watermark),
-                "state_bytes": int(analyzer.state_bytes()),
-            }
+        analyzer = self.analyzer
+        return {
+            **self._status(),
+            "backend": self.mode,
+            "events": int(analyzer.events_consumed),
+            "chunks": int(analyzer.chunks_consumed),
+            "vantages": len(analyzer.events_per_vantage),
+            "watermark_hours": float(analyzer.windows.watermark),
+            "state_bytes": int(analyzer.state_bytes()),
+        }
 
+    @requires_ingest_lock
     def vantages(self, _query) -> dict:
-        with self.lock:
-            analyzer = self.analyzer
-            rows = []
-            for vantage_id, events in analyzer.events_per_vantage.most_common():
-                hll = analyzer.distinct_sources.get(vantage_id)
-                rows.append({
-                    "vantage": vantage_id,
-                    "events": int(events),
-                    "rate_per_hour": float(analyzer.windows.rate_per_hour(vantage_id)),
-                    "distinct_sources": float(hll.estimate()) if hll else 0.0,
-                    "spikes": int(analyzer.windows.spikes(vantage_id)),
-                })
-            return {"backend": self.mode, "vantages": rows}
+        analyzer = self.analyzer
+        rows = []
+        for vantage_id, events in analyzer.events_per_vantage.most_common():
+            hll = analyzer.distinct_sources.get(vantage_id)
+            rows.append({
+                "vantage": vantage_id,
+                "events": int(events),
+                "rate_per_hour": float(analyzer.windows.rate_per_hour(vantage_id)),
+                "distinct_sources": float(hll.estimate()) if hll else 0.0,
+                "spikes": int(analyzer.windows.spikes(vantage_id)),
+            })
+        return {"backend": self.mode, "vantages": rows}
 
+    @requires_ingest_lock
     def top(self, query: TopQuery) -> dict:
-        with self.lock:
-            self._require_vantage(query.vantage)
-            sketch = self.analyzer.contingency[query.characteristic.value].sketch(
-                query.vantage
-            )
-            categories = [
-                {
-                    "category": encode_category(category),
-                    "count": float(sketch.estimate(category)),
-                    "error": float(sketch.error(category)),
-                }
-                for category in sketch.top(query.k)
-            ]
-            return {
-                "backend": self.mode,
-                "vantage": query.vantage,
-                "characteristic": query.characteristic.value,
-                "k": query.k,
-                "exact": False,
-                "error_bound": float(sketch.error_bound) if sketch.total else 0.0,
-                "categories": categories,
+        self._require_vantage(query.vantage)
+        sketch = self.analyzer.contingency[query.characteristic.value].sketch(
+            query.vantage
+        )
+        categories = [
+            {
+                "category": encode_category(category),
+                "count": float(sketch.estimate(category)),
+                "error": float(sketch.error(category)),
             }
+            for category in sketch.top(query.k)
+        ]
+        return {
+            "backend": self.mode,
+            "vantage": query.vantage,
+            "characteristic": query.characteristic.value,
+            "k": query.k,
+            "exact": False,
+            "error_bound": float(sketch.error_bound) if sketch.total else 0.0,
+            "categories": categories,
+        }
 
+    @requires_ingest_lock
     def cardinality(self, query: CardinalityQuery) -> dict:
-        with self.lock:
-            analyzer = self.analyzer
-            if query.vantage is not None:
-                self._require_vantage(query.vantage)
-                wanted = [query.vantage]
-            else:
-                wanted = sorted(analyzer.events_per_vantage)
-            return {
-                "backend": self.mode,
-                "exact": False,
-                "distinct_sources": {
-                    vantage_id: float(
-                        analyzer.distinct_sources[vantage_id].estimate()
-                    ) if vantage_id in analyzer.distinct_sources else 0.0
-                    for vantage_id in wanted
-                },
-            }
-
-    def volumes(self, query: VolumesQuery) -> dict:
-        with self.lock:
+        analyzer = self.analyzer
+        if query.vantage is not None:
             self._require_vantage(query.vantage)
-            windows = self.analyzer.windows
-            return {
-                "backend": self.mode,
-                "vantage": query.vantage,
-                "hours": int(windows.hours),
-                "watermark_hours": float(windows.watermark),
-                "sealed_hours": int(windows.sealed_hours()),
-                "series": [float(v) for v in windows.series(query.vantage)],
-                "spikes": int(windows.spikes(query.vantage)),
-                "rate_per_hour": float(windows.rate_per_hour(query.vantage)),
-            }
+            wanted = [query.vantage]
+        else:
+            wanted = sorted(analyzer.events_per_vantage)
+        return {
+            "backend": self.mode,
+            "exact": False,
+            "distinct_sources": {
+                vantage_id: float(
+                    analyzer.distinct_sources[vantage_id].estimate()
+                ) if vantage_id in analyzer.distinct_sources else 0.0
+                for vantage_id in wanted
+            },
+        }
 
+    @requires_ingest_lock
+    def volumes(self, query: VolumesQuery) -> dict:
+        self._require_vantage(query.vantage)
+        windows = self.analyzer.windows
+        return {
+            "backend": self.mode,
+            "vantage": query.vantage,
+            "hours": int(windows.hours),
+            "watermark_hours": float(windows.watermark),
+            "sealed_hours": int(windows.sealed_hours()),
+            "series": [float(v) for v in windows.series(query.vantage)],
+            "spikes": int(windows.spikes(query.vantage)),
+            "rate_per_hour": float(windows.rate_per_hour(query.vantage)),
+        }
+
+    @requires_ingest_lock
     def compare(self, query: CompareQuery) -> dict:
-        with self.lock:
-            result = self.analyzer.chi_square(query.characteristic.value, query.k)
-            return {
-                "backend": self.mode,
-                "characteristic": query.characteristic.value,
-                "k": query.k,
-                "exact": False,
-                "chi_square": _chi_square_json(result),
-            }
+        result = self.analyzer.chi_square(query.characteristic.value, query.k)
+        return {
+            "backend": self.mode,
+            "characteristic": query.characteristic.value,
+            "k": query.k,
+            "exact": False,
+            "chi_square": _chi_square_json(result),
+        }
 
+    @requires_ingest_lock
     def classify(self, query: IpQuery) -> dict:
-        with self.lock:
-            if self.tracker is None:
-                raise SchemaError.single(
-                    "ip", "per-IP classification is not enabled on this server", None
-                )
-            answer = self.tracker.classify(query.ip)
-            return {"backend": self.mode, "ip": int_to_ip(query.ip), **answer}
+        if self.tracker is None:
+            raise SchemaError.single(
+                "ip", "per-IP classification is not enabled on this server", None
+            )
+        answer = self.tracker.classify(query.ip)
+        return {"backend": self.mode, "ip": int_to_ip(query.ip), **answer}
 
+    @requires_ingest_lock
     def alarms(self, query: AlarmsQuery) -> dict:
-        with self.lock:
-            leak = self.analyzer.leak
-            rows = leak.evaluate(query.trailing_hours) if leak is not None else []
-            return {
-                "backend": self.mode,
-                "enabled": leak is not None,
-                "trailing_hours": query.trailing_hours,
-                "alarms": [_alarm_json(alarm) for alarm in rows],
-            }
+        leak = self.analyzer.leak
+        rows = leak.evaluate(query.trailing_hours) if leak is not None else []
+        return {
+            "backend": self.mode,
+            "enabled": leak is not None,
+            "trailing_hours": query.trailing_hours,
+            "alarms": [_alarm_json(alarm) for alarm in rows],
+        }
 
+    @requires_ingest_lock
     def incidents(self, query: IncidentsQuery) -> dict:
-        with self.lock:
-            return _incidents_json(self.pipeline, query.status, self.mode)
+        return _incidents_json(self.pipeline, query.status, self.mode)
 
+    @requires_ingest_lock
     def actions(self, query: ActionsQuery) -> dict:
-        with self.lock:
-            return _actions_json(self.pipeline, query.action, self.mode)
+        return _actions_json(self.pipeline, query.action, self.mode)
 
+    @requires_ingest_lock
     def stats(self, _query) -> dict:
-        with self.lock:
-            payload = {
-                "backend": self.mode,
-                "events": int(self.analyzer.events_consumed),
-                "state_bytes": int(self.analyzer.state_bytes()),
-                "bus": self.bus.stats.as_dict() if self.bus is not None else None,
+        """Everything ``/stats`` reports but the bus counters, which
+        :meth:`handle` adds fresh to each answer."""
+        payload = {
+            "backend": self.mode,
+            "events": int(self.analyzer.events_consumed),
+            "state_bytes": int(self.analyzer.state_bytes()),
+        }
+        if self.failure is not None:
+            payload.update(self._status())
+        if self.tracker is not None:
+            payload["reputation"] = {
+                "tracked_ips": len(self.tracker),
+                "capacity": self.tracker.capacity,
+                "evicted": self.tracker.evicted,
             }
-            if self.bus is not None:
-                payload["bus"]["policy"] = self.bus.policy
-                payload["bus"]["max_buffered_events"] = self.bus.max_buffered_events
-            if self.tracker is not None:
-                payload["reputation"] = {
-                    "tracked_ips": len(self.tracker),
-                    "capacity": self.tracker.capacity,
-                    "evicted": self.tracker.evicted,
-                }
-            if self.pipeline is not None:
-                payload["incidents"] = self.pipeline.summary()
-            return payload
+        if self.pipeline is not None:
+            payload["incidents"] = self.pipeline.summary()
+        return payload
 
 
 class LockedConsumer:
-    """Deliver each frame to several consumers under a shared lock.
+    """The live consumers' fan-out, fed only under the ingest lock.
 
-    The ingest thread publishes through this; the query side reads the
-    same sketch state under the same lock.  One acquisition covers the
-    whole fan-out, so every consumer sees each frame atomically with
-    respect to queries, and a frame's size bound
-    (:data:`~repro.stream.bus.MAX_FRAME_EVENTS`) bounds the hold.
+    A live bus delivers each whole flush inside
+    :meth:`LiveBackend.commit` (its ``hold``), so the cut points and
+    every frame of a flush reach all consumers under one hold of the
+    lock.  The lock is therefore held for up to one flush (the bus's
+    ``max_buffered_events`` events), while
+    :data:`~repro.stream.bus.MAX_FRAME_EVENTS` still bounds each frame.
+    perfbench's tracer times :meth:`consume` as ``serve.lock_hold``.
     """
 
-    def __init__(self, lock: threading.Lock, *consumers) -> None:
-        self.lock = lock
+    def __init__(self, *consumers) -> None:
         self.consumers = consumers
 
+    @requires_ingest_lock
     def consume(self, frame: StreamFrame) -> None:
-        with self.lock:
-            for consumer in self.consumers:
-                consumer.consume(frame)
+        for consumer in self.consumers:
+            consumer.consume(frame)
 
+    @requires_ingest_lock
     def cuts(self, frame: StreamFrame) -> list[int]:
         """Where the wrapped consumers read state mid-stream."""
-        with self.lock:
-            return frame_cuts(self.consumers, frame)
+        return frame_cuts(self.consumers, frame)
 
 
 def build_live_pipeline(
@@ -495,13 +584,14 @@ def build_live_pipeline(
     """Wire bus → (analyzer, tracker) → LiveBackend for live serving.
 
     Returns ``(bus, analyzer, tracker, backend)``.  The analyzer and
-    tracker consume under one shared lock; the returned backend answers
-    queries under the same lock, so an ingest thread can publish while
-    an asyncio server reads, with neither seeing torn state.
+    tracker consume each flush inside one commit of the backend
+    (:meth:`LiveBackend.attach`), which answers queries under the same
+    lock, so an ingest thread can publish while an asyncio server reads,
+    with neither seeing torn state.
 
     ``incidents=True`` additionally wires a live
     :class:`~repro.incident.pipeline.IncidentPipeline` into the same
-    locked fan-out (after the analyzer, so rules see sketched hours) and
+    fan-out (after the analyzer, so rules see sketched hours) and
     exposes it on the backend's ``/incidents`` and ``/actions``
     endpoints.  Off by default: detection costs rule evaluations per
     sealed hour, and servers that only answer sketch queries should not
@@ -510,7 +600,6 @@ def build_live_pipeline(
     from repro.stream.analyzer import StreamAnalyzer
     from repro.stream.bus import StreamBus
 
-    lock = threading.Lock()
     bus = StreamBus(max_buffered_events=max_buffered_events)
     analyzer = StreamAnalyzer(
         hours=hours, sketch_k=sketch_k, leak_experiment=leak_experiment
@@ -523,22 +612,41 @@ def build_live_pipeline(
 
         pipeline = IncidentPipeline(analyzer)
         consumers.append(pipeline)
-    bus.subscribe(LockedConsumer(lock, *consumers))
-    backend = LiveBackend(
-        analyzer, bus=bus, tracker=tracker, lock=lock, pipeline=pipeline
-    )
+    backend = LiveBackend(analyzer, bus=bus, tracker=tracker, pipeline=pipeline)
+    backend.attach(bus, *consumers)
     return bus, analyzer, tracker, backend
 
 
 def end_live_stream(bus, backend: LiveBackend) -> None:
-    """End of ingest: flush what ``bus`` still buffers, then finalize
-    live incident detection under the ingest lock — the window's last
-    hour never seals on its own, so without this ``/incidents`` misses
-    the tail."""
+    """End of ingest: flush what ``bus`` still buffers (one commit), then
+    finalize live incident detection as a commit of its own — the
+    window's last hour never seals on its own, so without this
+    ``/incidents`` misses the tail."""
     bus.close()
     if backend.pipeline is not None:
-        with backend.lock:
+        with backend.commit():
             backend.pipeline.finalize()
+
+
+def ingest_live(bus, backend: LiveBackend, deployment, population, config) -> None:
+    """One live ingest: the body of a live server's ingest thread.
+
+    Simulates ``population`` against ``deployment`` under the
+    :class:`~repro.sim.engine.SimulationConfig` ``config`` with
+    ``tap=bus.publish``, then ends the stream (:func:`end_live_stream`).
+    An exception from the simulation or a consumer is recorded instead
+    of raised (:meth:`LiveBackend.fail`, a commit of its own): from the
+    next request on, ``/healthz`` and ``/stats`` report ``"status":
+    "failed"`` with its type, rather than a partial total that never
+    completes.
+    """
+    from repro.sim.engine import run_simulation
+
+    try:
+        run_simulation(deployment, population, config, tap=bus.publish)
+        end_live_stream(bus, backend)
+    except Exception as error:  # noqa: BLE001 - reported by /healthz and /stats
+        backend.fail(error)
 
 
 # ---------------------------------------------------------------------------

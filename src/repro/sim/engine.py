@@ -85,9 +85,10 @@ class SimulationResult:
         return self.config.window
 
     def events(self) -> Iterable:
-        """All honeypot events across vantages (telescope excluded)."""
+        """All honeypot events across vantages (telescope excluded),
+        streamed: no table keeps the row objects."""
         for capture in self.captures.values():
-            yield from capture.events
+            yield from capture.table.iter_events()
 
     def tables(self) -> dict[str, "EventTable"]:
         """Columnar per-vantage event tables (the zero-copy view)."""

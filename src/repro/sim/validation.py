@@ -93,44 +93,44 @@ def validate_calibration(
             f"{len(leaked_avoiders)} configured avoiders leaked into the telescope",
         )
 
-    # --- every network kind saw traffic ---
+    # One pass over the rows feeds every row-level check below.
+    from repro.detection.classify import MaliciousnessClassifier
+
+    classifier = MaliciousnessClassifier()
+    hours = result.window.hours
     kind_counts: Counter = Counter()
+    out_of_window = bad_asn = checked = 0
+    truth_hits = truth_total = benign_hits = benign_total = 0
     for event in result.events():
         kind_counts[event.network_kind] += 1
+        if not 0.0 <= event.timestamp < hours:
+            out_of_window += 1
+        if checked < 2000:
+            checked += 1
+            system = result.registry.lookup(event.src_ip)
+            if system is None or system.asn != event.src_asn:
+                bad_asn += 1
+        if event.src_ip in malicious_truth:
+            truth_total += 1
+            truth_hits += classifier.is_malicious(event)
+        else:
+            benign_total += 1
+            benign_hits += classifier.is_malicious(event)
+
+    # --- every network kind saw traffic ---
     for kind in (NetworkKind.CLOUD, NetworkKind.EDU):
         report.add(f"coverage-{kind.value}", kind_counts[kind] > 0,
                    f"{kind_counts[kind]} events")
 
     # --- timestamps inside the window ---
-    hours = result.window.hours
-    out_of_window = sum(1 for event in result.events()
-                        if not 0.0 <= event.timestamp < hours)
     report.add("timestamps", out_of_window == 0,
                f"{out_of_window} events outside [0, {hours})")
 
     # --- source attribution consistent with the registry ---
-    bad_asn = 0
-    checked = 0
-    for event in result.events():
-        if checked >= 2000:
-            break
-        checked += 1
-        system = result.registry.lookup(event.src_ip)
-        if system is None or system.asn != event.src_asn:
-            bad_asn += 1
     report.add("as-attribution", bad_asn == 0,
                f"{bad_asn}/{checked} sampled events with inconsistent AS attribution")
 
     # --- malicious ground truth has malicious-looking traffic ---
-    from repro.detection.classify import MaliciousnessClassifier
-
-    classifier = MaliciousnessClassifier()
-    truth_hits = truth_total = 0
-    for event in result.events():
-        if event.src_ip in malicious_truth:
-            truth_total += 1
-            if classifier.is_malicious(event):
-                truth_hits += 1
     detection_rate = truth_hits / truth_total if truth_total else 0.0
     report.add(
         "malicious-detectability",
@@ -140,12 +140,6 @@ def validate_calibration(
     )
 
     # --- benign ground truth rarely triggers detection (false positives) ---
-    benign_hits = benign_total = 0
-    for event in result.events():
-        if event.src_ip not in malicious_truth:
-            benign_total += 1
-            if classifier.is_malicious(event):
-                benign_hits += 1
     false_rate = benign_hits / benign_total if benign_total else 0.0
     report.add(
         "benign-false-positives",

@@ -41,13 +41,20 @@ after any chunk at which some subscriber reads state mid-stream (its
 ``watch``), and never grows past :data:`MAX_FRAME_EVENTS` events.  Every
 subscriber therefore sees exactly the state it would have seen had the
 chunks arrived one at a time.
+
+A bus whose ``hold`` is set delivers each flush inside one ``with
+hold():`` block, cut points included: a live server sets
+:meth:`~repro.serve.backends.LiveBackend.commit`, which holds its ingest
+lock for the whole flush and then advances the answers' epoch.  Every
+other bus delivers unheld.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, ContextManager, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -58,8 +65,9 @@ from repro.sim.events import CapturedEvent
 __all__ = ["StreamFrame", "BusStats", "StreamBus", "MAX_FRAME_EVENTS"]
 
 #: Most events one frame carries (a single larger chunk is a frame of
-#: its own).  A live server consumes each frame under its ingest lock,
-#: so this bounds how long one delivery holds the lock.
+#: its own), so the columns a consumer gathers at once stay small.  A
+#: live server holds its ingest lock for a whole flush (at most the
+#: bus's ``max_buffered_events``), not per frame.
 MAX_FRAME_EVENTS = 4096
 
 #: Distinct payloads a bus's coder may hold before a flush replaces it
@@ -261,6 +269,9 @@ class StreamBus:
             raise ValueError(f"unknown policy {policy!r} (choose from {self.POLICIES})")
         self.max_buffered_events = max_buffered_events
         self.policy = policy
+        #: When set, called for a context manager entered around each
+        #: flush's whole delivery (a live server's ``LiveBackend.commit``).
+        self.hold: Optional[Callable[[], ContextManager]] = None
         self.stats = BusStats()
         #: ``(source, columns, start, stop)`` per buffered run.
         self._queue: deque[tuple] = deque()
@@ -320,7 +331,8 @@ class StreamBus:
         return True
 
     def flush(self) -> int:
-        """Deliver every buffered run to every subscriber, in order."""
+        """Deliver every buffered run to every subscriber, in order,
+        inside one :attr:`hold` when the bus has one."""
         if not self._queue:
             return 0
         if len(self.coder) > _CODER_PAYLOAD_CAP:
@@ -329,17 +341,19 @@ class StreamBus:
         self._queue.clear()
         self._buffered_events = 0
         stats = self.stats
-        for frame in batch.split(frame_cuts(self._subscribers, batch)):
-            # Counters advance as chunk-by-chunk delivery would show them
-            # to a subscriber reading at the frame's last chunk (a watch
-            # snapshot): every earlier chunk delivered, that one not yet.
-            last = int(frame.offsets[-1] - frame.offsets[-2])
-            stats.delivered_chunks += frame.num_chunks - 1
-            stats.delivered_events += len(frame) - last
-            for subscriber in self._subscribers:
-                subscriber.consume(frame)
-            stats.delivered_chunks += 1
-            stats.delivered_events += last
+        with self.hold() if self.hold is not None else nullcontext():
+            for frame in batch.split(frame_cuts(self._subscribers, batch)):
+                # Counters advance as chunk-by-chunk delivery would show
+                # them to a subscriber reading at the frame's last chunk
+                # (a watch snapshot): every earlier chunk delivered, that
+                # one not yet.
+                last = int(frame.offsets[-1] - frame.offsets[-2])
+                stats.delivered_chunks += frame.num_chunks - 1
+                stats.delivered_events += len(frame) - last
+                for subscriber in self._subscribers:
+                    subscriber.consume(frame)
+                stats.delivered_chunks += 1
+                stats.delivered_events += last
         return len(batch)
 
     def close(self) -> int:

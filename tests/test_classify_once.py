@@ -45,8 +45,8 @@ from repro.io.table import EventTable
 from repro.runner import orchestrate
 from repro.scanners.payloads import strip_ephemeral_headers
 from repro.scanners.population import PopulationConfig, build_population
-from repro.serve.backends import RunDirBackend, build_live_pipeline, end_live_stream, load_run_dir
-from repro.sim.engine import SimulationConfig, run_simulation
+from repro.serve.backends import RunDirBackend, build_live_pipeline, ingest_live, load_run_dir
+from repro.sim.engine import SimulationConfig
 from repro.sim.events import CapturedEvent, NetworkKind
 from repro.sim.rng import RngHub
 from repro.stream import bus as bus_module
@@ -354,13 +354,12 @@ def _tapped_live_pipeline(*subscribers):
     )
     for subscriber in subscribers:
         bus.subscribe(subscriber)
-    run_simulation(
-        deployment,
+    ingest_live(
+        bus, backend, deployment,
         build_population(PopulationConfig(year=TINY.year, scale=TINY.scale)),
         SimulationConfig(seed=TINY.seed, window=window),
-        tap=bus.publish,
     )
-    end_live_stream(bus, backend)
+    assert backend.failure is None
     return analyzer, tracker, backend.pipeline
 
 

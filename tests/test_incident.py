@@ -34,7 +34,13 @@ from repro.incident import (
 from repro.incident.pipeline import canonical_frame
 from repro.io.table import COLUMNS
 from repro.runner import orchestrate
-from repro.serve.backends import RunDirBackend, build_live_pipeline, load_run_dir
+from repro.serve.backends import (
+    RunDirBackend,
+    build_live_pipeline,
+    end_live_stream,
+    ingest_live,
+    load_run_dir,
+)
 from repro.serve.schema import (
     ActionsQuery,
     IncidentsQuery,
@@ -566,9 +572,7 @@ class TestServeEndpoints:
         )
         for run in _canonical_runs(tiny.dataset.tables, hours):
             bus.publish(*run)
-        bus.close()
-        with live.lock:
-            live.pipeline.finalize()
+        end_live_stream(bus, live)
 
         batch = RunDirBackend(run_dir)
         for query in (IncidentsQuery(), IncidentsQuery(status="resolved")):
@@ -603,7 +607,7 @@ class TestServeEndpoints:
         from repro.deployment.fleet import build_full_deployment
         from repro.experiments.context import _WINDOWS
         from repro.scanners.population import PopulationConfig, build_population
-        from repro.sim.engine import SimulationConfig, run_simulation
+        from repro.sim.engine import SimulationConfig
         from repro.sim.rng import RngHub
 
         window = _WINDOWS[TINY.year]
@@ -613,15 +617,12 @@ class TestServeEndpoints:
             window.hours, leak_experiment=deployment.leak_experiment,
             incidents=True,
         )
-        run_simulation(
-            deployment,
+        ingest_live(
+            bus, live, deployment,
             build_population(PopulationConfig(year=TINY.year, scale=TINY.scale)),
             SimulationConfig(seed=TINY.seed, window=window),
-            tap=bus.publish,
         )
-        bus.close()
-        with live.lock:
-            live.pipeline.finalize()
+        assert live.failure is None
         expected = {
             "/incidents": live.incidents(IncidentsQuery()),
             "/actions": live.actions(ActionsQuery()),

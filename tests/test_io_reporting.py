@@ -91,6 +91,29 @@ class TestFiles:
         assert count == 2
         assert [event.src_ip for event in read_events(path)] == [1, 2]
 
+    def test_simulation_export_streams_rows(self, tmp_path):
+        """``cloudwatching simulate``'s export: afterwards no capture
+        table keeps row objects, and the file's bytes are pinned."""
+        import hashlib
+
+        from repro.deployment.fleet import build_full_deployment
+        from repro.experiments.context import _WINDOWS
+        from repro.scanners.population import PopulationConfig, build_population
+        from repro.sim.engine import SimulationConfig, run_simulation
+        from repro.sim.rng import RngHub
+
+        result = run_simulation(
+            build_full_deployment(RngHub(5), num_telescope_slash24s=4),
+            build_population(PopulationConfig(year=2021, scale=0.02)),
+            SimulationConfig(seed=5, window=_WINDOWS[2021]),
+        )
+        path = tmp_path / "events.ndjson"
+        assert write_events(path, result.events()) == result.total_events() == 37_961
+        assert all(capture.table._rows is None for capture in result.captures.values())
+        # Computed when each table materialized and cached its rows.
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cbb361cfd34e4d89d3a404898a95ec3371d931fa2f3d24de30c8e8f7a3cc516c")
+
 
 class TestRenderTable:
     def test_basic(self):

@@ -34,7 +34,12 @@ from repro.serve import (
     run_load,
 )
 from repro.serve import http
-from repro.serve.backends import build_live_pipeline
+from repro.serve.backends import (
+    LIVE_MEMO_ENTRIES,
+    ROUTES,
+    build_live_pipeline,
+    ingest_live,
+)
 from repro.serve.schema import (
     Characteristic,
     IpQuery,
@@ -53,6 +58,15 @@ TINY = ExperimentConfig(year=2021, scale=0.05, telescope_slash24s=4, seed=5)
 #: sha256 over the run-dir ``/top`` and ``/compare`` bodies of TINY's
 #: 2-shard run (``test_top_and_compare_answers_are_pinned``).
 RUN_DIR_COUNT_ANSWERS = "defee5424a649fc5bfe00ea2dc7e325e1e8867d6a6a0183c47c9e012c5017499"
+
+#: The live ingest behind ``LIVE_ANSWERS``: ``serve --simulate
+#: --incidents --scale 0.03 --telescope 4 --seed 5``, in-process.
+LIVE_TINY = ExperimentConfig(year=2021, scale=0.03, telescope_slash24s=4, seed=5)
+
+#: sha256 over every live endpoint's answer after LIVE_TINY's ingest
+#: (``_live_queries``, ``/stats`` without ``server``), computed with the
+#: per-frame locked fan-out that answered every query afresh.
+LIVE_ANSWERS = "14eb03770d49216f5aa78b7dc9966ec901a039afe67f26ce1b999d1ae1dd26c4"
 
 #: A connection handler finalized after its loop closed surfaces only as
 #: an unraisable exception; here it fails the test that collects it.
@@ -461,40 +475,71 @@ class TestWire:
 # ---------------------------------------------------------------------------
 
 
+def _live_ingest(config: ExperimentConfig, incidents: bool = False, **pipeline):
+    """``serve --simulate``'s pipeline and ingest arguments for ``config``
+    (a fresh deployment: a cached context's must not be re-simulated)."""
+    from repro.deployment.fleet import build_full_deployment
+    from repro.scanners.population import PopulationConfig, build_population
+    from repro.sim.engine import SimulationConfig
+    from repro.sim.rng import RngHub
+
+    window = _WINDOWS[config.year]
+    deployment = build_full_deployment(
+        RngHub(config.seed), num_telescope_slash24s=config.telescope_slash24s
+    )
+    bus, analyzer, tracker, backend = build_live_pipeline(
+        window.hours, leak_experiment=deployment.leak_experiment,
+        incidents=incidents, **pipeline,
+    )
+    population = build_population(PopulationConfig(year=config.year, scale=config.scale))
+    args = (bus, backend, deployment, population,
+            SimulationConfig(seed=config.seed, window=window))
+    return bus, analyzer, tracker, backend, args
+
+
+@pytest.fixture(scope="module")
+def live_done():
+    """LIVE_TINY ingested to the end, incidents finalized."""
+    bus, _analyzer, _tracker, backend, args = _live_ingest(LIVE_TINY, incidents=True)
+    ingest_live(*args)
+    assert backend.failure is None
+    return bus, backend
+
+
+def _live_queries(backend):
+    """(path, params) covering every endpoint, parameters included."""
+    events = backend.analyzer.events_per_vantage
+    busiest = min(events, key=lambda vantage: (-events[vantage], vantage))
+    yield "/healthz", {}
+    yield "/vantages", {}
+    yield "/cardinality", {}
+    yield "/cardinality", {"vantage": busiest}
+    for characteristic in ("as", "username", "password", "payload"):
+        yield "/compare", {"characteristic": characteristic}
+        yield "/top", {"vantage": busiest, "characteristic": characteristic, "k": "5"}
+    yield "/volumes", {"vantage": busiest}
+    for ip in sorted(backend.tracker._records)[:3] + [1]:
+        yield "/ip", {"ip": str(ip)}
+    yield "/alarms", {}
+    yield "/alarms", {"trailing_hours": "24"}
+    yield "/incidents", {}
+    yield "/incidents", {"status": "resolved"}
+    yield "/actions", {}
+    yield "/actions", {"action": "block"}
+    yield "/stats", {}
+
+
+def _encode(path, params, body) -> bytes:
+    return json.dumps([path, params, body], sort_keys=True, separators=(",", ":")).encode()
+
+
 class TestLiveBackend:
     def test_queries_during_ingest_cause_zero_drops(self, batch):
-        from repro.deployment.fleet import build_full_deployment
-        from repro.scanners.population import PopulationConfig, build_population
-        from repro.sim.engine import SimulationConfig, run_simulation
-        from repro.sim.rng import RngHub
-
-        # A fresh deployment: the cached context's must not be re-simulated.
-        deployment = build_full_deployment(
-            RngHub(TINY.seed), num_telescope_slash24s=TINY.telescope_slash24s
-        )
-        bus, analyzer, tracker, backend = build_live_pipeline(
-            _WINDOWS[TINY.year].hours,
-            leak_experiment=deployment.leak_experiment,
-        )
-        population = build_population(
-            PopulationConfig(year=TINY.year, scale=TINY.scale)
-        )
+        bus, analyzer, _tracker, backend, args = _live_ingest(TINY)
 
         async def _scenario():
             async with QueryServer(backend, ServeOptions()) as server:
-                ingest = threading.Thread(
-                    target=lambda: (
-                        run_simulation(
-                            deployment,
-                            population,
-                            SimulationConfig(seed=TINY.seed,
-                                             window=_WINDOWS[TINY.year]),
-                            tap=bus.publish,
-                        ),
-                        bus.close(),
-                    ),
-                    daemon=True,
-                )
+                ingest = threading.Thread(target=ingest_live, args=args, daemon=True)
                 ingest.start()
                 queries = 0
                 while True:
@@ -512,6 +557,7 @@ class TestLiveBackend:
 
         queries = asyncio.run(_scenario())
         assert queries > 0
+        assert backend.failure is None
         # The acceptance bar: live-mode queries during ingest cause zero
         # stream drops at the default queue size.
         assert bus.stats.dropped_events == 0
@@ -584,6 +630,202 @@ class TestLiveBackend:
         bus.close()
         assert len(tracker) == 10
         assert tracker.evicted == 40
+
+    def test_answers_after_ingest_are_pinned(self, live_done):
+        """Every endpoint's answer after LIVE_TINY's ingest, byte for
+        byte, as the per-frame locked fan-out gave them."""
+        _bus, backend = live_done
+        digest = hashlib.sha256()
+        for path, params in _live_queries(backend):
+            body = dict(backend.handle(path, params))
+            body.pop("server", None)
+            digest.update(_encode(path, params, body))
+        assert digest.hexdigest() == LIVE_ANSWERS
+
+
+# ---------------------------------------------------------------------------
+# live backend: one commit per flush, each answer once per epoch
+# ---------------------------------------------------------------------------
+
+
+def _count_computations(backend, monkeypatch) -> dict:
+    """Wrap every endpoint method of ``backend``; returns the counts of
+    computations per (path, query), filled in as they happen."""
+    counts: dict = {}
+    for path, (contract, method) in ROUTES.items():
+        def counted(query, _path=path, _compute=getattr(backend, method)):
+            counts[_path, query] = counts.get((_path, query), 0) + 1
+            return _compute(query)
+        monkeypatch.setattr(backend, method, counted)
+    return counts
+
+
+def _in_thread(call, timeout: float):
+    """``call()`` on a helper thread: (finished within timeout, result)."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive(), thread, result
+
+
+class TestLiveEpochs:
+    def test_each_answer_is_computed_once_per_epoch(self, live_done, monkeypatch):
+        _bus, backend = live_done
+        counts = _count_computations(backend, monkeypatch)
+        queries = list(_live_queries(backend))
+        keys = {(path, ROUTES[path][0].parse(params)) for path, params in queries}
+        for epoch in (1, 2):
+            with backend.commit():
+                pass  # a commit with no change: every answer is computed again
+            for _poll in range(50):
+                for path, params in queries:
+                    backend.handle(path, params)
+            assert set(counts) == keys
+            assert set(counts.values()) == {epoch}
+
+    def test_memoized_answers_equal_fresh_ones(self, live_done):
+        _bus, backend = live_done
+        for path, params in _live_queries(backend):
+            memoized = backend.handle(path, params)
+            assert backend.handle(path, params) is not None
+            contract, method = ROUTES[path]
+            with backend.lock:
+                fresh = getattr(backend, method)(contract.parse(params))
+            if path == "/stats":
+                fresh["bus"] = memoized["bus"]
+            assert _encode(path, params, memoized) == _encode(path, params, fresh)
+
+    def test_distinct_ip_queries_keep_the_memo_at_its_bound(self, live_done):
+        _bus, backend = live_done
+        for ip in range(1, 3 * LIVE_MEMO_ENTRIES + 1):
+            assert backend.handle("/ip", {"ip": str(ip)})["seen"] in (True, False)
+        assert len(backend._memo) == LIVE_MEMO_ENTRIES
+        with backend.commit():
+            pass
+        assert len(backend._memo) == 0
+
+    def test_a_query_never_sees_part_of_a_flush(self, batch):
+        """A subscriber blocks in the middle of a flush: memoized answers
+        come back at once with the previous commit's state, unmemoized
+        ones only after the flush commits."""
+        from repro.stream.watch import stream_table
+
+        bus, analyzer, _tracker, backend = build_live_pipeline(_WINDOWS[TINY.year].hours)
+        tables = batch.dataset.tables
+        first, second = sorted(tables, key=lambda vantage: -len(tables[vantage]))[:2]
+        stream_table(bus, tables[first], 512)
+        bus.flush()
+        before = backend.handle("/healthz", {})
+        assert before["events"] == len(tables[first])
+        vantages = backend.handle("/vantages", {})
+        assert sum(row["events"] for row in vantages["vantages"]) == before["events"]
+
+        entered, release = threading.Event(), threading.Event()
+
+        class Gate:
+            def consume(self, frame):
+                entered.set()
+                release.wait(30)
+
+        bus.subscribe(Gate())
+        stream_table(bus, tables[second], 512)
+        flush = threading.Thread(target=bus.flush, daemon=True)
+        flush.start()
+        try:
+            assert entered.wait(30)
+            # The fan-out has consumed the flush's first frame by now.
+            assert analyzer.events_consumed > before["events"]
+            done, _thread, answer = _in_thread(lambda: backend.handle("/healthz", {}), 5)
+            assert done and answer == [before]
+            done, _thread, answer = _in_thread(lambda: backend.handle("/vantages", {}), 5)
+            assert done and answer == [vantages]
+            done, waiting, fresh = _in_thread(lambda: backend.handle("/cardinality", {}), 0.3)
+            assert not done, "an unmemoized query returned during the flush"
+        finally:
+            release.set()
+            flush.join(30)
+        waiting.join(30)
+        total = len(tables[first]) + len(tables[second])
+        assert sorted(fresh[0]["distinct_sources"]) == sorted([first, second])
+        assert backend.handle("/healthz", {})["events"] == total
+        assert backend.epoch == 2
+
+    def test_a_failing_consumer_is_reported_failed(self):
+        bus, _analyzer, _tracker, backend, args = _live_ingest(LIVE_TINY)
+
+        class Broken:
+            def consume(self, frame):
+                raise RuntimeError("consumer broke")
+
+        assert backend.handle("/healthz", {})["status"] == "ok"  # memoized
+        bus.subscribe(Broken())
+        ingest_live(*args)
+        health = backend.handle("/healthz", {})
+        assert health["status"] == "failed"
+        assert health["error"]["type"] == "RuntimeError"
+        stats = backend.handle("/stats", {})
+        assert stats["status"] == "failed"
+        assert stats["bus"]["published_events"] > stats["bus"]["delivered_events"]
+
+
+class TestServeSimulate:
+    def _serve(self, prelude: str = ""):
+        """``serve --simulate --incidents`` on LIVE_TINY in a subprocess;
+        ``prelude`` runs first in it.  Returns (process, port)."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        argv = ["serve", "--simulate", "--incidents", "--scale", str(LIVE_TINY.scale),
+                "--telescope", str(LIVE_TINY.telescope_slash24s),
+                "--seed", str(LIVE_TINY.seed), "--port", "0", "--duration", "120"]
+        code = f"import sys\n{prelude}\nfrom repro.cli import main\nsys.exit(main({argv!r}))"
+        process = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        line = process.stdout.readline()
+        assert line.startswith("serving "), line
+        return process, int(line.rsplit(":", 1)[1])
+
+    def _poll(self, port: int, done, seconds: float = 60.0):
+        """GET /healthz until ``done(body)``; returns the last body."""
+        import time
+        import urllib.request
+
+        deadline = time.monotonic() + seconds
+        while True:
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
+                                        timeout=30) as response:
+                body = json.loads(response.read())
+            if done(body) or time.monotonic() > deadline:
+                return body
+            time.sleep(0.1)
+
+    def _stop(self, process):
+        process.send_signal(signal.SIGINT)
+        try:
+            out, err = process.communicate(timeout=30)
+        finally:
+            process.kill()
+        return process.returncode, out, err
+
+    def test_a_failed_ingest_is_reported_and_exits_nonzero(self):
+        prelude = ("from repro.stream.analyzer import StreamAnalyzer\n"
+                   "def _broken(self, frame):\n"
+                   "    raise RuntimeError('consumer broke')\n"
+                   "StreamAnalyzer.consume = _broken")
+        process, port = self._serve(prelude)
+        try:
+            health = self._poll(port, lambda body: body["status"] != "ok", 30)
+        finally:
+            code, out, err = self._stop(process)
+        assert health["status"] == "failed"
+        assert health["error"]["type"] == "RuntimeError"
+        assert code == 1
+        assert "drained cleanly" in out
+        assert "live ingest failed" in err and "consumer broke" in err
 
 
 # ---------------------------------------------------------------------------

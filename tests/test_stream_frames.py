@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import threading
 from collections import Counter
 
 import numpy as np
@@ -38,7 +37,7 @@ from repro.incident.rules import (
 from repro.io.table import COLUMNS, EventTable, concat_runs
 from repro.runner import orchestrate
 from repro.scanners.payloads import strip_ephemeral_headers
-from repro.serve.backends import LockedConsumer, ReputationTracker
+from repro.serve.backends import LiveBackend, ReputationTracker, end_live_stream
 from repro.sim.events import NetworkKind
 from repro.stream.analyzer import CHARACTERISTICS, StreamAnalyzer
 from repro.stream.bus import StreamBus, StreamFrame, frame_cuts
@@ -276,19 +275,35 @@ class TestFrameEqualsChunks:
     @given(chunks=chunk_sequences(), queue=st.integers(min_value=1, max_value=40))
     @settings(max_examples=60, deadline=None)
     def test_bus_with_locked_fanout_matches_one_chunk_at_a_time(self, chunks, queue):
-        """Through the bus and the serve layer's locked fan-out, with the
-        buffer bound (so the flush points) drawn at random."""
+        """Through the bus and the live server's fan-out, one commit per
+        flush, with the buffer bound (so the flush points) drawn at
+        random."""
         reference = _fingerprint(*_one_at_a_time(chunks))
         analyzer, tracker, pipeline = _stack()
         bus = StreamBus(max_buffered_events=queue)
-        bus.subscribe(LockedConsumer(threading.Lock(), analyzer, tracker, pipeline))
+        backend = LiveBackend(analyzer, bus=bus, tracker=tracker, pipeline=pipeline)
+        backend.attach(bus, analyzer, tracker, pipeline)
+        held = []
+
+        class Probe:  # delivered after the fan-out, inside the same commit
+            def consume(self, frame):
+                held.append(backend.lock.locked())
+
+        bus.subscribe(Probe())
         for chunk in chunks:
             bus.publish(*chunk)
-        bus.close()
-        pipeline.finalize()
+        end_live_stream(bus, backend)
         assert _fingerprint(analyzer, tracker, pipeline) == reference
         assert bus.stats.delivered_chunks == len(chunks)
         assert bus.stats.delivered_events == sum(stop - start for *_, start, stop in chunks)
+        # One commit per flush that delivered anything, one for finalize().
+        flushes = buffered = 0
+        for *_, start, stop in chunks:
+            if buffered + stop - start > queue:
+                flushes, buffered = flushes + (buffered > 0), 0
+            buffered += stop - start
+        assert backend.epoch == flushes + 1 + 1
+        assert held and all(held)
 
 
 class TestFrameSplit:
