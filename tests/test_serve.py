@@ -652,7 +652,7 @@ def _count_computations(backend, monkeypatch) -> dict:
     """Wrap every endpoint method of ``backend``; returns the counts of
     computations per (path, query), filled in as they happen."""
     counts: dict = {}
-    for path, (contract, method) in ROUTES.items():
+    for path, (_contract, method) in ROUTES.items():
         def counted(query, _path=path, _compute=getattr(backend, method)):
             counts[_path, query] = counts.get((_path, query), 0) + 1
             return _compute(query)
@@ -688,7 +688,8 @@ class TestLiveEpochs:
         _bus, backend = live_done
         for path, params in _live_queries(backend):
             memoized = backend.handle(path, params)
-            assert backend.handle(path, params) is not None
+            if path != "/stats":  # the fresh bus counters make a new dict
+                assert backend.handle(path, params) is memoized
             contract, method = ROUTES[path]
             with backend.lock:
                 fresh = getattr(backend, method)(contract.parse(params))
